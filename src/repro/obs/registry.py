@@ -35,7 +35,7 @@ Design points:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.stats import RunningStats
@@ -73,6 +73,10 @@ class _Instrument:
         self.help = help
         self.labelnames: Tuple[str, ...] = tuple(labelnames)
         self._children: Dict[Tuple[str, ...], "_Instrument"] = {}
+        #: ``tuple(labels.items())`` exactly as a call site passed them ->
+        #: leaf series; filled by :meth:`MetricsRegistry._leaf` after it
+        #: has validated the labels once, so a repeat skips validation
+        self._memo: Dict[tuple, "_Instrument"] = {}
 
     # -- labeled children ---------------------------------------------------
     def _make_child(self) -> "_Instrument":
@@ -100,6 +104,7 @@ class _Instrument:
 
     def reset(self) -> None:
         self._children.clear()
+        self._memo.clear()
         self._reset_leaf()
 
     def _reset_leaf(self) -> None:
@@ -229,7 +234,7 @@ class Histogram(_Instrument):
 
     def observe(self, x: float, exemplar: Optional[str] = None) -> None:
         x = float(x)
-        idx = bisect.bisect_left(self.bounds, x)
+        idx = bisect_left(self.bounds, x)
         self._counts[idx] += 1
         self.stats.add(x)
         if exemplar is not None:
@@ -299,6 +304,8 @@ class Timer:
     is evaluated at exit so the observation carries the trace it
     belongs to.
     """
+
+    __slots__ = ("histogram", "_clock", "_exemplar_fn", "_t0")
 
     def __init__(self, histogram: Histogram, clock: Callable[[], float],
                  exemplar_fn: Optional[Callable[[], Optional[str]]] = None):
@@ -397,27 +404,45 @@ class MetricsRegistry:
                                    buckets=buckets)
 
     # -- one-line instrumentation helpers -----------------------------------
-    @staticmethod
-    def _leaf(instrument: _Instrument, labels: Dict[str, Any]):
-        return instrument.labels(**labels) if labels else instrument
+    def _leaf(self, cls, name: str, help: str, labels: Dict[str, Any],
+              buckets: Optional[Sequence[float]] = None):
+        """The leaf series of ``name`` for one call site's labels.
+
+        A repeat of a (name, labels) pair already resolved is one dict
+        probe on the instrument's memo.  Anything else — first use, a
+        kind clash, a label set the instrument does not take — goes
+        through the factories and :meth:`_Instrument.labels`, which
+        validate and raise; series are only ever created there.
+        """
+        key = tuple(labels.items())
+        instrument = self._metrics.get(name)
+        if type(instrument) is cls:
+            leaf = instrument._memo.get(key)
+            if leaf is not None:
+                return leaf
+        kwargs = {} if buckets is None else {"buckets": buckets}
+        instrument = self._get_or_create(cls, name, help, sorted(labels),
+                                         **kwargs)
+        leaf = instrument.labels(**labels) if labels else instrument
+        # ``labels`` keys series by ``str(value)``; only a plain str is
+        # its own key, so only those may short-cut the conversion
+        if all(type(value) is str for value in labels.values()):
+            instrument._memo[key] = leaf
+        return leaf
 
     def count(self, name: str, n: float = 1.0, help: str = "",
               **labels: Any) -> None:
-        counter = self.counter(name, help, labelnames=sorted(labels))
-        self._leaf(counter, labels).inc(n)
+        self._leaf(Counter, name, help, labels).inc(n)
 
     def observe(self, name: str, value: float, help: str = "",
                 buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
                 **labels: Any) -> None:
-        histogram = self.histogram(name, help, labelnames=sorted(labels),
-                                   buckets=buckets)
-        self._leaf(histogram, labels).observe(
+        self._leaf(Histogram, name, help, labels, buckets).observe(
             value, exemplar=self._current_exemplar())
 
     def set_gauge(self, name: str, value: float, help: str = "",
                   **labels: Any) -> None:
-        gauge = self.gauge(name, help, labelnames=sorted(labels))
-        self._leaf(gauge, labels).set(value)
+        self._leaf(Gauge, name, help, labels).set(value)
 
     def gauge_fn(self, name: str, fn: Callable[[], float],
                  help: str = "") -> Gauge:
@@ -428,10 +453,8 @@ class MetricsRegistry:
     def time(self, name: str, help: str = "",
              buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
              **labels: Any) -> Timer:
-        histogram = self.histogram(name, help, labelnames=sorted(labels),
-                                   buckets=buckets)
-        return Timer(self._leaf(histogram, labels), self._clock,
-                     exemplar_fn=self._exemplar_provider)
+        return Timer(self._leaf(Histogram, name, help, labels, buckets),
+                     self._clock, exemplar_fn=self._exemplar_provider)
 
     # -- introspection ------------------------------------------------------
     def get(self, name: str) -> Optional[_Instrument]:

@@ -36,9 +36,8 @@ live in :mod:`repro.obs.trace_export`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Union
 
 __all__ = [
     "TraceContext",
@@ -62,23 +61,39 @@ class TraceContext:
     span_id: str
 
 
-@dataclass
 class Span:
-    """One timed, attributed node in a trace tree."""
+    """One timed, attributed node in a trace tree.
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
-    name: str
-    start: float
-    end: Optional[float] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    #: "ok" | "error" | "unset" (still open)
-    status: str = "unset"
-    #: bridged flat-tracer records: (time, category, event, details)
-    events: List[tuple] = field(default_factory=list)
-    #: global creation sequence number — the deterministic export order
-    seq: int = 0
+    Slotted, and the ``events`` list exists only once :meth:`add_event`
+    has run: a campaign retains one of these per protocol step.
+    """
+
+    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
+                 "attributes", "status", "_events", "seq")
+
+    def __init__(self, trace_id: str, span_id: str,
+                 parent_id: Optional[str], name: str, start: float,
+                 end: Optional[float] = None,
+                 attributes: Optional[Dict[str, Any]] = None,
+                 status: str = "unset", seq: int = 0):
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.name = name
+        self.start = start
+        self.end = end
+        self.attributes = {} if attributes is None else attributes
+        #: "ok" | "error" | "unset" (still open)
+        self.status = status
+        self._events: Optional[List[tuple]] = None
+        #: global creation sequence number — the deterministic export order
+        self.seq = seq
+
+    @property
+    def events(self) -> List[tuple]:
+        """Bridged flat-tracer records: (time, category, event, details).
+        Read-only view; :meth:`add_event` is the way to add one."""
+        return [] if self._events is None else self._events
 
     @property
     def duration(self) -> float:
@@ -99,11 +114,82 @@ class Span:
 
     def add_event(self, time: float, category: str, event: str,
                   details: Optional[Dict[str, Any]] = None) -> None:
-        self.events.append((time, category, event, dict(details or {})))
+        if self._events is None:
+            self._events = []
+        self._events.append((time, category, event, dict(details or {})))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Span {self.name!r} {self.trace_id}/{self.span_id} "
                 f"parent={self.parent_id} status={self.status}>")
+
+
+def _topmost(stack: list, other: Union[Span, TraceContext]) -> int:
+    """Index of the innermost stack entry with ``other``'s IDs, or -1."""
+    span_id, trace_id = other.span_id, other.trace_id
+    for i in range(len(stack) - 1, -1, -1):
+        entry = stack[i]
+        if entry.span_id == span_id and entry.trace_id == trace_id:
+            return i
+    return -1
+
+
+class _NullScope:
+    """The shared inert ``with`` target of every no-op path."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "Span":
+        return _NULL_SPAN
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+
+class _SpanScope:
+    """``with tracer.span(...)``: start on enter, end on exit."""
+
+    __slots__ = ("_tracer", "_name", "_attributes", "_span")
+
+    def __init__(self, tracer: "SpanTracer", name: str,
+                 attributes: Dict[str, Any]):
+        self._tracer = tracer
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        self._span = span = self._tracer.start_span(
+            self._name, **self._attributes)
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self._tracer.end_span(self._span)
+        else:
+            self._span.attributes.setdefault(
+                "error", f"{exc_type.__name__}: {exc}")
+            self._tracer.end_span(self._span, status="error")
+
+
+class _Activation:
+    """``with tracer.activate(ctx)``: push on enter, remove on exit."""
+
+    __slots__ = ("_stack", "_context")
+
+    def __init__(self, stack: list, context: TraceContext):
+        self._stack = stack
+        self._context = context
+
+    def __enter__(self) -> None:
+        self._stack.append(self._context)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        stack, context = self._stack, self._context
+        if stack and stack[-1] is context:
+            stack.pop()
+            return
+        i = _topmost(stack, context)
+        if i >= 0:
+            del stack[i]
 
 
 class SpanTracer:
@@ -119,7 +205,9 @@ class SpanTracer:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
         self.spans: List[Span] = []
-        self._stack: List[TraceContext] = []
+        #: innermost last: an open :class:`Span`, or a carried
+        #: :class:`TraceContext` pushed by :meth:`activate`
+        self._stack: List[Union[Span, TraceContext]] = []
         self._open: Dict[str, Span] = {}
         self._trace_seq = 0
         self._span_seq = 0
@@ -135,31 +223,26 @@ class SpanTracer:
     # -- context ------------------------------------------------------------
     def current_context(self) -> Optional[TraceContext]:
         """The context children created right now would attach under."""
-        return self._stack[-1] if self._stack else None
+        if not self._stack:
+            return None
+        top = self._stack[-1]
+        return top if type(top) is TraceContext else top.context
 
     @property
     def current_trace_id(self) -> Optional[str]:
         """The open trace's ID, or None — the metrics exemplar hook."""
         return self._stack[-1].trace_id if self._stack else None
 
-    @contextmanager
-    def activate(self, context: Optional[TraceContext]) -> Iterator[None]:
-        """Parent subsequent spans under a carried context.
+    def activate(self, context: Optional[TraceContext]):
+        """Context manager: parent subsequent spans under a carried
+        context.
 
         With ``context=None`` this is a no-op, so call sites can pass an
         optional carried context straight through.
         """
         if context is None:
-            yield
-            return
-        self._stack.append(context)
-        try:
-            yield
-        finally:
-            for i in range(len(self._stack) - 1, -1, -1):
-                if self._stack[i] == context:
-                    del self._stack[i]
-                    break
+            return _NULL_SCOPE
+        return _Activation(self._stack, context)
 
     # -- span lifecycle -------------------------------------------------------
     def start_span(self, name: str,
@@ -167,25 +250,22 @@ class SpanTracer:
                    **attributes: Any) -> Span:
         """Open a span (child of ``parent``/the current context, or a new
         trace root) and make it the current context."""
-        if parent is None:
-            parent = self.current_context()
+        stack = self._stack
+        if parent is None and stack:
+            parent = stack[-1]
         if parent is None:
             self._trace_seq += 1
-            trace_id = f"t{self._trace_seq:06d}"
+            trace_id = "t%06d" % self._trace_seq
             parent_id = None
         else:
             trace_id = parent.trace_id
             parent_id = parent.span_id
-        self._span_seq += 1
-        span = Span(trace_id=trace_id,
-                    span_id=f"s{self._span_seq:06d}",
-                    parent_id=parent_id, name=name,
-                    start=self._clock(),
-                    attributes=dict(attributes),
-                    seq=self._span_seq)
+        self._span_seq = seq = self._span_seq + 1
+        span = Span(trace_id, "s%06d" % seq, parent_id, name, self._clock(),
+                    None, attributes, "unset", seq)
         self.spans.append(span)
         self._open[span.span_id] = span
-        self._stack.append(span.context)
+        stack.append(span)
         return span
 
     def end_span(self, span: Span, status: Optional[str] = None) -> None:
@@ -197,31 +277,22 @@ class SpanTracer:
         elif span.status == "unset":
             span.status = "ok"
         self._open.pop(span.span_id, None)
-        ctx = span.context
-        if ctx in self._stack:
-            while self._stack and self._stack[-1] != ctx:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+            return
+        i = _topmost(stack, span)
+        if i >= 0:
+            del stack[i:]
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> "_SpanScope":
         """Context manager: a child of the current context, or — with no
         context open — the root of a new trace.  An escaping exception
         marks the span (and its open ancestors' statuses stay theirs)
         as ``error`` with the exception recorded."""
-        span = self.start_span(name, **attributes)
-        try:
-            yield span
-        except BaseException as exc:
-            span.attributes.setdefault(
-                "error", f"{type(exc).__name__}: {exc}")
-            self.end_span(span, status="error")
-            raise
-        self.end_span(span)
+        return _SpanScope(self, name, attributes)
 
-    @contextmanager
-    def span_if_active(self, name: str, **attributes: Any) -> Iterator[Span]:
+    def span_if_active(self, name: str, **attributes: Any):
         """Like :meth:`span`, but records nothing unless a trace is open.
 
         Every instrumented subsystem below the trace roots uses this, so
@@ -229,10 +300,8 @@ class SpanTracer:
         reassessment) does not spawn junk traces.
         """
         if not self._stack:
-            yield _NULL_SPAN
-            return
-        with self.span(name, **attributes) as span:
-            yield span
+            return _NULL_SCOPE
+        return self.span(name, **attributes)
 
     def record_span(self, name: str, start: float, end: float,
                     status: str = "ok", **attributes: Any) -> Span:
@@ -245,12 +314,9 @@ class SpanTracer:
         """
         self._trace_seq += 1
         self._span_seq += 1
-        span = Span(trace_id=f"t{self._trace_seq:06d}",
-                    span_id=f"s{self._span_seq:06d}",
-                    parent_id=None, name=name,
-                    start=float(start), end=float(end),
-                    attributes=dict(attributes), status=status,
-                    seq=self._span_seq)
+        span = Span("t%06d" % self._trace_seq, "s%06d" % self._span_seq,
+                    None, name, float(start), float(end), attributes,
+                    status, self._span_seq)
         self.spans.append(span)
         return span
 
@@ -263,13 +329,15 @@ class SpanTracer:
         benchmark traces gain causal context without call-site rewrites.
         Dropped silently when no span is open.
         """
-        ctx = self.current_context()
-        if ctx is None:
+        if not self._stack:
             return
-        span = self._open.get(ctx.span_id)
+        span = self._open.get(self._stack[-1].span_id)
         if span is None:
             return
-        span.add_event(self._clock(), category, event, details)
+        # ``details`` is this call's own kwargs dict: no copy needed
+        if span._events is None:
+            span._events = []
+        span._events.append((self._clock(), category, event, details))
 
     # -- introspection --------------------------------------------------------
     def traces(self) -> Dict[str, List[Span]]:
@@ -302,6 +370,8 @@ class SpanTracer:
 #: shared inert span handed out by null/no-op paths; mutating it is a
 #: silent no-op by construction (one shared instance, never exported)
 class _NullSpan(Span):
+    __slots__ = ()
+
     def __init__(self) -> None:
         super().__init__(trace_id="", span_id="", parent_id=None,
                          name="null", start=0.0)
@@ -318,6 +388,7 @@ class _NullSpan(Span):
 
 
 _NULL_SPAN = _NullSpan()
+_NULL_SCOPE = _NullScope()
 
 
 class NullSpanTracer(SpanTracer):
@@ -332,10 +403,6 @@ class NullSpanTracer(SpanTracer):
     def enabled(self) -> bool:
         return False
 
-    @contextmanager
-    def _null_cm(self) -> Iterator[Span]:
-        yield _NULL_SPAN
-
     def start_span(self, name: str,
                    parent: Optional[TraceContext] = None,
                    **attributes: Any) -> Span:
@@ -349,13 +416,13 @@ class NullSpanTracer(SpanTracer):
         return _NULL_SPAN
 
     def span(self, name: str, **attributes: Any):
-        return self._null_cm()
+        return _NULL_SCOPE
 
     def span_if_active(self, name: str, **attributes: Any):
-        return self._null_cm()
+        return _NULL_SCOPE
 
     def activate(self, context: Optional[TraceContext]):
-        return self._null_cm()
+        return _NULL_SCOPE
 
     def event(self, category: str, event: str, **details: Any) -> None:
         return

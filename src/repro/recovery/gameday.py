@@ -408,7 +408,7 @@ def run_gameday(seed: int = 0,
                                   if worker_repairs else 0.0),
         "mttr_mean": _round(chaos_stats["mttr_mean"]),
     }
-    report.latency = _latency_stats(meta.spans.spans)
+    report.latency = _latency_stats(gateway.requests.values())
     report.drain_seconds = drain_seconds
     report.checkpoint = checkpoint_info
 

@@ -6,8 +6,8 @@ start the service tier, drive it **open-loop** with seeded diurnal/
 bursty traffic (including a deterministic overload surge), drain, and
 aggregate a :class:`ServiceReport` joining
 
-* per-request end-to-end latency (submit→placed) from the
-  ``service.request`` spans the gateway records, and
+* per-request end-to-end latency (submit→placed) from the gateway's
+  request registry (so it reads the same at every ``tracing`` level), and
 * the SLO engine's burn-rate verdicts over the windowed ``service_*``
   time series
 
@@ -63,7 +63,7 @@ class ServiceReport:
     requests: Dict[str, Any] = field(default_factory=dict)
     queue: Dict[str, Any] = field(default_factory=dict)
     pool: Dict[str, Any] = field(default_factory=dict)
-    #: submit→placed latency distribution from ``service.request`` spans
+    #: submit→placed latency distribution over the placed requests
     latency: Dict[str, Any] = field(default_factory=dict)
     #: SLO engine verdicts over the windowed ``service_*`` series
     slo: Optional[Dict[str, Any]] = None
@@ -227,10 +227,12 @@ class ServiceComparison:
         return "\n".join(lines)
 
 
-def _latency_stats(spans: Any) -> Dict[str, Any]:
-    """Distribution of submit→placed latency from the request spans."""
-    samples = sorted(float(s.end - s.start) for s in spans
-                     if s.name == "service.request" and s.status == "ok")
+def _latency_stats(requests: Any) -> Dict[str, Any]:
+    """Distribution of submit→placed latency over the gateway's placed
+    requests — the interval each ``service.request`` span also covers."""
+    samples = sorted(float(latency)
+                     for latency in (r.e2e_latency for r in requests)
+                     if latency is not None)
     if not samples:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
                 "p99": 0.0, "max": 0.0}
@@ -352,7 +354,7 @@ def run_service(seed: int = 0,
     report.queue = suite.queue.stats()
     report.pool = {k: (_round(v) if isinstance(v, float) else v)
                    for k, v in suite.pool.stats().items()}
-    report.latency = _latency_stats(meta.spans.spans)
+    report.latency = _latency_stats(gateway.requests.values())
     report.pending = sum(1 for r in gateway.requests.values()
                          if not r.terminal)
     report.drain_seconds = drain_seconds

@@ -28,10 +28,11 @@ class RunningStats:
 
     def add(self, x: float) -> None:
         x = float(x)
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
+        self.n = n = self.n + 1
+        mean = self._mean
+        delta = x - mean
+        self._mean = mean = mean + delta / n
+        self._m2 += delta * (x - mean)
         if x < self.minimum:
             self.minimum = x
         if x > self.maximum:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, MutableSequence, Optional
+from typing import (Any, Callable, Dict, Iterator, MutableSequence, Optional,
+                    Tuple)
 
 __all__ = ["TraceRecord", "Tracer", "NullTracer"]
 
@@ -47,7 +48,7 @@ class Tracer:
         self.records: MutableSequence[TraceRecord] = (
             [] if max_records is None else deque(maxlen=max_records))
         self.enabled_categories = enabled_categories  # None = everything
-        self._counts: Dict[str, int] = {}
+        self._counts: Dict[Tuple[str, str], int] = {}
         self.total_records = 0
         #: span bridge: a :class:`~repro.obs.spans.SpanTracer` (set by the
         #: Metasystem) receiving every emitted record as a span event on
@@ -66,7 +67,7 @@ class Tracer:
         self.records.append(
             TraceRecord(self._clock(), category, event, details))
         self.total_records += 1
-        key = f"{category}/{event}"
+        key = (category, event)
         self._counts[key] = self._counts.get(key, 0) + 1
         if self.span_sink is not None:
             self.span_sink.event(category, event, **details)
@@ -74,9 +75,8 @@ class Tracer:
     def count(self, category: str, event: Optional[str] = None) -> int:
         """Number of records matching category (and optionally event)."""
         if event is not None:
-            return self._counts.get(f"{category}/{event}", 0)
-        prefix = category + "/"
-        return sum(v for k, v in self._counts.items() if k.startswith(prefix))
+            return self._counts.get((category, event), 0)
+        return sum(v for k, v in self._counts.items() if k[0] == category)
 
     def select(self, category: Optional[str] = None,
                event: Optional[str] = None) -> Iterator[TraceRecord]:

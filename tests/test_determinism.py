@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro import Metasystem, ObjectClassRequest
 from repro.obs import chrome_trace_json, json_to_snapshot, spans_to_jsonl
 from repro.workload import (
@@ -169,6 +171,72 @@ class TestDeterminism:
         assert any(
             s.get("value") or s.get("count")
             for m in snapshot["metrics"] for s in m["series"])
+
+
+TRACING_LEVELS = ("off", "flat", "spans")
+
+
+def _placement_outcome(tracing: str):
+    """A seeded closed-loop placement run; everything virtual about it."""
+    meta = build_testbed(TestbedSpec(
+        seed=21, n_domains=2, hosts_per_domain=8, host_slots=4,
+        background_load_mean=0.3, tracing=tracing))
+    app = meta.create_class("inv-app",
+                            implementations_for_all_platforms(),
+                            work_units=5.0)
+    scheduler = meta.make_scheduler("irs")
+    placed = failed = 0
+    latencies = []
+    for _ in range(60):
+        t0 = meta.now
+        outcome = scheduler.run([ObjectClassRequest(app, count=3)],
+                                reservation_duration=30.0)
+        latencies.append(meta.now - t0)
+        placed += outcome.ok
+        failed += not outcome.ok
+        meta.advance(0.5)
+    assert placed and failed  # both the happy and the error paths ran
+    return {"placed": placed, "failed": failed, "now": meta.now,
+            "events": meta.sim.events_processed,
+            "messages": meta.transport.messages_sent,
+            "lost": meta.transport.messages_lost,
+            "latencies": latencies}
+
+
+def _service_outcome(tracing: str):
+    """A short seeded ``run_service`` campaign on a testbed built at one
+    tracing level; the report plus the per-request timeline."""
+    from repro.service import run_service
+    meta = build_testbed(TestbedSpec(
+        seed=11, n_domains=1, hosts_per_domain=4, platform_mix=2,
+        host_slots=8, background_load_mean=0.3, sampler_window=30.0,
+        tracing=tracing))
+    meta.place_collection("dom0")
+    meta.place_enactor("dom0")
+    report = run_service(
+        seed=11, users=2000, duration=30.0, workers=2, queue_cap=8,
+        requests_per_user_hour=3.6, surge_multiplier=8.0, drain_time=300.0,
+        meta=meta)
+    timeline = [(r.request_id, r.state, r.submitted_at, r.finished_at,
+                 r.attempts, r.worker)
+                for r in meta.service.gateway.requests.values()]
+    assert report.latency["count"] > 0 and report.latency["p99"] > 0.0
+    return {"report": report.to_dict(), "timeline": timeline,
+            "now": meta.now, "events": meta.sim.events_processed,
+            "messages": meta.transport.messages_sent}
+
+
+class TestObsLevelInvariance:
+    """Observing must not change what is observed (ROADMAP item 2's
+    gate): the virtual outcome is the same at every tracing level."""
+
+    @pytest.mark.parametrize("outcome_at",
+                             [_placement_outcome, _service_outcome])
+    def test_virtual_outcome_identical_across_tracing_levels(
+            self, outcome_at):
+        off, flat, spans = (outcome_at(level) for level in TRACING_LEVELS)
+        assert off == flat
+        assert off == spans
 
 
 class TestCrossProcessScaleSnapshot:

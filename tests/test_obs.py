@@ -240,6 +240,94 @@ class TestRegistry:
             assert build_snapshot(reg) == {"metrics": []}
 
 
+class TestSeriesMemo:
+    """The one-liners memoise (name, labels) -> leaf series; everything
+    that is not a repeat must still be validated exactly as before."""
+
+    def _warm(self):
+        reg = MetricsRegistry()
+        for _ in range(3):
+            reg.count("c", path="scan")
+            reg.observe("h", 1.0, step="a")
+            reg.set_gauge("g", 2.0, shard="0")
+            reg.count("plain")
+        return reg
+
+    def test_warm_memo_still_rejects_bad_calls(self):
+        reg = self._warm()
+        with pytest.raises(ValueError, match="declared with labels"):
+            reg.count("c", step="scan")            # wrong label name
+        with pytest.raises(ValueError, match="declared with labels"):
+            reg.count("c")                         # labels dropped
+        with pytest.raises(ValueError, match="declared with labels"):
+            reg.count("plain", path="scan")        # labels added
+        with pytest.raises(ValueError, match="is a counter, not a"):
+            reg.observe("c", 1.0, path="scan")     # kind clash
+        with pytest.raises(ValueError, match="is a histogram, not a"):
+            reg.set_gauge("h", 1.0, step="a")
+        with pytest.raises(ValueError, match="is a gauge, not a"):
+            reg.time("g", shard="0")
+        with pytest.raises(ValueError, match="cannot decrease"):
+            reg.count("c", n=-1, path="scan")      # negative on a hit
+        # none of the rejected calls left a trace
+        assert reg.get("c").labels(path="scan").value == 3
+        assert sorted(reg.get("c")._children) == [("scan",)]
+        assert reg.get("plain").value == 3
+
+    def test_no_series_appears_before_its_first_use(self):
+        reg = self._warm()
+        names = [(m["name"], [s["labels"] for s in m["series"]])
+                 for m in build_snapshot(reg)["metrics"]]
+        assert names == [("c", [{"path": "scan"}]),
+                         ("g", [{"shard": "0"}]),
+                         ("h", [{"step": "a"}]),
+                         ("plain", [{}])]
+
+    def test_keyword_order_and_stringified_values_share_a_series(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            reg.count("c", a="1", b="x")
+            reg.count("c", b="x", a="1")
+            reg.count("c", a=1, b="x")   # keyed by str(value), never memoised
+        assert reg.get("c").labels(a="1", b="x").value == 6
+        assert len(reg.get("c")._children) == 1
+
+    def test_reset_invalidates_the_memo(self):
+        reg = self._warm()
+        reg.reset()
+        assert build_snapshot(reg)["metrics"][0]["series"] == []
+        reg.count("c", path="scan")
+        reg.count("plain")
+        assert reg.get("c").labels(path="scan").value == 1
+        assert reg.get("plain").value == 1
+        # resetting one instrument directly is seen as well
+        reg.get("c").reset()
+        reg.count("c", path="scan")
+        assert reg.get("c").labels(path="scan").value == 1
+
+    def test_merge_lands_in_the_memoised_series(self):
+        a, b = self._warm(), self._warm()
+        b.count("c", path="index")
+        a.merge(b)
+        a.count("c", path="scan")      # memo hit on a merged-into series
+        a.count("c", path="index")     # series created by merge, then hit
+        a.count("c", path="index")
+        assert a.get("c").labels(path="scan").value == 7
+        assert a.get("c").labels(path="index").value == 3
+        assert a.get("h").labels(step="a").count == 6
+
+    def test_timer_and_exemplars_go_through_the_memo(self):
+        clock = {"t": 0.0}
+        reg = MetricsRegistry(clock=lambda: clock["t"])
+        reg.set_exemplar_provider(lambda: "t000042")
+        for _ in range(2):
+            with reg.time("t_seconds", step="a"):
+                clock["t"] += 0.5
+        leaf = reg.get("t_seconds").labels(step="a")
+        assert leaf.count == 2
+        assert set(leaf.exemplars.values()) == {(0.5, "t000042")}
+
+
 class TestExportRoundTrip:
     def _populated(self):
         clock = {"t": 0.0}

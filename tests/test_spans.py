@@ -4,6 +4,7 @@ The tentpole of the observability layer: per-request span trees over the
 13-step placement protocol, with deterministic IDs, a critical-path
 analysis, and Chrome trace-event export (docs/observability.md)."""
 
+import hashlib
 import json
 
 import pytest
@@ -28,7 +29,11 @@ from repro.obs import (
 )
 from repro.obs.trace_export import children_of, dominant_step, self_time
 from repro.sim.tracing import NullTracer, Tracer
-from repro.workload import implementations_for_all_platforms
+from repro.workload import (
+    TestbedSpec,
+    build_testbed,
+    implementations_for_all_platforms,
+)
 
 
 class FakeClock:
@@ -133,6 +138,85 @@ class TestSpanTracer:
         tracer.clear()
         assert len(tracer) == 0
         assert tracer.current_context() is None
+
+
+class TestScopeObjects:
+    """``span`` / ``span_if_active`` / ``activate`` hand back plain
+    enter/exit objects; these pin what the ``with`` statement sees."""
+
+    def test_escaping_exception_is_recorded_once_and_reraised(self, tracer):
+        boom = KeyError("k")
+        with pytest.raises(KeyError) as caught:
+            with tracer.span("outer") as outer:
+                outer.set_attribute("error", "set by the call site")
+                with tracer.span("inner"):
+                    raise boom
+        assert caught.value is boom
+        inner, = tracer.find("inner")
+        assert inner.status == "error"
+        assert inner.attributes["error"] == "KeyError: 'k'"
+        # an explicit error attribute wins over the generic one
+        assert outer.attributes["error"] == "set by the call site"
+        assert outer.status == "error"
+
+    def test_child_left_open_is_popped_with_its_parent(self, tracer, clock):
+        root = tracer.start_span("root")
+        leaked = tracer.start_span("leaked")
+        clock.now = 5.0
+        tracer.end_span(root)
+        assert tracer.current_context() is None
+        assert (root.end, root.status) == (5.0, "ok")
+        assert (leaked.end, leaked.status) == (None, "unset")
+        # the next span starts a fresh trace, not a child of the leak
+        with tracer.span("next") as nxt:
+            assert nxt.parent_id is None
+        assert nxt.trace_id != root.trace_id
+
+    def test_ending_a_span_twice_is_harmless(self, tracer):
+        with tracer.span("root") as root:
+            with tracer.span("child") as child:
+                pass
+            tracer.end_span(child)  # already ended and popped
+            assert tracer.current_context() == root.context
+
+    def test_activate_removes_only_its_own_entry(self, tracer):
+        with tracer.span("root") as root:
+            carried = tracer.current_context()
+            assert carried == TraceContext(root.trace_id, root.span_id)
+            # the transport's shape: re-activate the caller's own context
+            with tracer.activate(carried):
+                with tracer.span_if_active("rpc") as rpc:
+                    assert tracer.current_context() == rpc.context
+                assert tracer.current_context() is carried
+            assert tracer.current_context() == root.context
+            # a span leaked inside the block stays; only the pushed
+            # entry goes
+            with tracer.activate(TraceContext("t9", "s9")):
+                leaked = tracer.start_span("leaked")
+            assert tracer.current_context() == leaked.context
+            assert leaked.parent_id == "s9"
+        assert tracer.current_context() is None
+
+    def test_idle_span_if_active_is_the_shared_null_scope(self, tracer):
+        scope = tracer.span_if_active("orphan", k=1)
+        assert scope is tracer.span_if_active("other")
+        assert scope is tracer.activate(None)
+        assert scope is NULL_SPANS.span("x")
+        assert scope is NULL_SPANS.span_if_active("x")
+        assert scope is NULL_SPANS.activate(TraceContext("t1", "s1"))
+        with scope as span:
+            span.set_attribute("k", 1)
+        assert len(tracer) == 0 and span.attributes == {}
+        with tracer.span("root"):
+            assert tracer.span_if_active("child") is not scope
+
+    def test_events_list_exists_only_after_an_event(self, tracer):
+        with tracer.span("root") as root:
+            assert root.events == [] and root._events is None
+            tracer.event("net", "sent", n=1)
+            root.add_event(1.0, "net", "acked")
+        assert root.events == [(0.0, "net", "sent", {"n": 1}),
+                               (1.0, "net", "acked", {})]
 
 
 class TestNullSpanTracer:
@@ -256,6 +340,31 @@ class TestExemplars:
         assert all(trace_id is None
                    for series in loose["series"]
                    for _b, _v, trace_id in series["exemplars"])
+
+
+class TestPinnedTelemetry:
+    #: sha256 of spans JSONL + "\n" + metrics JSON for the run below.
+    #: Telemetry internals may be rewritten freely; IDs, order,
+    #: attributes, exemplars and series may not drift.  Re-pin only with
+    #: a change that means to alter what is exported.
+    DIGEST = ("21f28bbaa7e494d54a075b3eec73fd7b6b9253d0"
+              "248ef886c8e9b1b058d8d095")
+
+    def test_300_placements_export_the_pinned_bytes(self):
+        meta = build_testbed(TestbedSpec(
+            seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
+            background_load_mean=0.3))
+        app = meta.create_class(
+            "bench-app", implementations_for_all_platforms(),
+            work_units=5.0)
+        scheduler = meta.make_scheduler("irs")
+        request = [ObjectClassRequest(app, count=4)]
+        for _ in range(300):
+            scheduler.run(request, reservation_duration=30.0)
+            meta.advance(0.5)
+        assert len(meta.spans) == 7092
+        blob = spans_to_jsonl(meta.spans.spans) + "\n" + meta.metrics.to_json()
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
 
 
 # ---------------------------------------------------------------------------
