@@ -17,8 +17,8 @@ Two measurements feed the ledger:
   member set by all three engines: the tree-walking evaluator, the
   compiled closure plan, and the inverted-index Collection.
 
-The split matters for CI: the ``scale-smoke`` job regenerates a small
-profile and fails if any *deterministic* field drifted from the
+The split matters for CI: ``legion-sim ledger check scale`` regenerates a
+small profile and fails if any *deterministic* field drifted from the
 committed datapoint (the ledger is stale — someone changed behaviour
 without regenerating) or if events/sec fell below ``min_ratio`` times
 the committed speed (a real performance regression, with a generous
@@ -27,7 +27,7 @@ monotonic :func:`time.perf_counter`.
 
 Regenerate the committed ledger with::
 
-   PYTHONPATH=src python -m repro.tools.cli scale --out BENCH_scale.json
+   legion-sim ledger write scale
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ SCALE_QUERY = ('$host_arch == "sparc" and $site == "site4" '
 DEFAULT_SIZES = (64, 256, 1024)
 
 #: regenerated events/sec may drop to this fraction of the committed
-#: value before the smoke job fails — generous, because CI machines vary
+#: value before the ledger check fails — generous, because CI machines vary
 DEFAULT_MIN_RATIO = 0.3
 
 #: fields of a datapoint that must reproduce bit-for-bit on any machine

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..campaign import (WAVE_DRAIN_STEP, drain, jobs_done, run_variants,
+                        slo_block, standard_world)
 from ..errors import LegionError
-from .report import ResilienceReport
+from .report import ResilienceReport, RetryComparison
 
-__all__ = ["run_campaign"]
+__all__ = ["run_campaign", "run_retry_comparison"]
 
 
 def run_campaign(profile: str = "mixed",
@@ -52,25 +54,12 @@ def run_campaign(profile: str = "mixed",
     to reuse a custom testbed (it must not have chaos started yet).
     """
     from ..scheduler.base import ObjectClassRequest
-    from ..workload.testbed import (
-        TestbedSpec,
-        build_testbed,
-        implementations_for_all_platforms,
-    )
+    from ..workload.testbed import implementations_for_all_platforms
 
     if meta is None:
-        meta = build_testbed(TestbedSpec(
-            seed=seed, n_domains=n_domains,
-            hosts_per_domain=hosts_per_domain,
-            platform_mix=platform_mix,
-            background_load_mean=background_load,
-            federation_shards=shards))
-        # give the services network locations so information queries and
-        # reservations cost messages — and can honestly be lost
-        meta.place_collection("dom0")
-        meta.place_enactor("dom0")
-        if shards:
-            meta.place_federation()
+        meta = standard_world(seed, n_domains, hosts_per_domain,
+                              platform_mix, background_load,
+                              federation_shards=shards)
     if horizon is None:
         horizon = waves * wave_interval
     if sampler_window and meta.sampler is None:
@@ -118,11 +107,7 @@ def run_campaign(profile: str = "mixed",
     injector.teardown()
 
     # drain: let surviving jobs run to completion on a fault-free world
-    deadline = meta.now + drain_time
-    while meta.now < deadline:
-        if not any(host.machine.jobs for host in meta.hosts):
-            break
-        meta.advance(50.0)
+    drain(meta, jobs_done, drain_time, WAVE_DRAIN_STEP)
 
     stats = injector.stats()
     report.instances_completed = sum(h.machine.completed_jobs
@@ -150,18 +135,15 @@ def run_campaign(profile: str = "mixed",
     report.mttr_mean = stats["mttr_mean"]
     report.mttr_max = stats["mttr_max"]
     if meta.sampler is not None:
-        from ..obs.slo import evaluate_slos
-        meta.sampler.flush()
-        results = evaluate_slos(meta.default_slos(), meta.sampler.windows)
-        report.slo = {
-            "window_seconds": meta.sampler.window,
-            "windows": len(meta.sampler.windows),
-            "minutes_lost": round(sum(r.minutes_lost for r in results), 6),
-            "alerts": sum(len(r.alerts) for r in results),
-            "exhausted": sum(1 for r in results if r.exhausted),
-            "budgets": {r.spec.name: round(r.budget_consumed, 6)
-                        for r in results},
-        }
+        report.slo, _ = slo_block(meta, meta.default_slos())
     if include_events:
         report.events = [r.to_dict() for r in injector.records]
     return report
+
+
+def run_retry_comparison(**campaign_kwargs: Any) -> RetryComparison:
+    """Run the identical seeded campaign retry-off then retry-on; extra
+    keyword arguments flow through to :func:`run_campaign`."""
+    return RetryComparison(run_variants(
+        run_campaign, {"off": dict(retry=False), "retry": dict(retry=True)},
+        **campaign_kwargs))

@@ -9,16 +9,19 @@ the same seeds produce byte-identical documents (pinned by
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-__all__ = ["ResilienceReport"]
+from ..campaign import Comparison, Report
+
+__all__ = ["ResilienceReport", "RetryComparison"]
 
 
 @dataclass
-class ResilienceReport:
+class ResilienceReport(Report):
     """Aggregated survival metrics for one campaign run."""
+
+    label = "ResilienceReport"
 
     profile: str = ""
     chaos_seed: int = 0
@@ -137,8 +140,12 @@ class ResilienceReport:
             doc["slo"] = self.slo
         return doc
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def problems(self) -> List[str]:
+        """The campaign gate: teardown must leave no fault behind."""
+        if not self.residual_faults:
+            return []
+        return [f"{len(self.residual_faults)} residual fault(s) survived "
+                f"teardown"]
 
     def summary(self) -> str:
         """A compact human-readable digest for the CLI."""
@@ -177,3 +184,29 @@ class ResilienceReport:
                 f"{self.slo['exhausted']} budget(s) exhausted "
                 f"(window {self.slo['window_seconds']:g}s)")
         return "\n".join(lines)
+
+
+class RetryComparison(Comparison):
+    """The identical campaign with the RetryPolicy off (``"off"``) then
+    on (``"retry"``) — what ``legion-sim chaos --compare-retry`` prints."""
+
+    label = ResilienceReport.label
+
+    def to_dict(self) -> Dict[str, Any]:
+        # the ledger form is the retry-on run alone: BENCH_chaos.json is
+        # one ResilienceReport, the resilience-trajectory datapoint
+        return self.reports["retry"].to_dict()
+
+    def problems(self) -> List[str]:
+        return max(self.reports.values(),
+                   key=lambda rep: len(rep.residual_faults)).problems()
+
+    def summary(self) -> str:
+        base, with_retry = self.reports["off"], self.reports["retry"]
+        return "\n\n".join([
+            base.summary(), with_retry.summary(),
+            f"retry benefit: placement success "
+            f"{100.0 * base.placement_success_rate:.1f}% -> "
+            f"{100.0 * with_retry.placement_success_rate:.1f}%, "
+            f"completed {base.instances_completed} -> "
+            f"{with_retry.instances_completed}"])

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..campaign import (WAVE_DRAIN_STEP, drain, jobs_done, run_variants,
+                        stable_round, standard_world)
 from ..errors import LegionError
 from .report import EconomyComparison, EconomyReport
 
@@ -64,23 +66,13 @@ def run_economy(scheduler: str = "economy",
     enabled either way so every run meters identical market prices.
     """
     from ..scheduler.base import ObjectClassRequest
-    from ..workload.testbed import (
-        TestbedSpec,
-        build_testbed,
-        implementations_for_all_platforms,
-    )
+    from ..workload.testbed import implementations_for_all_platforms
 
     if users < 1:
         raise ValueError("users must be >= 1")
     if meta is None:
-        meta = build_testbed(TestbedSpec(
-            seed=seed, n_domains=n_domains,
-            hosts_per_domain=hosts_per_domain,
-            platform_mix=platform_mix,
-            background_load_mean=background_load,
-            economy=True))
-        meta.place_collection("dom0")
-        meta.place_enactor("dom0")
+        meta = standard_world(seed, n_domains, hosts_per_domain,
+                              platform_mix, background_load, economy=True)
     suite = meta.enable_economy()
     horizon = waves * wave_interval
     if guardrails:
@@ -152,11 +144,7 @@ def run_economy(scheduler: str = "economy",
         injector.teardown()
 
     # drain: let surviving jobs run out on a fault-free world
-    stop = meta.now + drain_time
-    while meta.now < stop:
-        if not any(host.machine.jobs for host in meta.hosts):
-            break
-        meta.advance(50.0)
+    drain(meta, jobs_done, drain_time, WAVE_DRAIN_STEP)
 
     # deadline audit: completion within the user's experiment deadline
     per_user: Dict[str, Dict[str, Any]] = {
@@ -177,17 +165,17 @@ def run_economy(scheduler: str = "economy",
         u = per_user[name]
         u["missed"] = u["requested"] - u["met"]
         account = suite.budgets.account(name)
-        u["spent"] = round(account.spent, 6)
-        u["overrun"] = round(account.overrun, 6)
-        u["miss_rate"] = round(u["missed"] / max(1, u["requested"]), 6)
+        u["spent"] = stable_round(account.spent)
+        u["overrun"] = stable_round(account.overrun)
+        u["miss_rate"] = stable_round(u["missed"] / max(1, u["requested"]))
     report.deadline_missed = (report.instances_requested
                               - report.deadline_met)
     report.per_user = per_user
 
-    report.total_cost = round(suite.ledger.total, 6)
-    report.user_spend = round(suite.budgets.total_spent, 6)
-    report.cost_overrun = round(
-        sum(a.overrun for a in suite.budgets.accounts.values()), 6)
+    report.total_cost = stable_round(suite.ledger.total)
+    report.user_spend = stable_round(suite.budgets.total_spent)
+    report.cost_overrun = stable_round(
+        sum(a.overrun for a in suite.budgets.accounts.values()))
     report.budget_rejections = suite.budgets.rejections
     if scheduler == "economy":
         report.auction = suite.auction.to_dict()
@@ -205,9 +193,6 @@ def run_economy_comparison(mode: str = "cost",
                            **kwargs) -> EconomyComparison:
     """Replay the identical seeded campaign under the economy scheduler
     and each baseline; the report dict feeds ``BENCH_economy.json``."""
-    comparison = EconomyComparison()
-    comparison.reports["economy"] = run_economy(scheduler="economy",
-                                                mode=mode, **kwargs)
-    for kind in baselines:
-        comparison.reports[kind] = run_economy(scheduler=kind, **kwargs)
-    return comparison
+    variants = {"economy": dict(scheduler="economy", mode=mode)}
+    variants.update({kind: dict(scheduler=kind) for kind in baselines})
+    return EconomyComparison(run_variants(run_economy, variants, **kwargs))

@@ -9,20 +9,19 @@ of the same seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from ..campaign import Comparison, Report, stable_round
 
 __all__ = ["EconomyReport", "EconomyComparison"]
 
 
-def _round(value: float) -> float:
-    return round(float(value), 6)
-
-
 @dataclass
-class EconomyReport:
+class EconomyReport(Report):
     """Aggregated outcome of one seeded economy campaign."""
+
+    label = "EconomyReport"
 
     scheduler: str = "economy"
     mode: str = "cost"
@@ -75,43 +74,9 @@ class EconomyReport:
         return float(self.auction.get("efficiency", 1.0))
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheduler": self.scheduler,
-            "mode": self.mode,
-            "seed": self.seed,
-            "chaos_profile": self.chaos_profile,
-            "chaos_seed": self.chaos_seed,
-            "guardrails_enabled": self.guardrails_enabled,
-            "retry_enabled": self.retry_enabled,
-            "users": self.users,
-            "budget": _round(self.budget),
-            "deadline": _round(self.deadline),
-            "waves": self.waves,
-            "per_wave": self.per_wave,
-            "work": _round(self.work),
-            "wave_interval": _round(self.wave_interval),
-            "horizon": _round(self.horizon),
-            "instances_requested": self.instances_requested,
-            "instances_created": self.instances_created,
-            "instances_completed": self.instances_completed,
-            "deadline_met": self.deadline_met,
-            "deadline_missed": self.deadline_missed,
-            "deadline_miss_rate": _round(self.deadline_miss_rate),
-            "placement_attempts": self.placement_attempts,
-            "placement_successes": self.placement_successes,
-            "budget_rejections": self.budget_rejections,
-            "bid_escalations": self.bid_escalations,
-            "total_cost": _round(self.total_cost),
-            "user_spend": _round(self.user_spend),
-            "cost_overrun": _round(self.cost_overrun),
-            "auction": self.auction,
-            "per_user": self.per_user,
-        }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+        doc = super().to_dict()
+        doc["deadline_miss_rate"] = stable_round(self.deadline_miss_rate)
+        return doc
 
     def summary(self) -> str:
         lines = [
@@ -144,17 +109,12 @@ class EconomyReport:
         return "\n".join(lines)
 
 
-@dataclass
-class EconomyComparison:
+class EconomyComparison(Comparison):
     """Economy vs. baseline schedulers on the identical seeded world."""
 
-    reports: Dict[str, EconomyReport] = field(default_factory=dict)
+    label = "economy comparison"
     #: baselines the economy must beat for the benchmark gate
-    gate_baselines: List[str] = field(
-        default_factory=lambda: ["random", "irs"])
-
-    def report(self, name: str) -> EconomyReport:
-        return self.reports[name]
+    gate_baselines = ("random", "irs")
 
     def beats(self, baseline: str) -> bool:
         """Strictly better on deadline-miss rate AND total metered cost."""
@@ -170,18 +130,18 @@ class EconomyComparison:
         """The BENCH gate: economy beats Random and IRS on both axes."""
         return all(self.beats(b) for b in self.gate_baselines)
 
-    def to_dict(self) -> Dict[str, Any]:
+    def verdict(self) -> Dict[str, Any]:
         return {
             "economy_beats_baselines": self.economy_beats_baselines,
             "gate": {b: self.beats(b) for b in self.gate_baselines},
-            "reports": {name: self.reports[name].to_dict()
-                        for name in sorted(self.reports)},
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def problems(self) -> List[str]:
+        losses = [b for b in self.gate_baselines if not self.beats(b)]
+        if not losses:
+            return []
+        return [f"economy does not beat {', '.join(losses)} on both "
+                f"deadline-miss rate and total cost"]
 
     def summary(self) -> str:
         header = (f"{'scheduler':<12} {'miss-rate':>9} {'total-cost':>10} "

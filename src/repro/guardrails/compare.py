@@ -17,26 +17,29 @@ byte-stable for fixed seeds.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, List
 
-from ..chaos.report import ResilienceReport
+from ..campaign import Comparison, run_variants, stable_round
 
 __all__ = ["MODES", "GuardrailsComparison", "run_comparison"]
 
+#: what each benchmark mode switches on, in escalation order
+MODE_FLAGS = {"off": dict(retry=False, guardrails=False),
+              "retries": dict(retry=True, guardrails=False),
+              "guardrails": dict(retry=True, guardrails=True)}
 #: benchmark modes in escalation order
-MODES = ("off", "retries", "guardrails")
+MODES = tuple(MODE_FLAGS)
 
 
-@dataclass
-class GuardrailsComparison:
+class GuardrailsComparison(Comparison):
     """Reports for all three modes plus the derived benefit deltas."""
 
-    profile: str = ""
-    chaos_seed: int = 0
-    testbed_seed: int = 0
-    reports: Dict[str, ResilienceReport] = field(default_factory=dict)
+    reports_key = "modes"
+
+    @property
+    def label(self) -> str:
+        return ("guardrails SLO comparison" if self.has_slo
+                else "guardrails comparison")
 
     # -- derived -----------------------------------------------------------
     def survival(self, mode: str) -> float:
@@ -71,13 +74,12 @@ class GuardrailsComparison:
         return all(rep.slo for rep in self.reports.values()) \
             and bool(self.reports)
 
-    def to_dict(self) -> Dict[str, Any]:
+    def verdict(self) -> Dict[str, Any]:
+        first = self.reports["off"]
         doc = {
-            "profile": self.profile,
-            "chaos_seed": self.chaos_seed,
-            "testbed_seed": self.testbed_seed,
-            "modes": {mode: self.reports[mode].to_dict()
-                      for mode in MODES if mode in self.reports},
+            "profile": first.profile,
+            "chaos_seed": first.chaos_seed,
+            "testbed_seed": first.testbed_seed,
             "benefit": {
                 "survival_off": self.survival("off"),
                 "survival_retries": self.survival("retries"),
@@ -98,18 +100,29 @@ class GuardrailsComparison:
                 self.slo_minutes("retries")
             doc["benefit"]["slo_minutes_guardrails"] = \
                 self.slo_minutes("guardrails")
-            doc["benefit"]["slo_minutes_saved"] = round(
-                self.slo_minutes("off") - self.slo_minutes("guardrails"), 6)
+            doc["benefit"]["slo_minutes_saved"] = stable_round(
+                self.slo_minutes("off") - self.slo_minutes("guardrails"))
         return doc
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def problems(self) -> List[str]:
+        """Sampled (``legion-sim slo --compare-guardrails``): guardrails
+        must keep every error budget.  Unsampled (``legion-sim
+        guardrails``): guardrails must not regress survival."""
+        if self.has_slo:
+            exhausted = self.reports["guardrails"].slo["exhausted"]
+            return [f"{exhausted} error budget(s) exhausted with "
+                    f"guardrails on"] if exhausted else []
+        if self.survival_delta < 0:
+            return [f"guardrails regressed survival by "
+                    f"{-100.0 * self.survival_delta:.1f} percentage points"]
+        return []
 
     def summary(self) -> str:
+        first = self.reports["off"]
         lines = [
-            f"guardrails benchmark {self.profile!r} "
-            f"(chaos-seed {self.chaos_seed}, testbed-seed "
-            f"{self.testbed_seed})",
+            f"guardrails benchmark {first.profile!r} "
+            f"(chaos-seed {first.chaos_seed}, testbed-seed "
+            f"{first.testbed_seed})",
             f"  {'mode':<12} {'survival':>9} {'wasted':>7} "
             f"{'shed':>5} {'opens':>6} {'retries':>8} {'completed':>10}",
         ]
@@ -150,15 +163,6 @@ def run_comparison(profile: str = "hosts",
     """
     from ..chaos.campaign import run_campaign
 
-    flags = {"off": (False, False),
-             "retries": (True, False),
-             "guardrails": (True, True)}
-    comparison = GuardrailsComparison(
-        profile=profile, chaos_seed=chaos_seed, testbed_seed=seed)
-    for mode in MODES:
-        retry, guardrails = flags[mode]
-        comparison.reports[mode] = run_campaign(
-            profile=profile, chaos_seed=chaos_seed, seed=seed,
-            retry=retry, guardrails=guardrails,
-            include_events=include_events, **campaign_kwargs)
-    return comparison
+    return GuardrailsComparison(run_variants(
+        run_campaign, MODE_FLAGS, profile=profile, chaos_seed=chaos_seed,
+        seed=seed, include_events=include_events, **campaign_kwargs))

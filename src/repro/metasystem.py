@@ -70,7 +70,7 @@ from .sim.rng import RngRegistry
 from .sim.tracing import NullTracer, Tracer
 from .vaults.vault_object import VaultObject
 
-__all__ = ["Metasystem"]
+__all__ = ["Metasystem", "SCHEDULER_KINDS"]
 
 _SCHEDULER_KINDS = {
     "random": RandomScheduler,
@@ -84,6 +84,10 @@ _SCHEDULER_KINDS = {
     "stencil": StencilScheduler,
     "kofn": KofNScheduler,
 }
+_ECONOMY_KINDS = ("economy", "economy-cost", "economy-time")
+#: every kind :meth:`Metasystem.make_scheduler` accepts — the one list
+#: its error message and the CLI's ``--scheduler`` help are read from
+SCHEDULER_KINDS = tuple(sorted([*_SCHEDULER_KINDS, *_ECONOMY_KINDS]))
 
 
 class Metasystem:
@@ -541,7 +545,7 @@ class Metasystem:
         ``user=`` account at the config's default budget/deadline if it
         does not exist yet.
         """
-        if kind in ("economy", "economy-cost", "economy-time"):
+        if kind in _ECONOMY_KINDS:
             from .economy import EconomyScheduler
             suite = self.enable_economy()
             mode = kwargs.pop("mode", None)
@@ -566,7 +570,7 @@ class Metasystem:
         if cls is None:
             raise ValueError(
                 f"unknown scheduler kind {kind!r}; choose from "
-                f"{sorted([*_SCHEDULER_KINDS, 'economy', 'economy-cost', 'economy-time'])}")
+                f"{list(SCHEDULER_KINDS)}")
         rng = kwargs.pop("rng", None)
         if rng is None:
             rng = self.rngs.stream("scheduler", kind)

@@ -29,9 +29,12 @@ under transport failures.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..campaign import (SERVICE_DRAIN_STEP, Comparison, Report, drain,
+                        run_variants, slo_block, stable_round,
+                        standard_world)
 from ..sim.kernel import grid_delay
 from .checkpoint import (ServiceCheckpoint, capture_checkpoint,
                          quiescence_blockers, restore_service)
@@ -41,28 +44,26 @@ __all__ = ["GamedayReport", "GamedayComparison", "default_gameday_plan",
            "run_gameday", "run_gameday_comparison"]
 
 
-def _round(value: float) -> float:
-    return round(float(value), 6)
-
-
-class GamedayReport:
+@dataclass
+class GamedayReport(Report):
     """One game day's outcome.  ``core_dict()`` is the byte-compared
     part; the ``checkpoint`` section (capture time, journal length at
     capture) is *excluded* from it — the uninterrupted run has none."""
 
-    def __init__(self) -> None:
-        self.params: Dict[str, Any] = {}
-        self.traffic: Dict[str, Any] = {}
-        self.requests: Dict[str, Any] = {}
-        self.queue: Dict[str, Any] = {}
-        self.pool: Dict[str, Any] = {}
-        self.recovery: Dict[str, Any] = {}
-        self.chaos: Dict[str, Any] = {}
-        self.latency: Dict[str, Any] = {}
-        self.slo: Optional[Dict[str, Any]] = None
-        self.drain_seconds: float = 0.0
-        #: non-core: present only on the checkpoint/restore variant
-        self.checkpoint: Optional[Dict[str, Any]] = None
+    label = "GamedayReport"
+
+    params: Dict[str, Any] = field(default_factory=dict)
+    traffic: Dict[str, Any] = field(default_factory=dict)
+    requests: Dict[str, Any] = field(default_factory=dict)
+    queue: Dict[str, Any] = field(default_factory=dict)
+    pool: Dict[str, Any] = field(default_factory=dict)
+    recovery: Dict[str, Any] = field(default_factory=dict)
+    chaos: Dict[str, Any] = field(default_factory=dict)
+    latency: Dict[str, Any] = field(default_factory=dict)
+    slo: Optional[Dict[str, Any]] = None
+    drain_seconds: float = 0.0
+    #: non-core: present only on the checkpoint/restore variant
+    checkpoint: Optional[Dict[str, Any]] = None
 
     # -- gates ---------------------------------------------------------------
     @property
@@ -81,29 +82,33 @@ class GamedayReport:
     def worker_kills(self) -> int:
         return int(self.recovery.get("worker_kills", 0))
 
-    @property
-    def passed(self) -> bool:
-        """The game-day verdict: ≥2 mid-run worker kills, no request
+    def problems(self) -> List[str]:
+        """The game-day gate: ≥2 mid-run worker kills, no request
         lost, no duplicate placement, and at least one orphan actually
         recovered (otherwise the drill exercised nothing)."""
-        return (self.worker_kills >= 2 and self.lost == 0
-                and self.duplicates == 0 and self.recovered > 0)
+        problems = []
+        if self.worker_kills < 2:
+            problems.append(f"only {self.worker_kills} worker kill(s) "
+                            f"mid-run (the drill needs >= 2)")
+        if self.lost:
+            problems.append(f"{self.lost} request(s) lost")
+        if self.duplicates:
+            problems.append(f"{self.duplicates} duplicate placement(s)")
+        if self.recovered <= 0:
+            problems.append("no orphan recovered")
+        return problems
+
+    @property
+    def passed(self) -> bool:
+        """The game-day verdict: :meth:`problems` found nothing."""
+        return not self.problems()
 
     # -- serialization -------------------------------------------------------
     def core_dict(self) -> Dict[str, Any]:
-        return {
-            "params": self.params,
-            "traffic": self.traffic,
-            "requests": self.requests,
-            "queue": self.queue,
-            "pool": self.pool,
-            "recovery": self.recovery,
-            "chaos": self.chaos,
-            "latency": self.latency,
-            "slo": self.slo,
-            "drain_seconds": _round(self.drain_seconds),
-            "passed": self.passed,
-        }
+        doc = super().to_dict()
+        del doc["checkpoint"]
+        doc["passed"] = self.passed
+        return doc
 
     def core_json(self) -> str:
         return json.dumps(self.core_dict(), sort_keys=True)
@@ -112,11 +117,6 @@ class GamedayReport:
         out = self.core_dict()
         out["checkpoint"] = self.checkpoint
         return out
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
     def summary(self) -> str:
         rec = self.recovery
@@ -148,13 +148,19 @@ class GamedayReport:
         return "\n".join(lines)
 
 
-class GamedayComparison:
-    """Uninterrupted vs. checkpoint/restore, same seed."""
+class GamedayComparison(Comparison):
+    """Uninterrupted (``"straight"``) vs. checkpoint/restore
+    (``"restored"``), same seed."""
 
-    def __init__(self, straight: GamedayReport,
-                 restored: GamedayReport) -> None:
-        self.straight = straight
-        self.restored = restored
+    label = "gameday comparison"
+
+    @property
+    def straight(self) -> GamedayReport:
+        return self.reports["straight"]
+
+    @property
+    def restored(self) -> GamedayReport:
+        return self.reports["restored"]
 
     @property
     def byte_identical(self) -> bool:
@@ -162,23 +168,22 @@ class GamedayComparison:
         core matches the uninterrupted run's byte for byte."""
         return self.straight.core_json() == self.restored.core_json()
 
+    def problems(self) -> List[str]:
+        problems = [f"{tag}: {problem}"
+                    for tag in ("straight", "restored")
+                    for problem in self.reports[tag].problems()]
+        if not self.byte_identical:
+            problems.append("restored run diverged from the "
+                            "uninterrupted run")
+        return problems
+
     @property
     def passed(self) -> bool:
-        return (self.straight.passed and self.restored.passed
-                and self.byte_identical)
+        return not self.problems()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "byte_identical": self.byte_identical,
-            "reports": {"straight": self.straight.to_dict(),
-                        "restored": self.restored.to_dict()},
-        }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def verdict(self) -> Dict[str, Any]:
+        return {"passed": self.passed,
+                "byte_identical": self.byte_identical}
 
     def summary(self) -> str:
         return "\n".join([
@@ -233,15 +238,13 @@ def run_gameday(seed: int = 0,
                 heartbeat_interval: float = 5.0,
                 scan_interval: float = 5.0,
                 checkpoint_at: Optional[float] = None,
-                plan: Any = None,
                 n_domains: int = 3,
                 hosts_per_domain: int = 6,
                 platform_mix: int = 3,
                 host_slots: int = 8,
                 background_load: float = 0.3,
                 sampler_window: float = 30.0,
-                drain_time: float = 1800.0,
-                drain_step: float = 5.0) -> GamedayReport:
+                drain_time: float = 1800.0) -> GamedayReport:
     """Run one seeded game day and return its scored report.
 
     ``checkpoint_at`` arms the checkpoint daemon: from that virtual
@@ -250,20 +253,15 @@ def run_gameday(seed: int = 0,
     down, and restores — all inside one virtual instant, after which
     the run must proceed byte-identically to one that never stopped.
     """
-    from ..workload.testbed import TestbedSpec, build_testbed
     from ..service.config import ServiceConfig
-    from ..service.report import _latency_stats, default_model
+    from ..service.report import (default_model, open_loop_traffic,
+                                  tier_stats)
     from ..service.slos import E2E_THRESHOLD, default_service_slos
-    from ..service.traffic import TrafficGenerator
     from ..chaos.injector import ChaosInjector
 
-    meta = build_testbed(TestbedSpec(
-        seed=seed, n_domains=n_domains,
-        hosts_per_domain=hosts_per_domain, platform_mix=platform_mix,
-        host_slots=host_slots, background_load_mean=background_load,
-        sampler_window=sampler_window))
-    meta.place_collection("dom0")
-    meta.place_enactor("dom0")
+    meta = standard_world(seed, n_domains, hosts_per_domain, platform_mix,
+                          background_load, host_slots=host_slots,
+                          sampler_window=sampler_window)
 
     config = ServiceConfig(workers=workers, queue_cap=queue_cap,
                            backpressure=backpressure,
@@ -274,22 +272,13 @@ def run_gameday(seed: int = 0,
     suite = meta.start_service(config, recovery=recovery)
     app = suite.app
 
-    if plan is None:
-        plan = default_gameday_plan(duration, workers, kills=kills)
+    plan = default_gameday_plan(duration, workers, kills=kills)
     injector = ChaosInjector(meta, plan).arm()
 
     model = default_model(users, duration,
                           requests_per_user_hour=requests_per_user_hour,
                           surge_multiplier=surge_multiplier)
-    # submit through the metasystem, not a captured gateway: after a
-    # checkpoint/restore the suite is a different object, and traffic
-    # must flow into whichever tier is live
-    generator = TrafficGenerator(
-        meta.sim, meta.rngs.stream("service", "traffic"), model,
-        lambda user, priority: meta.service.gateway.submit(
-            user=user, priority=priority),
-        duration)
-    generator.start()
+    generator = open_loop_traffic(meta, model, duration)
 
     checkpoint_info: Optional[Dict[str, Any]] = None
     if checkpoint_at is not None:
@@ -309,7 +298,7 @@ def run_gameday(seed: int = 0,
             meta.stop_service()
             restore_service(meta, ServiceCheckpoint.from_json(blob), app)
             checkpoint_info = {
-                "captured_at": _round(checkpoint.captured_at),
+                "captured_at": stable_round(checkpoint.captured_at),
                 "journal_entries": len(checkpoint.journal),
                 "bytes": len(blob),
             }
@@ -319,16 +308,12 @@ def run_gameday(seed: int = 0,
 
     # drain until every admitted request is terminal AND every lease is
     # settled (an expired lease still owed a requeue counts as pending)
-    drain_start = meta.now
-    stop = drain_start + drain_time
-    while meta.now < stop:
+    def settled(meta: Any) -> bool:
         live = meta.service
-        if (all(r.terminal for r in live.gateway.requests.values())
+        return (all(r.terminal for r in live.gateway.requests.values())
                 and not live.leases.active
-                and not live.leases.late_effects):
-            break
-        meta.advance(drain_step)
-    drain_seconds = meta.now - drain_start
+                and not live.leases.late_effects)
+    drain_seconds = drain(meta, settled, drain_time, SERVICE_DRAIN_STEP)
 
     injector.teardown()
     suite = meta.service  # the restored suite, when a checkpoint ran
@@ -342,10 +327,6 @@ def run_gameday(seed: int = 0,
         if r.state == "placed")
     duplicates = len(app.instances) - expected_instances
 
-    by_state: Dict[str, int] = {}
-    for request in gateway.requests.values():
-        by_state[request.state] = by_state.get(request.state, 0) + 1
-
     worker_repairs = [r.reverted_at - r.applied_at
                       for r in injector.records
                       if r.kind == "worker_crash"
@@ -356,22 +337,17 @@ def run_gameday(seed: int = 0,
 
     report = GamedayReport()
     report.params = {
-        "seed": seed, "users": model.users, "duration": _round(duration),
+        "seed": seed, "users": model.users,
+        "duration": stable_round(duration),
         "workers": workers, "queue_cap": queue_cap,
         "backpressure": backpressure, "scheduler": scheduler,
-        "work": _round(work), "kills": kills,
+        "work": stable_round(work), "kills": kills,
         "recovery": recovery.to_dict(),
         "plan": plan.counts_by_kind(),
     }
     report.traffic = generator.stats()
-    report.requests = {
-        "submitted": gateway.submitted,
-        "admission_rejections": gateway.admission.rejections,
-        "by_state": dict(sorted(by_state.items())),
-    }
-    report.queue = suite.queue.stats()
-    report.pool = {k: (_round(v) if isinstance(v, float) else v)
-                   for k, v in suite.pool.stats().items()}
+    report.requests, report.queue, report.pool, report.latency = \
+        tier_stats(suite)
     report.recovery = {
         "lost": lost,
         "duplicates": duplicates,
@@ -380,9 +356,10 @@ def run_gameday(seed: int = 0,
         "recovered": supervisor_stats["recovered"],
         "cancelled_on_recovery": supervisor_stats["cancelled_on_recovery"],
         "duplicates_averted": supervisor_stats["duplicates_averted"],
-        "orphan_latency_mean": _round(
+        "orphan_latency_mean": stable_round(
             supervisor_stats["orphan_latency_mean"]),
-        "orphan_latency_max": _round(supervisor_stats["orphan_latency_max"]),
+        "orphan_latency_max": stable_round(
+            supervisor_stats["orphan_latency_max"]),
         "worker_kills": suite.pool.kills,
         "worker_revivals": suite.pool.revivals,
         "worker_abandons": suite.pool.abandons,
@@ -401,31 +378,19 @@ def run_gameday(seed: int = 0,
         "residual_faults": chaos_stats["residual_faults"],
         "other_faults": sum(v for k, v in chaos_stats["injected"].items()
                             if k != "worker_crash"),
-        "worker_mttr_mean": _round(
+        "worker_mttr_mean": stable_round(
             sum(worker_repairs) / len(worker_repairs)
             if worker_repairs else 0.0),
-        "worker_mttr_max": _round(max(worker_repairs)
-                                  if worker_repairs else 0.0),
-        "mttr_mean": _round(chaos_stats["mttr_mean"]),
+        "worker_mttr_max": stable_round(max(worker_repairs)
+                                        if worker_repairs else 0.0),
+        "mttr_mean": stable_round(chaos_stats["mttr_mean"]),
     }
-    report.latency = _latency_stats(gateway.requests.values())
     report.drain_seconds = drain_seconds
     report.checkpoint = checkpoint_info
 
     if meta.sampler is not None:
-        from ..obs.slo import evaluate_slos
-        meta.sampler.flush()
-        specs = default_service_slos(threshold=E2E_THRESHOLD)
-        results = evaluate_slos(specs, meta.sampler.windows)
-        report.slo = {
-            "window_seconds": meta.sampler.window,
-            "windows": len(meta.sampler.windows),
-            "minutes_lost": _round(sum(r.minutes_lost for r in results)),
-            "alerts": sum(len(r.alerts) for r in results),
-            "exhausted": sum(1 for r in results if r.exhausted),
-            "budgets": {r.spec.name: _round(r.budget_consumed)
-                        for r in results},
-        }
+        report.slo, _ = slo_block(
+            meta, default_service_slos(threshold=E2E_THRESHOLD))
     return report
 
 
@@ -437,8 +402,7 @@ def run_gameday_comparison(checkpoint_at: Optional[float] = None,
     report cores must match byte for byte."""
     if checkpoint_at is None:
         checkpoint_at = duration * 0.75
-    kwargs.pop("checkpoint_at", None)
-    straight = run_gameday(duration=duration, checkpoint_at=None, **kwargs)
-    restored = run_gameday(duration=duration,
-                           checkpoint_at=checkpoint_at, **kwargs)
-    return GamedayComparison(straight, restored)
+    return GamedayComparison(run_variants(
+        run_gameday, {"straight": dict(checkpoint_at=None),
+                      "restored": dict(checkpoint_at=checkpoint_at)},
+        duration=duration, **kwargs))

@@ -29,8 +29,8 @@ executor — and drives it open-loop:
 
 Everything runs on virtual time with dedicated ``("service", ...)``
 seeded RNG streams, so a saturated→drained service cycle is byte-
-identical across reruns — the property the ``service-smoke`` CI job
-gates on.
+identical across reruns — the property ``legion-sim ledger check
+service`` gates on.
 """
 
 from .config import ServiceConfig

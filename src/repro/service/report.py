@@ -27,26 +27,27 @@ keep ``repro.service`` importable without a cycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..campaign import (SERVICE_DRAIN_STEP, Comparison, Report, drain,
+                        run_variants, slo_block, stable_round,
+                        standard_world)
 from .slos import E2E_THRESHOLD, default_service_slos
-from .traffic import TrafficModel
+from .traffic import TrafficGenerator, TrafficModel
 
-__all__ = ["ServiceReport", "ServiceComparison",
+__all__ = ["ServiceReport", "ServiceComparison", "default_model",
+           "open_loop_traffic", "latency_stats", "tier_stats",
            "run_service", "run_service_comparison"]
 
 
-def _round(value: float) -> float:
-    return round(float(value), 6)
-
-
 @dataclass
-class ServiceReport:
+class ServiceReport(Report):
     """Aggregated outcome of one seeded live-service campaign."""
+
+    label = "ServiceReport"
 
     scheduler: str = "irs"
     seed: int = 0
@@ -115,32 +116,15 @@ class ServiceReport:
         return bool(self.slo.get("latency_exhausted", False))
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "users": self.users,
-            "duration": _round(self.duration),
-            "workers": self.workers,
-            "queue_cap": self.queue_cap,
-            "backpressure": self.backpressure,
-            "work": _round(self.work),
-            "slo_threshold": _round(self.slo_threshold),
-            "traffic": self.traffic,
-            "requests": self.requests,
-            "queue": self.queue,
-            "pool": self.pool,
-            "latency": self.latency,
-            "throughput": _round(self.throughput),
-            "p99_within_slo": self.p99_within_slo,
-            "slo": self.slo,
-            "pending": self.pending,
-            "drain_seconds": _round(self.drain_seconds),
-        }
+        doc = super().to_dict()
+        doc["throughput"] = stable_round(self.throughput)
+        doc["p99_within_slo"] = self.p99_within_slo
+        return doc
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def problems(self) -> List[str]:
+        if self.latency_budget_exhausted:
+            return ["e2e latency error budget exhausted"]
+        return []
 
     def summary(self) -> str:
         lat = self.latency
@@ -177,14 +161,10 @@ class ServiceReport:
         return "\n".join(lines)
 
 
-@dataclass
-class ServiceComparison:
+class ServiceComparison(Comparison):
     """Shedding on (bounded backlog) vs off (unbounded), same seed."""
 
-    reports: Dict[str, ServiceReport] = field(default_factory=dict)
-
-    def report(self, name: str) -> ServiceReport:
-        return self.reports[name]
+    label = "service comparison"
 
     @property
     def shedding_protects_slo(self) -> bool:
@@ -199,17 +179,14 @@ class ServiceComparison:
                 and not shed.latency_budget_exhausted
                 and shed.p99_within_slo)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shedding_protects_slo": self.shedding_protects_slo,
-            "reports": {name: self.reports[name].to_dict()
-                        for name in sorted(self.reports)},
-        }
+    def verdict(self) -> Dict[str, Any]:
+        return {"shedding_protects_slo": self.shedding_protects_slo}
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def problems(self) -> List[str]:
+        if self.shedding_protects_slo:
+            return []
+        return ["shedding does not protect the e2e latency SLO under "
+                "this overload"]
 
     def summary(self) -> str:
         header = (f"{'variant':<12} {'placed':>7} {'shed':>6} "
@@ -227,7 +204,7 @@ class ServiceComparison:
         return "\n".join(lines)
 
 
-def _latency_stats(requests: Any) -> Dict[str, Any]:
+def latency_stats(requests: Any) -> Dict[str, Any]:
     """Distribution of submit→placed latency over the gateway's placed
     requests — the interval each ``service.request`` span also covers."""
     samples = sorted(float(latency)
@@ -239,11 +216,11 @@ def _latency_stats(requests: Any) -> Dict[str, Any]:
     arr = np.asarray(samples)
     return {
         "count": len(samples),
-        "mean": _round(float(arr.mean())),
-        "p50": _round(float(np.percentile(arr, 50))),
-        "p95": _round(float(np.percentile(arr, 95))),
-        "p99": _round(float(np.percentile(arr, 99))),
-        "max": _round(float(arr[-1])),
+        "mean": stable_round(float(arr.mean())),
+        "p50": stable_round(float(np.percentile(arr, 50))),
+        "p95": stable_round(float(np.percentile(arr, 95))),
+        "p99": stable_round(float(np.percentile(arr, 99))),
+        "max": stable_round(float(arr[-1])),
     }
 
 
@@ -262,6 +239,41 @@ def default_model(users: int, duration: float,
         surge_start=duration * 0.4,
         surge_length=duration * 0.2,
         surge_multiplier=surge_multiplier)
+
+
+def open_loop_traffic(meta: Any, model: TrafficModel,
+                      duration: float) -> TrafficGenerator:
+    """Start seeded open-loop arrivals into the live service tier.
+
+    Submits through the metasystem, not a captured gateway: after a
+    checkpoint/restore the suite is a different object, and traffic
+    must flow into whichever tier is live."""
+    generator = TrafficGenerator(
+        meta.sim, meta.rngs.stream("service", "traffic"), model,
+        lambda user, priority: meta.service.gateway.submit(
+            user=user, priority=priority),
+        duration)
+    generator.start()
+    return generator
+
+
+def tier_stats(suite: Any) -> Tuple[Dict[str, Any], Dict[str, Any],
+                                    Dict[str, Any], Dict[str, Any]]:
+    """The ``requests`` / ``queue`` / ``pool`` / ``latency`` blocks of a
+    service-tier report, read off a stopped suite."""
+    gateway = suite.gateway
+    by_state: Dict[str, int] = {}
+    for request in gateway.requests.values():
+        by_state[request.state] = by_state.get(request.state, 0) + 1
+    requests = {
+        "submitted": gateway.submitted,
+        "admission_rejections": gateway.admission.rejections,
+        "by_state": dict(sorted(by_state.items())),
+    }
+    pool = {k: (stable_round(v) if isinstance(v, float) else v)
+            for k, v in suite.pool.stats().items()}
+    return (requests, suite.queue.stats(), pool,
+            latency_stats(gateway.requests.values()))
 
 
 def run_service(seed: int = 0,
@@ -283,26 +295,19 @@ def run_service(seed: int = 0,
                 background_load: float = 0.3,
                 sampler_window: float = 30.0,
                 drain_time: float = 1800.0,
-                drain_step: float = 5.0,
                 meta: Any = None) -> ServiceReport:
     """Run one seeded open-loop service campaign and return its report.
 
     ``queue_cap=0`` disables the bounded backlog (shedding off) — the
     overload baseline.  Pass a prebuilt ``meta`` to reuse a custom
     testbed (it must not have a service started yet)."""
-    from ..workload.testbed import TestbedSpec, build_testbed
     from .config import ServiceConfig
 
     if meta is None:
-        meta = build_testbed(TestbedSpec(
-            seed=seed, n_domains=n_domains,
-            hosts_per_domain=hosts_per_domain,
-            platform_mix=platform_mix,
-            host_slots=host_slots,
-            background_load_mean=background_load,
-            sampler_window=sampler_window))
-        meta.place_collection("dom0")
-        meta.place_enactor("dom0")
+        meta = standard_world(seed, n_domains, hosts_per_domain,
+                              platform_mix, background_load,
+                              host_slots=host_slots,
+                              sampler_window=sampler_window)
     elif sampler_window and meta.sampler is None:
         meta.start_sampler(window=sampler_window)
 
@@ -314,27 +319,16 @@ def run_service(seed: int = 0,
         model = default_model(users, duration,
                               requests_per_user_hour=requests_per_user_hour,
                               surge_multiplier=surge_multiplier)
-
-    from .traffic import TrafficGenerator
-    generator = TrafficGenerator(
-        meta.sim, meta.rngs.stream("service", "traffic"), model,
-        lambda user, priority: suite.gateway.submit(user=user,
-                                                    priority=priority),
-        duration)
-    generator.start()
+    generator = open_loop_traffic(meta, model, duration)
     meta.advance(duration)
 
     # drain: advance until every admitted request reaches a terminal
     # state (the no-shedding overload baseline may not make it before
     # the drain budget runs out — those requests count as ``pending``)
-    drain_start = meta.now
-    stop = drain_start + drain_time
     gateway = suite.gateway
-    while meta.now < stop:
-        if all(r.terminal for r in gateway.requests.values()):
-            break
-        meta.advance(drain_step)
-    drain_seconds = meta.now - drain_start
+    drain_seconds = drain(
+        meta, lambda _: all(r.terminal for r in gateway.requests.values()),
+        drain_time, SERVICE_DRAIN_STEP)
     suite.stop()
 
     report = ServiceReport(
@@ -343,40 +337,18 @@ def run_service(seed: int = 0,
         backpressure=backpressure, work=work,
         slo_threshold=slo_threshold)
     report.traffic = generator.stats()
-    by_state: Dict[str, int] = {}
-    for request in gateway.requests.values():
-        by_state[request.state] = by_state.get(request.state, 0) + 1
-    report.requests = {
-        "submitted": gateway.submitted,
-        "admission_rejections": gateway.admission.rejections,
-        "by_state": dict(sorted(by_state.items())),
-    }
-    report.queue = suite.queue.stats()
-    report.pool = {k: (_round(v) if isinstance(v, float) else v)
-                   for k, v in suite.pool.stats().items()}
-    report.latency = _latency_stats(gateway.requests.values())
+    report.requests, report.queue, report.pool, report.latency = \
+        tier_stats(suite)
     report.pending = sum(1 for r in gateway.requests.values()
                          if not r.terminal)
     report.drain_seconds = drain_seconds
 
     if meta.sampler is not None:
-        from ..obs.slo import evaluate_slos
-        meta.sampler.flush()
-        specs = default_service_slos(threshold=slo_threshold)
-        results = evaluate_slos(specs, meta.sampler.windows)
-        by_name = {r.spec.name: r for r in results}
-        latency_result = by_name.get("service-e2e-latency")
-        report.slo = {
-            "window_seconds": meta.sampler.window,
-            "windows": len(meta.sampler.windows),
-            "minutes_lost": _round(sum(r.minutes_lost for r in results)),
-            "alerts": sum(len(r.alerts) for r in results),
-            "exhausted": sum(1 for r in results if r.exhausted),
-            "latency_exhausted": (latency_result is not None
-                                  and latency_result.exhausted),
-            "budgets": {r.spec.name: _round(r.budget_consumed)
-                        for r in results},
-        }
+        report.slo, results = slo_block(
+            meta, default_service_slos(threshold=slo_threshold))
+        latency_result = results.get("service-e2e-latency")
+        report.slo["latency_exhausted"] = (latency_result is not None
+                                           and latency_result.exhausted)
     return report
 
 
@@ -389,8 +361,6 @@ def run_service_comparison(queue_cap: int = 64, **kwargs
         raise ValueError("comparison needs a bounded queue_cap for the "
                          "shedding variant")
     kwargs.pop("meta", None)  # each variant builds its own seeded world
-    comparison = ServiceComparison()
-    comparison.reports["shedding"] = run_service(queue_cap=queue_cap,
-                                                 **kwargs)
-    comparison.reports["no-shedding"] = run_service(queue_cap=0, **kwargs)
-    return comparison
+    return ServiceComparison(run_variants(
+        run_service, {"shedding": dict(queue_cap=queue_cap),
+                      "no-shedding": dict(queue_cap=0)}, **kwargs))

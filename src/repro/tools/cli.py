@@ -38,6 +38,8 @@ module provides their simulated analogues over a reproducible testbed:
    $ legion-sim gameday --seed 7 --kills 2
    $ legion-sim gameday --checkpoint-at 180 --lease-ttl 20
    $ legion-sim gameday --compare-restore --out BENCH_gameday.json
+   $ legion-sim ledger check --all
+   $ legion-sim ledger write gameday
 
 ``repro-cli`` is an alias of the same entry point.
 
@@ -49,11 +51,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..bench.harness import ExperimentTable
 from ..errors import LegionError
-from ..metasystem import Metasystem
+from ..metasystem import SCHEDULER_KINDS, Metasystem
 from ..scheduler.base import ObjectClassRequest
 from ..service.config import BACKPRESSURE_MODES
 from ..workload.applications import wait_for_completion
@@ -102,49 +104,31 @@ def _build_workload(args: argparse.Namespace, out, kind: str = ""):
     return meta, app, scheduler
 
 
+#: parsed flag -> runner keyword, for every flag that campaign-style
+#: subcommands share through an argument group
+_RUNNER_KWARGS = (
+    ("seed", "seed"), ("domains", "n_domains"),
+    ("hosts", "hosts_per_domain"), ("platforms", "platform_mix"),
+    ("load", "background_load"), ("waves", "waves"), ("count", "per_wave"),
+    ("work", "work"), ("wave_interval", "wave_interval"),
+    ("users", "users"), ("duration", "duration"), ("workers", "workers"),
+    ("queue_cap", "queue_cap"), ("backpressure", "backpressure"),
+    ("rate", "requests_per_user_hour"), ("surge", "surge_multiplier"),
+    ("host_slots", "host_slots"),
+)
+
+
 def _campaign_kwargs(args: argparse.Namespace, **extra) -> dict:
-    """Testbed-shape and wave kwargs shared by every campaign-style
-    subcommand (chaos / guardrails / slo / economy / serve), so each
-    runner call starts from one dict instead of re-assembling the same
-    spec by hand.  Wave knobs are included only when the subcommand
-    defines them; ``extra`` layers on the subcommand-specific ones."""
-    kwargs = dict(seed=args.seed,
-                  n_domains=args.domains,
-                  hosts_per_domain=args.hosts,
-                  platform_mix=args.platforms,
-                  background_load=args.load)
-    for arg_name, key in (("waves", "waves"), ("count", "per_wave"),
-                          ("work", "work"),
-                          ("wave_interval", "wave_interval")):
-        if hasattr(args, arg_name):
-            kwargs[key] = getattr(args, arg_name)
+    """Testbed-shape, wave and service-tier kwargs shared by every
+    campaign-style subcommand (chaos / guardrails / slo / economy /
+    serve / gameday), so each runner call starts from one dict instead
+    of re-assembling the same spec by hand.  A knob is included only
+    when the subcommand defines it; ``extra`` layers on the
+    subcommand-specific ones."""
+    kwargs = {key: getattr(args, dest) for dest, key in _RUNNER_KWARGS
+              if hasattr(args, dest)}
     kwargs.update(extra)
     return kwargs
-
-
-def _add_testbed_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--domains", type=int, default=2,
-                        help="administrative domains (default 2)")
-    parser.add_argument("--hosts", type=int, default=4,
-                        help="hosts per domain (default 4)")
-    parser.add_argument("--platforms", type=int, default=2,
-                        help="distinct platforms in the mix (default 2)")
-    parser.add_argument("--load", type=float, default=0.5,
-                        help="mean background load (default 0.5)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="experiment seed (default 0)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="federate the Collection into N shards "
-                             "(default 0 = one monolithic Collection)")
-    parser.add_argument("--replication", type=int, default=2,
-                        help="replicas per record when federated "
-                             "(default 2)")
-    parser.add_argument("--gossip-interval", type=float, default=0.0,
-                        help="anti-entropy sweep period in virtual "
-                             "seconds (default 0 = gossip off)")
-    parser.add_argument("--cache-ttl", type=float, default=0.0,
-                        help="federation query-cache TTL in virtual "
-                             "seconds (default 0 = cache off)")
 
 
 def cmd_hosts(args: argparse.Namespace, out) -> int:
@@ -421,78 +405,128 @@ def cmd_federation(args: argparse.Namespace, out) -> int:
     return 0 if outcome.ok else 1
 
 
+def _campaign(args: argparse.Namespace, out, runner: Callable[..., Any],
+              kwargs: dict, detail: str = "", gate: bool = True) -> int:
+    """The one body behind every campaign subcommand: run, print the
+    summary (plus the ``detail`` variant's own, for a comparison), write
+    ``--out``, print each ``problems()`` line, and exit 0 / 1 — or 2
+    when the runner rejects its arguments.  ``gate=False`` reports
+    without judging (``--allow-exhausted``)."""
+    try:
+        result = runner(**kwargs)
+    except (LegionError, ValueError) as exc:
+        print(f"{args.command} error: {exc}", file=out)
+        return 2
+    print(result.summary(), file=out)
+    if detail:
+        print(file=out)
+        print(result.reports[detail].summary(), file=out)
+    if args.out:
+        result.write(args.out)
+        print(f"wrote {result.label} to {args.out}", file=out)
+    problems = result.problems() if gate else []
+    for problem in problems:
+        print(f"ERROR: {problem}", file=out)
+    return 1 if problems else 0
+
+
 def cmd_chaos(args: argparse.Namespace, out) -> int:
-    """Run a seeded fault-injection campaign and report resilience."""
-    from ..chaos.campaign import run_campaign
+    """Run a seeded fault-injection campaign and report resilience; the
+    exit status is nonzero if any fault survives teardown."""
+    from ..chaos.campaign import run_campaign, run_retry_comparison
     kwargs = _campaign_kwargs(
         args, profile=args.profile, chaos_seed=args.chaos_seed,
         scheduler=args.scheduler, horizon=args.horizon or None,
         shards=args.shards, guardrails=args.guardrails)
-    try:
-        if args.compare_retry:
-            reports = [run_campaign(retry=False, **kwargs),
-                       run_campaign(retry=True, **kwargs)]
-        else:
-            reports = [run_campaign(retry=args.retry, **kwargs)]
-    except LegionError as exc:
-        print(f"chaos error: {exc}", file=out)
-        return 2
-    for i, report in enumerate(reports):
-        if i:
-            print(file=out)
-        print(report.summary(), file=out)
     if args.compare_retry:
-        base, with_retry = reports
-        print(file=out)
-        print(f"retry benefit: placement success "
-              f"{100.0 * base.placement_success_rate:.1f}% -> "
-              f"{100.0 * with_retry.placement_success_rate:.1f}%, "
-              f"completed {base.instances_completed} -> "
-              f"{with_retry.instances_completed}", file=out)
-    report = reports[-1]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-        print(f"wrote ResilienceReport to {args.out}", file=out)
-    residual = max(len(r.residual_faults) for r in reports)
-    if residual:
-        print(f"ERROR: {residual} residual fault(s) survived teardown",
-              file=out)
-        return 1
-    return 0
+        return _campaign(args, out, run_retry_comparison, kwargs)
+    return _campaign(args, out, run_campaign,
+                     dict(kwargs, retry=args.retry))
 
 
 def cmd_guardrails(args: argparse.Namespace, out) -> int:
     """Benchmark the guardrails layer against retries-only and baseline.
 
-    With ``--compare`` (the headline mode) the identical seeded campaign
-    runs three times — guardrails+retries, retries-only, and bare — and
-    the exit status is nonzero if guardrails *regressed* survival, which
-    is what the ``guardrails-smoke`` CI job gates on.
+    The identical seeded campaign runs three times — guardrails+retries,
+    retries-only, and bare — and the exit status is nonzero if
+    guardrails *regressed* survival (``--compare`` prints the table
+    alone, without the full guardrails-mode report).
     """
     from ..guardrails.compare import run_comparison
-    try:
-        cmp = run_comparison(**_campaign_kwargs(
-            args, profile=args.profile, chaos_seed=args.chaos_seed,
-            scheduler=args.scheduler, horizon=args.horizon or None,
-            shards=args.shards, include_events=args.events))
-    except LegionError as exc:
-        print(f"guardrails error: {exc}", file=out)
-        return 2
-    print(cmp.summary(), file=out)
-    if not args.compare:
-        print(file=out)
-        print(cmp.reports["guardrails"].summary(), file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cmp.to_json() + "\n")
-        print(f"wrote guardrails comparison to {args.out}", file=out)
-    if cmp.survival_delta < 0:
-        print(f"ERROR: guardrails regressed survival by "
-              f"{-100.0 * cmp.survival_delta:.1f} percentage points",
-              file=out)
-        return 1
-    return 0
+    kwargs = _campaign_kwargs(
+        args, profile=args.profile, chaos_seed=args.chaos_seed,
+        scheduler=args.scheduler, horizon=args.horizon or None,
+        shards=args.shards, include_events=args.events)
+    return _campaign(args, out, run_comparison, kwargs,
+                     detail="" if args.compare else "guardrails")
+
+
+def cmd_economy(args: argparse.Namespace, out) -> int:
+    """Run a seeded computational-economy campaign: per-user budgets and
+    deadlines, market ask pricing, and reservation auctions.
+
+    With ``--compare-baselines`` (the headline mode) the identical seeded
+    world is replayed under the economy scheduler and each baseline; the
+    exit status is nonzero unless the economy beats Random *and* IRS on
+    both deadline-miss rate and total metered cost.
+    """
+    from ..economy.campaign import run_economy, run_economy_comparison
+    kwargs = _campaign_kwargs(
+        args, mode=args.mode, chaos_profile=args.chaos_profile or None,
+        chaos_seed=args.chaos_seed, guardrails=args.guardrails,
+        retry=args.retry, budget=args.budget, deadline=args.deadline,
+        deadline_safety=args.deadline_safety)
+    if args.compare_baselines:
+        return _campaign(args, out, run_economy_comparison, kwargs,
+                         detail="economy")
+    return _campaign(args, out, run_economy,
+                     dict(kwargs, scheduler=args.scheduler))
+
+
+def cmd_serve(args: argparse.Namespace, out) -> int:
+    """Run the live service tier — request gateway, bounded placement
+    queue, worker pool — under seeded open-loop diurnal/bursty traffic
+    with a deterministic overload surge, and report per-request e2e
+    latency joined with the SLO engine's burn-rate verdicts.
+
+    With ``--compare-shedding`` (the headline mode) the identical seeded
+    overload runs twice — bounded backlog (shedding on) vs unbounded —
+    and the exit status is nonzero unless shedding protects the e2e
+    latency SLO: the surge must exhaust the latency error budget with
+    shedding off while the bounded run keeps p99 inside its threshold.
+    """
+    from ..service.report import run_service, run_service_comparison
+    kwargs = _campaign_kwargs(args, scheduler=args.scheduler,
+                              slo_threshold=args.slo_threshold)
+    if args.compare_shedding:
+        return _campaign(args, out, run_service_comparison, kwargs,
+                         detail="shedding")
+    return _campaign(args, out, run_service, kwargs,
+                     gate=not args.allow_exhausted)
+
+
+def cmd_gameday(args: argparse.Namespace, out) -> int:
+    """Run a recovery game day: chaos kills workers/hosts/links under
+    live service traffic while the journal/lease/Supervisor machinery
+    keeps every request owned, and the report grades ground truth —
+    lost requests and duplicate placements must both be zero, with at
+    least one orphan actually recovered.
+
+    With ``--compare-restore`` (the headline mode) the identical seeded
+    game day runs twice — straight through, then torn down mid-run and
+    restored from a checkpoint — and the exit status is nonzero unless
+    both runs pass *and* their report cores match byte for byte.
+    """
+    from ..recovery import run_gameday, run_gameday_comparison
+    kwargs = _campaign_kwargs(
+        args, scheduler=args.scheduler, kills=args.kills,
+        lease_ttl=args.lease_ttl,
+        heartbeat_interval=args.heartbeat_interval,
+        scan_interval=args.scan_interval,
+        checkpoint_at=args.checkpoint_at or None)
+    return _campaign(args, out,
+                     run_gameday_comparison if args.compare_restore
+                     else run_gameday, kwargs)
 
 
 def cmd_slo(args: argparse.Namespace, out) -> int:
@@ -501,9 +535,8 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
     traces, and the critical-path steps behind them.
 
     The exit status is nonzero when any error budget is exhausted
-    (suppress with ``--allow-exhausted``) — what the ``slo-smoke`` CI
-    job gates on, together with byte-identical reports across two
-    identical seeded runs.
+    (suppress with ``--allow-exhausted``); two identical seeded runs
+    produce byte-identical reports.
     """
     import json
 
@@ -528,43 +561,23 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
 
     if args.compare_guardrails:
         from ..guardrails.compare import run_comparison
-        try:
-            cmp = run_comparison(**_campaign_kwargs(
-                args, profile=args.chaos_profile or "hosts",
-                chaos_seed=args.chaos_seed, scheduler=args.scheduler,
-                shards=args.shards, sampler_window=args.window))
-        except LegionError as exc:
-            print(f"slo error: {exc}", file=out)
-            return 2
-        print(cmp.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(cmp.to_json() + "\n")
-            print(f"wrote guardrails SLO comparison to {args.out}",
-                  file=out)
-        exhausted = cmp.reports["guardrails"].slo["exhausted"]
-        if exhausted and not args.allow_exhausted:
-            print(f"ERROR: {exhausted} error budget(s) exhausted with "
-                  f"guardrails on", file=out)
-            return 1
-        return 0
+        return _campaign(args, out, run_comparison, _campaign_kwargs(
+            args, profile=args.chaos_profile or "hosts",
+            chaos_seed=args.chaos_seed, scheduler=args.scheduler,
+            shards=args.shards, sampler_window=args.window),
+            gate=not args.allow_exhausted)
 
     args.sampler_window = args.window
     try:
-        meta = _build_meta(args)
+        workload = _build_workload(args, out)
     except LegionError as exc:
         print(f"slo error: {exc}", file=out)
         return 2
+    if workload is None:
+        return 2
+    meta, app, scheduler = workload
     if args.retry:
         meta.enable_retries()
-    app = meta.create_class("cli-app",
-                            implementations_for_all_platforms(),
-                            work_units=args.work)
-    try:
-        scheduler = meta.make_scheduler(args.scheduler)
-    except ValueError as exc:
-        print(str(exc), file=out)
-        return 2
     for _wave in range(args.waves):
         try:
             scheduler.run([ObjectClassRequest(app, count=args.count)])
@@ -605,8 +618,9 @@ def cmd_scale(args: argparse.Namespace, out) -> int:
 
     ``--check FILE`` compares this run against a committed ledger: the
     exit status is nonzero when a deterministic field drifted (the
-    ledger is stale) or events/sec regressed beyond tolerance — what
-    the ``scale-smoke`` CI job gates on.
+    ledger is stale) or events/sec regressed beyond tolerance — the
+    same :func:`~repro.bench.scale.check_report` gate that ``legion-sim
+    ledger check scale`` applies.
     """
     import json
 
@@ -647,168 +661,355 @@ def cmd_scale(args: argparse.Namespace, out) -> int:
     return status
 
 
-def cmd_economy(args: argparse.Namespace, out) -> int:
-    """Run a seeded computational-economy campaign: per-user budgets and
-    deadlines, market ask pricing, and reservation auctions.
 
-    With ``--compare-baselines`` (the headline mode) the identical seeded
-    world is replayed under the economy scheduler and each baseline; the
-    exit status is nonzero unless the economy beats Random *and* IRS on
-    both deadline-miss rate and total metered cost — what the
-    ``economy-smoke`` CI job gates on.
-    """
-    from ..economy.campaign import run_economy, run_economy_comparison
-    kwargs = _campaign_kwargs(
-        args, mode=args.mode, chaos_profile=args.chaos_profile or None,
-        chaos_seed=args.chaos_seed, guardrails=args.guardrails,
-        retry=args.retry, users=args.users, budget=args.budget,
-        deadline=args.deadline, deadline_safety=args.deadline_safety)
+def cmd_ledger(args: argparse.Namespace, out) -> int:
+    """Check or regenerate the committed ``BENCH_*.json`` ledgers from
+    the registry in :mod:`repro.tools.ledgers` — CI's single entry point
+    for "run twice, byte-compare, check freshness, check the gate"."""
+    from . import ledgers
     try:
-        if args.compare_baselines:
-            cmp = run_economy_comparison(**kwargs)
-            print(cmp.summary(), file=out)
-            print(file=out)
-            print(cmp.reports["economy"].summary(), file=out)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(cmp.to_json() + "\n")
-                print(f"wrote economy comparison to {args.out}", file=out)
-            if not cmp.economy_beats_baselines:
-                losses = [b for b in cmp.gate_baselines
-                          if not cmp.beats(b)]
-                print(f"ERROR: economy does not beat "
-                      f"{', '.join(losses)} on both deadline-miss rate "
-                      f"and total cost", file=out)
-                return 1
-            return 0
-        report = run_economy(scheduler=args.scheduler, **kwargs)
-        print(report.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            print(f"wrote EconomyReport to {args.out}", file=out)
-        return 0
-    except (LegionError, ValueError) as exc:
-        print(f"economy error: {exc}", file=out)
+        rows = ledgers.select(args.names, args.all)
+    except ValueError as exc:
+        print(f"ledger error: {exc}", file=out)
         return 2
+    status = 0
+    for ledger in rows:
+        if args.action == "write":
+            status = max(status, main(
+                [*ledger.argv, "--out", ledger.filename], out=out))
+            continue
+        problems = ledgers.check_ledger(ledger, keep=args.keep or None)
+        print(f"{ledger.filename}: {'FAILED' if problems else 'ok'}",
+              file=out)
+        for problem in problems:
+            print(f"  ERROR: {problem}", file=out)
+        status = max(status, 1 if problems else 0)
+    return status
 
 
-def cmd_serve(args: argparse.Namespace, out) -> int:
-    """Run the live service tier — request gateway, bounded placement
-    queue, worker pool — under seeded open-loop diurnal/bursty traffic
-    with a deterministic overload surge, and report per-request e2e
-    latency joined with the SLO engine's burn-rate verdicts.
-
-    With ``--compare-shedding`` (the headline mode) the identical seeded
-    overload runs twice — bounded backlog (shedding on) vs unbounded —
-    and the exit status is nonzero unless shedding protects the e2e
-    latency SLO: the surge must exhaust the latency error budget with
-    shedding off while the bounded run keeps p99 inside its threshold —
-    what the ``service-smoke`` CI job gates on.
-    """
-    from ..service.report import run_service, run_service_comparison
-    kwargs = _campaign_kwargs(
-        args, scheduler=args.scheduler, users=args.users,
-        duration=args.duration, workers=args.workers,
-        backpressure=args.backpressure,
-        requests_per_user_hour=args.rate,
-        surge_multiplier=args.surge,
-        slo_threshold=args.slo_threshold,
-        host_slots=args.host_slots)
-    try:
-        if args.compare_shedding:
-            cmp = run_service_comparison(queue_cap=args.queue_cap,
-                                         **kwargs)
-            print(cmp.summary(), file=out)
-            print(file=out)
-            print(cmp.reports["shedding"].summary(), file=out)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(cmp.to_json() + "\n")
-                print(f"wrote service comparison to {args.out}", file=out)
-            if not cmp.shedding_protects_slo:
-                print("ERROR: shedding does not protect the e2e latency "
-                      "SLO under this overload", file=out)
-                return 1
-            return 0
-        report = run_service(queue_cap=args.queue_cap, **kwargs)
-        print(report.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            print(f"wrote ServiceReport to {args.out}", file=out)
-        if report.latency_budget_exhausted and not args.allow_exhausted:
-            print("ERROR: e2e latency error budget exhausted", file=out)
-            return 1
-        return 0
-    except (LegionError, ValueError) as exc:
-        print(f"serve error: {exc}", file=out)
-        return 2
+def _arg(*flags: str, **spec) -> Tuple[Tuple[str, ...], dict]:
+    return flags, spec
 
 
-def cmd_gameday(args: argparse.Namespace, out) -> int:
-    """Run a recovery game day: chaos kills workers/hosts/links under
-    live service traffic while the journal/lease/Supervisor machinery
-    keeps every request owned, and the report grades ground truth —
-    lost requests and duplicate placements must both be zero, with at
-    least one orphan actually recovered.
+_COUNT = _arg("--count", type=int, default=4,
+              help="instances requested — per wave (and per user) in a "
+                   "wave campaign (default %(default)s)")
+_WORK = _arg("--work", type=float, default=200.0,
+             help="work units per instance (default %(default)s)")
+_SCHEDULER = _arg("--scheduler", default="irs",
+                  help=" | ".join(SCHEDULER_KINDS)
+                       + " (default %(default)s)")
+_SEED = _arg("--seed", type=int, default=0,
+             help="experiment seed (default 0)")
+_WAVES = _arg("--waves", type=int, default=6,
+              help="placement waves to attempt (default %(default)s)")
+_CHAOS_SEED = _arg("--chaos-seed", type=int, default=0,
+                   help="campaign seed, independent of --seed "
+                        "(default %(default)s)")
+_OUT = _arg("--out", default="", metavar="FILE",
+            help="write the report/comparison JSON to FILE")
+_ALLOW_EXHAUSTED = _arg("--allow-exhausted", action="store_true",
+                        help="exit 0 even when an error budget is "
+                             "exhausted")
 
-    With ``--compare-restore`` (the headline mode) the identical seeded
-    game day runs twice — straight through, then torn down mid-run and
-    restored from a checkpoint — and the exit status is nonzero unless
-    both runs pass *and* their report cores match byte for byte, which
-    is what the ``gameday-smoke`` CI job gates on.
-    """
-    from ..recovery import run_gameday, run_gameday_comparison
-    kwargs = dict(seed=args.seed, users=args.users, duration=args.duration,
-                  workers=args.workers, queue_cap=args.queue_cap,
-                  backpressure=args.backpressure, scheduler=args.scheduler,
-                  work=args.work, requests_per_user_hour=args.rate,
-                  surge_multiplier=args.surge, kills=args.kills,
-                  lease_ttl=args.lease_ttl,
-                  heartbeat_interval=args.heartbeat_interval,
-                  scan_interval=args.scan_interval,
-                  n_domains=args.domains, hosts_per_domain=args.hosts,
-                  platform_mix=args.platforms, host_slots=args.host_slots,
-                  background_load=args.load)
-    try:
-        if args.compare_restore:
-            cmp = run_gameday_comparison(
-                checkpoint_at=args.checkpoint_at or None, **kwargs)
-            print(cmp.summary(), file=out)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(cmp.to_json() + "\n")
-                print(f"wrote gameday comparison to {args.out}", file=out)
-            if not cmp.passed:
-                problems = []
-                for tag, rep in (("straight", cmp.straight),
-                                 ("restored", cmp.restored)):
-                    if rep.lost:
-                        problems.append(f"{tag}: {rep.lost} request(s) lost")
-                    if rep.duplicates:
-                        problems.append(f"{tag}: {rep.duplicates} duplicate "
-                                        f"placement(s)")
-                    if not rep.recovered:
-                        problems.append(f"{tag}: no orphan recovered")
-                if not cmp.byte_identical:
-                    problems.append("restored run diverged from the "
-                                    "uninterrupted run")
-                for problem in problems or ["gameday gate failed"]:
-                    print(f"ERROR: {problem}", file=out)
-                return 1
-            return 0
-        report = run_gameday(checkpoint_at=args.checkpoint_at or None,
-                             **kwargs)
-        print(report.summary(), file=out)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json() + "\n")
-            print(f"wrote GamedayReport to {args.out}", file=out)
-        return 0 if report.passed else 1
-    except (LegionError, ValueError) as exc:
-        print(f"gameday error: {exc}", file=out)
-        return 2
+#: every argument is declared once, in the group the subcommands share
+#: it through; a group named after a subcommand holds its own flags
+ARG_GROUPS = {
+    "testbed": (
+        _arg("--domains", type=int, default=2,
+             help="administrative domains (default %(default)s)"),
+        _arg("--hosts", type=int, default=4,
+             help="hosts per domain (default %(default)s)"),
+        _arg("--platforms", type=int, default=2,
+             help="distinct platforms in the mix (default %(default)s)"),
+        _arg("--load", type=float, default=0.5,
+             help="mean background load (default %(default)s)"),
+        _SEED,
+        _arg("--shards", type=int, default=0,
+             help="federate the Collection into N shards "
+                  "(default 0 = one monolithic Collection)"),
+        _arg("--replication", type=int, default=2,
+             help="replicas per record when federated (default 2)"),
+        _arg("--gossip-interval", type=float, default=0.0,
+             help="anti-entropy sweep period in virtual seconds "
+                  "(default 0 = gossip off)"),
+        _arg("--cache-ttl", type=float, default=0.0,
+             help="federation query-cache TTL in virtual seconds "
+                  "(default 0 = cache off)"),
+    ),
+    "workload": (
+        _COUNT, _WORK, _SCHEDULER,
+        _arg("--wait", action="store_true",
+             help="advance virtual time until completion"),
+    ),
+    "waves": (
+        _WAVES, _COUNT, _WORK, _SCHEDULER,
+        _arg("--wave-interval", type=float, default=90.0,
+             help="virtual seconds between waves (default 90)"),
+    ),
+    "arm-chaos": (
+        _arg("--chaos-profile", default="",
+             help="arm a fault-injection campaign over the run (light | "
+                  "hosts | partitions | lossy | mixed | heavy)"),
+        _CHAOS_SEED,
+    ),
+    "chaos-horizon": (
+        _arg("--chaos-horizon", type=float, default=0.0,
+             help="stop injecting after this much virtual time "
+                  "(default: profile horizon)"),
+    ),
+    "campaign": (
+        _arg("--profile", default="mixed",
+             help="campaign profile: light | hosts | partitions | lossy | "
+                  "mixed | heavy (default %(default)s)"),
+        _CHAOS_SEED,
+        _arg("--horizon", type=float, default=0.0,
+             help="campaign horizon override in virtual seconds"),
+    ),
+    "resilience": (
+        _arg("--retry", action="store_true",
+             help="enable the RetryPolicy resilience layer"),
+        _arg("--guardrails", action="store_true",
+             help="enable the guardrails self-healing layer"),
+    ),
+    "tier": (
+        _arg("--users", type=int, default=1_000_000,
+             help="traffic population size; arrival cost is O(requests), "
+                  "not O(users), so millions are fine (default 1000000)"),
+        _arg("--duration", type=float, default=240.0,
+             help="open-loop traffic window in virtual seconds "
+                  "(default 240)"),
+        _arg("--workers", type=int, default=4,
+             help="worker daemons draining the placement queue "
+                  "(default 4)"),
+        _arg("--queue-cap", type=int, default=64,
+             help="bounded backlog size; 0 = unbounded, i.e. shedding "
+                  "off (default 64)"),
+        _arg("--backpressure", choices=BACKPRESSURE_MODES, default="shed",
+             help="what a full backlog does to a new submit "
+                  "(default shed)"),
+        _SCHEDULER, _WORK,
+        _arg("--rate", type=float, default=0.0036,
+             help="requests per user per hour (default 0.0036 — 1 req/s "
+                  "at a million users)"),
+        _arg("--surge", type=float, default=12.0,
+             help="overload surge rate multiplier through the middle "
+                  "fifth of the run (default 12)"),
+        _arg("--host-slots", type=int, default=8,
+             help="reservation slots per host (default 8)"),
+    ),
+    "query": (
+        _arg("expression", help="Collection query expression"),
+    ),
+    "run": (
+        _arg("--trace", type=int, default=0, metavar="N",
+             help="print a sequence diagram of the first N protocol "
+                  "invocations"),
+        _arg("--trace-out", default="", metavar="FILE",
+             help="export span traces to FILE (Chrome trace-event JSON; "
+                  "a .jsonl suffix dumps one span per line)"),
+    ),
+    "metrics": (
+        _arg("--format", choices=("table", "json", "prom"),
+             default="table", help="output format (default table)"),
+        _arg("--quantiles", default="p50,p90", metavar="LIST",
+             help="histogram quantile columns for the table format, "
+                  "e.g. p50,p90,p99 (default p50,p90)"),
+    ),
+    "trace": (
+        _arg("mode", choices=("tree", "summary", "critical-path", "steps",
+                              "chrome"),
+             help="tree = ASCII trace trees, summary = per-step latency "
+                  "table, critical-path = dominant step per request, "
+                  "steps = cross-trace per-step count/mean/p95 "
+                  "aggregate, chrome = trace-event JSON"),
+        _arg("--out", default="", metavar="FILE",
+             help="write output to FILE instead of stdout (chrome mode + "
+                  ".jsonl suffix dumps spans as JSONL)"),
+    ),
+    "chaos": (
+        _arg("--compare-retry", action="store_true",
+             help="run the identical campaign retry-off then retry-on "
+                  "and print both survival rates"),
+        _OUT,
+    ),
+    "guardrails": (
+        _arg("--compare", action="store_true",
+             help="print only the three-mode comparison table (omits "
+                  "the full guardrails-mode report)"),
+        _arg("--events", action="store_true",
+             help="include per-fault event logs in --out JSON"),
+        _OUT,
+    ),
+    "slo": (
+        _arg("--window", type=float, default=30.0,
+             help="sampling window in virtual seconds (default 30)"),
+        _arg("--spec", default="", metavar="FILE",
+             help="JSON file of SLO objectives ({\"slos\": [...]}; "
+                  "default: the stock Legion objectives)"),
+        _arg("--compare-guardrails", action="store_true",
+             help="run the identical seeded campaign off / retries / "
+                  "guardrails and compare SLO minutes lost across the "
+                  "three modes"),
+        _arg("--format", choices=("table", "json"), default="table",
+             help="output format (default table)"),
+        _arg("--no-windows", action="store_true",
+             help="omit per-window verdict rows from the report"),
+        _ALLOW_EXHAUSTED, _OUT,
+    ),
+    "scale": (
+        _arg("--sizes", default="64,256,1024",
+             help="comma-separated total host counts, each divisible by "
+                  "4 (default 64,256,1024)"),
+        _WAVES, _COUNT, _SCHEDULER, _SEED,
+        _arg("--members", type=int, default=4096,
+             help="member count for the query-engine microbench "
+                  "(default 4096)"),
+        _arg("--reps", type=int, default=20,
+             help="timing repetitions per engine (default 20)"),
+        _arg("--check", default="", metavar="FILE",
+             help="compare this run against a committed ledger; exit "
+                  "nonzero on staleness or speed regression"),
+        _arg("--min-ratio", type=float, default=0.0,
+             help="events/sec tolerance floor as a fraction of the "
+                  "committed speed (default: the committed ledger's own "
+                  "min_ratio)"),
+        _arg("--out", default="", metavar="FILE",
+             help="write the scale ledger JSON to FILE"),
+    ),
+    "economy": (
+        _arg("--mode", choices=("time", "cost"), default="cost",
+             help="economy optimization mode: minimize completion time "
+                  "within budget, or cost within deadline (default cost)"),
+        _arg("--users", type=int, default=2,
+             help="concurrent users, each with their own budget, "
+                  "deadline, and application class (default 2)"),
+        _arg("--budget", type=float, default=40.0,
+             help="per-user budget in currency units (default 40)"),
+        _arg("--deadline", type=float, default=900.0,
+             help="per-user experiment deadline in virtual seconds from "
+                  "first submission (default 900)"),
+        _arg("--deadline-safety", type=float, default=0.6,
+             help="fraction of the remaining deadline a host's estimated "
+                  "completion must fit within (default 0.6)"),
+        _arg("--compare-baselines", action="store_true",
+             help="replay the identical seeded campaign under "
+                  "random/irs/cost baselines; exit nonzero unless the "
+                  "economy beats random and irs on both deadline-miss "
+                  "rate and total cost"),
+        _OUT,
+    ),
+    "serve": (
+        _arg("--slo-threshold", type=float, default=30.0,
+             help="e2e latency SLO threshold in virtual seconds "
+                  "(default 30)"),
+        _arg("--compare-shedding", action="store_true",
+             help="run the identical seeded overload with the bounded "
+                  "backlog on then off; exit nonzero unless shedding "
+                  "keeps p99 inside the SLO while the unbounded run "
+                  "exhausts its error budget"),
+        _ALLOW_EXHAUSTED, _OUT,
+    ),
+    "gameday": (
+        _arg("--kills", type=int, default=2,
+             help="worker crashes injected inside the surge (default 2; "
+                  "the pass gate requires >= 2)"),
+        _arg("--lease-ttl", type=float, default=20.0,
+             help="request-ownership lease TTL in virtual seconds "
+                  "(default 20)"),
+        _arg("--heartbeat-interval", type=float, default=5.0,
+             help="worker lease-renewal period (default 5)"),
+        _arg("--scan-interval", type=float, default=5.0,
+             help="Supervisor expired-lease scan period (default 5)"),
+        _arg("--checkpoint-at", type=float, default=0.0,
+             help="from this virtual time on, poll for a safe point, "
+                  "then checkpoint/teardown/restore the tier mid-run "
+                  "(default 0 = off)"),
+        _arg("--compare-restore", action="store_true",
+             help="run the identical seeded game day straight through "
+                  "and with a mid-run checkpoint/restore; exit nonzero "
+                  "unless both pass and their report cores are "
+                  "byte-identical"),
+        _OUT,
+    ),
+    "bench": (
+        _COUNT, _WORK,
+        _arg("--scheduler", action="append",
+             help="repeatable; default random, irs, load"),
+    ),
+    "ledger": (
+        _arg("action", choices=("check", "write"),
+             help="check = regenerate twice, byte-compare the runs and "
+                  "the committed file, evaluate the gate; write = "
+                  "regenerate the committed file in place"),
+        _arg("names", nargs="*", metavar="NAME",
+             help="ledgers to act on, e.g. chaos for BENCH_chaos.json"),
+        _arg("--all", action="store_true", help="every registered ledger"),
+        _arg("--keep", default="", metavar="DIR",
+             help="check: keep each regenerated ledger and its run's "
+                  "stdout in DIR"),
+    ),
+}
+
+#: the serve campaign's stock world (matches run_service's defaults);
+#: the game day runs on it too
+_TIER_WORLD = dict(domains=3, hosts=6, platforms=3, load=0.3, work=10.0)
+
+#: one row per subcommand: (name, handler, argument groups, defaults
+#: that differ from the groups', help)
+COMMANDS = (
+    ("hosts", cmd_hosts, ("testbed",), {}, "list simulated hosts"),
+    ("vaults", cmd_vaults, ("testbed",), {}, "list vaults"),
+    ("context", cmd_context, ("testbed",), {}, "walk the context space"),
+    ("query", cmd_query, ("testbed", "query"), {}, "query the Collection"),
+    ("run", cmd_run,
+     ("testbed", "workload", "arm-chaos", "chaos-horizon", "run"), {},
+     "schedule instances of a class"),
+    ("metrics", cmd_metrics, ("testbed", "workload", "metrics"), {},
+     "run a workload and export the metrics snapshot"),
+    ("trace", cmd_trace, ("trace", "testbed", "workload"), {},
+     "run a workload and analyse its span traces"),
+    ("federation", cmd_federation, ("testbed", "workload"), {},
+     "run a federated workload and print ring layout, replica "
+     "placement, and gossip/staleness stats"),
+    ("chaos", cmd_chaos,
+     ("testbed", "campaign", "waves", "resilience", "chaos"),
+     dict(work=250.0),
+     "run a seeded fault-injection campaign and report survival "
+     "statistics"),
+    ("guardrails", cmd_guardrails,
+     ("testbed", "campaign", "waves", "guardrails"),
+     # hosts: crash-dominated, the guardrails sweet spot
+     dict(work=250.0, profile="hosts", chaos_seed=1),
+     "benchmark the guardrails self-healing layer against retries-only "
+     "and bare baselines"),
+    ("slo", cmd_slo,
+     ("testbed", "waves", "arm-chaos", "chaos-horizon", "resilience",
+      "slo"),
+     dict(work=250.0),
+     "run a workload under windowed sampling and report SLO health: "
+     "error budgets, burn-rate alerts, and breached-window exemplar "
+     "traces"),
+    ("scale", cmd_scale, ("scale",), dict(waves=4, count=6),
+     "run the scale campaign and write/check the BENCH_scale.json speed "
+     "ledger"),
+    ("economy", cmd_economy,
+     ("testbed", "waves", "arm-chaos", "resilience", "economy"),
+     dict(work=250.0, count=2, scheduler="economy"),
+     "run a computational-economy campaign: budgets, deadlines, market "
+     "pricing, and reservation auctions"),
+    ("serve", cmd_serve, ("testbed", "tier", "serve"), _TIER_WORLD,
+     "run the live service tier under seeded open-loop traffic: request "
+     "gateway, bounded placement queue, worker pool, and SLO verdicts"),
+    ("gameday", cmd_gameday, ("testbed", "tier", "gameday"), _TIER_WORLD,
+     "run a recovery game day: chaos kills workers under live service "
+     "traffic; gates on zero lost requests, zero duplicate placements, "
+     "and byte-identical checkpoint/restore"),
+    ("bench", cmd_bench, ("testbed", "bench"), dict(count=6),
+     "compare schedulers on one workload"),
+    ("ledger", cmd_ledger, ("ledger",), {},
+     "check or regenerate the committed BENCH_*.json ledgers"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -817,409 +1018,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Drive a simulated Legion metasystem from the "
                     "command line.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hosts", help="list simulated hosts")
-    _add_testbed_args(p)
-    p.set_defaults(fn=cmd_hosts)
-
-    p = sub.add_parser("vaults", help="list vaults")
-    _add_testbed_args(p)
-    p.set_defaults(fn=cmd_vaults)
-
-    p = sub.add_parser("context", help="walk the context space")
-    _add_testbed_args(p)
-    p.set_defaults(fn=cmd_context)
-
-    p = sub.add_parser("query", help="query the Collection")
-    _add_testbed_args(p)
-    p.add_argument("expression", help="Collection query expression")
-    p.set_defaults(fn=cmd_query)
-
-    p = sub.add_parser("run", help="schedule instances of a class")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
-    p.add_argument("--trace", type=int, default=0, metavar="N",
-                   help="print a sequence diagram of the first N "
-                        "protocol invocations")
-    p.add_argument("--trace-out", default="", metavar="FILE",
-                   help="export span traces to FILE (Chrome trace-event "
-                        "JSON; a .jsonl suffix dumps one span per line)")
-    p.add_argument("--chaos-profile", default="",
-                   help="arm a fault-injection campaign over the run "
-                        "(light | hosts | partitions | lossy | mixed | "
-                        "heavy)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--chaos-horizon", type=float, default=0.0,
-                   help="stop injecting after this much virtual time "
-                        "(default: profile horizon)")
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("metrics",
-                       help="run a workload and export the metrics "
-                            "snapshot")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
-    p.add_argument("--format", choices=("table", "json", "prom"),
-                   default="table",
-                   help="output format (default table)")
-    p.add_argument("--quantiles", default="p50,p90", metavar="LIST",
-                   help="histogram quantile columns for the table "
-                        "format, e.g. p50,p90,p99 (default p50,p90)")
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("trace",
-                       help="run a workload and analyse its span traces")
-    p.add_argument("mode",
-                   choices=("tree", "summary", "critical-path", "steps",
-                            "chrome"),
-                   help="tree = ASCII trace trees, summary = per-step "
-                        "latency table, critical-path = dominant step "
-                        "per request, steps = cross-trace per-step "
-                        "count/mean/p95 aggregate, chrome = trace-event "
-                        "JSON")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write output to FILE instead of stdout "
-                        "(chrome mode + .jsonl suffix dumps spans as "
-                        "JSONL)")
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("federation",
-                       help="run a federated workload and print ring "
-                            "layout, replica placement, and "
-                            "gossip/staleness stats")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--wait", action="store_true",
-                   help="advance virtual time until completion")
-    p.set_defaults(fn=cmd_federation)
-
-    p = sub.add_parser("chaos",
-                       help="run a seeded fault-injection campaign and "
-                            "report survival statistics")
-    _add_testbed_args(p)
-    p.add_argument("--profile", default="mixed",
-                   help="campaign profile: light | hosts | partitions | "
-                        "lossy | mixed | heavy (default mixed)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves to attempt (default 6)")
-    p.add_argument("--count", type=int, default=4,
-                   help="instances requested per wave (default 4)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--horizon", type=float, default=0.0,
-                   help="campaign horizon override in virtual seconds")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--retry", action="store_true",
-                   help="enable the RetryPolicy resilience layer")
-    p.add_argument("--guardrails", action="store_true",
-                   help="enable the guardrails self-healing layer")
-    p.add_argument("--compare-retry", action="store_true",
-                   help="run the identical campaign retry-off then "
-                        "retry-on and print both survival rates")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the ResilienceReport JSON to FILE")
-    p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("guardrails",
-                       help="benchmark the guardrails self-healing layer "
-                            "against retries-only and bare baselines")
-    _add_testbed_args(p)
-    p.add_argument("--profile", default="hosts",
-                   help="campaign profile (default hosts — crash-"
-                        "dominated, the guardrails sweet spot)")
-    p.add_argument("--chaos-seed", type=int, default=1,
-                   help="campaign seed (default 1)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves to attempt (default 6)")
-    p.add_argument("--count", type=int, default=4,
-                   help="instances requested per wave (default 4)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--horizon", type=float, default=0.0,
-                   help="campaign horizon override in virtual seconds")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--compare", action="store_true",
-                   help="print only the three-mode comparison table "
-                        "(omits the full guardrails-mode report)")
-    p.add_argument("--events", action="store_true",
-                   help="include per-fault event logs in --out JSON")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the comparison JSON to FILE")
-    p.set_defaults(fn=cmd_guardrails)
-
-    p = sub.add_parser("slo",
-                       help="run a workload under windowed sampling and "
-                            "report SLO health: error budgets, burn-rate "
-                            "alerts, and breached-window exemplar traces")
-    _add_testbed_args(p)
-    p.add_argument("--window", type=float, default=30.0,
-                   help="sampling window in virtual seconds (default 30)")
-    p.add_argument("--spec", default="", metavar="FILE",
-                   help="JSON file of SLO objectives ({\"slos\": [...]}; "
-                        "default: the stock Legion objectives)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves to attempt (default 6)")
-    p.add_argument("--count", type=int, default=4,
-                   help="instances requested per wave (default 4)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--chaos-profile", default="",
-                   help="arm a fault-injection campaign over the run "
-                        "(light | hosts | partitions | lossy | mixed | "
-                        "heavy)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--chaos-horizon", type=float, default=0.0,
-                   help="stop injecting after this much virtual time")
-    p.add_argument("--retry", action="store_true",
-                   help="enable the RetryPolicy resilience layer")
-    p.add_argument("--guardrails", action="store_true",
-                   help="enable the guardrails self-healing layer")
-    p.add_argument("--compare-guardrails", action="store_true",
-                   help="run the identical seeded campaign off / "
-                        "retries / guardrails and compare SLO minutes "
-                        "lost across the three modes")
-    p.add_argument("--format", choices=("table", "json"),
-                   default="table",
-                   help="output format (default table)")
-    p.add_argument("--no-windows", action="store_true",
-                   help="omit per-window verdict rows from the report")
-    p.add_argument("--allow-exhausted", action="store_true",
-                   help="exit 0 even when an error budget is exhausted")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the health report JSON to FILE")
-    p.set_defaults(fn=cmd_slo)
-
-    p = sub.add_parser("scale",
-                       help="run the scale campaign and write/check the "
-                            "BENCH_scale.json speed ledger")
-    p.add_argument("--sizes", default="64,256,1024",
-                   help="comma-separated total host counts, each "
-                        "divisible by 4 (default 64,256,1024)")
-    p.add_argument("--waves", type=int, default=4,
-                   help="placement waves per size (default 4)")
-    p.add_argument("--count", type=int, default=6,
-                   help="instances requested per wave (default 6)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="experiment seed (default 0)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--members", type=int, default=4096,
-                   help="member count for the query-engine microbench "
-                        "(default 4096)")
-    p.add_argument("--reps", type=int, default=20,
-                   help="timing repetitions per engine (default 20)")
-    p.add_argument("--check", default="", metavar="FILE",
-                   help="compare this run against a committed ledger; "
-                        "exit nonzero on staleness or speed regression")
-    p.add_argument("--min-ratio", type=float, default=0.0,
-                   help="events/sec tolerance floor as a fraction of "
-                        "the committed speed (default: the committed "
-                        "ledger's own min_ratio)")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the scale ledger JSON to FILE")
-    p.set_defaults(fn=cmd_scale)
-
-    p = sub.add_parser("economy",
-                       help="run a computational-economy campaign: "
-                            "budgets, deadlines, market pricing, and "
-                            "reservation auctions")
-    _add_testbed_args(p)
-    p.add_argument("--mode", choices=("time", "cost"), default="cost",
-                   help="economy optimization mode: minimize completion "
-                        "time within budget, or cost within deadline "
-                        "(default cost)")
-    p.add_argument("--scheduler", default="economy",
-                   help="economy | random | irs | cost (single-report "
-                        "mode only; default economy)")
-    p.add_argument("--users", type=int, default=2,
-                   help="concurrent users, each with their own budget, "
-                        "deadline, and application class (default 2)")
-    p.add_argument("--budget", type=float, default=40.0,
-                   help="per-user budget in currency units (default 40)")
-    p.add_argument("--deadline", type=float, default=900.0,
-                   help="per-user experiment deadline in virtual seconds "
-                        "from first submission (default 900)")
-    p.add_argument("--deadline-safety", type=float, default=0.6,
-                   help="fraction of the remaining deadline a host's "
-                        "estimated completion must fit within "
-                        "(default 0.6)")
-    p.add_argument("--waves", type=int, default=6,
-                   help="placement waves per user (default 6)")
-    p.add_argument("--count", type=int, default=2,
-                   help="instances requested per user per wave "
-                        "(default 2)")
-    p.add_argument("--work", type=float, default=250.0)
-    p.add_argument("--wave-interval", type=float, default=90.0,
-                   help="virtual seconds between waves (default 90)")
-    p.add_argument("--chaos-profile", default="",
-                   help="arm a fault-injection campaign over the run "
-                        "(light | hosts | partitions | lossy | mixed | "
-                        "heavy)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="campaign seed (independent of --seed)")
-    p.add_argument("--guardrails", action="store_true",
-                   help="enable the guardrails self-healing layer")
-    p.add_argument("--retry", action="store_true",
-                   help="enable the RetryPolicy resilience layer")
-    p.add_argument("--compare-baselines", action="store_true",
-                   help="replay the identical seeded campaign under "
-                        "random/irs/cost baselines; exit nonzero unless "
-                        "the economy beats random and irs on both "
-                        "deadline-miss rate and total cost")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the report/comparison JSON to FILE")
-    p.set_defaults(fn=cmd_economy)
-
-    p = sub.add_parser("serve",
-                       help="run the live service tier under seeded "
-                            "open-loop traffic: request gateway, bounded "
-                            "placement queue, worker pool, and SLO "
-                            "verdicts")
-    _add_testbed_args(p)
-    # the serve campaign's stock world (matches run_service defaults)
-    p.set_defaults(domains=3, hosts=6, platforms=3, load=0.3)
-    p.add_argument("--users", type=int, default=1_000_000,
-                   help="traffic population size; arrival cost is "
-                        "O(requests), not O(users), so millions are fine "
-                        "(default 1000000)")
-    p.add_argument("--duration", type=float, default=240.0,
-                   help="open-loop traffic window in virtual seconds "
-                        "(default 240)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker daemons draining the placement queue "
-                        "(default 4)")
-    p.add_argument("--queue-cap", type=int, default=64,
-                   help="bounded backlog size; 0 = unbounded, i.e. "
-                        "shedding off (default 64)")
-    p.add_argument("--backpressure", choices=BACKPRESSURE_MODES,
-                   default="shed",
-                   help="what a full backlog does to a new submit "
-                        "(default shed)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--work", type=float, default=10.0,
-                   help="work units per placed service instance "
-                        "(default 10)")
-    p.add_argument("--rate", type=float, default=0.0036,
-                   help="requests per user per hour (default 0.0036 — "
-                        "1 req/s at a million users)")
-    p.add_argument("--surge", type=float, default=12.0,
-                   help="overload surge rate multiplier through the "
-                        "middle fifth of the run (default 12)")
-    p.add_argument("--slo-threshold", type=float, default=30.0,
-                   help="e2e latency SLO threshold in virtual seconds "
-                        "(default 30)")
-    p.add_argument("--host-slots", type=int, default=8,
-                   help="reservation slots per host (default 8)")
-    p.add_argument("--compare-shedding", action="store_true",
-                   help="run the identical seeded overload with the "
-                        "bounded backlog on then off; exit nonzero "
-                        "unless shedding keeps p99 inside the SLO while "
-                        "the unbounded run exhausts its error budget")
-    p.add_argument("--allow-exhausted", action="store_true",
-                   help="exit 0 even when the e2e latency error budget "
-                        "is exhausted (single-run mode)")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the report/comparison JSON to FILE")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("gameday",
-                       help="run a recovery game day: chaos kills "
-                            "workers under live service traffic; gates "
-                            "on zero lost requests, zero duplicate "
-                            "placements, and byte-identical "
-                            "checkpoint/restore")
-    _add_testbed_args(p)
-    # the game day runs on the serve campaign's stock world
-    p.set_defaults(domains=3, hosts=6, platforms=3, load=0.3)
-    p.add_argument("--users", type=int, default=1_000_000,
-                   help="traffic population size (default 1000000)")
-    p.add_argument("--duration", type=float, default=240.0,
-                   help="open-loop traffic window in virtual seconds "
-                        "(default 240)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker daemons draining the placement queue "
-                        "(default 4)")
-    p.add_argument("--queue-cap", type=int, default=64,
-                   help="bounded backlog size; 0 = unbounded "
-                        "(default 64)")
-    p.add_argument("--backpressure", choices=BACKPRESSURE_MODES,
-                   default="shed",
-                   help="what a full backlog does to a new submit "
-                        "(default shed)")
-    p.add_argument("--scheduler", default="irs",
-                   help="random | irs | load | mct | round-robin | kofn | cost | economy")
-    p.add_argument("--work", type=float, default=10.0,
-                   help="work units per placed service instance "
-                        "(default 10)")
-    p.add_argument("--rate", type=float, default=0.0036,
-                   help="requests per user per hour (default 0.0036)")
-    p.add_argument("--surge", type=float, default=12.0,
-                   help="overload surge rate multiplier (default 12)")
-    p.add_argument("--kills", type=int, default=2,
-                   help="worker crashes injected inside the surge "
-                        "(default 2; the pass gate requires >= 2)")
-    p.add_argument("--lease-ttl", type=float, default=20.0,
-                   help="request-ownership lease TTL in virtual "
-                        "seconds (default 20)")
-    p.add_argument("--heartbeat-interval", type=float, default=5.0,
-                   help="worker lease-renewal period (default 5)")
-    p.add_argument("--scan-interval", type=float, default=5.0,
-                   help="Supervisor expired-lease scan period "
-                        "(default 5)")
-    p.add_argument("--checkpoint-at", type=float, default=0.0,
-                   help="from this virtual time on, poll for a safe "
-                        "point, then checkpoint/teardown/restore the "
-                        "tier mid-run (default 0 = off)")
-    p.add_argument("--host-slots", type=int, default=8,
-                   help="reservation slots per host (default 8)")
-    p.add_argument("--compare-restore", action="store_true",
-                   help="run the identical seeded game day straight "
-                        "through and with a mid-run checkpoint/restore; "
-                        "exit nonzero unless both pass and their report "
-                        "cores are byte-identical")
-    p.add_argument("--out", default="", metavar="FILE",
-                   help="write the report/comparison JSON to FILE")
-    p.set_defaults(fn=cmd_gameday)
-
-    p = sub.add_parser("bench", help="compare schedulers on one workload")
-    _add_testbed_args(p)
-    p.add_argument("--count", type=int, default=6)
-    p.add_argument("--work", type=float, default=200.0)
-    p.add_argument("--scheduler", action="append",
-                   help="repeatable; default random, irs, load")
-    p.set_defaults(fn=cmd_bench)
+    for name, handler, groups, defaults, help_text in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for group in groups:
+            for flags, spec in ARG_GROUPS[group]:
+                p.add_argument(*flags, **spec)
+        p.set_defaults(fn=handler, **defaults)
     return parser
 
 

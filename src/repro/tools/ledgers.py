@@ -1,0 +1,220 @@
+"""The ledger registry: every committed ``BENCH_*.json`` and how to check it.
+
+One row per ledger — the exact ``legion-sim`` argv that regenerates it,
+the content checks its document must pass *beyond* its report's own
+``problems()`` gate (which the run's exit status already carries), and
+what its run must (not) print.  ``legion-sim ledger check [NAME…|--all]``
+and ``legion-sim ledger write NAME`` run on top of it, and
+``tests/test_ledgers.py`` calls the same :func:`check_ledger`, so CI, the
+CLI and tier-1 agree on what "the ledger holds" means:
+
+* a **virtual-time** ledger is regenerated twice in-process; the two
+  outputs must match byte for byte (determinism), match the committed
+  file byte for byte (freshness), the run must exit 0 (its report's
+  ``problems()`` is empty) and the document must pass its checks;
+* the **wall-clock** ledger (``scale``) cannot be byte-compared: a small
+  profile is re-measured and held against the committed datapoints by
+  :func:`repro.bench.scale.check_report` — deterministic fields exactly,
+  events/sec within the tolerance ratio; its content checks read the
+  committed document.
+
+Adding a ledger is adding a row (``docs/extending.md``).
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import tempfile
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from .cli import main
+
+__all__ = ["Ledger", "LEDGERS", "select", "check_ledger"]
+
+#: (what must hold, predicate over the ledger's JSON document)
+Check = Tuple[str, Callable[[Dict[str, Any]], bool]]
+
+
+@dataclass(frozen=True)
+class Ledger:
+    """One committed ledger: ``BENCH_<name>.json``."""
+
+    name: str
+    #: regenerates the ledger once ``--out FILE`` is appended
+    argv: Tuple[str, ...]
+    checks: Tuple[Check, ...] = ()
+    #: substrings the regenerating run must / must not print
+    stdout_has: Tuple[str, ...] = ()
+    stdout_lacks: Tuple[str, ...] = ()
+    #: carries machine-dependent timings: ratio-gated, not byte-compared
+    wall_clock: bool = False
+
+    @property
+    def filename(self) -> str:
+        return f"BENCH_{self.name}.json"
+
+
+LEDGERS: Tuple[Ledger, ...] = (
+    Ledger(
+        "chaos",
+        ("chaos", "--profile", "lossy", "--chaos-seed", "9", "--waves", "6",
+         "--count", "3", "--compare-retry"),
+        checks=(
+            ("faults were injected",
+             lambda d: sum(d["faults"]["injected"].values()) > 0),
+            ("every injected fault was reverted",
+             lambda d: d["faults"]["injected"] == d["faults"]["reverted"]),
+            ("--compare-retry writes the retry-on run",
+             lambda d: d["retry_enabled"]),
+        ),
+        stdout_has=("retry benefit", "residual faults    0")),
+    Ledger(
+        "guardrails",
+        ("guardrails", "--compare", "--domains", "3", "--hosts", "6"),
+        checks=(
+            ("guardrails waste fewer reservation attempts",
+             lambda d: d["benefit"]["wasted_delta"] > 0),
+            ("guardrails_improve",
+             lambda d: d["benefit"]["guardrails_improve"]),
+            ("guardrails mode ran with guardrails on",
+             lambda d: d["modes"]["guardrails"]["guardrails"]["enabled"]),
+            ("retries mode ran with guardrails off",
+             lambda d: not d["modes"]["retries"]["guardrails"]["enabled"]),
+        ),
+        stdout_has=("improves",), stdout_lacks=("NO IMPROVEMENT",)),
+    Ledger(
+        "economy",
+        ("economy", "--compare-baselines", "--mode", "cost", "--seed", "0",
+         "--chaos-profile", "lossy", "--chaos-seed", "0", "--guardrails",
+         "--retry", "--waves", "8", "--count", "2", "--users", "3",
+         "--domains", "3", "--hosts", "8", "--platforms", "3",
+         "--deadline", "800", "--budget", "100", "--deadline-safety", "0.5"),
+        checks=(
+            ("no user overspent its budget",
+             lambda d: d["reports"]["economy"]["cost_overrun"] == 0),
+            ("auctions cleared",
+             lambda d: d["reports"]["economy"]["auction"]["cleared_rounds"]
+             > 0),
+        ),
+        stdout_has=("economy beats random, irs",)),
+    Ledger(
+        "service",
+        ("serve", "--seed", "7", "--compare-shedding"),
+        checks=(
+            ("something was shed",
+             lambda d: d["reports"]["shedding"]["queue"]["shed"] > 0),
+            ("no request failed",
+             lambda d: d["reports"]["shedding"]["requests"]["by_state"]
+             .get("failed", 0) == 0),
+        ),
+        stdout_has=("shedding protects the e2e latency SLO",)),
+    Ledger(
+        "gameday",
+        ("gameday", "--seed", "7", "--compare-restore"),
+        stdout_has=("PASS",), stdout_lacks=("FAIL",)),
+    Ledger(
+        "scale", ("scale",), wall_clock=True,
+        checks=(
+            ("committed compiled speedup >= 2x",
+             lambda d: d["query_engines"]["compiled_speedup"] >= 2.0),
+            ("ledger holds >= 3 sizes", lambda d: len(d["sizes"]) >= 3),
+        )),
+)
+
+
+def select(names: Sequence[str], everything: bool = False) -> List[Ledger]:
+    """The registry rows called ``names`` (all of them when
+    ``everything``); raises :class:`ValueError` on an unknown or empty
+    selection."""
+    if everything:
+        return list(LEDGERS)
+    by_name = {ledger.name: ledger for ledger in LEDGERS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown or not names:
+        what = (f"unknown ledger(s) {', '.join(unknown)}" if unknown
+                else "no ledger named")
+        raise ValueError(
+            f"{what}; choose from {', '.join(by_name)} or pass --all")
+    return [by_name[name] for name in names]
+
+
+def _failed_checks(ledger: Ledger, doc: Dict[str, Any]) -> List[str]:
+    return [f"check failed: {what}" for what, holds in ledger.checks
+            if not holds(doc)]
+
+
+def _check_wall_clock(committed: Dict[str, Any], timing: bool) -> List[str]:
+    """Re-measure one small size and hold it against the committed
+    datapoints.  Without ``timing`` only the deterministic fields are
+    compared (no query-engine race, no events/sec floor)."""
+    from ..bench import scale
+    if timing:
+        return scale.check_report(
+            committed, scale.build_report(sizes=(64,), reps=5),
+            min_ratio=0.3)
+    points = scale.run_placement_scale((64,))
+    return scale.check_report(
+        committed, {"sizes": [asdict(p) for p in points]}, min_ratio=0.0)
+
+
+def _regenerate(ledger: Ledger, path: str) -> Tuple[int, str, bytes]:
+    """One regenerating run: exit status, stdout, the bytes written."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    out = io.StringIO()
+    code = main([*ledger.argv, "--out", path], out=out)
+    with open(path, "rb") as fh:
+        return code, out.getvalue(), fh.read()
+
+
+def check_ledger(ledger: Ledger, root: str = ".", timing: bool = True,
+                 keep: Optional[str] = None) -> List[str]:
+    """Everything wrong with one committed ledger; empty = it holds.
+
+    ``root`` is the directory holding the committed file.  ``keep``
+    names a directory that receives the regenerated ledger and its
+    run's stdout.  ``timing=False`` skips the wall-clock assertions of
+    a ``wall_clock`` ledger (tier-1 must not depend on machine speed).
+    """
+    committed_path = os.path.join(root, ledger.filename)
+    try:
+        with open(committed_path, "rb") as fh:
+            committed = fh.read()
+    except OSError as exc:
+        return [f"cannot read the committed ledger: {exc}"]
+    if ledger.wall_clock:
+        doc = json.loads(committed)
+        return _failed_checks(ledger, doc) + _check_wall_clock(doc, timing)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            # the first run lands in ``keep`` when asked to stay around
+            code, stdout, fresh = _regenerate(
+                ledger, os.path.join(keep or tmp, ledger.filename))
+            _, _, again = _regenerate(ledger, os.path.join(tmp, "again"))
+        except OSError as exc:
+            return [f"`legion-sim {' '.join(ledger.argv)}` did not write "
+                    f"its ledger: {exc}"]
+    if keep:
+        with open(os.path.join(keep, f"{ledger.name}.txt"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(stdout)
+    problems: List[str] = []
+    if code != 0:
+        problems.append(f"the regenerating run exited {code}")
+        problems.extend(line for line in stdout.splitlines()
+                        if line.startswith("ERROR: "))
+    if fresh != again:
+        problems.append("nondeterministic across two identical seeded runs")
+    if fresh != committed:
+        problems.append(
+            f"{ledger.filename} is stale — regenerate with `legion-sim "
+            f"ledger write {ledger.name}` and commit the result")
+    problems.extend(_failed_checks(ledger, json.loads(fresh)))
+    problems.extend(f"the run did not print {needle!r}"
+                    for needle in ledger.stdout_has if needle not in stdout)
+    problems.extend(f"the run printed {needle!r}"
+                    for needle in ledger.stdout_lacks if needle in stdout)
+    return problems

@@ -67,6 +67,32 @@ class TestRun:
         assert code == 2
         assert "unknown scheduler" in text
 
+    def test_help_lists_every_accepted_scheduler_kind(self, capsys):
+        from repro.metasystem import SCHEDULER_KINDS
+        with pytest.raises(SystemExit):
+            run_cli("run", "--help")
+        # argparse wraps help (also at hyphens): compare unwrapped
+        text = "".join(capsys.readouterr().out.split())
+        assert "|".join(SCHEDULER_KINDS) in text
+
+
+class TestCampaignCommands:
+    """Every campaign subcommand goes through one wrapper: a runner that
+    rejects its arguments is exit status 2 and a message, never a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("chaos",), ("guardrails",), ("slo", "--compare-guardrails"),
+        ("economy",), ("serve",), ("gameday",)], ids=" ".join)
+    def test_unknown_scheduler_is_a_usage_error(self, argv):
+        from repro.metasystem import SCHEDULER_KINDS
+        code, text = run_cli(*argv, "--scheduler", "bogus")
+        assert code == 2
+        assert text.startswith(f"{argv[0]} error: unknown scheduler kind")
+        for kind in SCHEDULER_KINDS:
+            assert repr(kind) in text
+        assert "Traceback" not in text
+
 
 class TestMetrics:
     def test_table_covers_instrumented_families(self):
@@ -207,6 +233,27 @@ class TestSLOCommand:
         assert code == 2
         code, _ = run_cli("slo", "--scheduler", "sorcery")
         assert code == 2
+
+    def test_guardrails_and_retries_keep_every_budget(self, tmp_path):
+        """The seeded chaos testbed with guardrails+retries on must not
+        exhaust any error budget; its report is complete and reproduces
+        byte for byte."""
+        import json
+        path, again = tmp_path / "slo.json", tmp_path / "again.json"
+        args = ("slo", *self.CHAOS, "--domains", "3", "--hosts", "6",
+                "--platforms", "3", "--waves", "8", "--guardrails",
+                "--retry", "--out")
+        code, _ = run_cli(*args, str(path))
+        assert code == 0
+        run_cli(*args, str(again))
+        assert path.read_bytes() == again.read_bytes()
+        doc = json.loads(path.read_text())
+        assert doc["healthy"]
+        assert doc["sampler"]["windows"] > 0
+        assert [s["spec"]["name"] for s in doc["slos"]] == [
+            "placement-latency", "placement-success",
+            "reservation-success"]
+        assert doc["critical_steps"]
 
     def test_compare_guardrails_reduces_slo_damage(self):
         code, text = run_cli(
