@@ -135,6 +135,9 @@ class Collection(LegionObject):
         #: publishes that attribute; see repro.guardrails.health)
         self.exclude_down_members = False
         self._secret = os.urandom(16)
+        #: member -> expected MAC (a pure function of the secret and the
+        #: LOID, so it is computed once per member, not once per update)
+        self._macs: Dict[LOID, bytes] = {}
         self.functions = QueryFunctions()
         self._computed: Dict[str, Callable[[Mapping], Any]] = {}
         self._ast_cache: Dict[str, Node] = {}
@@ -153,8 +156,12 @@ class Collection(LegionObject):
 
     # -- credentials ---------------------------------------------------------
     def _mac_for(self, member: LOID) -> bytes:
-        return hmac.new(self._secret, str(member).encode("utf-8"),
-                        hashlib.sha256).digest()
+        mac = self._macs.get(member)
+        if mac is None:
+            mac = self._macs[member] = hmac.new(
+                self._secret, str(member).encode("utf-8"),
+                hashlib.sha256).digest()
+        return mac
 
     def _authenticate(self, member: LOID,
                       credential: Optional[Credential]) -> None:

@@ -101,13 +101,18 @@ class IndexedCollection(Collection):
 
     # -- overridden mutation paths -------------------------------------------
     def _reindex(self, member: LOID, old: Dict[str, Any]) -> None:
+        """Move ``member`` between buckets for the attributes whose value
+        differs from ``old`` (its attributes before the mutation)."""
         record = self._records.get(member)
         if record is None:
             return
+        new = record.attributes
         for attr, value in old.items():
-            self._unindex_value(member, attr, value)
-        for attr, value in record.attributes.items():
-            self._index_value(member, attr, value)
+            if attr not in new or new[attr] != value:
+                self._unindex_value(member, attr, value)
+        for attr, value in new.items():
+            if attr not in old or old[attr] != value:
+                self._index_value(member, attr, value)
 
     def join(self, joiner: LOID, attributes=None):
         old = {}

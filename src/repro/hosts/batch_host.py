@@ -22,7 +22,7 @@ Both modes are implemented:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import ObjectStateError, ReservationDeniedError
 from ..naming.loid import LOID
@@ -164,15 +164,26 @@ class BatchQueueHost(HostObject):
         return opr, remaining
 
     # -- attributes -------------------------------------------------------------------
-    def reassess(self, now: Optional[float] = None) -> None:
-        super().reassess(now=now)
-        t = self.sim.now if now is None else now
-        self.attributes.update({
+    def _descriptor_sources(self) -> tuple:
+        queue = self.queue
+        return super()._descriptor_sources() + (
+            queue.name, queue.total_nodes, queue.supports_reservations)
+
+    def _descriptor_attributes(self) -> Dict[str, Any]:
+        attributes = super()._descriptor_attributes()
+        attributes.update({
             "host_kind": "batch",
             "queue_name": self.queue.name,
-            "queue_length": self.queue.queue_length,
-            "queue_free_nodes": self.queue.free_nodes,
+            "queue_length": None,
+            "queue_free_nodes": None,
             "queue_total_nodes": self.queue.total_nodes,
             "queue_supports_reservations":
                 self.queue.supports_reservations,
-        }, now=t)
+        })
+        return attributes
+
+    def _dynamic_attributes(self, load: float) -> Dict[str, Any]:
+        attributes = super()._dynamic_attributes(load)
+        attributes["queue_length"] = self.queue.queue_length
+        attributes["queue_free_nodes"] = self.queue.free_nodes
+        return attributes

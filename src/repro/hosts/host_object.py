@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import (
     InsufficientResourcesError,
@@ -112,6 +112,8 @@ class HostObject(LegionObject):
         self.starts = 0
         self.start_failures = 0
         self.reassessments = 0
+        #: what :meth:`reassess` last wrote the descriptor attributes from
+        self._descriptor_sources_written: tuple = ()
         self.reassess(now=sim.now)
 
     # -- identity / location --------------------------------------------------
@@ -387,12 +389,23 @@ class HostObject(LegionObject):
             self._compatible_vaults.append(vault_loid)
 
     # -- attribute reassessment & push model -----------------------------------
-    def reassess(self, now: Optional[float] = None) -> None:
-        """Repopulate the attribute database from current machine state,
-        poll RGE triggers, and push to known Collections."""
-        now = self.sim.now if now is None else now
+    def _descriptor_sources(self) -> tuple:
+        """What :meth:`_descriptor_attributes` is computed from: plain
+        attributes that the market, tests and examples assign, so
+        ``reassess`` compares them every tick instead of being told."""
+        machine = self.machine
+        return (machine.name, machine.spec, machine.location.domain,
+                self.slots, self.price, self.policy.describe(),
+                tuple(self._compatible_vaults))
+
+    def _descriptor_attributes(self) -> Dict[str, Any]:
+        """Attributes describing the host, not its current state; written
+        only when :meth:`_descriptor_sources` changed.  The dict also
+        fixes the key order of every Collection record: a dynamic
+        attribute is listed as ``None`` where it belongs and filled in
+        from :meth:`_dynamic_attributes`."""
         spec = self.machine.spec
-        self.attributes.update({
+        return {
             "host_name": self.machine.name,
             "host_arch": spec.arch,
             "host_os_name": spec.os_name,
@@ -400,24 +413,46 @@ class HostObject(LegionObject):
             "host_cpus": spec.cpus,
             "host_speed": spec.speed,
             "host_memory_mb": spec.memory_mb,
-            "host_available_memory_mb": self.machine.available_memory_mb,
-            "host_load": round(self.machine.load_average, 4),
+            "host_available_memory_mb": None,
+            "host_load": None,
             "host_domain": self.domain,
             "host_slots": self.slots,
-            "host_slots_free": max(0, self.slots - len(self.placed)),
+            "host_slots_free": None,
             "host_price": self.price,
-            "host_up": self.machine.up,
+            "host_up": None,
             "host_policy": self.policy.describe(),
             "compatible_vaults": [str(v) for v in self._compatible_vaults],
-        }, now=now)
+        }
+
+    def _dynamic_attributes(self, load: float) -> Dict[str, Any]:
+        """Attributes of the host's current state, written every tick
+        (``load``: the machine's load average, read once per tick)."""
+        return {
+            "host_available_memory_mb": self.machine.available_memory_mb,
+            "host_load": round(load, 4),
+            "host_slots_free": max(0, self.slots - len(self.placed)),
+            "host_up": self.machine.up,
+        }
+
+    def reassess(self, now: Optional[float] = None) -> None:
+        """Repopulate the attribute database from current machine state,
+        poll RGE triggers, and push to known Collections — once, after
+        every attribute of this tick is in the database."""
+        now = self.sim.now if now is None else now
+        load = self.machine.load_average
+        attributes = self._dynamic_attributes(load)
+        sources = self._descriptor_sources()
+        if sources != self._descriptor_sources_written:
+            attributes = {**self._descriptor_attributes(), **attributes}
+        self.attributes.update(attributes, now=now)
+        self._descriptor_sources_written = sources
         self.reassessments += 1
         # sweep the reservation ledger so long campaigns don't grow it
         # unboundedly (expired/cancelled entries are dead weight)
         purged = self.reservations.purge(now)
         if purged:
             self.metrics.count("host_reservations_purged_total", purged)
-        self.rge.poll(now, host=str(self.loid),
-                      load=self.machine.load_average)
+        self.rge.poll(now, host=str(self.loid), load=load)
         for push in list(self._push_targets):
             push(self, now)
 

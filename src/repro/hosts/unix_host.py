@@ -10,7 +10,7 @@ a Monitor can subscribe to.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict
 
 from .host_object import HostObject
 
@@ -40,7 +40,7 @@ class UnixHost(HostObject):
             edge_triggered=True,
             min_interval=trigger_min_interval)
 
-    def reassess(self, now: Optional[float] = None) -> None:
-        super().reassess(now=now)
-        self.attributes.set("host_kind", "unix",
-                            now=self.sim.now if now is None else now)
+    def _descriptor_attributes(self) -> Dict[str, Any]:
+        attributes = super()._descriptor_attributes()
+        attributes["host_kind"] = "unix"
+        return attributes

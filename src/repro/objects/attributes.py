@@ -26,6 +26,8 @@ _SCALARS = (str, int, float, bool)
 
 
 def _check_value(name: str, value: Any) -> AttrValue:
+    if not isinstance(name, str) or not name:
+        raise TypeError("attribute names must be non-empty strings")
     if isinstance(value, _SCALARS):
         return value
     if isinstance(value, (list, tuple)):
@@ -49,20 +51,24 @@ class AttributeDatabase:
         self._updated_at: Dict[str, float] = {}
         self._last_update = 0.0
         if initial:
-            for k, v in initial.items():
-                self.set(k, v)
+            self.update(initial)
 
     # -- writes ---------------------------------------------------------------
     def set(self, name: str, value: AttrValue, now: float = 0.0) -> None:
-        if not isinstance(name, str) or not name:
-            raise TypeError("attribute names must be non-empty strings")
         self._attrs[name] = _check_value(name, value)
         self._updated_at[name] = now
         self._last_update = max(self._last_update, now)
 
     def update(self, values: Mapping[str, AttrValue], now: float = 0.0) -> None:
-        for k, v in values.items():
-            self.set(k, v, now=now)
+        """Write several attributes with one timestamp.
+
+        Every name and value is validated before anything is committed,
+        so a bad entry leaves the database as it was."""
+        checked = {name: _check_value(name, value)
+                   for name, value in values.items()}
+        self._attrs.update(checked)
+        self._updated_at.update(dict.fromkeys(checked, now))
+        self._last_update = max(self._last_update, now)
 
     def delete(self, name: str) -> None:
         self._attrs.pop(name, None)
@@ -102,8 +108,11 @@ class AttributeDatabase:
     # -- export ----------------------------------------------------------------
     def snapshot(self) -> Dict[str, AttrValue]:
         """A deep-enough copy safe to ship to a Collection."""
-        return {k: (list(v) if isinstance(v, list) else v)
-                for k, v in self._attrs.items()}
+        out = self._attrs.copy()
+        for name, value in out.items():
+            if isinstance(value, list):
+                out[name] = list(value)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AttributeDatabase({self._attrs!r})"

@@ -147,16 +147,22 @@ class TrafficGenerator:
         lam_max = model.peak_rate
         self._next_toggle = t0 + float(rng.exponential(
             model.mean_burst_every))
+        # Thinned candidates never reach the kernel: their times are
+        # accumulated here (the same floating-point sum the clock would
+        # make) and the process wakes only for an accepted arrival.
+        t = t0
         while True:
             gap = float(rng.exponential(1.0 / lam_max))
-            if self.sim.now + gap >= end:
+            if t + gap >= end:
                 break
-            yield self.sim.timeout(gap)
-            now = self.sim.now
-            self._advance_bursts(now)
-            lam = model.rate(now - t0, self._bursting)
+            t += gap
+            self._advance_bursts(t)
+            lam = model.rate(t - t0, self._bursting)
             if float(rng.random()) >= lam / lam_max:
                 continue  # thinned candidate
+            arrival = self.sim.event("service-arrival")
+            self.sim.schedule_at(t, arrival.succeed)
+            yield arrival
             self.arrivals += 1
             user = f"user-{int(rng.integers(model.users)):07d}"
             priority = self._draw_priority()

@@ -89,6 +89,30 @@ class TestFCFSHost:
         assert host.attributes.get("queue_total_nodes") == 8
         assert host.attributes.get("queue_supports_reservations") is False
 
+    def test_queue_state_is_pushed_in_the_same_reassessment(self, bmeta):
+        """Queue state reaches the Collection with the reassessment that
+        read it, not one interval later (the push used to run before
+        the batch attributes were written)."""
+        host = bmeta.add_batch_host("cluster", "hpc", queue_kind="fcfs",
+                                    nodes=16)
+        app = cluster_class(bmeta, work=5000.0)
+        vault = bmeta.vaults[0].loid
+        for _ in range(13):
+            assert app.create_instance(Placement(host.loid, vault)).ok
+        assert host.queue.free_nodes == 3
+        host.reassess()
+        assert host.attributes.get("queue_free_nodes") == 3
+        record = bmeta.collection.record_of(host.loid)
+        assert record.attributes["queue_free_nodes"] == 3
+        assert record.attributes == host.attributes.snapshot()
+
+    def test_record_key_order(self, bmeta):
+        host = bmeta.add_batch_host("cluster", "hpc", queue_kind="fcfs")
+        record = bmeta.collection.record_of(host.loid)
+        assert list(record.attributes)[-6:] == [
+            "host_kind", "queue_name", "queue_length", "queue_free_nodes",
+            "queue_total_nodes", "queue_supports_reservations"]
+
 
 class TestBackfillHost:
     def test_native_reservation_passthrough(self, bmeta):

@@ -81,6 +81,35 @@ class TestAuth:
         with pytest.raises(AuthenticationError):
             coll.update_entry(loid("h1"), {"x": 1}, cred)
 
+    def test_bad_credentials_rejected_after_many_valid_pushes(self, coll):
+        """The expected MAC is computed once per member; the presented
+        credential is still compared on every update and leave."""
+        from repro.collection.collection import Credential
+        h1, h2 = loid("h1"), loid("h2")
+        cred = coll.join(h1)
+        other = coll.join(h2)
+        for i in range(50):
+            coll.update_entry(h1, {"x": i}, cred)
+        forged = Credential(h1, bytes(32))
+        failures = coll.auth_failures
+        for bad in (None, other, forged):
+            with pytest.raises(AuthenticationError):
+                coll.update_entry(h1, {"x": -1}, bad)
+            with pytest.raises(AuthenticationError):
+                coll.leave(h1, bad)
+        assert coll.auth_failures == failures + 6
+        assert coll.record_of(h1).attributes["x"] == 49
+        assert coll.record_of(h1).update_count == 50
+
+    def test_old_credential_valid_after_leave_and_rejoin(self, coll):
+        h1 = loid("h1")
+        cred = coll.join(h1, {"x": 0})
+        coll.update_entry(h1, {"x": 1}, cred)
+        coll.leave(h1, cred)
+        coll.join(h1)
+        coll.update_entry(h1, {"x": 2}, cred)
+        assert coll.record_of(h1).attributes["x"] == 2
+
     def test_no_auth_mode(self):
         c = Collection(LOID(("d", "svc", "open")), require_auth=False)
         c.join(loid("h1"))

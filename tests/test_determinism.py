@@ -94,6 +94,11 @@ def _run_federated_workload(seed: int):
 SCALE_SNAPSHOT = (
     "85f13c11b6ea02c72dbe29b95637356ee5f9f2ec16b966fc897ae3f32a760c1a")
 
+#: sha256 of the 64-host world's Collection records (see
+#: _world_records_digest)
+WORLD_RECORDS_SNAPSHOT = (
+    "2b92b3136e57e26c7c8b9356ee926a8d23214adccd2256950e8c36cf867f6b42")
+
 
 def _scale_digest() -> str:
     """Digest of one seeded IRS run over a 1000-host testbed.
@@ -237,6 +242,42 @@ class TestObsLevelInvariance:
         off, flat, spans = (outcome_at(level) for level in TRACING_LEVELS)
         assert off == flat
         assert off == spans
+
+
+def _world_records_digest() -> str:
+    """Digest of every Collection record of a 64-host world advanced
+    300 virtual seconds with two probe placements on the way.
+
+    Folds each record's ``(member, attributes, updated_at,
+    update_count)`` — attribute key order included — plus the
+    Collection's ``mutation_version``: everything the reassess → push →
+    ``update_entry`` loop leaves for queries and schedulers to see."""
+    meta = build_testbed(TestbedSpec(
+        n_domains=4, hosts_per_domain=16, platform_mix=3,
+        background_load_mean=0.5, seed=7))
+    app = meta.create_class("world-app",
+                            implementations_for_all_platforms(),
+                            work_units=40.0)
+    sched = meta.make_scheduler("irs")
+    for _ in range(2):
+        meta.advance(150.0)
+        assert sched.run([ObjectClassRequest(app, count=4)]).ok
+    collection = meta.collection
+    rows = []
+    for member in collection.members():
+        record = collection.record_of(member)
+        rows.append(repr((str(member), list(record.attributes.items()),
+                          record.updated_at, record.update_count)))
+    rows.append(str(collection.mutation_version))
+    return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
+
+
+class TestWorldRecordsSnapshot:
+    def test_pinned_digest(self):
+        """Host dynamics may get cheaper; what they leave in the
+        Collection may not change (same digest before and after the
+        one-pass reassessment)."""
+        assert _world_records_digest() == WORLD_RECORDS_SNAPSHOT
 
 
 class TestCrossProcessScaleSnapshot:

@@ -212,6 +212,82 @@ class TestInformationReporting:
         assert host.attributes.get("host_kind") == "unix"
 
 
+#: the key order of a Unix host's Collection record (fixed by the first
+#: write; unchanged since reassessment wrote every attribute every tick)
+UNIX_RECORD_KEYS = [
+    "host_name", "host_arch", "host_os_name", "host_os_version",
+    "host_cpus", "host_speed", "host_memory_mb",
+    "host_available_memory_mb", "host_load", "host_domain", "host_slots",
+    "host_slots_free", "host_price", "host_up", "host_policy",
+    "compatible_vaults", "host_kind"]
+
+
+class TestDescriptorsReachTheCollection:
+    """Descriptor attributes are rewritten only when their sources
+    changed — decided by comparing the sources at each reassessment, so
+    plain assignments from outside need no signal."""
+
+    @staticmethod
+    def pushed(meta, host):
+        host.reassess()
+        record = meta.collection.record_of(host.loid)
+        assert record.attributes == host.attributes.snapshot()
+        assert list(record.attributes) == UNIX_RECORD_KEYS
+        return record.attributes
+
+    def test_price_assignment(self, meta, host):
+        host.price = 0.25
+        assert self.pushed(meta, host)["host_price"] == 0.25
+
+    def test_slots_assignment(self, meta, host):
+        host.slots = 9
+        attrs = self.pushed(meta, host)
+        assert (attrs["host_slots"], attrs["host_slots_free"]) == (9, 9)
+
+    def test_policy_replacement(self, meta, host):
+        host.policy = DomainBlacklist({"evil"})
+        assert self.pushed(meta, host)["host_policy"] == \
+            "DomainBlacklist(['evil'])"
+
+    def test_vault_added_and_removed(self, meta, host):
+        extra = meta.minter.mint("vault", "extra")
+        host.add_compatible_vault(extra)
+        assert str(extra) in self.pushed(meta, host)["compatible_vaults"]
+        host._compatible_vaults.remove(extra)
+        assert str(extra) not in \
+            self.pushed(meta, host)["compatible_vaults"]
+
+    def test_spec_replacement(self, meta, host):
+        host.machine.spec = MachineSpec(arch="x86", os_name="Linux",
+                                        cpus=4)
+        attrs = self.pushed(meta, host)
+        assert (attrs["host_arch"], attrs["host_cpus"]) == ("x86", 4)
+
+    def test_machine_fail_and_recover(self, meta, host):
+        host.machine.fail()
+        assert self.pushed(meta, host)["host_up"] is False
+        host.machine.recover()
+        assert self.pushed(meta, host)["host_up"] is True
+
+    def test_unchanged_descriptors_keep_their_timestamp(self, meta, host):
+        """The documented change of meaning: a descriptor's per-attribute
+        timestamp is when its value last changed; the database's
+        ``last_update`` and the record still advance every tick."""
+        t0 = meta.now
+        meta.advance(meta.reassess_interval * 2 + 1)
+        assert host.attributes.updated_at("host_arch") == t0
+        assert host.attributes.updated_at("host_load") > t0
+        assert host.attributes.last_update > t0
+        assert meta.collection.record_of(host.loid).updated_at > t0
+
+    def test_one_push_per_reassessment(self, meta, host):
+        record = meta.collection.record_of(host.loid)
+        count, version = record.update_count, meta.collection.mutation_version
+        host.reassess()
+        assert record.update_count == count + 1
+        assert meta.collection.mutation_version == version + 1
+
+
 class TestLoadTrigger:
     def test_high_load_fires_event(self, meta):
         host = meta.hosts[0]

@@ -75,6 +75,25 @@ class TestSemanticsMatchScan:
         assert member not in {r.member for r in
                               indexed.query('$host_arch == "sparc"')}
 
+    def test_push_touches_only_changed_attributes(self):
+        """A push that changes only ``host_load`` leaves the member's
+        other buckets alone (a sole-member bucket used to be emptied,
+        deleted and rebuilt on every push)."""
+        indexed = IndexedCollection(LOID(("d", "svc", "indexed")),
+                                    require_auth=False)
+        member = loid("only")
+        indexed.join(member, {"host_arch": "alpha", "host_load": 0.5,
+                              "tags": ["fast"]})
+        arch_bucket = indexed._index["host_arch"][("s", "alpha")]
+        tags_bucket = indexed._index["tags"][("s", "fast")]
+        indexed.update_entry(member, {"host_arch": "alpha",
+                                      "host_load": 1.5, "tags": ["fast"]})
+        assert indexed._index["host_arch"][("s", "alpha")] is arch_bucket
+        assert indexed._index["tags"][("s", "fast")] is tags_bucket
+        assert set(indexed._index["host_load"]) == {("n", 1.5)}
+        assert indexed.query_loids('$host_load == 1.5') == [member]
+        assert indexed.query_loids('$host_load == 0.5') == []
+
     def test_leave_unindexes(self, pair):
         _plain, indexed = pair
         member = loid("h0")

@@ -58,6 +58,36 @@ class TestAttributeDatabase:
         assert "x" not in db
         db.delete("x")  # idempotent
 
+    def test_update_is_atomic(self):
+        db = AttributeDatabase({"a": 0})
+        with pytest.raises(TypeError):
+            db.update({"a": 1, "b": 2, "c": object()}, now=9.0)
+        assert db.snapshot() == {"a": 0}
+        assert db.updated_at("a") == 0.0 and db.last_update == 0.0
+
+    @pytest.mark.parametrize("name,value", [
+        ("", 1), (123, 1),                     # bad names
+        ("nested", [[1, 2]]),                  # nested list
+        ("element", [1, {"a": 1}]),            # non-scalar element
+        ("mapping", {"a": 1}), ("none", None),  # unsupported types
+    ])
+    def test_update_rejects_what_set_rejects(self, name, value):
+        db = AttributeDatabase()
+        with pytest.raises(TypeError) as from_set:
+            db.set(name, value)
+        with pytest.raises(TypeError) as from_update:
+            db.update({"ok": 1, name: value})
+        assert str(from_update.value) == str(from_set.value)
+        assert len(db) == 0
+
+    def test_update_copies_list_values(self):
+        db = AttributeDatabase()
+        vaults = ["v1"]
+        db.update({"vaults": vaults, "as_tuple": ("a", "b")}, now=3.0)
+        vaults.append("v2")
+        assert db["vaults"] == ["v1"] and db["as_tuple"] == ["a", "b"]
+        assert db.updated_at("vaults") == db.last_update == 3.0
+
     def test_timestamps(self):
         db = AttributeDatabase()
         db.set("a", 1, now=5.0)

@@ -27,6 +27,8 @@ from repro.service import (
 )
 from repro.service.gateway import ServiceAdmission
 from repro.service.request import ServiceRequest, TERMINAL_STATES
+from repro.service.traffic import TrafficGenerator
+from repro.sim import RngRegistry, Simulator
 from repro.tools import main
 from repro.workload.testbed import TestbedSpec, build_testbed
 
@@ -316,6 +318,89 @@ class TestTrafficModel:
         peak = model.peak_rate
         for t in (0.0, 60.0, 120.0, 250.0, 86000.0):
             assert model.rate(t, bursting=True) <= peak + 1e-12
+
+
+def reference_arrivals(sim, rng, model, duration, out):
+    """The arrival loop as it was before thinning moved inline: one
+    kernel ``timeout`` per *candidate*.  Kept as the reference the
+    generator's arrival list is compared against."""
+    t0 = sim.now
+    end = t0 + duration
+    lam_max = model.peak_rate
+    bursting = False
+    next_toggle = t0 + float(rng.exponential(model.mean_burst_every))
+    cum, acc = [], 0.0
+    for w in model.priority_weights:
+        acc += w / sum(model.priority_weights)
+        cum.append(acc)
+    while True:
+        gap = float(rng.exponential(1.0 / lam_max))
+        if sim.now + gap >= end:
+            break
+        yield sim.timeout(gap)
+        now = sim.now
+        while model.burst_multiplier > 1.0 and now >= next_toggle:
+            bursting = not bursting
+            next_toggle += float(rng.exponential(
+                model.mean_burst_length if bursting
+                else model.mean_burst_every))
+        if float(rng.random()) >= model.rate(now - t0, bursting) / lam_max:
+            continue
+        user = f"user-{int(rng.integers(model.users)):07d}"
+        u = float(rng.random())
+        priority = next((p for p, c in enumerate(cum) if u < c),
+                        len(cum) - 1)
+        out.append((now, user, priority, bursting))
+
+
+class TestTrafficGenerator:
+    #: bursts every ~40 s for ~20 s and a x6 surge over [100, 200)
+    BUSY = TrafficModel(users=5000, requests_per_user_hour=3.6,
+                        burst_multiplier=3.0, mean_burst_every=40.0,
+                        mean_burst_length=20.0, surge_start=100.0,
+                        surge_length=100.0, surge_multiplier=6.0)
+    #: no bursts, no surge: only the diurnal sinusoid thins
+    CALM = TrafficModel(users=800, requests_per_user_hour=7.2,
+                        burst_multiplier=1.0, day_length=600.0)
+
+    @staticmethod
+    def arrivals(model, seed, duration, reference=False):
+        """``(arrival rows, kernel events)`` of one seeded run, from the
+        generator or from the reference loop."""
+        sim = Simulator()
+        sim.run_until(12.5)
+        rng = RngRegistry(seed).stream("service", "traffic")
+        out = []
+        if reference:
+            sim.process(reference_arrivals(sim, rng, model, duration, out))
+        else:
+            gen = TrafficGenerator(
+                sim, rng, model,
+                lambda user, priority: out.append((sim.now, user, priority)),
+                duration)
+            gen.start()
+        sim.run()
+        return out, sim.events_processed
+
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    def test_same_arrivals_as_the_per_candidate_loop(self, seed):
+        got, events = self.arrivals(self.BUSY, seed, 600.0)
+        want, reference_events = self.arrivals(self.BUSY, seed, 600.0,
+                                               reference=True)
+        assert got == [row[:3] for row in want]  # exact floats included
+        assert len(got) > 200
+        # both multipliers were live at some arrival, together
+        assert any(bursting and 112.5 <= t < 212.5
+                   for t, _u, _p, bursting in want)
+        assert any(not bursting for *_rest, bursting in want)
+        # ... and only accepted arrivals reached the kernel
+        assert events == 2 * len(got) + 1
+        assert reference_events > 5 * events
+
+    def test_same_arrivals_without_bursts_or_surge(self):
+        got, _ = self.arrivals(self.CALM, 3, 900.0)
+        want, _ = self.arrivals(self.CALM, 3, 900.0, reference=True)
+        assert got == [row[:3] for row in want] and len(got) > 100
 
 
 CAMPAIGN_KWARGS = dict(
