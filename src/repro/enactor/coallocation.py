@@ -69,6 +69,13 @@ class CoAllocator:
         outcomes: List[ReservationOutcome] = []
         calls: List[Call] = []
         call_slots: List[int] = []
+        # one kwargs dict and one context for the batch: the callee only
+        # reads them
+        kwargs = dict(rtype=rtype, start_time=start_time,
+                      duration=duration, timeout=timeout,
+                      requester_domain=self.requester_domain,
+                      offered_price=self.offered_price)
+        context = self.transport.spans.current_context()
         for pos, (idx, mapping) in enumerate(indexed_entries):
             outcome = ReservationOutcome(index=idx, mapping=mapping)
             outcomes.append(outcome)
@@ -80,12 +87,8 @@ class CoAllocator:
                 src=self.src, dst=host.location,
                 fn=host.make_reservation,
                 args=(mapping.vault_loid, mapping.class_loid),
-                kwargs=dict(rtype=rtype, start_time=start_time,
-                            duration=duration, timeout=timeout,
-                            requester_domain=self.requester_domain,
-                            offered_price=self.offered_price),
-                label=f"make_reservation[{idx}]",
-                context=self.transport.spans.current_context()))
+                kwargs=kwargs, label=f"make_reservation[{idx}]",
+                context=context))
             call_slots.append(pos)
         self.requests_issued += len(calls)
 
@@ -122,14 +125,14 @@ class CoAllocator:
         simply expire.
         """
         calls: List[Call] = []
+        context = self.transport.spans.current_context()
         for mapping, token in holdings:
             host = self.resolver(mapping.host_loid)
             if host is None:
                 continue
             calls.append(Call(src=self.src, dst=host.location,
                               fn=host.cancel_reservation, args=(token,),
-                              label="cancel_reservation",
-                              context=self.transport.spans.current_context()))
+                              label="cancel_reservation", context=context))
         if not calls:
             return 0
         self.transport.parallel_invoke(calls)

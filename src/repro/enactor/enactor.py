@@ -273,13 +273,14 @@ class Enactor:
         self.stats.reservation_requests += len(indexed)
         self.metrics.count("enactor_reservation_requests_total",
                            len(indexed))
+        cancelled = self._cancelled_targets
         for o in outcomes:
             if o.ok:
                 self.stats.reservations_granted += 1
                 self.metrics.count("enactor_reservations_granted_total")
-                key = (o.mapping.host_loid, o.mapping.vault_loid,
-                       o.mapping.class_loid)
-                if key in self._cancelled_targets:
+                # nothing cancelled yet (the usual case): nothing to hash
+                if cancelled and (o.mapping.host_loid, o.mapping.vault_loid,
+                                  o.mapping.class_loid) in cancelled:
                     self.stats.thrash_count += 1
                     self.metrics.count("enactor_thrash_total")
         return outcomes

@@ -307,6 +307,7 @@ class HostObject(LegionObject):
                 and not reservation_token.rtype.reuse
                 and len(instances) > 1):
             self.start_failures += 1
+            self.metrics.count("host_starts_total", ok="false")
             return StartResult(
                 False, reason="one-shot token cannot start multiple objects")
         started: List[LOID] = []

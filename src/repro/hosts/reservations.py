@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..errors import InvalidReservationError, ReservationDeniedError
@@ -60,12 +60,13 @@ class ReservationType:
 
     share: bool
     reuse: bool
+    #: "one-shot space" ... "reusable timesharing", fixed by the two bits
+    name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def name(self) -> str:
+    def __post_init__(self) -> None:
         kind = "timesharing" if self.share else "space"
         shot = "reusable" if self.reuse else "one-shot"
-        return f"{shot} {kind}"
+        object.__setattr__(self, "name", f"{shot} {kind}")
 
     def __str__(self) -> str:
         return self.name
@@ -108,7 +109,10 @@ class ReservationToken:
 
     def signed(self, secret: bytes) -> "ReservationToken":
         sig = hmac.new(secret, self.payload(), hashlib.sha256).digest()
-        return replace(self, signature=sig)
+        return ReservationToken(
+            self.token_id, self.host_loid, self.vault_loid, self.class_loid,
+            self.rtype, self.start_time, self.duration, self.timeout,
+            self.issued_at, sig)
 
     def verify(self, secret: bytes) -> bool:
         expected = hmac.new(secret, self.payload(), hashlib.sha256).digest()
@@ -125,21 +129,24 @@ class ReservationToken:
 
 
 class _Entry:
-    __slots__ = ("token", "cancelled", "redeemed", "confirmed")
+    __slots__ = ("token", "cancelled", "redeemed", "confirmed",
+                 "start", "end", "deadline")
 
     def __init__(self, token: ReservationToken):
         self.token = token
         self.cancelled = False
         self.redeemed = 0      # number of StartObject presentations
         self.confirmed = False
+        # the token is frozen, so its interval and its confirmation
+        # deadline (inf: none to meet) are fixed here once
+        self.start, self.end = token.window()
+        self.deadline = (token.issued_at + token.timeout
+                         if token.instantaneous and token.timeout > 0
+                         else float("inf"))
 
     def expired(self, now: float) -> bool:
-        tok = self.token
-        if tok.instantaneous and not self.confirmed and tok.timeout > 0:
-            if now > tok.issued_at + tok.timeout:
-                return True
-        start, end = tok.window()
-        return now > end
+        return now > self.end or (now > self.deadline
+                                  and not self.confirmed)
 
 
 class ReservationTable:
@@ -171,14 +178,11 @@ class ReservationTable:
         return [e for e in self._entries.values()
                 if not e.cancelled and not e.expired(now)]
 
-    @staticmethod
-    def _overlaps(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
-        return a[0] < b[1] and b[0] < a[1]
-
     def _admissible(self, tok: ReservationToken, now: float) -> bool:
-        window = tok.window()
-        overlapping = [e for e in self._live_entries(now)
-                       if self._overlaps(window, e.token.window())]
+        start, end = tok.window()
+        overlapping = [e for e in self._entries.values()
+                       if start < e.end and e.start < end
+                       and not e.cancelled and not e.expired(now)]
         if not tok.rtype.share:
             return not overlapping
         if any(not e.token.rtype.share for e in overlapping):
@@ -198,10 +202,8 @@ class ReservationTable:
             raise ReservationDeniedError(
                 f"start_time {start_time} is in the past (now={now})")
         probe = ReservationToken(
-            token_id=next(self._ids), host_loid=self.host_loid,
-            vault_loid=vault_loid, class_loid=class_loid, rtype=rtype,
-            start_time=start_time, duration=duration, timeout=timeout,
-            issued_at=now)
+            next(self._ids), self.host_loid, vault_loid, class_loid, rtype,
+            start_time, duration, timeout, now)
         if not self._admissible(probe, now):
             self.denials += 1
             raise ReservationDeniedError(
@@ -225,8 +227,7 @@ class ReservationTable:
             return False
         if not token.rtype.reuse and entry.redeemed > 0:
             return False
-        start, end = token.window()
-        if not token.instantaneous and now < start:
+        if not token.instantaneous and now < token.start_time:
             return False  # too early to redeem a future reservation
         return True
 
@@ -237,9 +238,7 @@ class ReservationTable:
         entry = self._entries.get(token.token_id)
         if entry is None or entry.cancelled or entry.confirmed:
             return False
-        tok = entry.token
-        return (tok.instantaneous and tok.timeout > 0
-                and now > tok.issued_at + tok.timeout)
+        return now > entry.deadline
 
     def redeem(self, token: ReservationToken, now: float) -> None:
         """Consume the token for one StartObject (implicit confirmation)."""
@@ -267,7 +266,7 @@ class ReservationTable:
     def active_at(self, t: float, now: float) -> int:
         """Live reservations whose window covers instant ``t``."""
         return sum(1 for e in self._live_entries(now)
-                   if e.token.window()[0] <= t < e.token.window()[1])
+                   if e.start <= t < e.end)
 
     def pending_count(self, now: float) -> int:
         """Live grants not yet presented to any StartObject call.

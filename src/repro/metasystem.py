@@ -116,13 +116,13 @@ class Metasystem:
         if tracing == "off":
             self.tracer: Tracer = NullTracer()
         else:
-            self.tracer = Tracer(lambda: self.sim.now,
+            self.tracer = Tracer(self.sim.clock,
                                  max_records=trace_max_records)
         if tracing == "spans":
-            self.spans: SpanTracer = SpanTracer(lambda: self.sim.now)
+            self.spans: SpanTracer = SpanTracer(self.sim.clock)
         else:
             self.spans = NullSpanTracer()
-        self.metrics = MetricsRegistry(clock=lambda: self.sim.now)
+        self.metrics = MetricsRegistry(clock=self.sim.clock)
         self.metrics.gauge_fn("sim_events_processed",
                               lambda: self.sim.events_processed,
                               help="kernel actions dispatched so far")

@@ -30,20 +30,30 @@ _FIELD_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _PREFIX = "loid:"
 
 
+def _checked(fields: Iterable[str]) -> Tuple[str, ...]:
+    """``fields`` as a tuple of strings, each a valid LOID field."""
+    fields = tuple(str(f) for f in fields)
+    for f in fields:
+        if not _FIELD_RE.match(f):
+            raise InvalidLOIDError(f"invalid LOID field {f!r}")
+    return fields
+
+
 class LOID:
     """An immutable, hashable Legion Object Identifier."""
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_fields", "_hash", "_text")
 
     def __init__(self, fields: Iterable[str]):
-        fields = tuple(str(f) for f in fields)
+        fields = _checked(fields)
         if not fields:
             raise InvalidLOIDError("LOID requires at least one field")
-        for f in fields:
-            if not _FIELD_RE.match(f):
-                raise InvalidLOIDError(f"invalid LOID field {f!r}")
+        self._set(fields)
+
+    def _set(self, fields: Tuple[str, ...]) -> None:
         self._fields = fields
         self._hash = hash(fields)
+        self._text = None  # filled by the first str()
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -73,8 +83,12 @@ class LOID:
         return self._fields[1] if len(self._fields) > 1 else ""
 
     def child(self, *extra: str) -> "LOID":
-        """A LOID extending this one — e.g. an instance under its class."""
-        return LOID(self._fields + tuple(extra))
+        """A LOID extending this one — e.g. an instance under its class.
+
+        Only ``extra`` is validated: the inherited fields already were."""
+        loid = LOID.__new__(LOID)
+        loid._set(self._fields + _checked(extra))
+        return loid
 
     def is_descendant_of(self, other: "LOID") -> bool:
         """True if ``other`` is a proper prefix of this LOID."""
@@ -94,7 +108,10 @@ class LOID:
 
     # -- protocol ------------------------------------------------------------
     def __str__(self) -> str:
-        return _PREFIX + ".".join(self._fields)
+        text = self._text
+        if text is None:
+            text = self._text = _PREFIX + ".".join(self._fields)
+        return text
 
     def __repr__(self) -> str:
         return f"LOID({str(self)!r})"

@@ -14,7 +14,7 @@ properties of that setting matter to the RMI and are modeled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import NetworkError
@@ -28,9 +28,13 @@ class NetLocation:
 
     domain: str
     node_id: str
+    _text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", f"{self.domain}/{self.node_id}")
 
     def __str__(self) -> str:
-        return f"{self.domain}/{self.node_id}"
+        return self._text
 
 
 @dataclass
@@ -87,7 +91,7 @@ class Topology:
         return [NetLocation(domain, n) for n in sorted(self._nodes[domain])]
 
     def has_node(self, loc: NetLocation) -> bool:
-        return loc.node_id in self._nodes.get(loc.domain, set())
+        return loc.node_id in self._nodes.get(loc.domain, ())
 
     def domain_distance(self, a: str, b: str) -> float:
         """Abstract distance between two domains (0.0 within a domain)."""

@@ -221,10 +221,11 @@ class Transport:
             breakers.check(dst)
         t0 = self.sim.now
         name = label or getattr(fn, "__name__", "call")
+        src_text, dst_text = str(src), str(dst)
         callee_error: Optional[Exception] = None
         try:
-            with self.spans.span_if_active(f"rpc:{name}", src=str(src),
-                                           dst=str(dst)):
+            with self.spans.span_if_active(f"rpc:{name}", src=src_text,
+                                           dst=dst_text):
                 self._one_way(src, dst, name)
                 try:
                     result = fn(*args, **kwargs)
@@ -249,11 +250,10 @@ class Transport:
             raise
         if breakers is not None:
             breakers.record_success(dst)
-        self.tracer.emit("net", "invoke",
-                         src=str(src), dst=str(dst), label=name,
-                         rtt=self.sim.now - t0)
-        self.metrics.observe("transport_invoke_rtt_seconds",
-                             self.sim.now - t0)
+        rtt = self.sim.now - t0
+        self.tracer.emit("net", "invoke", src=src_text, dst=dst_text,
+                         label=name, rtt=rtt)
+        self.metrics.observe("transport_invoke_rtt_seconds", rtt)
         return result
 
     def transfer(self, src: Optional[NetLocation], dst: NetLocation,
@@ -278,6 +278,20 @@ class Transport:
         return elapsed
 
     # -- parallel calls ------------------------------------------------------
+    def _rpc_span(self, call: Call):
+        """The ``rpc:`` span of one call of a parallel batch."""
+        name = call.label or getattr(call.fn, "__name__", "call")
+        return self.spans.span_if_active(f"rpc:{name}", src=str(call.src),
+                                         dst=str(call.dst))
+
+    def _failed_span(self, call: Call, caller_ctx: Optional[TraceContext],
+                     error: Exception) -> None:
+        """A zero-length error span for a call that never executed."""
+        with self.spans.activate(call.context or caller_ctx):
+            with self._rpc_span(call) as sp:
+                sp.set_status("error")
+                sp.set_attribute("error", f"{type(error).__name__}: {error}")
+
     def parallel_invoke(self, calls: Sequence[Call]) -> List[CallOutcome]:
         """Issue several calls concurrently; finish at the slowest one.
 
@@ -293,21 +307,9 @@ class Transport:
         # The caller's context backs any call that carries none of its own.
         caller_ctx = self.spans.current_context()
 
-        def _call_name(call: Call) -> str:
-            return call.label or getattr(call.fn, "__name__", "call")
-
-        def _failed_span(call: Call, error: Exception) -> None:
-            """A zero-length error span for a call that never executed."""
-            with self.spans.activate(call.context or caller_ctx):
-                with self.spans.span_if_active(
-                        f"rpc:{_call_name(call)}", src=str(call.src),
-                        dst=str(call.dst)) as sp:
-                    sp.set_status("error")
-                    sp.set_attribute(
-                        "error", f"{type(error).__name__}: {error}")
-
         # Sample all request latencies up front, execute in arrival order.
         breakers = self.breakers
+        p = self.effective_loss_probability()  # nothing below changes it
         arrivals: List[Tuple[float, int]] = []
         for i, call in enumerate(calls):
             if breakers is not None and not breakers.allow(call.dst):
@@ -315,18 +317,17 @@ class Transport:
                     f"circuit open for {call.dst}")
                 outcomes[i] = CallOutcome(False, error=err,
                                           completed_at=start)
-                _failed_span(call, err)
+                self._failed_span(call, caller_ctx, err)
                 continue
             if not self.topology.reachable(call.src, call.dst):
                 err = HostUnreachableError(
                     f"{call.src} -> {call.dst}")
                 outcomes[i] = CallOutcome(False, error=err,
                                           completed_at=start)
-                _failed_span(call, err)
+                self._failed_span(call, caller_ctx, err)
                 if breakers is not None:
                     breakers.record_failure(call.dst)
                 continue
-            p = self.effective_loss_probability()
             lost = p > 0.0 and self._loss_rng.random() < p
             self._count_message(lost=lost)
             if lost:
@@ -335,7 +336,7 @@ class Transport:
                 outcomes[i] = CallOutcome(
                     False, error=err,
                     completed_at=start + self.loss_timeout_factor * lat)
-                _failed_span(call, err)
+                self._failed_span(call, caller_ctx, err)
                 if breakers is not None:
                     breakers.record_failure(call.dst)
                 continue
@@ -348,9 +349,7 @@ class Transport:
             call = calls[i]
             self.sim.run_until(arrive_at)
             with self.spans.activate(call.context or caller_ctx):
-                with self.spans.span_if_active(
-                        f"rpc:{_call_name(call)}", src=str(call.src),
-                        dst=str(call.dst)) as sp:
+                with self._rpc_span(call) as sp:
                     try:
                         value = call.fn(*call.args, **call.kwargs)
                         ok, err2 = True, None

@@ -51,7 +51,7 @@ class LegionObject:
         self.loid = loid
         self.class_loid = class_loid if class_loid is not None else loid
         self.attributes = AttributeDatabase()
-        self.rge = TriggerEngine(self)
+        self._rge: Optional[TriggerEngine] = None
         self.state = ObjectState.ACTIVE
         # placement bookkeeping, maintained by Class objects / the Enactor
         self.host_loid: Optional[LOID] = None
@@ -61,6 +61,15 @@ class LegionObject:
         self._opr_version = 0
         self.activation_count = 1
         self.migration_count = 0
+
+    @property
+    def rge(self) -> TriggerEngine:
+        """The object's trigger engine, made on first use: most placed
+        instances never define a trigger."""
+        engine = self._rge
+        if engine is None:
+            engine = self._rge = TriggerEngine(self)
+        return engine
 
     # -- state persistence hooks --------------------------------------------
     def save_state(self) -> Dict[str, Any]:

@@ -165,9 +165,9 @@ class ClassObject(LegionObject):
         # host's platform?  (The Host re-checks policy and resources itself.)
         arch = host.attributes.get("host_arch", "")
         os_name = host.attributes.get("host_os_name", "")
-        if placement.implementation is not None:
+        impl = placement.implementation
+        if impl is not None:
             # a pinned implementation must be ours and must fit the host
-            impl = placement.implementation
             if impl not in self._implementations:
                 self.create_failures += 1
                 return CreateResult(
@@ -180,17 +180,18 @@ class ClassObject(LegionObject):
                     False, reason=f"pinned implementation {impl.arch}/"
                                   f"{impl.os_name} does not match host "
                                   f"platform ({arch}, {os_name})")
-        elif not self.supports_platform(arch, os_name):
-            self.create_failures += 1
-            return CreateResult(
-                False, reason=f"no implementation for ({arch}, {os_name})")
+        else:
+            # the Class's default choice: the first matching binary
+            try:
+                impl = self.implementation_for(arch, os_name)
+            except NoImplementationError:
+                self.create_failures += 1
+                return CreateResult(
+                    False,
+                    reason=f"no implementation for ({arch}, {os_name})")
 
         loid = self._minter.mint_instance(self.loid)
         instance = self._instance_factory(loid, self.loid)
-        impl = placement.implementation
-        if impl is None:
-            # the Class's default choice: the first matching binary
-            impl = self.implementation_for(arch, os_name)
         if impl.relative_speed != 1.0:
             instance.attributes.set("impl_speedup", impl.relative_speed)
         instance.host_loid = placement.host_loid

@@ -301,7 +301,7 @@ class SpanTracer:
         """
         if not self._stack:
             return _NULL_SCOPE
-        return self.span(name, **attributes)
+        return _SpanScope(self, name, attributes)
 
     def record_span(self, name: str, start: float, end: float,
                     status: str = "ok", **attributes: Any) -> Span:

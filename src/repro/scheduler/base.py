@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,6 +120,10 @@ class Scheduler:
         #: the paper's uncached lookup-economy baseline
         self.viable_cache = viable_cache
         self._viable_cache: dict = {}
+        #: class LOID -> (implementations, the query text built from them)
+        self._class_queries: dict = {}
+        #: vault text -> parsed LOID, for the cache entries' vault lists
+        self._vault_loids: Dict[str, LOID] = {}
         self.viable_cache_hits = 0
         self.viable_cache_misses = 0
 
@@ -154,7 +158,22 @@ class Scheduler:
         DOWN are dropped here as well as at the Collection — a
         belt-and-braces filter for results that arrive through a stale
         federation query cache."""
-        query = implementation_query(class_obj.get_implementations())
+        return self.viable_hosts_and_vaults(class_obj, extra_query)[0]
+
+    def viable_hosts_and_vaults(
+            self, class_obj: ClassObject, extra_query: str = ""
+    ) -> Tuple[List[CollectionRecord], Optional[List[List[LOID]]]]:
+        """:meth:`viable_hosts` plus the parsed-vault view of a cached
+        lookup: ``vaults[i]`` is :meth:`compatible_vaults_of` of
+        ``records[i]``, parsed when the cache entry was stored and shared
+        by every hit on it (read it, do not change it).  ``vaults`` is
+        None for an uncached lookup — parse the records you use."""
+        implementations = class_obj.get_implementations()
+        memo = self._class_queries.get(class_obj.loid)
+        if memo is None or memo[0] != implementations:
+            memo = self._class_queries[class_obj.loid] = (
+                implementations, implementation_query(implementations))
+        query = memo[1]
         if extra_query:
             query = f"({query}) and ({extra_query})"
         token = None
@@ -165,26 +184,38 @@ class Scheduler:
                 entry = self._viable_cache.get(query)
                 if entry is not None and entry[0] == token:
                     self.viable_cache_hits += 1
-                    return list(entry[1])
+                    return list(entry[1]), entry[2]
         results = [r for r in self.query_collection(query)
                    if r.get("host_health") != "down"]
-        if token is not None:
-            self._viable_cache[query] = (token, results)
-            self.viable_cache_misses += 1
-            return list(results)
-        return results
+        if token is None:
+            return results, None
+        vaults = [self._vaults_of(r, self._vault_loid) for r in results]
+        self._viable_cache[query] = (token, results, vaults)
+        self.viable_cache_misses += 1
+        return list(results), vaults
+
+    def _vault_loid(self, text: str) -> LOID:
+        """``LOID.parse(text)``, parsed once per distinct vault text."""
+        loid = self._vault_loids.get(text)
+        if loid is None:
+            loid = self._vault_loids[text] = LOID.parse(text)
+        return loid
 
     @staticmethod
     def compatible_vaults_of(record: CollectionRecord) -> List[LOID]:
         """Extract the host's compatible-vault list from its Collection
         record ("extract list of compatible vaults from H", Fig. 7)."""
+        return Scheduler._vaults_of(record, LOID.parse)
+
+    @staticmethod
+    def _vaults_of(record: CollectionRecord, parse) -> List[LOID]:
         raw = record.get("compatible_vaults", [])
         if not isinstance(raw, list):
             raw = [raw]
         vaults: List[LOID] = []
         for item in raw:
             try:
-                vaults.append(LOID.parse(str(item)))
+                vaults.append(parse(str(item)))
             except InvalidLOIDError:
                 continue
         return vaults

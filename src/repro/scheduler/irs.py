@@ -49,13 +49,18 @@ class IRSScheduler(Scheduler):
         self.sched_try_limit = sched_try_limit
         self.enact_try_limit = enact_try_limit
 
-    def _random_pair(self, records) -> Tuple[LOID, LOID]:
-        record = records[self.rng.integers(0, len(records))]
-        vaults = self.compatible_vaults_of(record)
+    def _random_pair(self, records, parsed_vaults=None) -> Tuple[LOID, LOID]:
+        i = self.rng.integers(0, len(records))
+        record = records[i]
+        vaults = (parsed_vaults[i] if parsed_vaults is not None
+                  else self.compatible_vaults_of(record))
         if not vaults:
             raise SchedulingError(
                 f"host {record.member} advertises no compatible vaults")
-        vault = vaults[self.rng.integers(0, len(vaults))]
+        # a draw from one choice returns it without consuming random bits
+        # (tests/test_schedulers.py pins that), so it is not made
+        vault = (vaults[0] if len(vaults) == 1
+                 else vaults[self.rng.integers(0, len(vaults))])
         return self.host_loid_of(record), vault
 
     def compute_schedule(self, requests: Sequence[ObjectClassRequest]
@@ -67,17 +72,17 @@ class IRSScheduler(Scheduler):
         for request in requests:                    # for each ObjectClass O
             class_obj = request.class_obj
             # one Collection lookup per class, reused for all n candidates
-            records = self.viable_hosts(class_obj)
+            records, parsed_vaults = self.viable_hosts_and_vaults(class_obj)
             if not records:
                 raise SchedulingError(
                     f"no viable hosts for class {class_obj.name!r}")
             for _i in range(request.count):         # for i := 1 to k
                 candidates: List[ScheduleMapping] = []
                 for _l in range(n):                 # for l := 1 to n
-                    host, vault = self._random_pair(records)
-                    candidates.append(ScheduleMapping(
-                        class_loid=class_obj.loid, host_loid=host,
-                        vault_loid=vault))
+                    host, vault = self._random_pair(records,
+                                                    parsed_vaults)
+                    candidates.append(
+                        ScheduleMapping(class_obj.loid, host, vault))
                 instance_lists.append(candidates)
 
         # master schedule = first item from each object instance list

@@ -304,6 +304,11 @@ class Simulator:
         """Current virtual time."""
         return self._now
 
+    def clock(self) -> float:
+        """:attr:`now` as a callable: ``sim.clock`` is the clock argument
+        tracers and registries take."""
+        return self._now
+
     @property
     def queue_depth(self) -> int:
         """Number of actions currently scheduled on the event heap."""

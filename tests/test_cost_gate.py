@@ -1,12 +1,16 @@
 """Deterministic cost gate (ROADMAP item 1a).
 
-Two counts of model-free work — work the simulator does that no
-modelled quantity depends on — pinned under stated ceilings.  Both
-repeat exactly for a given seed, so the gate cannot flake; it exists so
-that kernel traffic for discarded arrival candidates, or per-tick
-rewrites of attributes that did not change, cannot creep back
-unnoticed.
+Counts of model-free work — work the simulator does that no modelled
+quantity depends on — pinned under stated ceilings.  All repeat exactly
+for a given seed, so the gate cannot flake; it exists so that kernel
+traffic for discarded arrival candidates, per-tick rewrites of
+attributes that did not change, or constant work redone on every
+placement cannot creep back unnoticed.
 """
+
+import dataclasses
+import sys
+import types
 
 from repro.campaign import standard_world
 from repro.objects import AttributeDatabase
@@ -62,3 +66,105 @@ def test_attribute_writes_per_reassessment():
     writes = sum(h.attributes.writes for h in meta.hosts)
     assert reassessments == 64 * 10
     assert writes / reassessments <= WRITES_PER_REASSESSMENT_CEILING
+
+
+# -- what one placement costs (ROADMAP items 1 and 9) -----------------------
+#
+# Per-placement ceilings over a 200-placement IRS run on the benchmark's
+# ``place_closed`` world (4 x 16 hosts, 4 instances per request, seed 7).
+# The first four guard the protocol's irreducible traffic against creep
+# (17.3 messages, 23.5 spans, 39.6 metric ops and 11.4 kernel events per
+# placement over a full 1000-placement round; 16.9 / 23.1 / 38.5 / 10.9
+# over these 200); CI's perf-bench-smoke job imports them to gate the
+# traced rep.  The last three pin constant work that used to be redone
+# per placement: re-parsing the vault strings of every drawn record (16
+# ``LOID.parse``, now 0.02), re-deriving reservation windows on every
+# table scan (50.4 ``window()`` calls, now 8.5) and ``dataclasses.replace``
+# per signed token (4.2, now none).
+MESSAGES_PER_PLACEMENT_CEILING = 18.0
+SPANS_PER_PLACEMENT_CEILING = 24.0
+METRIC_OPS_PER_PLACEMENT_CEILING = 40.0
+EVENTS_PER_PLACEMENT_CEILING = 12.0
+LOID_PARSES_PER_PLACEMENT_CEILING = 0.5
+WINDOW_CALLS_PER_PLACEMENT_CEILING = 16.0
+REPLACE_CALLS_PER_PLACEMENT_CEILING = 0.0
+
+
+class _Calls:
+    """Counts calls of ``owner.name`` while ``monkeypatch`` holds the
+    wrapper in place (a classmethod stays one).  A module-level function
+    is also replaced in every loaded ``repro`` module that imported it by
+    name, so ``from dataclasses import replace`` cannot dodge the count."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.n = 0
+        raw = owner.__dict__[name]
+        inner = raw.__func__ if isinstance(raw, classmethod) else raw
+
+        def counted(*args, **kwargs):
+            self.n += 1
+            return inner(*args, **kwargs)
+
+        if isinstance(raw, classmethod):
+            counted = classmethod(counted)
+        holders = [owner]
+        if isinstance(owner, types.ModuleType):
+            holders += [m for n, m in list(sys.modules.items())
+                        if n.startswith("repro.")
+                        and m.__dict__.get(name) is raw]
+        for holder in holders:
+            monkeypatch.setattr(holder, name, counted)
+
+
+def test_placement_path_costs(monkeypatch):
+    from repro.hosts.reservations import ReservationToken
+    from repro.naming.loid import LOID
+    from repro.obs.registry import MetricsRegistry
+    from repro.scheduler.base import ObjectClassRequest
+    from repro.workload.testbed import implementations_for_all_platforms
+
+    meta = build_testbed(TestbedSpec(
+        seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
+        background_load_mean=0.3))
+    app = meta.create_class("bench-app",
+                            implementations_for_all_platforms(),
+                            work_units=5.0)
+    scheduler = meta.make_scheduler("irs")
+    request = [ObjectClassRequest(app, count=4)]
+
+    parses = _Calls(monkeypatch, LOID, "parse")
+    windows = _Calls(monkeypatch, ReservationToken, "window")
+    replaces = _Calls(monkeypatch, dataclasses, "replace")
+    metric_ops = [_Calls(monkeypatch, MetricsRegistry, name)
+                  for name in ("count", "observe", "set_gauge")]
+    events = meta.sim.events_processed
+    messages = meta.transport.messages_sent
+    spans = len(meta.spans)
+
+    placements = 200
+    for _ in range(placements):
+        assert scheduler.run(request, reservation_duration=30.0).ok
+        meta.advance(0.5)
+
+    measured = {
+        "messages": meta.transport.messages_sent - messages,
+        "spans": len(meta.spans) - spans,
+        "metric ops": sum(c.n for c in metric_ops),
+        "kernel events": meta.sim.events_processed - events,
+        "LOID.parse": parses.n,
+        "ReservationToken.window": windows.n,
+        "dataclasses.replace": replaces.n,
+    }
+    ceilings = {
+        "messages": MESSAGES_PER_PLACEMENT_CEILING,
+        "spans": SPANS_PER_PLACEMENT_CEILING,
+        "metric ops": METRIC_OPS_PER_PLACEMENT_CEILING,
+        "kernel events": EVENTS_PER_PLACEMENT_CEILING,
+        "LOID.parse": LOID_PARSES_PER_PLACEMENT_CEILING,
+        "ReservationToken.window": WINDOW_CALLS_PER_PLACEMENT_CEILING,
+        "dataclasses.replace": REPLACE_CALLS_PER_PLACEMENT_CEILING,
+    }
+    over = {name: (n / placements, ceilings[name])
+            for name, n in measured.items()
+            if n / placements > ceilings[name]}
+    assert not over, f"per placement (measured, ceiling): {over}"

@@ -99,6 +99,11 @@ SCALE_SNAPSHOT = (
 WORLD_RECORDS_SNAPSHOT = (
     "2b92b3136e57e26c7c8b9356ee926a8d23214adccd2256950e8c36cf867f6b42")
 
+#: sha256 of one 100-placement round shaped like the benchmark's
+#: ``place_closed`` workload (see _placement_round_digest)
+PLACEMENT_ROUND_SNAPSHOT = (
+    "8d9eb4dc6d296f5d08015070dfaf1c9a0a9a5c3099f87c8824fff9df54b4dcb6")
+
 
 def _scale_digest() -> str:
     """Digest of one seeded IRS run over a 1000-host testbed.
@@ -278,6 +283,54 @@ class TestWorldRecordsSnapshot:
         Collection may not change (same digest before and after the
         one-pass reassessment)."""
         assert _world_records_digest() == WORLD_RECORDS_SNAPSHOT
+
+
+def _placement_round_digest() -> str:
+    """Digest of the outcome of one closed-loop round of 100 IRS
+    placements on the ``place_closed`` world (4 x 16 hosts, 4 instances
+    per request, 30 s reservations, 0.5 s between requests; seed 7).
+
+    The same fields the benchmark folds into its ``sim_digest`` — ops,
+    successes, instances, virtual seconds, kernel events, messages and
+    every placement latency — so tier-1, not only the benchmark, fails
+    when a change to the reserve → enact path moves an RNG draw, a
+    message or a kernel event."""
+    meta = build_testbed(TestbedSpec(
+        seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
+        background_load_mean=0.3))
+    app = meta.create_class("bench-app",
+                            implementations_for_all_platforms(),
+                            work_units=5.0)
+    sched = meta.make_scheduler("irs")
+    v0, e0 = meta.now, meta.sim.events_processed
+    m0 = meta.transport.messages_sent
+    ok = instances = 0
+    latencies = []
+    for _ in range(100):
+        outcome = sched.run([ObjectClassRequest(app, count=4)],
+                            reservation_duration=30.0)
+        latencies.append(outcome.elapsed)
+        ok += outcome.ok
+        instances += len(outcome.created)
+        meta.advance(0.5)
+    outcome = {
+        "ops": 100, "ok": ok, "instances": instances,
+        "virtual_s": meta.now - v0,
+        "events": meta.sim.events_processed - e0,
+        "messages": meta.transport.messages_sent - m0,
+        "latency": hashlib.sha256(
+            repr(latencies).encode("utf-8")).hexdigest(),
+    }
+    return hashlib.sha256(
+        repr(sorted(outcome.items())).encode("utf-8")).hexdigest()
+
+
+class TestPlacementRoundSnapshot:
+    def test_pinned_digest(self):
+        """The 13 steps may get cheaper; their draws, messages, events
+        and latencies may not change (same digest before and after the
+        constant work was hoisted off the path)."""
+        assert _placement_round_digest() == PLACEMENT_ROUND_SNAPSHOT
 
 
 class TestCrossProcessScaleSnapshot:

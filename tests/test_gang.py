@@ -59,6 +59,22 @@ class TestGangCreation:
         assert "one-shot" in result.reason
         assert len(app.instances) == 0
 
+    def test_one_shot_refusal_counts_attribute_and_metric(self, smp):
+        """Every start failure bumps ``start_failures`` *and*
+        ``host_starts_total{ok="false"}``; the one-shot refusal of a
+        multi-object start used to bump only the attribute."""
+        meta, app = smp
+        host, vault = meta.hosts[0], meta.vaults[0]
+        tok = host.make_reservation(vault.loid, app.loid,
+                                    rtype=ONE_SHOT_TIME)
+        result = app.create_instances(
+            Placement(host.loid, vault.loid, reservation_token=tok), 2)
+        assert not result.ok
+        counter = meta.metrics.get("host_starts_total")
+        counted = (counter.labels(ok="false").value
+                   if counter is not None else 0)
+        assert counted == host.start_failures == 1
+
     def test_count_one_delegates_to_single(self, smp):
         meta, app = smp
         host, vault = meta.hosts[0], meta.vaults[0]

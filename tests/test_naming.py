@@ -78,6 +78,47 @@ class TestLOID:
         assert LOID.parse(str(loid)).fields == tuple(fields)
 
 
+    @given(st.lists(field_st, min_size=1, max_size=5), field_st)
+    @settings(max_examples=100, deadline=None)
+    def test_property_memoised_text_is_the_join(self, fields, extra):
+        loid = LOID(fields)
+        text = "loid:" + ".".join(fields)
+        assert str(loid) == text
+        assert str(loid) == text          # second read: the memo
+        assert repr(loid) == f"LOID({text!r})"
+        # a child never inherits its parent's memo, filled or not
+        kid = loid.child(extra)
+        assert str(kid) == text + "." + extra
+        assert str(LOID(fields).child(extra)) == text + "." + extra
+        assert LOID.parse(str(kid)) == kid
+        assert kid.class_loid() == loid and str(kid.class_loid()) == text
+
+    @given(st.lists(field_st, min_size=1, max_size=4),
+           st.lists(st.one_of(field_st, st.text(max_size=6), st.integers()),
+                    max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_property_child_rejects_what_the_constructor_rejects(
+            self, fields, extra):
+        parent = LOID(fields)
+        try:
+            built = LOID(tuple(fields) + tuple(extra))
+        except InvalidLOIDError:
+            with pytest.raises(InvalidLOIDError):
+                parent.child(*extra)
+            return
+        kid = parent.child(*extra)
+        assert kid == built and hash(kid) == hash(built)
+        assert kid.fields == built.fields and str(kid) == str(built)
+
+    @pytest.mark.parametrize("bad", ["", "has space", "dot.dot", "semi;",
+                                     "slash/", "new\nline"])
+    def test_child_validates_the_fields_it_adds(self, bad):
+        with pytest.raises(InvalidLOIDError):
+            LOID(("d", "class", "C")).child(bad)
+        with pytest.raises(InvalidLOIDError):
+            LOID(("d", "class", "C")).child("ok", bad)
+
+
 class TestMinter:
     def test_mint_named(self):
         m = LOIDMinter("legion")

@@ -1,12 +1,17 @@
 """Cross-cutting property-based tests on core invariants."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.hosts import MachineSpec, SimJob, SimMachine
+from repro.errors import InvalidReservationError
+from repro.hosts import (ALL_TYPES, REUSABLE_TIME, MachineSpec,
+                         ReservationTable, SimJob, SimMachine)
+from repro.hosts.reservations import INSTANTANEOUS
+from repro.naming import LOID
 from repro.net import AdministrativeDomain, NetLocation, Topology
 from repro.queues import BackfillQueue, FCFSQueue, JobState, QueueJob
 from repro.sim import RngRegistry, Simulator
@@ -195,3 +200,80 @@ class TestTransportDeterminism:
             return sim.now
 
         assert sample() == sample()
+
+
+HOST = LOID(("d", "host", "h"))
+VAULT = LOID(("d", "vault", "v"))
+CLASS = LOID(("d", "class", "C"))
+SECRET = b"property-secret!"
+
+times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+
+
+def _expired_from_token(tok, confirmed, now):
+    """The pre-memoisation ``_Entry.expired``: everything re-derived
+    from the token on every call (kept as the reference)."""
+    if tok.instantaneous and not confirmed and tok.timeout > 0:
+        if now > tok.issued_at + tok.timeout:
+            return True
+    _start, end = tok.window()
+    return now > end
+
+
+class TestReservationEntryProperties:
+    @given(issued=times, future=st.booleans(), lead=times,
+           duration=st.floats(min_value=1e-3, max_value=1e4),
+           timeout=st.floats(min_value=-10.0, max_value=1e4),
+           confirmed=st.booleans(), probe=st.lists(times, max_size=4),
+           rtype=st.sampled_from(ALL_TYPES))
+    @settings(max_examples=200, deadline=None)
+    def test_recorded_window_and_deadline_match_the_token(
+            self, issued, future, lead, duration, timeout, confirmed,
+            probe, rtype):
+        table = ReservationTable(HOST, SECRET, slots=4)
+        tok = table.make_reservation(
+            VAULT, CLASS, rtype, now=issued, duration=duration,
+            timeout=timeout,
+            start_time=issued + lead if future else INSTANTANEOUS)
+        entry = table._entries[tok.token_id]
+        entry.confirmed = confirmed
+        assert (entry.start, entry.end) == tok.window()
+        # the exact boundaries, one ulp either side, and arbitrary times
+        bounds = [entry.end, issued + timeout, tok.window()[0]]
+        nows = probe + [f(b) for b in bounds
+                        for f in (lambda x: x,
+                                  lambda x: math.nextafter(x, math.inf),
+                                  lambda x: math.nextafter(x, -math.inf))]
+        for now in nows:
+            assert entry.expired(now) == _expired_from_token(
+                tok, confirmed, now)
+            assert table.timed_out(tok, now) == (
+                not confirmed and tok.instantaneous and tok.timeout > 0
+                and now > tok.issued_at + tok.timeout)
+
+    @given(duration=st.floats(min_value=1.0, max_value=1e4),
+           factor=st.floats(min_value=1.001, max_value=1e3),
+           flip=st.integers(min_value=0, max_value=255),
+           checks=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_rebuilt_token_is_refused_however_often_the_real_one_passed(
+            self, duration, factor, flip, checks):
+        table = ReservationTable(HOST, SECRET, slots=4)
+        tok = table.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                                     duration=duration, timeout=0.0)
+        for _ in range(checks):
+            assert table.check_reservation(tok, now=0.5)
+        sig = bytearray(tok.signature)
+        sig[flip % len(sig)] ^= 1 + flip % 255
+        for copy in (
+                dataclasses.replace(tok, duration=duration * factor),
+                dataclasses.replace(tok, vault_loid=HOST),
+                dataclasses.replace(tok, signature=bytes(sig)),
+                dataclasses.replace(tok, signature=b"")):
+            assert copy != tok
+            assert not table.check_reservation(copy, now=0.5)
+            with pytest.raises(InvalidReservationError):
+                table.redeem(copy, now=0.5)
+            with pytest.raises(InvalidReservationError):
+                table.cancel_reservation(copy, now=0.5)
+        assert table.check_reservation(tok, now=0.5)

@@ -68,6 +68,127 @@ class TestTokenIntegrity:
         assert tok.vault_loid == VAULT
 
 
+def _tampered(tok):
+    """Copies of ``tok`` that differ in one field and keep its (now
+    stale) signature, plus one with the fields intact and the signature
+    altered."""
+    return {
+        "duration": dataclasses.replace(tok, duration=tok.duration * 2),
+        "vault": dataclasses.replace(tok, vault_loid=LOID(("d", "vault",
+                                                           "w"))),
+        "start": dataclasses.replace(tok, start_time=tok.issued_at + 1.0),
+        "timeout": dataclasses.replace(tok, timeout=1e9),
+        "signature": dataclasses.replace(
+            tok, signature=bytes([tok.signature[0] ^ 1])
+            + tok.signature[1:]),
+    }
+
+
+class TestNoVerdictLeaksToACopy:
+    """The table keeps derived values (window, deadline) per entry; none
+    of them, and no earlier verdict, may vouch for a rebuilt token: every
+    presentation is verified over the *presented* token's own fields."""
+
+    @pytest.mark.parametrize("field", ["duration", "vault", "start",
+                                       "timeout", "signature"])
+    def test_copy_refused_after_genuine_was_checked(self, field):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                                 duration=10.0)
+        assert t.check_reservation(tok, now=1.0)   # genuine, checked once
+        t.redeem(tok, now=1.0)                     # ...and redeemed once
+        copy = _tampered(tok)[field]
+        assert not t.check_reservation(copy, now=2.0)
+        with pytest.raises(InvalidReservationError):
+            t.redeem(copy, now=2.0)
+        with pytest.raises(InvalidReservationError):
+            t.cancel_reservation(copy, now=2.0)
+        # the refusals changed nothing: the genuine token still stands
+        assert t.check_reservation(tok, now=2.0)
+        assert t.cancellations == 0
+
+    def test_longer_copy_cannot_outlive_the_entry(self):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                                 duration=10.0, timeout=0.0)
+        assert t.check_reservation(tok, now=10.0)
+        longer = dataclasses.replace(tok, duration=1e9)
+        assert not t.check_reservation(longer, now=5.0)
+        assert not t.check_reservation(longer, now=11.0)
+        assert not t.check_reservation(tok, now=11.0)  # really expired
+
+    def test_signed_returns_a_new_token(self):
+        tok = table().make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0)
+        unsigned = dataclasses.replace(tok, signature=b"")
+        resigned = unsigned.signed(SECRET)
+        assert unsigned.signature == b"" and not unsigned.verify(SECRET)
+        assert resigned == tok and resigned is not unsigned
+
+
+class TestExpiryBoundaries:
+    """``expired`` is strict (``now > bound``) on both the confirmation
+    deadline and the window end, exactly as before the entry recorded
+    them."""
+
+    def test_instantaneous_deadline_boundary(self):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=5.0,
+                                 timeout=30.0, duration=1000.0)
+        assert t.check_reservation(tok, now=35.0)      # now == deadline
+        assert not t.timed_out(tok, now=35.0)
+        later = 35.0 + 1e-9
+        assert not t.check_reservation(tok, now=later)
+        assert t.timed_out(tok, now=later)
+        assert t.live_count(now=35.0) == 1
+        assert t.live_count(now=later) == 0
+
+    def test_redeem_at_the_deadline_confirms(self):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=5.0,
+                                 timeout=30.0, duration=1000.0)
+        t.redeem(tok, now=35.0)
+        assert not t.timed_out(tok, now=500.0)
+        assert t.check_reservation(tok, now=1005.0)    # now == window end
+        assert not t.check_reservation(tok, now=1005.0 + 1e-6)
+
+    def test_window_end_beats_a_later_deadline(self):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                                 timeout=60.0, duration=10.0)
+        assert t.check_reservation(tok, now=10.0)
+        assert not t.check_reservation(tok, now=10.5)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0])
+    def test_no_deadline_without_a_positive_timeout(self, timeout):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                                 timeout=timeout, duration=100.0)
+        assert not t.timed_out(tok, now=99.0)
+        assert t.check_reservation(tok, now=100.0)
+
+    def test_future_start_has_no_confirmation_deadline(self):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                                 start_time=100.0, duration=10.0,
+                                 timeout=30.0)
+        # unconfirmed long past issued_at + timeout, still live
+        assert t.live_count(now=99.0) == 1
+        assert not t.timed_out(tok, now=99.0)
+        assert not t.check_reservation(tok, now=100.0 - 1e-9)  # too early
+        assert t.check_reservation(tok, now=100.0)
+        assert t.check_reservation(tok, now=110.0)     # now == window end
+        assert not t.check_reservation(tok, now=110.0 + 1e-6)
+        assert t.active_at(110.0, now=50.0) == 0       # end is exclusive
+        assert t.active_at(100.0, now=50.0) == 1
+
+    def test_purge_agrees_with_expired(self):
+        t = table()
+        t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0,
+                           timeout=30.0, duration=1000.0)
+        assert t.purge(now=30.0) == 0
+        assert t.purge(now=30.0 + 1e-9) == 1
+
+
 class TestGranting:
     def test_shared_up_to_slots(self):
         t = table(slots=3)

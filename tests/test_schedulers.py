@@ -145,6 +145,30 @@ class TestIRS:
         assert irs.collection_queries == 1
         assert rand.collection_queries == 4
 
+    def test_one_choice_draw_consumes_no_random_bits(self, meta,
+                                                     app_class):
+        """``_random_pair`` does not draw a vault from a one-vault list:
+        numpy answers ``integers(0, 1)`` without touching the stream, so
+        the skipped draw moves no later one.  If this ever fails, make
+        the draw again (and re-pin the placement digests)."""
+        import numpy as np
+        drawn, skipped = np.random.default_rng(9), np.random.default_rng(9)
+        assert [int(drawn.integers(0, 1)) for _ in range(5)] == [0] * 5
+        assert (drawn.bit_generator.state == skipped.bit_generator.state)
+        # and with several vaults the vault draw is made, after the host's
+        sched = meta.make_scheduler("irs")
+        records, vaults = sched.viable_hosts_and_vaults(app_class)
+        twin = np.random.default_rng(21)
+        sched.rng = np.random.default_rng(21)
+        extra = LOID(("uva", "vault", "second"))
+        host, vault = sched._random_pair(
+            records, [v + [extra] for v in vaults])
+        i = int(twin.integers(0, len(records)))
+        j = int(twin.integers(0, 2))
+        assert host == records[i].member
+        assert vault == (vaults[i] + [extra])[j]
+        assert sched.rng.bit_generator.state == twin.bit_generator.state
+
     def test_wrapper_limits_configurable(self, meta, app_class):
         sched = IRSScheduler(meta.collection, meta.enactor, meta.transport,
                              n_schedules=2, sched_try_limit=5,
