@@ -38,7 +38,7 @@ from ..naming.loid import LOID
 from ..objects.base import LegionObject
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import NULL_SPANS
-from ..sim.kernel import Simulator
+from ..sim.kernel import Simulator, Ticker
 from .machine import SimJob, SimMachine
 from .policy import AcceptAll, PlacementPolicy, PlacementRequest
 from .reservations import (
@@ -114,6 +114,7 @@ class HostObject(LegionObject):
         self.reassessments = 0
         #: what :meth:`reassess` last wrote the descriptor attributes from
         self._descriptor_sources_written: tuple = ()
+        self._reassess_ticker: Optional[Ticker] = None
         self.reassess(now=sim.now)
 
     # -- identity / location --------------------------------------------------
@@ -463,12 +464,15 @@ class HostObject(LegionObject):
         self._push_targets.append(push)
 
     def start_periodic_reassessment(self) -> None:
-        """Begin the periodic reassess cycle on the simulator."""
-        def tick():
-            if self.machine.up:
-                self.reassess()
-            self.sim.schedule(self.reassess_interval, tick)
-        self.sim.schedule(self.reassess_interval, tick)
+        """Begin the periodic reassess cycle, on the ticker every host
+        on this interval shares (idempotent)."""
+        if self._reassess_ticker is None:
+            self._reassess_ticker = self.sim.ticker(self.reassess_interval)
+            self._reassess_ticker.subscribe(self, self._reassess_tick)
+
+    def _reassess_tick(self) -> None:
+        if self.machine.up:
+            self.reassess()
 
     # -- convenience --------------------------------------------------------------
     @property

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import InsufficientResourcesError, ObjectStateError
 from ..net.topology import NetLocation
-from ..sim.kernel import Simulator
+from ..sim.kernel import Simulator, Ticker
 from ..sim.rng import RngRegistry
 
 __all__ = ["MachineSpec", "SimMachine", "SimJob", "LoadWalk"]
@@ -107,46 +107,69 @@ class SimMachine:
         self.sim = sim
         self._rng = rngs.stream("machine", name, "load")
         self.load_walk = load_walk
-        self.background_load = float(initial_load)
+        self._background_load = float(initial_load)
         self.up = True
         self.jobs: Dict[int, SimJob] = {}
         self._last_advance = sim.now
         self._epoch = 0  # invalidates stale completion callbacks
-        self._load_epoch = 0  # invalidates stale load-step chains
+        #: the load-step ticker this machine rides (None: down, or built
+        #: without a walk) and how many of its ticks the walk has taken
+        self._grid: Optional[Ticker] = None
+        self._steps_taken = 0
         self.completed_jobs = 0
         self.total_work_done = 0.0
         self.failures = 0
-        if load_walk is not None:
-            self._schedule_load_step()
+        self._join_grid()
 
     # -- background load process ------------------------------------------------
-    def _schedule_load_step(self) -> None:
-        epoch = self._load_epoch
-        self.sim.schedule(self.load_walk.interval,
-                          lambda: self._load_step(epoch))
+    def _join_grid(self) -> None:
+        """Ride the ticker that fires one walk interval from now."""
+        if self.load_walk is not None:
+            self._grid = grid = self.sim.ticker(self.load_walk.interval)
+            grid.members += 1
+            self._steps_taken = grid.count
 
-    def _load_step(self, epoch: Optional[int] = None) -> None:
-        if epoch is not None and epoch != self._load_epoch:
-            return  # stale chain from before a fail/recover cycle
-        if not self.up:
-            return
+    def _settle(self) -> None:
+        """Integrate work up to now, then take the load steps the grid
+        has ticked since this machine last looked: the same draws, in
+        the same order, as one step per tick.  An idle machine is
+        stepped only when somebody reads or changes it; one with jobs
+        subscribes this to the grid (see :meth:`_reschedule`) so their
+        rate changes at the tick.  A cleared walk owes no draws."""
         self._advance()
-        self.background_load = self.load_walk.step(
-            self._rng, self.background_load)
-        self._reschedule()
-        self._schedule_load_step()
+        grid, walk = self._grid, self.load_walk
+        if grid is None or grid.count == self._steps_taken:
+            return
+        owed = grid.count - self._steps_taken
+        self._steps_taken = grid.count
+        if walk is not None:
+            load, rng = self._background_load, self._rng
+            for _ in range(owed):
+                load = walk.step(rng, load)
+            self._background_load = load
+            if self.jobs:
+                self._reschedule()
+
+    @property
+    def background_load(self) -> float:
+        """Other users' runnable processes, as of now."""
+        self._settle()
+        return self._background_load
 
     def set_background_load(self, value: float) -> None:
         """Force the background load (used by experiments to inject spikes)."""
-        self._advance()
-        self.background_load = max(0.0, float(value))
+        self._settle()
+        self._background_load = max(0.0, float(value))
         self._reschedule()
 
     # -- derived state ----------------------------------------------------------
     @property
     def load_average(self) -> float:
         """Runnable-process count analogue: background + placed jobs."""
-        return self.background_load + len(self.jobs)
+        grid = self._grid
+        if grid is not None and grid.count != self._steps_taken:
+            self._settle()
+        return self._background_load + len(self.jobs)
 
     @property
     def available_memory_mb(self) -> float:
@@ -157,11 +180,12 @@ class SimMachine:
         """Work units/second each running job currently receives.
 
         ``cpus`` are shared by (jobs + background load) runnable entities; a
-        job's share is capped at one full CPU.
+        job's share is capped at one full CPU.  (The load in force since
+        the last state change: what the integrator needs.)
         """
         if not self.up:
             return 0.0
-        competitors = len(self.jobs) + self.background_load
+        competitors = len(self.jobs) + self._background_load
         if competitors <= 0:
             return self.spec.speed
         share = min(1.0, self.spec.cpus / competitors)
@@ -181,10 +205,16 @@ class SimMachine:
         self._last_advance = now
 
     def _reschedule(self) -> None:
-        """Schedule the completion of the job that will finish first."""
+        """Schedule the completion of the job that will finish first,
+        and step the load walk at the grid's tick while there is one."""
         self._epoch += 1
+        grid = self._grid
         if not self.jobs or not self.up:
+            if grid is not None:
+                grid.unsubscribe(self)
             return
+        if grid is not None:
+            grid.subscribe(self, self._settle)
         rate = self.per_job_rate()
         if rate <= 0.0:
             return
@@ -217,7 +247,7 @@ class SimMachine:
             raise InsufficientResourcesError(
                 f"machine {self.name}: need {job.memory_mb} MB, "
                 f"have {self.available_memory_mb:.1f} MB")
-        self._advance()
+        self._settle()
         job.started_at = self.sim.now
         self.jobs[job.job_id] = job
         self._reschedule()
@@ -228,7 +258,7 @@ class SimMachine:
         penalty charged after placement)."""
         if extra < 0:
             raise ValueError("extra work must be non-negative")
-        self._advance()
+        self._settle()
         if job.job_id in self.jobs:
             job.remaining += float(extra)
             self._reschedule()
@@ -237,7 +267,7 @@ class SimMachine:
 
     def remove_job(self, job: SimJob) -> float:
         """Preempt/remove a job, returning its remaining work."""
-        self._advance()
+        self._settle()
         if job.job_id in self.jobs:
             del self.jobs[job.job_id]
             job.preempted = True
@@ -253,28 +283,29 @@ class SimMachine:
         """
         if not self.up:
             return []
-        self._advance()
+        self._settle()
         lost = list(self.jobs.values())
         for job in lost:
             job.preempted = True
         self.jobs.clear()
         self.up = False
         self._epoch += 1
-        self._load_epoch += 1  # orphan any pending load step
+        grid, self._grid = self._grid, None  # a down machine owes no steps
+        if grid is not None:
+            grid.unsubscribe(self)
+            grid.members -= 1
         self.failures += 1
         return lost
 
     def recover(self) -> None:
         """Bring the machine back up.  Idempotent: recovering an up
-        machine is a no-op (in particular it never seeds a second
-        background-load chain)."""
+        machine is a no-op (in particular it never joins a second
+        load-step grid)."""
         if self.up:
             return
         self.up = True
         self._last_advance = self.sim.now
-        self._load_epoch += 1
-        if self.load_walk is not None:
-            self._schedule_load_step()
+        self._join_grid()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<SimMachine {self.name} {self.spec.arch}/"

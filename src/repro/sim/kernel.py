@@ -43,6 +43,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
+    "Ticker",
     "grid_delay",
 ]
 
@@ -285,6 +286,56 @@ class Process(Event):
         target._add_waiter(self._on_wakeup)
 
 
+class Ticker:
+    """A periodic kernel event shared by everything on one time grid
+    (see :meth:`Simulator.ticker`): one event per ``interval`` however
+    many ride on it.  A firing bumps :attr:`count`, then runs the
+    subscribed callbacks in subscription order.  A rider that only needs
+    to know how many periods have passed takes no callback: it counts
+    itself in :attr:`members` and compares :attr:`count` with what it
+    last saw when next looked at.  Fires at ``now + interval`` each time
+    (the float a ``schedule(interval, tick)`` chain lands on); a ticker
+    nobody rides does not reschedule itself.
+    """
+
+    __slots__ = ("sim", "interval", "next_fire", "count", "members",
+                 "_callbacks")
+
+    def __init__(self, sim: "Simulator", interval: float):
+        self.sim = sim
+        self.interval = interval
+        self.count = 0
+        self.members = 0
+        self._callbacks: dict = {}
+        self._arm()
+
+    def subscribe(self, key: Any, callback: Callable[[], None]) -> None:
+        """Run ``callback()`` at every firing (idempotent per ``key``)."""
+        self._callbacks[key] = callback
+
+    def unsubscribe(self, key: Any) -> None:
+        self._callbacks.pop(key, None)
+
+    def _arm(self) -> None:
+        sim = self.sim
+        self.next_fire = sim._now + self.interval
+        # a ticker already findable under this key stays the one found;
+        # both fire, in the order they were armed
+        sim._tickers.setdefault((self.next_fire, self.interval), self)
+        sim.schedule_at(self.next_fire, self._fire)
+
+    def _fire(self) -> None:
+        tickers = self.sim._tickers
+        key = (self.next_fire, self.interval)
+        if tickers.get(key) is self:
+            del tickers[key]
+        self.count += 1
+        for callback in list(self._callbacks.values()):
+            callback()
+        if self.members or self._callbacks:
+            self._arm()
+
+
 class Simulator:
     """The discrete-event simulation kernel and virtual clock.
 
@@ -296,6 +347,8 @@ class Simulator:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
+        #: pending tickers by ``(next fire time, interval)``
+        self._tickers: dict = {}
         self.events_processed = 0
 
     # -- clock -------------------------------------------------------------
@@ -331,6 +384,14 @@ class Simulator:
             raise SimTimeError(
                 f"cannot schedule at {when} before now={self._now}")
         heappush(self._heap, (when, priority, next(self._seq), action))
+
+    def ticker(self, interval: float) -> Ticker:
+        """The shared :class:`Ticker` that next fires ``interval`` from
+        now, started if nothing is on that grid yet."""
+        if interval <= 0:
+            raise ValueError("ticker interval must be positive")
+        found = self._tickers.get((self._now + interval, interval))
+        return found if found is not None else Ticker(self, interval)
 
     # -- waitable factories --------------------------------------------------
     def event(self, name: str = "") -> Event:

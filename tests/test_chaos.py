@@ -33,7 +33,7 @@ from repro.errors import (
     LegionError,
     MessageLostError,
 )
-from repro.hosts import MachineSpec, SimJob
+from repro.hosts import LoadWalk, MachineSpec, SimJob
 from repro.tools.cli import main as cli_main
 from repro.workload import build_testbed
 from repro.workload.testbed import TestbedSpec
@@ -167,6 +167,25 @@ class TestFaults:
         assert machine.background_load == pytest.approx(before)
         with pytest.raises(ChaosError):
             LoadSurge(target="ws2", magnitude=0.0).apply(meta)
+
+    def test_load_surge_takes_owed_walk_steps_first(self):
+        """A surge on a machine nobody has read for a while lands on
+        the load the walk had reached, and the walk's stream goes on
+        from there — not on the stale value with the draws skipped."""
+        def world():
+            m = Metasystem(seed=5, reassess_interval=1e9)
+            m.add_domain("uva")
+            m.add_unix_host("ws0", "uva", load_walk=LoadWalk(mean=1.0),
+                            initial_load=1.0)
+            m.advance(35.0)     # three load steps owed
+            return m, m.hosts[0].machine
+        read_first, machine = world()
+        walked = machine.background_load
+        assert walked != 1.0
+        surged, unread = world()
+        LoadSurge(target="ws0", magnitude=3.0).apply(surged)
+        assert unread.background_load == pytest.approx(walked + 3.0)
+        assert unread._rng.random() == machine._rng.random()
 
     def test_shard_outage_requires_federation(self, meta):
         with pytest.raises(ChaosError):

@@ -18,9 +18,17 @@ from repro.service import run_service
 from repro.workload.testbed import TestbedSpec, build_testbed
 
 #: kernel events per submitted request over a 120 s ``run_service``
-#: campaign (5.2 with thinning inline; 16.8 when every thinned arrival
+#: campaign (4.7 with hosts on shared tickers; 5.2 with thinning inline
+#: but a load-step chain per machine; 16.8 when every thinned arrival
 #: candidate was a kernel timeout)
-EVENTS_PER_REQUEST_CEILING = 8.0
+EVENTS_PER_REQUEST_CEILING = 6.0
+
+#: kernel events / heap entries of a world nobody places anything on,
+#: over 300 virtual s — whatever its size (40 / 2: one 10 s load grid
+#: and one 30 s reassessment grid; it was 40 events and 2 heap entries
+#: *per host*)
+IDLE_WORLD_EVENTS_CEILING = 64
+IDLE_WORLD_HEAP_CEILING = 8
 
 #: attribute writes per host reassessment in a world where no descriptor
 #: changes: the four dynamic attributes (``host_available_memory_mb``,
@@ -68,14 +76,32 @@ def test_attribute_writes_per_reassessment():
     assert writes / reassessments <= WRITES_PER_REASSESSMENT_CEILING
 
 
+def test_idle_world_costs_no_events_per_host():
+    readings = []
+    for hosts_per_domain in (16, 64):
+        meta = build_testbed(TestbedSpec(
+            n_domains=4, hosts_per_domain=hosts_per_domain, platform_mix=3,
+            background_load_mean=0.5, seed=7))
+        reassessments = sum(h.reassessments for h in meta.hosts)
+        meta.advance(300.0)
+        assert sum(h.reassessments for h in meta.hosts) - reassessments \
+            == 10 * len(meta.hosts)
+        readings.append((meta.sim.events_processed, meta.sim.queue_depth))
+    assert readings[0] == readings[1]  # 64 hosts and 256: same cost
+    events, heap = readings[0]
+    assert events <= IDLE_WORLD_EVENTS_CEILING
+    assert heap <= IDLE_WORLD_HEAP_CEILING
+
+
 # -- what one placement costs (ROADMAP items 1 and 9) -----------------------
 #
 # Per-placement ceilings over a 200-placement IRS run on the benchmark's
 # ``place_closed`` world (4 x 16 hosts, 4 instances per request, seed 7).
 # The first four guard the protocol's irreducible traffic against creep
-# (17.3 messages, 23.5 spans, 39.6 metric ops and 11.4 kernel events per
-# placement over a full 1000-placement round; 16.9 / 23.1 / 38.5 / 10.9
-# over these 200); CI's perf-bench-smoke job imports them to gate the
+# (17.3 messages, 23.5 spans, 39.6 metric ops and 7.2 kernel events per
+# placement over a full 1000-placement round; 16.9 / 23.1 / 38.5 / 6.8
+# over these 200 — events were 10.9 while every machine kept its own
+# load-step chain); CI's perf-bench-smoke job imports them to gate the
 # traced rep.  The last three pin constant work that used to be redone
 # per placement: re-parsing the vault strings of every drawn record (16
 # ``LOID.parse``, now 0.02), re-deriving reservation windows on every
@@ -84,7 +110,7 @@ def test_attribute_writes_per_reassessment():
 MESSAGES_PER_PLACEMENT_CEILING = 18.0
 SPANS_PER_PLACEMENT_CEILING = 24.0
 METRIC_OPS_PER_PLACEMENT_CEILING = 40.0
-EVENTS_PER_PLACEMENT_CEILING = 12.0
+EVENTS_PER_PLACEMENT_CEILING = 8.0
 LOID_PARSES_PER_PLACEMENT_CEILING = 0.5
 WINDOW_CALLS_PER_PLACEMENT_CEILING = 16.0
 REPLACE_CALLS_PER_PLACEMENT_CEILING = 0.0

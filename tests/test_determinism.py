@@ -86,13 +86,18 @@ def _run_federated_workload(seed: int):
 # cross-process scale snapshot
 # ---------------------------------------------------------------------------
 
-#: pinned digest of the 1k-host scale run below.  If a change legitimately
-#: alters placement or event accounting at scale, regenerate with
+#: pinned behaviour digest of the 1k-host scale run below, and — pinned
+#: apart, so a diff says which of the two moved — the kernel events the
+#: run dispatched.  If a change legitimately alters placement at scale,
+#: regenerate with
 #:     PYTHONPATH=src python tests/test_determinism.py
-#: and update this constant (the bench ledger BENCH_scale.json will need
-#: regenerating too — see docs/architecture.md).
+#: (prints "digest events") and update the digest; a change that only
+#: makes the kernel do the same thing in fewer events re-pins the integer
+#: alone (the bench ledger BENCH_scale.json will need regenerating too —
+#: see docs/architecture.md).
 SCALE_SNAPSHOT = (
-    "85f13c11b6ea02c72dbe29b95637356ee5f9f2ec16b966fc897ae3f32a760c1a")
+    "590c1556b50a8ac7f41a937274a4a355b318589cf5ddd911dae3002e4b911b2c")
+SCALE_EVENTS = 20  # 4,016 with an event per host per reassessment
 
 #: sha256 of the 64-host world's Collection records (see
 #: _world_records_digest)
@@ -100,19 +105,24 @@ WORLD_RECORDS_SNAPSHOT = (
     "2b92b3136e57e26c7c8b9356ee926a8d23214adccd2256950e8c36cf867f6b42")
 
 #: sha256 of one 100-placement round shaped like the benchmark's
-#: ``place_closed`` workload (see _placement_round_digest)
+#: ``place_closed`` workload, and the kernel events it dispatched (see
+#: _placement_round_digest)
 PLACEMENT_ROUND_SNAPSHOT = (
-    "8d9eb4dc6d296f5d08015070dfaf1c9a0a9a5c3099f87c8824fff9df54b4dcb6")
+    "8d7e57191dd35c09f5dfa34f1ad65821831a4984d1d99c939e93dc1dd463c40c")
+PLACEMENT_ROUND_EVENTS = 649  # 1,027 with per-machine event chains
 
 
-def _scale_digest() -> str:
-    """Digest of one seeded IRS run over a 1000-host testbed.
+def _scale_digest() -> tuple:
+    """``(digest, kernel events)`` of one seeded IRS run over a
+    1000-host testbed.
 
     Exercises the hot-path machinery this PR added — compiled query
     plans, the viable-hosts cache (the back-to-back second run must hit
-    it), slotted records/events — and folds placements, kernel event
-    counts, virtual time, and transport traffic into one value that any
-    process on any run must reproduce exactly.
+    it), slotted records/events — and folds placements, virtual time,
+    and transport traffic into one value that any process on any run
+    must reproduce exactly.  The kernel event count comes back beside
+    the digest: how many events the kernel spends is a cost, not
+    behaviour.
     """
     meta = build_testbed(TestbedSpec(
         n_domains=4, hosts_per_domain=250, platform_mix=3,
@@ -128,13 +138,13 @@ def _scale_digest() -> str:
     meta.advance(120.0)
     payload = "|".join((
         ",".join(str(loid) for loid in first.created + second.created),
-        str(meta.sim.events_processed),
         repr(meta.sim.now),
         str(meta.transport.messages_sent),
         str(meta.collection.plans_compiled),
         str(sched.viable_cache_hits),
     ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return (hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+            meta.sim.events_processed)
 
 
 class TestDeterminism:
@@ -285,16 +295,16 @@ class TestWorldRecordsSnapshot:
         assert _world_records_digest() == WORLD_RECORDS_SNAPSHOT
 
 
-def _placement_round_digest() -> str:
-    """Digest of the outcome of one closed-loop round of 100 IRS
+def _placement_round_digest() -> tuple:
+    """``(digest, kernel events)`` of one closed-loop round of 100 IRS
     placements on the ``place_closed`` world (4 x 16 hosts, 4 instances
     per request, 30 s reservations, 0.5 s between requests; seed 7).
 
-    The same fields the benchmark folds into its ``sim_digest`` — ops,
-    successes, instances, virtual seconds, kernel events, messages and
-    every placement latency — so tier-1, not only the benchmark, fails
-    when a change to the reserve → enact path moves an RNG draw, a
-    message or a kernel event."""
+    The fields the benchmark folds into its ``sim_digest`` — ops,
+    successes, instances, virtual seconds, messages and every placement
+    latency in the digest, kernel events beside it — so tier-1, not
+    only the benchmark, fails when a change to the reserve → enact path
+    moves an RNG draw, a message or a kernel event, and says which."""
     meta = build_testbed(TestbedSpec(
         seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
         background_load_mean=0.3))
@@ -316,27 +326,29 @@ def _placement_round_digest() -> str:
     outcome = {
         "ops": 100, "ok": ok, "instances": instances,
         "virtual_s": meta.now - v0,
-        "events": meta.sim.events_processed - e0,
         "messages": meta.transport.messages_sent - m0,
         "latency": hashlib.sha256(
             repr(latencies).encode("utf-8")).hexdigest(),
     }
-    return hashlib.sha256(
-        repr(sorted(outcome.items())).encode("utf-8")).hexdigest()
+    return (hashlib.sha256(
+        repr(sorted(outcome.items())).encode("utf-8")).hexdigest(),
+        meta.sim.events_processed - e0)
 
 
 class TestPlacementRoundSnapshot:
     def test_pinned_digest(self):
-        """The 13 steps may get cheaper; their draws, messages, events
-        and latencies may not change (same digest before and after the
-        constant work was hoisted off the path)."""
-        assert _placement_round_digest() == PLACEMENT_ROUND_SNAPSHOT
+        """The 13 steps may get cheaper; their draws, messages and
+        latencies may not change (same digest before and after the
+        per-machine event chains became shared tickers — only the event
+        count beside it moved)."""
+        assert _placement_round_digest() == (PLACEMENT_ROUND_SNAPSHOT,
+                                             PLACEMENT_ROUND_EVENTS)
 
 
 class TestCrossProcessScaleSnapshot:
     def test_pinned_digest_in_process(self):
         """The 1k-host run reproduces the committed digest (caches on)."""
-        assert _scale_digest() == SCALE_SNAPSHOT
+        assert _scale_digest() == (SCALE_SNAPSHOT, SCALE_EVENTS)
 
     def test_digest_stable_across_processes(self):
         """A fresh interpreter — different hash seed, import order, and
@@ -349,8 +361,8 @@ class TestCrossProcessScaleSnapshot:
             [sys.executable, os.path.abspath(__file__)],
             capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == SCALE_SNAPSHOT
+        assert proc.stdout.split() == [SCALE_SNAPSHOT, str(SCALE_EVENTS)]
 
 
 if __name__ == "__main__":
-    print(_scale_digest())
+    print(*_scale_digest())

@@ -16,7 +16,7 @@ from repro.errors import (
     ReservationDeniedError,
     VaultIncompatibleError,
 )
-from repro.hosts import UnixHost
+from repro.hosts import LoadWalk, UnixHost
 from repro.hosts.policy import (
     AcceptAll,
     CompositePolicy,
@@ -210,6 +210,82 @@ class TestInformationReporting:
 
     def test_unix_host_kind(self, host):
         assert host.attributes.get("host_kind") == "unix"
+
+    @pytest.mark.parametrize("starts", [1, 2, 3])
+    def test_starting_the_reassess_cycle_again_changes_nothing(
+            self, meta, host, starts):
+        """``_wire_host`` already started it: another call used to start
+        a second chain and double the reassessments from then on."""
+        for _ in range(starts - 1):
+            meta.advance(7.0)   # off the first call's grid
+            host.start_periodic_reassessment()
+        meta.advance(300.0 - meta.now)
+        before = host.reassessments
+        meta.advance(300.0)
+        assert host.reassessments - before == 10
+
+    def test_hosts_on_one_interval_share_one_kernel_event(self, meta):
+        before = meta.sim.events_processed
+        meta.advance(300.0)
+        assert all(h.reassessments >= 10 for h in meta.hosts)
+        assert meta.sim.events_processed - before == 10
+        assert meta.sim.queue_depth == 1
+
+    def test_down_host_skips_reassessment_and_resumes(self, meta, host):
+        host.machine.fail()
+        count = host.reassessments
+        meta.advance(95.0)
+        assert host.reassessments == count
+        host.machine.recover()
+        meta.advance(30.0)
+        assert host.reassessments == count + 1
+
+
+class TestLoadWalkOnALiveHost:
+    @pytest.fixture
+    def busy_world(self):
+        m = Metasystem(seed=11)
+        m.add_domain("uva")
+        m.add_unix_host("ws0", "uva", load_walk=LoadWalk(mean=1.0),
+                        initial_load=1.0)
+        return m
+
+    def test_clearing_the_walk_stops_it(self, busy_world):
+        """Used to raise AttributeError from the pending load step as
+        soon as the world passed the next 10 s grid point."""
+        machine = busy_world.hosts[0].machine
+        busy_world.advance(25.0)
+        moved = machine.background_load
+        assert moved != 1.0
+        machine.load_walk = None
+        machine.set_background_load(2.0)
+        busy_world.advance(100.0)        # ten grid points later
+        assert machine.background_load == 2.0
+        assert busy_world.hosts[0].attributes.get("host_load") == 2.0
+
+    def test_clearing_the_walk_with_steps_owed_draws_nothing(
+            self, busy_world):
+        machine = busy_world.hosts[0].machine
+        busy_world.advance(5.0)
+        machine.load_walk = None
+        busy_world.advance(100.0)
+        assert machine.background_load == 1.0
+        state = machine._rng.bit_generator.state
+        twin = Metasystem(seed=11)
+        twin.add_domain("uva")
+        twin.add_unix_host("ws0", "uva", initial_load=1.0)
+        assert twin.hosts[0].machine._rng.bit_generator.state == state
+
+    def test_idle_machines_cost_no_kernel_events(self):
+        m = Metasystem(seed=11, reassess_interval=1e9)
+        m.add_domain("uva")
+        for i in range(20):
+            m.add_unix_host(f"ws{i}", "uva", load_walk=LoadWalk(mean=1.0),
+                            initial_load=1.0)
+        m.advance(1000.0)
+        assert m.sim.events_processed == 100      # the shared 10 s grid
+        assert m.sim.queue_depth == 2             # load grid + reassess
+        assert len({h.machine.background_load for h in m.hosts}) == 20
 
 
 #: the key order of a Unix host's Collection record (fixed by the first

@@ -9,13 +9,13 @@ from repro.sim import RngRegistry, Simulator
 
 
 def make_machine(speed=1.0, cpus=1, memory=128.0, load_walk=None,
-                 initial_load=0.0):
-    sim = Simulator()
+                 initial_load=0.0, sim=None, name="m"):
+    sim = sim or Simulator()
     topo = Topology()
     topo.add_domain(AdministrativeDomain("d"))
-    loc = topo.add_node("d", "m")
-    machine = SimMachine("m", MachineSpec(cpus=cpus, speed=speed,
-                                          memory_mb=memory),
+    loc = topo.add_node("d", name)
+    machine = SimMachine(name, MachineSpec(cpus=cpus, speed=speed,
+                                           memory_mb=memory),
                          loc, sim, RngRegistry(1), load_walk=load_walk,
                          initial_load=initial_load)
     return sim, machine
@@ -202,3 +202,102 @@ class TestLoadWalk:
         import numpy as np
         rng = np.random.default_rng(0)
         assert walk.step(rng, -5.0) == 0.0
+
+
+class TestLoadGrid:
+    """The walk is stepped on a shared ticker: when somebody looks
+    (idle) or at the tick itself (jobs running)."""
+
+    WALK = LoadWalk(mean=1.0, sigma=0.3, interval=10.0)
+
+    def test_unread_idle_machine_takes_its_steps_when_read(self):
+        sim, m = make_machine(load_walk=self.WALK, initial_load=1.0)
+        sim.run_until(95.0)
+        assert m._background_load == 1.0          # nothing stepped yet
+        rng = RngRegistry(1).stream("machine", "m", "load")
+        expected = 1.0
+        for _ in range(9):
+            expected = self.WALK.step(rng, expected)
+        assert m.background_load == expected
+        assert m.load_average == expected
+
+    def test_read_on_the_grid_sees_the_step_of_that_instant(self):
+        sim, m = make_machine(load_walk=self.WALK, initial_load=1.0)
+        rng = RngRegistry(1).stream("machine", "m", "load")
+        first = self.WALK.step(rng, 1.0)
+        seen = []
+        sim.schedule_at(10.0, lambda: seen.append(m.background_load))
+        sim.run_until(10.0)
+        # the read was scheduled after the machine joined its grid
+        assert seen == [first] and m.background_load == first
+
+    def test_busy_machine_steps_at_the_tick_at_the_old_rate(self):
+        sim, m = make_machine(load_walk=self.WALK, initial_load=1.0)
+        job = SimJob(1000.0, 8.0)
+        m.start_job(job)
+        sim.run_until(10.0)
+        # 10 s at speed / (1 job + load 1.0), integrated when the tick
+        # changed the load — no read needed
+        assert job.remaining == pytest.approx(1000.0 - 10.0 / 2.0)
+        assert m._background_load != 1.0
+        load = m._background_load
+        sim.run_until(14.0)
+        m.remove_job(job)
+        assert job.remaining == pytest.approx(995.0 - 4.0 / (1.0 + load))
+
+    def test_machine_is_a_callback_only_while_it_has_jobs(self):
+        sim, m = make_machine(load_walk=self.WALK, initial_load=1.0)
+        grid = m._grid
+        assert grid.members == 1 and not grid._callbacks
+        job = SimJob(3.0, 8.0)
+        m.start_job(job)
+        assert list(grid._callbacks) == [m]
+        sim.run_until(50.0)
+        assert job.done and not grid._callbacks
+        assert sim.queue_depth == 1  # the grid the machine still rides
+
+    def test_down_machine_owes_no_steps_and_leaves_the_grid(self):
+        sim, m = make_machine(load_walk=self.WALK, initial_load=1.0)
+        sim.run_until(25.0)
+        m.fail()
+        settled = m._background_load
+        assert settled != 1.0                      # fail took steps 1, 2
+        sim.run_until(200.0)
+        assert sim.queue_depth == 0                # no ticker survives
+        assert m.background_load == settled
+        m.recover()
+        sim.run_until(209.0)
+        assert m.background_load == settled
+        sim.run_until(210.0)                       # recover + interval
+        assert m.background_load != settled
+
+    def test_repeated_recoveries_leave_one_ticker(self):
+        sim, m = make_machine(load_walk=self.WALK)
+        for k in range(20):
+            sim.run_until(sim.now + 7.0)
+            m.fail()
+            sim.run_until(sim.now + 7.0)
+            m.recover()
+        sim.run_until(sim.now + 100.0)
+        assert sim.queue_depth == 1 and len(sim._tickers) == 1
+
+    def test_recovery_on_the_grid_before_its_tick_keeps_both_grids(self):
+        """The collision: ``b`` recovers at t=60 in an event that runs
+        before the 10 s grid fires there, so its new ticker takes the
+        key ``(70.0, 10.0)`` the old one is about to move to."""
+        sim, a = make_machine(load_walk=self.WALK, name="a")
+        _sim, b = make_machine(load_walk=self.WALK, name="b", sim=sim)
+        assert a._grid is b._grid
+        sim.schedule_at(45.0, b.fail)
+        sim.schedule_at(60.0, b.recover)
+        sim.run_until(60.0)
+        assert b._grid is not a._grid
+        assert a._grid.next_fire == b._grid.next_fire == 70.0
+        sim.run_until(100.0)
+        for machine, steps in ((a, 10), (b, 4 + 4)):
+            rng = RngRegistry(1).stream("machine", machine.name, "load")
+            expected = 0.0
+            for _ in range(steps):
+                expected = self.WALK.step(rng, expected)
+            assert machine.background_load == expected
+        assert sim.queue_depth == 2

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidReservationError
-from repro.hosts import (ALL_TYPES, REUSABLE_TIME, MachineSpec,
+from repro.hosts import (ALL_TYPES, REUSABLE_TIME, LoadWalk, MachineSpec,
                          ReservationTable, SimJob, SimMachine)
 from repro.hosts.reservations import INSTANTANEOUS
 from repro.naming import LOID
@@ -82,6 +82,115 @@ class TestProcessorSharingProperties:
         total = machine.total_work_done
         expected = sum(w for w in works) - remaining
         assert total == pytest.approx(expected)
+
+
+class EagerMachine(SimMachine):
+    """The load process this repository had before machines shared a
+    ticker, kept as the reference: a private ``schedule(interval)``
+    chain that steps the walk at every grid instant whether or not
+    anyone looks, orphaned by ``fail`` and restarted by ``recover``."""
+
+    _chain = 0
+
+    def _join_grid(self):
+        if self.load_walk is None:
+            return
+        self._chain += 1
+        chain = self._chain
+
+        def step():
+            if chain != self._chain or not self.up:
+                return
+            self._advance()
+            self._background_load = self.load_walk.step(
+                self._rng, self._background_load)
+            self._reschedule()
+            self.sim.schedule(self.load_walk.interval, step)
+        self.sim.schedule(self.load_walk.interval, step)
+
+
+_GRID = 10.0
+_gaps = st.one_of(
+    st.sampled_from([0.0, _GRID, 2 * _GRID, 5 * _GRID]),
+    st.floats(min_value=0.0, max_value=35.0, allow_nan=False))
+_machine_ops = st.one_of(
+    st.tuples(st.just("read")),
+    st.tuples(st.just("set"), st.floats(min_value=0.0, max_value=6.0)),
+    st.tuples(st.just("start"), st.floats(min_value=0.5, max_value=80.0)),
+    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("add_work"), st.integers(min_value=0, max_value=7),
+              st.floats(min_value=0.0, max_value=20.0)),
+    st.tuples(st.just("fail")),
+    st.tuples(st.just("recover")),
+)
+#: (gap since the previous op, which machine, run as a kernel event
+#: scheduled at t=0 — so ahead of that instant's tick — or from outside
+#: after the instant's events, the op)
+_script = st.lists(st.tuples(_gaps, st.integers(0, 1), st.booleans(),
+                             _machine_ops), min_size=1, max_size=30)
+
+
+def _play(machine_class, script):
+    """Run ``script`` on two machines sharing one simulator; return
+    everything observable: reads, completions, final state, next draws."""
+    sim = Simulator()
+    topo = Topology()
+    topo.add_domain(AdministrativeDomain("d"))
+    rngs = RngRegistry(42)
+    walk = LoadWalk(mean=1.0, sigma=0.4, interval=_GRID, spike_prob=0.2)
+    machines = [machine_class(name, MachineSpec(cpus=2, memory_mb=1e9),
+                              topo.add_node("d", name), sim, rngs,
+                              load_walk=walk, initial_load=1.0)
+                for name in ("a", "b")]
+    log = []
+    jobs = ([], [])
+
+    def apply(index, op):
+        machine, mine = machines[index], jobs[index]
+        kind = op[0]
+        if kind == "read":
+            log.append(("read", sim.now, index, machine.background_load,
+                        machine.load_average))
+        elif kind == "set":
+            machine.set_background_load(op[1])
+        elif kind == "start" and machine.up:
+            job = SimJob(op[1], 1.0, on_complete=lambda j, n=len(mine):
+                         log.append(("done", sim.now, index, n)))
+            mine.append(machine.start_job(job))
+        elif kind == "remove" and op[1] < len(mine):
+            log.append(("removed", machine.remove_job(mine[op[1]])))
+        elif kind == "add_work" and op[1] < len(mine):
+            machine.add_work(mine[op[1]], op[2])
+        elif kind == "fail":
+            log.append(("lost", len(machine.fail())))
+        elif kind == "recover":
+            machine.recover()
+
+    when, late = 0.0, []
+    for gap, index, early, op in script:
+        when += gap
+        if early:
+            sim.schedule_at(when, lambda i=index, o=op: apply(i, o))
+        else:
+            late.append((when, index, op))
+    for at, index, op in late:
+        sim.run_until(at)
+        apply(index, op)
+    sim.run_until(when + 3 * _GRID)
+    for index, machine in enumerate(machines):
+        apply(index, ("read",))
+        log.append((machine.up, machine.completed_jobs,
+                    machine.total_work_done,
+                    [job.remaining for job in jobs[index]],
+                    machine._rng.standard_normal()))
+    return log
+
+
+class TestLazyLoadWalkMatchesTheEagerChain:
+    @given(_script)
+    @settings(max_examples=150, deadline=None)
+    def test_same_reads_completions_and_draws(self, script):
+        assert _play(SimMachine, script) == _play(EagerMachine, script)
 
 
 class TestQueueProperties:

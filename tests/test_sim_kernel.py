@@ -322,3 +322,136 @@ class TestProcesses:
         sim.schedule(1.0, lambda: p.interrupt())
         sim.run()
         assert hits == [11.0]
+
+
+class TestTicker:
+    def test_one_event_per_period_however_many_members(self):
+        for members in (1, 50, 5000):
+            sim = Simulator()
+            hits = []
+            for i in range(members):
+                sim.ticker(10.0).subscribe(i, lambda: hits.append(sim.now))
+            assert sim.queue_depth == 1
+            sim.run_until(100.0)
+            assert sim.events_processed == 10
+            assert sim.queue_depth == 1
+            assert len(hits) == 10 * members
+
+    def test_fires_callbacks_in_subscription_order_after_the_count(self):
+        sim = Simulator()
+        ticker = sim.ticker(5.0)
+        seen = []
+        for name in "abc":
+            ticker.subscribe(name, lambda n=name: seen.append(
+                (n, ticker.count)))
+        ticker.subscribe("a", lambda: seen.append(("a2", ticker.count)))
+        sim.run_until(5.0)
+        # "a" was re-subscribed: new callback, old place in the order
+        assert seen == [("a2", 1), ("b", 1), ("c", 1)]
+
+    def test_same_grid_shares_one_ticker_and_other_grids_do_not(self):
+        sim = Simulator()
+        first = sim.ticker(10.0)
+        first.members += 1
+        assert sim.ticker(10.0) is first
+        assert sim.ticker(30.0) is not first
+        sim.run_until(4.0)
+        off_grid = sim.ticker(10.0)            # fires at 14, 24, ...
+        assert off_grid is not first
+        assert sim.ticker(6.0) not in (first, off_grid)  # same instant,
+        sim.run_until(10.0)                              # other interval
+        assert sim.ticker(10.0) is first
+
+    def test_member_without_callback_reads_the_count(self):
+        sim = Simulator()
+        ticker = sim.ticker(10.0)
+        ticker.members += 1
+        sim.run_until(95.0)
+        assert ticker.count == 9
+        assert sim.events_processed == 9
+
+    def test_ticker_nobody_rides_stops_rescheduling(self):
+        sim = Simulator()
+        ticker = sim.ticker(10.0)
+        ticker.subscribe("x", lambda: None)
+        ticker.members += 1
+        sim.run_until(25.0)
+        ticker.unsubscribe("x")
+        ticker.members -= 1
+        sim.run_until(1000.0)
+        assert ticker.count == 3       # the pending firing, then nothing
+        assert sim.queue_depth == 0
+        assert not sim._tickers
+        # the grid can be started again
+        again = sim.ticker(10.0)
+        assert again is not ticker and again.next_fire == 1010.0
+
+    def test_abandoned_ticker_still_pending_can_be_rejoined(self):
+        sim = Simulator()
+        ticker = sim.ticker(10.0)
+        ticker.members += 1
+        sim.run_until(10.0)
+        ticker.members -= 1
+        assert sim.ticker(10.0) is ticker
+        ticker.members += 1
+        sim.run_until(50.0)
+        assert ticker.count == 5
+
+    def test_next_fire_accumulates_like_a_schedule_chain(self):
+        """``now + interval`` at every firing — the float a
+        ``schedule(interval, tick)`` chain lands on — never
+        ``first + k * interval``."""
+        interval = 0.1
+        sim, chain_sim = Simulator(), Simulator()
+        fires, chain = [], []
+        sim.ticker(interval).subscribe("t", lambda: fires.append(sim.now))
+
+        def tick():
+            chain.append(chain_sim.now)
+            chain_sim.schedule(interval, tick)
+        chain_sim.schedule(interval, tick)
+        sim.run_until(5.0)
+        chain_sim.run_until(5.0)
+        assert fires == chain
+        assert fires != [interval + k * interval for k in range(len(fires))]
+
+    def test_two_tickers_on_one_key_both_fire(self):
+        """A ticker started at a grid instant *before* that grid's own
+        ticker has fired there lands on the key the old one is about to
+        take: both keep firing, the newcomer is the one found."""
+        sim = Simulator()
+        old = sim.ticker(10.0)
+        hits = []
+        old.subscribe("old", lambda: hits.append(("old", sim.now)))
+        late = []
+        # scheduled before the ticker re-arms itself for t=20, so it runs
+        # at t=20 ahead of the firing
+        sim.schedule_at(20.0, lambda: late.append(sim.ticker(10.0)))
+        sim.run_until(20.0)
+        new, = late
+        assert new is not old
+        new.subscribe("new", lambda: hits.append(("new", sim.now)))
+        assert old.next_fire == new.next_fire == 30.0
+        assert sim.ticker(10.0) is new
+        del hits[:]
+        sim.run_until(50.0)
+        assert hits == [("new", 30.0), ("old", 30.0), ("new", 40.0),
+                        ("old", 40.0), ("new", 50.0), ("old", 50.0)]
+        assert sim.queue_depth == 2
+        # the unfindable one still stops when its last rider leaves
+        old.unsubscribe("old")
+        sim.run_until(70.0)
+        assert sim.queue_depth == 1 and sim.ticker(10.0) is new
+
+    def test_joining_during_a_firing_starts_a_new_ticker(self):
+        sim = Simulator()
+        ticker = sim.ticker(10.0)
+        found = []
+        ticker.subscribe("x", lambda: found.append(sim.ticker(10.0)))
+        sim.run_until(10.0)
+        assert found[0] is not ticker
+        assert found[0].next_fire == ticker.next_fire == 20.0
+
+    def test_nonpositive_interval_rejected(self):
+        with pytest.raises(ValueError):
+            Simulator().ticker(0.0)
