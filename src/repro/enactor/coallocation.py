@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..hosts.reservations import ReservationToken, ReservationType
 from ..naming.loid import LOID
 from ..net.topology import NetLocation
-from ..net.transport import Call, Transport
+from ..net.transport import Call, CallOutcome, Transport
 from ..schedule.mapping import ScheduleMapping
 
 __all__ = ["CoAllocator", "ReservationOutcome"]
@@ -92,28 +92,23 @@ class CoAllocator:
             call_slots.append(pos)
         self.requests_issued += len(calls)
 
-        if self.sequential:
-            results = []
-            for call in calls:
-                try:
-                    value = self.transport.invoke(
-                        call.src, call.dst, call.fn, *call.args,
-                        label=call.label, **call.kwargs)
-                    results.append((True, value, None))
-                except Exception as exc:
-                    results.append((False, None, exc))
-        else:
-            raw = self.transport.parallel_invoke(calls)
-            results = [(o.ok, o.value, o.error) for o in raw]
-
-        for (ok, value, error), pos in zip(results, call_slots):
-            if ok:
-                outcomes[pos].token = value
+        for raw, pos in zip(self.issue(calls), call_slots):
+            if raw.ok:
+                outcomes[pos].token = raw.value
             else:
+                error = raw.error
                 outcomes[pos].error = (f"{type(error).__name__}: {error}"
                                        if error is not None else "failed")
                 outcomes[pos].exception = error
         return outcomes
+
+    def issue(self, calls: Sequence[Call]) -> List[CallOutcome]:
+        """Send one batch: concurrently, or one call after another under
+        the sequential ablation (E8's baseline, for reservations and
+        creates alike)."""
+        if self.sequential:
+            return self.transport.invoke_each(calls)
+        return self.transport.parallel_invoke(calls)
 
     # -- cancellation -----------------------------------------------------------
     def cancel_batch(self, holdings: Sequence[Tuple[ScheduleMapping,

@@ -46,7 +46,7 @@ from ..hosts.reservations import (
 )
 from ..naming.loid import LOID
 from ..net.topology import NetLocation
-from ..net.transport import Call, Transport
+from ..net.transport import Call, CallOutcome, Transport
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import SpanTracer
 from ..objects.class_object import ClassObject, CreateResult, Placement
@@ -524,17 +524,27 @@ class Enactor:
 
     def _enact_entries(self, handle: _ReservationSet,
                        result: EnactResult) -> None:
-        """Steps 7-11: create instances for each held entry in place."""
+        """Steps 7-11: create instances for each held entry in place.
+
+        The remote creates go out as one batch, so enactment costs the
+        slowest create round trip, as negotiation does; each executes at
+        its own arrival instant and its ack can still be lost.  A batch of
+        one is a plain ``invoke``."""
+        entries: List[Tuple[int, Any, Any]] = []  # (idx, class, token)
+        outcomes: List[Optional[CallOutcome]] = []  # one per entry
+        calls: List[Call] = []
+        call_slots: List[int] = []
         for idx, mapping in handle.entries:
             holding = handle.holdings.get(idx)
             if holding is None:
                 continue  # cancelled out from under us
             class_obj = self.resolver(mapping.class_loid)
             if not isinstance(class_obj, ClassObject):
-                result.entry_results[idx] = CreateResult(
-                    False, reason=f"unknown class {mapping.class_loid}")
-                result.ok = False
+                entries.append((idx, None, None))
+                outcomes.append(CallOutcome(True, value=CreateResult(
+                    False, reason=f"unknown class {mapping.class_loid}")))
                 continue
+            entries.append((idx, class_obj, holding.token))
             host = self.resolver(mapping.host_loid)
             placement = Placement(host_loid=mapping.host_loid,
                                   vault_loid=mapping.vault_loid,
@@ -548,20 +558,32 @@ class Enactor:
                 def create(p=placement, c=class_obj):
                     return c.create_instance(
                         p, now=self.transport.sim.now)
-            try:
-                if host is not None:
-                    created = self.transport.invoke(
-                        self.location, host.location, create,
-                        label="create_instance")
-                else:
-                    created = create()
-            except Exception as exc:
+            if host is None:
+                try:
+                    outcomes.append(CallOutcome(True, value=create()))
+                except Exception as exc:
+                    outcomes.append(CallOutcome(False, error=exc))
+                continue
+            call_slots.append(len(outcomes))
+            outcomes.append(None)
+            calls.append(Call(self.location, host.location, create,
+                              label="create_instance", acked=True))
+
+        issue = (self.transport.invoke_each if len(calls) == 1
+                 else self.coallocator.issue)
+        for pos, outcome in zip(call_slots, issue(calls)):
+            outcomes[pos] = outcome
+        for (idx, class_obj, token), outcome in zip(entries, outcomes):
+            if outcome.ok:
+                created = outcome.value
+            else:
+                exc = outcome.error
                 created = CreateResult(
                     False, reason=f"{type(exc).__name__}: {exc}")
                 if isinstance(exc, NetworkError):
                     # the create may have executed with its ack lost —
                     # remember the token so rollback can reap blind
-                    result.suspect.append((class_obj, holding.token))
+                    result.suspect.append((class_obj, token))
             result.entry_results[idx] = created
             if created.ok and created.loid is not None:
                 result.created.extend(created.loids or [created.loid])

@@ -12,10 +12,11 @@ every remote invocation passes through :meth:`Transport.invoke`, which
 4. charges the reply latency the same way.
 
 :meth:`Transport.parallel_invoke` models the Enactor issuing reservation
-requests to several Hosts *concurrently*: calls execute in arrival order, and
-the clock finishes at the **max** completion time rather than the sum, so
-co-allocation cost scales with the slowest resource — the behaviour E8
-measures.
+requests (and, once they hold, ``create_instance`` calls) to several Hosts
+*concurrently*: calls execute in arrival order, and the clock finishes at the
+**max** completion time rather than the sum, so co-allocation cost scales
+with the slowest resource — the behaviour E8 measures.
+:meth:`Transport.invoke_each` is its one-call-after-another twin.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class Call:
     label: str = ""
     #: carried trace context — callee-side spans parent under the sender
     context: Optional[TraceContext] = None
+    #: the caller must hear the reply: charge it like :meth:`invoke`'s
+    #: (reachability, loss, the timeout wait), so an executed call can
+    #: still fail in its slot with its ack lost
+    acked: bool = False
 
 
 @dataclass(slots=True)
@@ -150,22 +155,27 @@ class Transport:
             self.metrics.count("transport_messages_total", kind="lost")
 
     # -- single call --------------------------------------------------------
-    def _one_way(self, src: Optional[NetLocation], dst: NetLocation,
-                 label: str) -> None:
-        """Charge one message hop, or raise."""
+    def _hop(self, src: Optional[NetLocation], dst: NetLocation,
+             label: str) -> Tuple[float, bool]:
+        """Draw one message hop: ``(delay, lost)``, or raise when
+        unreachable.  A lost message's delay is the timeout the sender
+        still waits out before seeing the loss."""
         if not self.topology.reachable(src, dst):
             raise HostUnreachableError(f"{src} -> {dst} unreachable "
                                        f"({label})")
         p = self.effective_loss_probability()
         lost = p > 0.0 and self._loss_rng.random() < p
-        self._count_message(lost=lost)
-        if lost:
-            # the sender still waits out a timeout before seeing the loss
-            lat = self._sample_latency(src, dst)
-            self.sim.run_until(self.sim.now + self.loss_timeout_factor * lat)
-            raise MessageLostError(f"message {src} -> {dst} lost ({label})")
         lat = self._sample_latency(src, dst)
-        self.sim.run_until(self.sim.now + lat)
+        return (self.loss_timeout_factor * lat if lost else lat), lost
+
+    def _one_way(self, src: Optional[NetLocation], dst: NetLocation,
+                 label: str) -> None:
+        """Charge one message hop, or raise."""
+        delay, lost = self._hop(src, dst, label)
+        self._count_message(lost=lost)
+        self.sim.run_until(self.sim.now + delay)
+        if lost:
+            raise MessageLostError(f"message {src} -> {dst} lost ({label})")
 
     def _reply_hop(self, src: Optional[NetLocation], dst: NetLocation,
                    label: str) -> None:
@@ -277,7 +287,23 @@ class Transport:
                          nbytes=nbytes, elapsed=elapsed)
         return elapsed
 
-    # -- parallel calls ------------------------------------------------------
+    # -- batches of calls -----------------------------------------------------
+    def invoke_each(self, calls: Sequence[Call]) -> List[CallOutcome]:
+        """Issue a batch one :meth:`invoke` after another, each failure
+        captured in its slot as :meth:`parallel_invoke` does — the
+        sequential ablation, and the exchange a batch of one *is*."""
+        outcomes: List[CallOutcome] = []
+        for call in calls:
+            try:
+                value = self.invoke(call.src, call.dst, call.fn, *call.args,
+                                    label=call.label, **call.kwargs)
+                outcomes.append(CallOutcome(True, value=value,
+                                            completed_at=self.sim.now))
+            except Exception as exc:
+                outcomes.append(CallOutcome(False, error=exc,
+                                            completed_at=self.sim.now))
+        return outcomes
+
     def _rpc_span(self, call: Call):
         """The ``rpc:`` span of one call of a parallel batch."""
         name = call.label or getattr(call.fn, "__name__", "call")
@@ -298,6 +324,7 @@ class Transport:
         Outcomes are returned in input order.  Individual failures (network
         or callee exceptions) are captured per-slot, not raised — the Enactor
         needs all outcomes to decide between master and variant schedules.
+        Replies always arrive unless the call is :attr:`Call.acked`.
         """
         start = self.sim.now
         outcomes: List[CallOutcome] = [CallOutcome(False) for _ in calls]
@@ -309,7 +336,7 @@ class Transport:
 
         # Sample all request latencies up front, execute in arrival order.
         breakers = self.breakers
-        p = self.effective_loss_probability()  # nothing below changes it
+        p = self.effective_loss_probability()  # all requests leave now
         arrivals: List[Tuple[float, int]] = []
         for i, call in enumerate(calls):
             if breakers is not None and not breakers.allow(call.dst):
@@ -344,7 +371,7 @@ class Transport:
             arrivals.append((start + lat, i))
 
         completion = start
-        replies = 0
+        replies = lost_replies = 0
         for arrive_at, i in sorted(arrivals):
             call = calls[i]
             self.sim.run_until(arrive_at)
@@ -358,19 +385,43 @@ class Transport:
                         sp.set_status("error")
                         sp.set_attribute(
                             "error", f"{type(exc).__name__}: {exc}")
+            back = ((call.dst, call.src) if call.src is not None
+                    else (None, call.dst))
+            ack_error: Optional[NetworkError] = None
+            if call.acked:
+                # invoke's reply rule: the ack is a hop that can fail
+                label = "reply" if ok else "error-reply"
+                try:
+                    reply_lat, lost = self._hop(*back, label)
+                except HostUnreachableError as exc:
+                    reply_lat, ack_error = 0.0, exc
+                else:
+                    replies += 1
+                    if lost:
+                        lost_replies += 1
+                        ack_error = MessageLostError(
+                            f"message {back[0]} -> {back[1]} lost "
+                            f"({label})")
+            else:
+                reply_lat = self._sample_latency(*back)
+                replies += 1
             if breakers is not None:
-                # the callee ran, so the destination is reachable —
-                # even when it answered with an application error
-                breakers.record_success(call.dst)
-            reply_lat = (self._sample_latency(call.dst, call.src)
-                         if call.src is not None
-                         else self._sample_latency(None, call.dst))
-            replies += 1
+                if ack_error is None:
+                    # the callee ran, so the destination is reachable —
+                    # even when it answered with an application error
+                    breakers.record_success(call.dst)
+                else:
+                    breakers.record_failure(call.dst)
             done = self.sim.now + reply_lat
             if sp.end is not None:
                 # stretch the rpc span over the full request->reply window
                 # (the call executed mid-batch; its cost is the round trip)
                 sp.start, sp.end = start, done
+            if ack_error is not None:
+                ok, err2, value = False, ack_error, None
+                sp.set_status("error")
+                sp.set_attribute("error", f"{type(ack_error).__name__}: "
+                                          f"{ack_error}")
             outcomes[i] = CallOutcome(ok, value=value, error=err2,
                                       completed_at=done)
             completion = max(completion, done)
@@ -380,6 +431,10 @@ class Transport:
             self.messages_sent += replies
             self.metrics.count("transport_messages_total", replies,
                                kind="sent")
+        if lost_replies:
+            self.messages_lost += lost_replies
+            self.metrics.count("transport_messages_total", lost_replies,
+                               kind="lost")
 
         # Failed/lost slots may have later timeout completions.
         for o in outcomes:

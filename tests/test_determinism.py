@@ -95,8 +95,8 @@ def _run_federated_workload(seed: int):
 #: makes the kernel do the same thing in fewer events re-pins the integer
 #: alone (the bench ledger BENCH_scale.json will need regenerating too —
 #: see docs/architecture.md).
-SCALE_SNAPSHOT = (
-    "590c1556b50a8ac7f41a937274a4a355b318589cf5ddd911dae3002e4b911b2c")
+SCALE_SNAPSHOT = (  # re-pinned: a placement's 8 creates go out as a batch
+    "3b0a64fa5524c52ddbf153ed37dbd0e2e4980aa00f875ed2c15680602066815e")
 SCALE_EVENTS = 20  # 4,016 with an event per host per reassessment
 
 #: sha256 of the 64-host world's Collection records (see
@@ -107,9 +107,12 @@ WORLD_RECORDS_SNAPSHOT = (
 #: sha256 of one 100-placement round shaped like the benchmark's
 #: ``place_closed`` workload, and the kernel events it dispatched (see
 #: _placement_round_digest)
+#: (re-pinned when the creates became one concurrent batch: the
+#: latencies and virtual seconds shrink, messages stay)
 PLACEMENT_ROUND_SNAPSHOT = (
-    "8d7e57191dd35c09f5dfa34f1ad65821831a4984d1d99c939e93dc1dd463c40c")
-PLACEMENT_ROUND_EVENTS = 649  # 1,027 with per-machine event chains
+    "3d609ce725026215a1f05bc7bca1dca4722618fa4e42fa00f63fa1663d5b9a1a")
+#: 649 with the creates one after another; 1,027 with per-machine chains
+PLACEMENT_ROUND_EVENTS = 644
 
 
 def _scale_digest() -> tuple:

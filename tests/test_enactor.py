@@ -238,11 +238,83 @@ class TestEnactment:
         assert result.created == []          # rollback emptied it
         assert meta.enactor.stats.enact_failures == 1
 
+    @pytest.mark.parametrize("n, exchange", [(1, "invoke"),
+                                             (3, "parallel_invoke")])
+    def test_creates_go_out_as_one_exchange(self, meta, app_class, n,
+                                            exchange):
+        """Several creates are one concurrent batch; a lone create is the
+        plain invoke it always was (a batch of one *is* that exchange)."""
+        feedback = self.reserved(meta, app_class, n=n)
+        before = {e: meta.tracer.count("net", e)
+                  for e in ("invoke", "parallel_invoke")}
+        assert meta.enactor.enact_schedule(feedback).ok
+        after = {e: meta.tracer.count("net", e) - before[e] for e in before}
+        assert after == {e: int(e == exchange) for e in before}
+
     def test_enact_reports_per_entry_codes(self, meta, app_class):
         feedback = self.reserved(meta, app_class, n=2)
         result = meta.enactor.enact_schedule(feedback)
         assert set(result.entry_results) == {0, 1}
         assert all(r.ok for r in result.entry_results.values())
+
+
+class _LoseArmedDraw:
+    """A loss stream that delivers every message except the one drawn
+    right after :attr:`armed` is set."""
+
+    armed = False
+
+    def random(self):
+        if self.armed:
+            self.armed = False
+            return 0.0
+        return 1.0
+
+
+class TestLostCreateAck:
+    """A create that executes but whose ack is lost: the Enactor cannot
+    name the instance, so rollback reaps it by its reservation token."""
+
+    @pytest.mark.parametrize("sequential", [False, True],
+                             ids=["batch", "sequential"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_lost_ack_is_suspect_and_reaped(self, meta, app_class,
+                                            monkeypatch, n, sequential):
+        vault = meta.vaults[0]
+        hosts = meta.hosts[:n]
+        target = n // 2
+        enactor = Enactor(meta.transport, meta.resolve,
+                          sequential_coallocation=sequential)
+        feedback = enactor.make_reservations(ScheduleRequestList(
+            [MasterSchedule([entry(app_class, h, vault) for h in hosts])]))
+        assert feedback.ok
+        token = feedback.reservation_handle.holdings[target].token
+
+        stream = _LoseArmedDraw()
+        meta.transport.loss_probability = 0.5
+        meta.transport._loss_rng = stream
+        create = app_class.create_instance
+
+        def create_then_lose_the_ack(placement, now=0.0):
+            result = create(placement, now=now)
+            if placement.host_loid == hosts[target].loid:
+                assert result.ok
+                stream.armed = True  # the next draw is this create's reply
+            return result
+
+        monkeypatch.setattr(app_class, "create_instance",
+                            create_then_lose_the_ack)
+        result = enactor.enact_schedule(feedback, rollback_on_failure=True)
+
+        assert not result.ok
+        assert "MessageLostError" in result.entry_results[target].reason
+        assert [r.ok for r in result.entry_results.values()] == [
+            i != target for i in range(n)]
+        assert [t for _, t in result.suspect] == [token]
+        assert result.created == []
+        assert enactor.stats.unacked_reaps == 1
+        assert all(h.free_slots == h.slots for h in hosts)
+        assert app_class.instances == {}  # no orphan survives
 
 
 class TestNegotiationSpans:

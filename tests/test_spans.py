@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro import Implementation, MachineSpec, Metasystem, ObjectClassRequest
+from repro.audit import check_spans, load_jsonl
 from repro.obs import (
     NULL_SPANS,
     NullSpanTracer,
@@ -351,11 +352,15 @@ class TestPinnedTelemetry:
     #: only with a change that means to alter what is exported; the
     #: gauges move when the kernel does the same thing in fewer events
     #: (3,355 / 184 while every machine and host kept a private chain).
-    DIGEST = ("63a8ae23160e51a7f348afb53a2708943c7d0bb6"
-              "6279e85eda44fa77deef55ea")
-    KERNEL_GAUGES = {"sim_events_processed": 2095.0, "sim_queue_depth": 58.0}
+    #: Re-pinned when a placement's creates became one concurrent batch:
+    #: the same 7,092 spans, with earlier timestamps and the creates in
+    #: arrival order (gauges were 2,095 / 58).
+    DIGEST = ("3b559002f48e5392ed3110dd375aa0ac"
+              "0da137ef7f299b8e2e436b4be7b6f18c")
+    KERNEL_GAUGES = {"sim_events_processed": 2098.0, "sim_queue_depth": 66.0}
 
-    def test_300_placements_export_the_pinned_bytes(self):
+    @pytest.fixture(scope="class")
+    def pinned_run(self):
         meta = build_testbed(TestbedSpec(
             seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
             background_load_mean=0.3))
@@ -367,6 +372,15 @@ class TestPinnedTelemetry:
         for _ in range(300):
             scheduler.run(request, reservation_duration=30.0)
             meta.advance(0.5)
+        return meta
+
+    def test_300_placements_follow_fig3_step_order(self, pinned_run):
+        exported = load_jsonl(spans_to_jsonl(pinned_run.spans.spans))
+        assert len(exported) == 7092
+        assert check_spans(exported) == []
+
+    def test_300_placements_export_the_pinned_bytes(self, pinned_run):
+        meta = pinned_run
         assert len(meta.spans) == 7092
         snapshot = meta.metrics.snapshot()
         kernel = {m["name"]: m["series"][0]["value"]
