@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
-from ..sim.kernel import Simulator
+from ..sim.kernel import Simulator, Ticker
 from .collection import Collection
 
 __all__ = ["DataCollectionDaemon"]
@@ -22,15 +22,12 @@ class DataCollectionDaemon:
     """Periodically pulls attributes from sources and pushes to Collections."""
 
     def __init__(self, sim: Simulator, collections: Sequence[Collection],
-                 interval: float = 60.0, jitter: float = 0.0,
-                 rng=None, metrics: Any = None):
+                 interval: float = 60.0, metrics: Any = None):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.collections: List[Collection] = list(collections)
         self.interval = interval
-        self.jitter = jitter
-        self._rng = rng
         self.metrics = metrics
         self._sources: List = []
         self._credentials = {}
@@ -39,7 +36,7 @@ class DataCollectionDaemon:
         self._evict_after: Optional[float] = None
         self.evictions = 0
         self.sweeps = 0
-        self._running = False
+        self._ticker: Optional[Ticker] = None
 
     def watch(self, source) -> None:
         """Add a resource object (host, vault) to the pull set."""
@@ -104,20 +101,11 @@ class DataCollectionDaemon:
 
     def start(self) -> None:
         """Begin periodic sweeps on the simulator."""
-        if self._running:
-            return
-        self._running = True
-
-        def tick():
-            if not self._running:
-                return
-            self.sweep()
-            delay = self.interval
-            if self.jitter > 0 and self._rng is not None:
-                delay += float(self._rng.uniform(0, self.jitter))
-            self.sim.schedule(delay, tick)
-
-        self.sim.schedule(self.interval, tick)
+        if self._ticker is None:
+            self._ticker = Ticker(self.sim, self.interval)
+            self._ticker.subscribe(self, self.sweep)
 
     def stop(self) -> None:
-        self._running = False
+        if self._ticker is not None:
+            self._ticker.unsubscribe(self)
+            self._ticker = None

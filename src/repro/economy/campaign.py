@@ -63,7 +63,8 @@ def run_economy(scheduler: str = "economy",
     ``scheduler`` is ``"economy"`` (auction-cleared, per-user
     budget/deadline boxes, ``mode`` selects time- or cost-optimize) or a
     baseline kind (``random``/``irs``/``cost``); the economy layer is
-    enabled either way so every run meters identical market prices.
+    enabled either way so every run meters identical market prices.  A
+    supplied ``meta`` must already have the economy enabled.
     """
     from ..scheduler.base import ObjectClassRequest
     from ..workload.testbed import implementations_for_all_platforms
@@ -73,7 +74,7 @@ def run_economy(scheduler: str = "economy",
     if meta is None:
         meta = standard_world(seed, n_domains, hosts_per_domain,
                               platform_mix, background_load, economy=True)
-    suite = meta.enable_economy()
+    suite = meta.economy
     horizon = waves * wave_interval
     if guardrails:
         meta.enable_guardrails()

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from ..sim.kernel import Ticker
+
 __all__ = ["Market"]
 
 
@@ -53,7 +55,7 @@ class Market:
         self._base: Dict[Any, float] = {}
         self.repricings = 0
         self.awards = 0
-        self._running = False
+        self._ticker: Optional[Ticker] = None
 
     # -- enrollment ---------------------------------------------------------
     def base_ask_for(self, host: Any) -> float:
@@ -131,21 +133,16 @@ class Market:
 
     def start(self) -> "Market":
         """Begin periodic repricing on the simulator (idempotent)."""
-        if self._running or self.repricing_interval <= 0:
+        if self._ticker is not None or self.repricing_interval <= 0:
             return self
-        self._running = True
-
-        def tick():
-            if not self._running:
-                return
-            self.reprice()
-            self.sim.schedule(self.repricing_interval, tick)
-
-        self.sim.schedule(self.repricing_interval, tick)
+        self._ticker = Ticker(self.sim, self.repricing_interval)
+        self._ticker.subscribe(self, self.reprice)
         return self
 
     def stop(self) -> None:
-        self._running = False
+        if self._ticker is not None:
+            self._ticker.unsubscribe(self)
+            self._ticker = None
 
     def __len__(self) -> int:
         return len(self._hosts)

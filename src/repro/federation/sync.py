@@ -32,7 +32,7 @@ from ..errors import NetworkError
 from ..net.transport import Transport
 from ..obs.registry import MetricsRegistry
 from ..obs.spans import NULL_SPANS
-from ..sim.kernel import Simulator
+from ..sim.kernel import Simulator, Ticker
 from .shard import CollectionShard
 
 __all__ = ["GossipDaemon", "estimate_digest_bytes", "estimate_record_bytes"]
@@ -70,7 +70,7 @@ class GossipDaemon:
         self.rounds = 0
         self.records_exchanged = 0
         self.bytes_exchanged = 0
-        self._running = False
+        self._ticker: Optional[Ticker] = None
 
     # -- one exchange -------------------------------------------------------
     def _pick_peer(self, puller_index: int) -> CollectionShard:
@@ -129,17 +129,11 @@ class GossipDaemon:
 
     # -- kernel wiring -------------------------------------------------------
     def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-
-        def tick():
-            if not self._running:
-                return
-            self.sweep()
-            self.sim.schedule(self.interval, tick)
-
-        self.sim.schedule(self.interval, tick)
+        if self._ticker is None:
+            self._ticker = Ticker(self.sim, self.interval)
+            self._ticker.subscribe(self, self.sweep)
 
     def stop(self) -> None:
-        self._running = False
+        if self._ticker is not None:
+            self._ticker.unsubscribe(self)
+            self._ticker = None

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from ..errors import HostUnreachableError, NetworkError, NotAMemberError
+from ..sim.kernel import Ticker
 
 __all__ = ["LIVE", "SUSPECT", "DOWN", "HealthMonitor"]
 
@@ -80,7 +81,7 @@ class HealthMonitor:
         self._by_location: Dict[str, str] = {}
         self.transitions = 0
         self.publish_failures = 0
-        self._started = False
+        self._ticker: Optional[Ticker] = None
 
     # -- registration ------------------------------------------------------
     def watch(self, host: Any, credential: Any = None) -> None:
@@ -205,14 +206,9 @@ class HealthMonitor:
 
     # -- daemon ------------------------------------------------------------
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self.sim.schedule(self.interval, self._tick_event)
-
-    def _tick_event(self) -> None:
-        self.tick()
-        self.sim.schedule(self.interval, self._tick_event)
+        if self._ticker is None:
+            self._ticker = Ticker(self.sim, self.interval)
+            self._ticker.subscribe(self, self.tick)
 
     def __repr__(self) -> str:  # pragma: no cover
         counts = self.counts()

@@ -101,12 +101,7 @@ class Metasystem:
                  domain: str = "legion",
                  trace_max_records: Optional[int] = None,
                  tracing: str = "spans",
-                 federation: Any = None,
-                 chaos: Any = None,
-                 guardrails: Any = None,
-                 sampler: Any = None,
-                 economy: Any = None,
-                 service: Any = None):
+                 federation: Any = None):
         if tracing not in ("off", "flat", "spans"):
             raise ValueError(
                 f"tracing must be 'off', 'flat' or 'spans', got {tracing!r}")
@@ -184,54 +179,12 @@ class Metasystem:
         self.monitor: Optional[ExecutionMonitor] = None
         self._machine_serial = itertools.count()
 
-        # the chaos knob stores a default campaign source (profile name,
-        # CampaignConfig, or ChaosPlan); the injector itself is armed by
-        # start_chaos() once hosts exist, since campaign generation needs
-        # the topology's target universe
-        self.chaos_config = chaos
+        # optional layers, each installed by its enable_* / start_* method
         self.chaos: Optional[Any] = None
-
-        # the guardrails knob: True enables the self-healing layer with
-        # defaults, or pass a GuardrailConfig; hosts added later are
-        # wired automatically by _wire_host
         self.guardrails: Optional[Any] = None
-        if guardrails:
-            if guardrails is True:
-                self.enable_guardrails()
-            else:
-                self.enable_guardrails(config=guardrails)
-
-        # the sampler knob: True arms windowed time-series capture with
-        # the default window, a number sets the window length in virtual
-        # seconds; off by default so existing benchmark ledgers stay
-        # byte-identical
         self.sampler: Optional[Any] = None
-        if sampler:
-            if sampler is True:
-                self.start_sampler()
-            else:
-                self.start_sampler(window=float(sampler))
-
-        # the economy knob: True enables the computational-economy layer
-        # (market pricing, budgets, auctions) with defaults, or pass an
-        # EconomyConfig; hosts added later are wired by _wire_host
         self.economy: Optional[Any] = None
-        if economy:
-            if economy is True:
-                self.enable_economy()
-            else:
-                self.enable_economy(config=economy)
-
-        # the service knob: True starts the live service tier (gateway +
-        # placement queue + worker pool) with defaults, or pass a
-        # ServiceConfig; usually started via start_service() once hosts
-        # exist so the first placements find a populated Collection
         self.service: Optional[Any] = None
-        if service:
-            if service is True:
-                self.start_service()
-            else:
-                self.start_service(config=service)
 
     # ------------------------------------------------------------------
     # federation
@@ -583,7 +536,7 @@ class Metasystem:
                     ) -> DataCollectionDaemon:
         daemon = DataCollectionDaemon(
             self.sim, [self.collection], interval=interval,
-            rng=self.rngs.stream("daemon"), metrics=self.metrics)
+            metrics=self.metrics)
         if self.guardrails is not None:
             # health-aware sweeps: skip DOWN sources and evict their
             # records once DOWN longer than the horizon (default: twice
@@ -636,8 +589,7 @@ class Metasystem:
         from .obs.report import build_health_report
         if self.sampler is None:
             raise LegionError(
-                "no metrics sampler armed (construct with "
-                "Metasystem(sampler=...) or call start_sampler())")
+                "no metrics sampler armed (call start_sampler())")
         self.sampler.flush()
         return build_health_report(
             self.sampler,
@@ -656,10 +608,9 @@ class Metasystem:
         ``plan`` may be a prebuilt :class:`~repro.chaos.plan.ChaosPlan`;
         otherwise a campaign is generated from ``profile`` (a name in
         :data:`repro.chaos.plan.PROFILES` or a
-        :class:`~repro.chaos.plan.CampaignConfig`), falling back to the
-        constructor's ``chaos=`` knob.  Call after hosts are built —
-        campaign generation targets the current topology.  Returns the
-        armed :class:`~repro.chaos.injector.ChaosInjector`.
+        :class:`~repro.chaos.plan.CampaignConfig`).  Call after hosts are
+        built — campaign generation targets the current topology.
+        Returns the armed :class:`~repro.chaos.injector.ChaosInjector`.
         """
         from .chaos.injector import ChaosInjector
         from .chaos.plan import (
@@ -670,11 +621,9 @@ class Metasystem:
         )
         if self.chaos is not None:
             raise LegionError("a chaos injector is already armed")
-        source = plan if plan is not None else (profile or self.chaos_config)
-        if source is None:
-            raise LegionError(
-                "no chaos plan or profile (pass plan=/profile= or "
-                "construct with Metasystem(chaos=...))")
+        if plan is None and not profile:
+            raise LegionError("no chaos plan or profile (pass plan=/profile=)")
+        source = plan if plan is not None else profile
         if isinstance(source, ChaosPlan):
             built = source
         else:
@@ -699,7 +648,7 @@ class Metasystem:
         self.chaos = ChaosInjector(self, built).arm()
         return self.chaos
 
-    def enable_guardrails(self, config: Any = None, **kwargs) -> Any:
+    def enable_guardrails(self, config: Any = None) -> Any:
         """Install the self-healing layer (detect → quarantine → route
         around → probe → recover):
 
@@ -713,8 +662,9 @@ class Metasystem:
 
         Idempotent — a second call returns the existing suite.  The layer
         draws no random numbers, so enabling it never perturbs the seeded
-        streams of an existing scenario.  Keyword overrides build a
-        :class:`~repro.guardrails.config.GuardrailConfig`.
+        streams of an existing scenario.  ``config`` is a
+        :class:`~repro.guardrails.config.GuardrailConfig` (default: its
+        defaults).
         """
         from .guardrails import (
             AdmissionController,
@@ -726,10 +676,7 @@ class Metasystem:
         if self.guardrails is not None:
             return self.guardrails
         if config is None:
-            config = GuardrailConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either config= or keyword overrides, "
-                             "not both")
+            config = GuardrailConfig()
         monitor = HealthMonitor(
             self.sim, self.collection,
             interval=config.health_interval,
@@ -759,7 +706,7 @@ class Metasystem:
         self.guardrails = GuardrailSuite(config, monitor, board, admission)
         return self.guardrails
 
-    def enable_economy(self, config: Any = None, **kwargs) -> Any:
+    def enable_economy(self, config: Any = None) -> Any:
         """Install the computational-economy layer (ROADMAP item 3):
 
         * a metered accounting :class:`~repro.accounting.ledger.Ledger`
@@ -775,8 +722,9 @@ class Metasystem:
         Idempotent — a second call returns the existing suite.  Market
         jitter draws only from the dedicated ``("economy", "market")``
         stream, so enabling the economy never perturbs the other seeded
-        streams of an existing scenario.  Keyword overrides build an
-        :class:`~repro.economy.config.EconomyConfig`.
+        streams of an existing scenario.  ``config`` is an
+        :class:`~repro.economy.config.EconomyConfig` (default: its
+        defaults).
         """
         from .accounting.ledger import Ledger
         from .economy import (
@@ -789,10 +737,7 @@ class Metasystem:
         if self.economy is not None:
             return self.economy
         if config is None:
-            config = EconomyConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either config= or keyword overrides, "
-                             "not both")
+            config = EconomyConfig()
         ledger = Ledger(clock=lambda: self.sim.now)
         budgets = BudgetManager(clock=lambda: self.sim.now,
                                 metrics=self.metrics)
@@ -835,7 +780,7 @@ class Metasystem:
         return policy
 
     def start_service(self, config: Any = None, app: Any = None,
-                      recovery: Any = None, **kwargs) -> Any:
+                      recovery: Any = None) -> Any:
         """Start the live service tier (ROADMAP item 2): a typed
         :class:`~repro.service.gateway.RequestGateway` feeding a bounded
         :class:`~repro.service.queue.PlacementQueue` drained by a
@@ -847,8 +792,9 @@ class Metasystem:
         Idempotent — a second call returns the existing suite.  All
         randomness draws from dedicated ``("service", ...)`` streams, so
         starting the service never perturbs the other seeded streams of
-        an existing scenario.  Keyword overrides build a
-        :class:`~repro.service.config.ServiceConfig`.
+        an existing scenario.  ``config`` is a
+        :class:`~repro.service.config.ServiceConfig` (default: its
+        defaults).
 
         ``recovery`` (a :class:`~repro.recovery.RecoveryConfig`, or
         ``True`` for defaults) arms the crash-recovery layer: a
@@ -870,10 +816,7 @@ class Metasystem:
         if self.service is not None:
             return self.service
         if config is None:
-            config = ServiceConfig(**kwargs)
-        elif kwargs:
-            raise ValueError("pass either config= or keyword overrides, "
-                             "not both")
+            config = ServiceConfig()
         if recovery is True:
             from .recovery import RecoveryConfig
             recovery = RecoveryConfig()

@@ -43,6 +43,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..sim.kernel import Ticker
+
 __all__ = [
     "Window",
     "MetricsSampler",
@@ -134,7 +136,7 @@ class MetricsSampler:
         self.windows: List[Window] = []
         self.dropped = 0
         self.samples_taken = 0
-        self._running = False
+        self._ticker: Optional[Ticker] = None
         self._next_index = 0
         self._last_close = 0.0
         #: (name, label_tuple) -> previous raw reading
@@ -235,23 +237,19 @@ class MetricsSampler:
 
     def start(self) -> "MetricsSampler":
         """Begin periodic window closes on the simulator."""
-        if self._running:
+        if self._ticker is not None:
             return self
-        self._running = True
         self._last_close = self.sim.now
         self._prev = self._capture()
-
-        def tick():
-            if not self._running:
-                return
-            self._close_window(self.sim.now)
-            self.sim.schedule(self.window, tick)
-
-        self.sim.schedule(self.window, tick)
+        self._ticker = Ticker(self.sim, self.window)
+        self._ticker.subscribe(
+            self, lambda: self._close_window(self.sim.now))
         return self
 
     def stop(self) -> None:
-        self._running = False
+        if self._ticker is not None:
+            self._ticker.unsubscribe(self)
+            self._ticker = None
 
     def flush(self) -> Optional[Window]:
         """Close the current partial window at the present virtual time

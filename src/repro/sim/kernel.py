@@ -44,6 +44,7 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Ticker",
+    "GridTicker",
     "grid_delay",
 ]
 
@@ -287,15 +288,20 @@ class Process(Event):
 
 
 class Ticker:
-    """A periodic kernel event shared by everything on one time grid
-    (see :meth:`Simulator.ticker`): one event per ``interval`` however
-    many ride on it.  A firing bumps :attr:`count`, then runs the
-    subscribed callbacks in subscription order.  A rider that only needs
-    to know how many periods have passed takes no callback: it counts
-    itself in :attr:`members` and compares :attr:`count` with what it
-    last saw when next looked at.  Fires at ``now + interval`` each time
-    (the float a ``schedule(interval, tick)`` chain lands on); a ticker
-    nobody rides does not reschedule itself.
+    """A periodic kernel event.  A firing bumps :attr:`count`, then runs
+    the subscribed callbacks in subscription order, then re-arms at
+    ``now + interval`` (the float a ``schedule(interval, tick)`` chain
+    lands on) -- unless nobody rides it any more, in which case it does
+    not reschedule itself.  A rider that only needs to know how many
+    periods have passed takes no callback: it counts itself in
+    :attr:`members` and compares :attr:`count` with what it last saw
+    when next looked at.
+
+    Built directly, ``Ticker(sim, interval)`` belongs to its builder: a
+    periodic daemon owns one, subscribes its work method in ``start()``
+    and unsubscribes it in ``stop()``.  Nothing else can find it, so it
+    never merges with another event on the same grid.  The shared kind
+    is :class:`GridTicker`, handed out by :meth:`Simulator.ticker`.
     """
 
     __slots__ = ("sim", "interval", "next_fire", "count", "members",
@@ -317,23 +323,37 @@ class Ticker:
         self._callbacks.pop(key, None)
 
     def _arm(self) -> None:
-        sim = self.sim
-        self.next_fire = sim._now + self.interval
+        self.next_fire = self.sim._now + self.interval
+        self.sim.schedule_at(self.next_fire, self._fire)
+
+    def _fire(self) -> None:
+        self.count += 1
+        for callback in list(self._callbacks.values()):
+            callback()
+        if self.members or self._callbacks:
+            self._arm()
+
+
+class GridTicker(Ticker):
+    """A :class:`Ticker` shared by everything on one time grid (see
+    :meth:`Simulator.ticker`): one event per ``interval`` however many
+    ride on it, findable under ``(next fire time, interval)`` while it
+    is pending."""
+
+    __slots__ = ()
+
+    def _arm(self) -> None:
+        super()._arm()
         # a ticker already findable under this key stays the one found;
         # both fire, in the order they were armed
-        sim._tickers.setdefault((self.next_fire, self.interval), self)
-        sim.schedule_at(self.next_fire, self._fire)
+        self.sim._tickers.setdefault((self.next_fire, self.interval), self)
 
     def _fire(self) -> None:
         tickers = self.sim._tickers
         key = (self.next_fire, self.interval)
         if tickers.get(key) is self:
             del tickers[key]
-        self.count += 1
-        for callback in list(self._callbacks.values()):
-            callback()
-        if self.members or self._callbacks:
-            self._arm()
+        super()._fire()
 
 
 class Simulator:
@@ -347,7 +367,7 @@ class Simulator:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        #: pending tickers by ``(next fire time, interval)``
+        #: pending grid tickers by ``(next fire time, interval)``
         self._tickers: dict = {}
         self.events_processed = 0
 
@@ -386,12 +406,12 @@ class Simulator:
         heappush(self._heap, (when, priority, next(self._seq), action))
 
     def ticker(self, interval: float) -> Ticker:
-        """The shared :class:`Ticker` that next fires ``interval`` from
+        """The shared :class:`GridTicker` that next fires ``interval`` from
         now, started if nothing is on that grid yet."""
         if interval <= 0:
             raise ValueError("ticker interval must be positive")
         found = self._tickers.get((self._now + interval, interval))
-        return found if found is not None else Ticker(self, interval)
+        return found if found is not None else GridTicker(self, interval)
 
     # -- waitable factories --------------------------------------------------
     def event(self, name: str = "") -> Event:

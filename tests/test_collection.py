@@ -4,8 +4,11 @@ and function injection."""
 import pytest
 
 from repro.collection import Collection, DataCollectionDaemon
+from repro.economy import Market
 from repro.errors import AuthenticationError, NotAMemberError
+from repro.federation.sync import GossipDaemon
 from repro.naming import LOID
+from repro.obs import MetricsRegistry, MetricsSampler
 from repro.sim import Simulator
 
 
@@ -261,6 +264,29 @@ class TestDaemon:
         daemon.start()
         meta.advance(10.5)
         assert daemon.sweeps == 1
+
+    @pytest.mark.parametrize("build, work", [
+        (lambda sim: MetricsSampler(sim, MetricsRegistry(), window=10.0),
+         "_close_window"),
+        (lambda sim: Market(sim, repricing_interval=10.0), "reprice"),
+        (lambda sim: GossipDaemon(sim, [None, None], interval=10.0),
+         "sweep"),
+        (lambda sim: DataCollectionDaemon(sim, [], interval=10.0), "sweep"),
+    ], ids=["sampler", "market", "gossip", "collection-daemon"])
+    def test_restart_fires_once_per_period(self, build, work):
+        """stop() then start() before the stopped daemon's pending firing:
+        N periods after the restart give exactly N firings."""
+        sim = Simulator()
+        daemon = build(sim)
+        fired = []
+        setattr(daemon, work, lambda *args: fired.append(sim.now))
+        daemon.start()
+        sim.run_until(5.0)
+        daemon.stop()
+        sim.run_until(8.0)
+        daemon.start()
+        sim.run_until(58.0)
+        assert fired == [18.0, 28.0, 38.0, 48.0, 58.0]
 
     def test_daemon_watch_joins_new_source(self, meta):
         c2 = Collection(LOID(("d", "svc", "second")),

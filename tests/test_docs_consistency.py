@@ -1,6 +1,8 @@
 """Documentation-integrity tests: DESIGN.md's experiment index and module
-inventory must reference things that actually exist."""
+inventory must reference things that actually exist.  Plus one source
+check: periodic work goes through the kernel's ``Ticker``."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -72,3 +74,63 @@ class TestReadme:
         for doc in ("architecture.md", "protocol.md", "query_language.md",
                     "extending.md"):
             assert (ROOT / "docs" / doc).exists(), doc
+
+
+#: self-rescheduling functions still allowed outside ``sim/kernel.py``,
+#: by (module under src/repro, function name): the Supervisor's lease
+#: scan on ``grid_delay``, the worker pool's per-lease heartbeats, and
+#: the gameday's one-shot checkpoint probe that re-polls on the worker
+#: grid until the service is quiescent
+HAND_ROLLED_LOOPS = {
+    ("recovery/supervisor.py", "_tick"),
+    ("service/workers.py", "beat"),
+    ("recovery/gameday.py", "try_checkpoint"),
+}
+
+
+def self_rescheduling_functions(tree):
+    """Names of functions that pass themselves (``f`` or ``self.f``) to a
+    ``schedule`` / ``schedule_at`` call in their own body."""
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("schedule", "schedule_at")):
+                continue
+            for arg in call.args:
+                name = (arg.id if isinstance(arg, ast.Name) else
+                        arg.attr if isinstance(arg, ast.Attribute) else None)
+                if name == func.name:
+                    found.add(func.name)
+    return found
+
+
+class TestPeriodicDaemons:
+    def test_no_new_hand_rolled_periodic_loops(self):
+        """A periodic daemon owns a ``Ticker`` (docs/extending.md,
+        "Writing a periodic daemon") instead of a function that
+        reschedules itself through ``sim.schedule``."""
+        src = ROOT / "src" / "repro"
+        loops = set()
+        for path in sorted(src.rglob("*.py")):
+            module = path.relative_to(src).as_posix()
+            if module == "sim/kernel.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            loops |= {(module, name)
+                      for name in self_rescheduling_functions(tree)}
+        assert loops == HAND_ROLLED_LOOPS
+
+    def test_the_check_sees_both_spellings(self):
+        tree = ast.parse(
+            "def tick():\n"
+            "    sim.schedule(1.0, tick)\n"
+            "class D:\n"
+            "    def _tick(self):\n"
+            "        self.sim.schedule_at(self.sim.now + 1.0, self._tick)\n"
+            "    def once(self):\n"
+            "        self.sim.schedule(1.0, self._tick)\n")
+        assert self_rescheduling_functions(tree) == {"tick", "_tick"}

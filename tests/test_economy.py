@@ -10,6 +10,7 @@ from repro.accounting.ledger import ChargeRecord
 from repro.economy import (
     Ask,
     BudgetManager,
+    EconomyConfig,
     SealedBidAuction,
     run_economy,
     run_economy_comparison,
@@ -181,7 +182,7 @@ def econ():
                                        speed=speed),
                            slots=4)
     meta.add_vault("d")
-    suite = meta.enable_economy(repricing_jitter=0.0)
+    suite = meta.enable_economy(EconomyConfig(repricing_jitter=0.0))
     app = meta.create_class("A", [Implementation("sparc", "SunOS")],
                             work_units=100.0)
     return meta, app, suite

@@ -70,7 +70,7 @@ def guarded_meta(seed=7, **overrides):
                         MachineSpec(arch="sparc", os_name="SunOS"),
                         slots=4)
     m.add_vault("uva", name="uva-vault")
-    m.enable_guardrails(**overrides)
+    m.enable_guardrails(GuardrailConfig(**overrides))
     return m
 
 

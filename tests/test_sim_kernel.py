@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ProcessError, SimTimeError
 from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim.kernel import Ticker
 
 
 class TestScheduling:
@@ -451,6 +452,20 @@ class TestTicker:
         sim.run_until(10.0)
         assert found[0] is not ticker
         assert found[0].next_fire == ticker.next_fire == 20.0
+
+    def test_owned_ticker_is_never_found_on_the_grid(self):
+        """A daemon's own ``Ticker`` fires at the grid's instants but is
+        not handed out by :meth:`Simulator.ticker`: joining it would
+        merge two kernel events into one."""
+        sim = Simulator()
+        owned = Ticker(sim, 10.0)
+        owned.subscribe("daemon", lambda: None)
+        shared = sim.ticker(10.0)
+        assert shared is not owned
+        shared.members += 1
+        sim.run_until(10.0)
+        assert sim.events_processed == 2
+        assert sim.ticker(10.0) is shared
 
     def test_nonpositive_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -239,7 +239,8 @@ class TestMetasystemWiring:
     def test_sampler_knob_arms_and_is_exclusive(self):
         from repro.errors import LegionError
         from repro.metasystem import Metasystem
-        meta = Metasystem(seed=0, sampler=15.0)
+        meta = Metasystem(seed=0)
+        meta.start_sampler(window=15.0)
         assert meta.sampler is not None
         assert meta.sampler.window == 15.0
         with pytest.raises(LegionError):
