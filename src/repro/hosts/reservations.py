@@ -84,6 +84,21 @@ ALL_TYPES = (ONE_SHOT_SPACE, REUSABLE_SPACE, ONE_SHOT_TIME, REUSABLE_TIME)
 INSTANTANEOUS = -1.0
 
 
+def _payload(token_id: int, host_loid: LOID, vault_loid: LOID,
+             class_loid: LOID, rtype: ReservationType, start_time: float,
+             duration: float, timeout: float, issued_at: float) -> bytes:
+    """The bytes a token's signature covers: every field but itself."""
+    return "|".join([
+        str(token_id), str(host_loid), str(vault_loid), str(class_loid),
+        str(int(rtype.share)), str(int(rtype.reuse)), repr(start_time),
+        repr(duration), repr(timeout), repr(issued_at),
+    ]).encode("utf-8")
+
+
+def _sign(secret: bytes, payload: bytes) -> bytes:
+    return hmac.new(secret, payload, hashlib.sha256).digest()
+
+
 @dataclass(frozen=True)
 class ReservationToken:
     """An unforgeable grant of future service on one (Host, Vault) pair."""
@@ -99,24 +114,22 @@ class ReservationToken:
     issued_at: float
     signature: bytes = b""
 
+    def _fields(self) -> tuple:
+        """Every field but the signature: what the signature covers."""
+        return (self.token_id, self.host_loid, self.vault_loid,
+                self.class_loid, self.rtype, self.start_time, self.duration,
+                self.timeout, self.issued_at)
+
     def payload(self) -> bytes:
-        return "|".join([
-            str(self.token_id), str(self.host_loid), str(self.vault_loid),
-            str(self.class_loid), str(int(self.rtype.share)),
-            str(int(self.rtype.reuse)), repr(self.start_time),
-            repr(self.duration), repr(self.timeout), repr(self.issued_at),
-        ]).encode("utf-8")
+        return _payload(*self._fields())
 
     def signed(self, secret: bytes) -> "ReservationToken":
-        sig = hmac.new(secret, self.payload(), hashlib.sha256).digest()
-        return ReservationToken(
-            self.token_id, self.host_loid, self.vault_loid, self.class_loid,
-            self.rtype, self.start_time, self.duration, self.timeout,
-            self.issued_at, sig)
+        return ReservationToken(*self._fields(),
+                                _sign(secret, self.payload()))
 
     def verify(self, secret: bytes) -> bool:
-        expected = hmac.new(secret, self.payload(), hashlib.sha256).digest()
-        return hmac.compare_digest(expected, self.signature)
+        return hmac.compare_digest(_sign(secret, self.payload()),
+                                   self.signature)
 
     @property
     def instantaneous(self) -> bool:
@@ -178,12 +191,12 @@ class ReservationTable:
         return [e for e in self._entries.values()
                 if not e.cancelled and not e.expired(now)]
 
-    def _admissible(self, tok: ReservationToken, now: float) -> bool:
-        start, end = tok.window()
+    def _admissible(self, start: float, end: float, share: bool,
+                    now: float) -> bool:
         overlapping = [e for e in self._entries.values()
                        if start < e.end and e.start < end
                        and not e.cancelled and not e.expired(now)]
-        if not tok.rtype.share:
+        if not share:
             return not overlapping
         if any(not e.token.rtype.share for e in overlapping):
             return False
@@ -201,15 +214,18 @@ class ReservationTable:
         if start_time != INSTANTANEOUS and start_time < now:
             raise ReservationDeniedError(
                 f"start_time {start_time} is in the past (now={now})")
-        probe = ReservationToken(
-            next(self._ids), self.host_loid, vault_loid, class_loid, rtype,
-            start_time, duration, timeout, now)
-        if not self._admissible(probe, now):
+        # the id is drawn before admission, so a denial consumes one
+        fields = (next(self._ids), self.host_loid, vault_loid, class_loid,
+                  rtype, start_time, duration, timeout, now)
+        start = now if start_time == INSTANTANEOUS else start_time
+        window = (start, start + duration)  # what the token's window() is
+        if not self._admissible(*window, rtype.share, now):
             self.denials += 1
             raise ReservationDeniedError(
-                f"host {self.host_loid}: window {probe.window()} "
+                f"host {self.host_loid}: window {window} "
                 f"conflicts under type {rtype}")
-        token = probe.signed(self._secret)
+        token = ReservationToken(*fields,
+                                 _sign(self._secret, _payload(*fields)))
         self._entries[token.token_id] = _Entry(token)
         self.grants += 1
         return token

@@ -68,6 +68,15 @@ class CallOutcome:
     error: Optional[Exception] = None
     completed_at: float = 0.0
 
+    def __post_init__(self) -> None:
+        # a stored error is data: its traceback (and its context's) would
+        # pin the failed call's frames, and through f_back the frame that
+        # holds this outcome, in a reference cycle only the GC can free
+        err = self.error
+        while err is not None:
+            err.__traceback__ = None
+            err = err.__context__
+
 
 class Transport:
     """Latency-charging invocation layer bound to one simulator."""
@@ -232,21 +241,23 @@ class Transport:
         t0 = self.sim.now
         name = label or getattr(fn, "__name__", "call")
         src_text, dst_text = str(src), str(dst)
-        callee_error: Optional[Exception] = None
+        # a flag, not the callee's exception: a local naming the error
+        # would sit in a frame its own traceback pins
+        error_replied = False
         try:
             with self.spans.span_if_active(f"rpc:{name}", src=src_text,
                                            dst=dst_text):
                 self._one_way(src, dst, name)
                 try:
                     result = fn(*args, **kwargs)
-                except Exception as exc:
-                    callee_error = exc
+                except Exception:
                     self._reply_hop(src, dst, "error-reply")
+                    error_replied = True
                     raise
                 self._reply_hop(src, dst, "reply")
-        except NetworkError as exc:
+        except NetworkError:
             if breakers is not None:
-                if exc is callee_error:
+                if error_replied:
                     # the callee raised it (e.g. a nested invoke further
                     # downstream) and the error-reply landed: dst is alive
                     breakers.record_success(dst)

@@ -12,7 +12,8 @@ Each worker is a generator process on the sim kernel.  Its loop:
    pop but before ``Scheduler.run`` starts finishes CANCELLED instead of
    being placed anyway),
 3. claim the request under a TTL lease (recovery layer on) renewed by a
-   heartbeat callback every ``heartbeat_interval`` virtual seconds,
+   heartbeat on the lease's own ``Ticker`` every ``heartbeat_interval``
+   virtual seconds,
 4. drive :meth:`~repro.scheduler.base.Scheduler.run` for it — each
    worker owns its *own* scheduler instance built from a dedicated
    ``("service", "sched", i)`` RNG stream, so concurrent workers stay
@@ -50,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..chaos.retry import RetryPolicy
 from ..errors import ChaosError, LegionError
 from ..scheduler.base import ObjectClassRequest
-from ..sim.kernel import grid_delay
+from ..sim.kernel import Ticker, grid_delay
 from .config import ServiceConfig
 from .gateway import RequestGateway
 from .queue import PlacementQueue
@@ -356,23 +357,25 @@ class WorkerPool:
 
     def _schedule_heartbeat(self, lease: Any, idx: int,
                             generation: int) -> None:
-        """Renew ``lease`` every ``heartbeat_interval`` while the worker
-        lives and still owns the request; a dead worker's beats stop, so
-        the lease runs out its TTL and the Supervisor takes over."""
-        interval = self.heartbeat_interval
-        if interval <= 0 or self.leases is None:
+        """Renew ``lease`` every ``heartbeat_interval`` on a ticker the
+        lease owns, while the worker lives and still owns the request; a
+        dead worker's beats stop, so the lease runs out its TTL and the
+        Supervisor takes over."""
+        if self.heartbeat_interval <= 0 or self.leases is None:
             return
+        ticker = Ticker(self.sim, self.heartbeat_interval)
 
         def beat() -> None:
             if (self._stopped or self._dead[idx]
-                    or self._generation[idx] != generation):
-                return
-            if not self.leases.is_active(lease):
-                return
-            self.leases.renew(lease, self.sim.now)
-            self.sim.schedule(interval, beat)
+                    or self._generation[idx] != generation
+                    or not self.leases.is_active(lease)):
+                # the ticker does not re-arm with nobody on it, and
+                # dropping the callback breaks the ticker <-> beat loop
+                ticker.unsubscribe(lease)
+            else:
+                self.leases.renew(lease, self.sim.now)
 
-        self.sim.schedule(interval, beat)
+        ticker.subscribe(lease, beat)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<WorkerPool size={self.size} busy={self._busy_now} "

@@ -8,7 +8,10 @@ attributes that did not change, or constant work redone on every
 placement cannot creep back unnoticed.
 """
 
+import collections
 import dataclasses
+import gc
+import io
 import statistics
 import sys
 import types
@@ -17,6 +20,7 @@ import pytest
 
 from repro.campaign import standard_world
 from repro.objects import AttributeDatabase
+from repro.recovery.leases import Lease
 from repro.service import run_service
 from repro.workload.testbed import TestbedSpec, build_testbed
 
@@ -126,6 +130,23 @@ REPLACE_CALLS_PER_PLACEMENT_CEILING = 0.0
 PLACEMENT_VIRT_P50_CEILING = 0.0035
 
 
+def place_closed_world(sequential=False):
+    """The benchmark's ``place_closed`` world and its 4-instance request;
+    ``sequential`` switches the Enactor to one-call-after-another
+    co-allocation."""
+    from repro.scheduler.base import ObjectClassRequest
+    from repro.workload.testbed import implementations_for_all_platforms
+
+    meta = build_testbed(TestbedSpec(
+        seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
+        background_load_mean=0.3))
+    meta.enactor.coallocator.sequential = sequential
+    app = meta.create_class("bench-app",
+                            implementations_for_all_platforms(),
+                            work_units=5.0)
+    return meta, [ObjectClassRequest(app, count=4)]
+
+
 class _Calls:
     """Counts calls of ``owner.name`` while ``monkeypatch`` holds the
     wrapper in place (a classmethod stays one).  A module-level function
@@ -156,17 +177,9 @@ def test_placement_path_costs(monkeypatch):
     from repro.hosts.reservations import ReservationToken
     from repro.naming.loid import LOID
     from repro.obs.registry import MetricsRegistry
-    from repro.scheduler.base import ObjectClassRequest
-    from repro.workload.testbed import implementations_for_all_platforms
 
-    meta = build_testbed(TestbedSpec(
-        seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
-        background_load_mean=0.3))
-    app = meta.create_class("bench-app",
-                            implementations_for_all_platforms(),
-                            work_units=5.0)
+    meta, request = place_closed_world()
     scheduler = meta.make_scheduler("irs")
-    request = [ObjectClassRequest(app, count=4)]
 
     parses = _Calls(monkeypatch, LOID, "parse")
     windows = _Calls(monkeypatch, ReservationToken, "window")
@@ -216,18 +229,9 @@ def test_placement_path_costs(monkeypatch):
 def test_enact_costs_the_slowest_create(sequential):
     """Steps 7-11 cost the slowest create round trip, not the sum of
     them — the sum only under the sequential co-allocation ablation."""
-    from repro.scheduler.base import ObjectClassRequest
-    from repro.workload.testbed import implementations_for_all_platforms
-
-    meta = build_testbed(TestbedSpec(
-        seed=7, n_domains=4, hosts_per_domain=16, host_slots=8,
-        background_load_mean=0.3))
-    meta.enactor.coallocator.sequential = sequential
-    app = meta.create_class("bench-app",
-                            implementations_for_all_platforms(),
-                            work_units=5.0)
-    outcome = meta.make_scheduler("irs").run(
-        [ObjectClassRequest(app, count=4)], reservation_duration=30.0)
+    meta, request = place_closed_world(sequential)
+    outcome = meta.make_scheduler("irs").run(request,
+                                             reservation_duration=30.0)
     assert outcome.ok
     enact, = meta.spans.find("enactor.enact")
     creates = [s.duration for s in meta.spans.spans
@@ -237,3 +241,186 @@ def test_enact_costs_the_slowest_create(sequential):
     expected = sum(creates) if sequential else max(creates)
     assert enact.duration == pytest.approx(expected, rel=1e-9)
     assert enact.duration > min(creates)  # the four really differ
+
+
+# -- what a failed call leaves behind ---------------------------------------
+#
+# A denied reservation is an ordinary result, so it must be freed the
+# moment nobody holds it.  A stored error that kept its traceback pinned
+# the failed call's whole stack (``Scheduler.run`` down to
+# ``_grant_reservation``, every local included) in a reference cycle that
+# only a full GC pass frees, and a heartbeat that rescheduled itself was
+# a closure naming itself.  Each scenario runs under ``DEBUG_SAVEALL``, so
+# whatever the collector frees stays around to be named.
+
+#: cycles the standard library makes on its own, by (module, qualified
+#: name prefix): numpy.ma's one-off import parses builtin signatures
+#: through these nested closures and the class defined among them
+STDLIB_CYCLES = (("ast", "literal_eval.<locals>."),
+                 ("inspect", "_signature_fromstr.<locals>."))
+
+
+def cyclic_garbage(scenario):
+    """Run ``scenario()``; return what it returned (the world, if it
+    hands one back, stays held) and every object the GC freed meanwhile."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        world = scenario()
+        gc.collect()
+        return world, list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def forbidden(garbage, world_held):
+    """What in ``garbage`` no scenario may leave, counted by name: frames,
+    tracebacks, exceptions and leases always; with the world still held,
+    also anything ``repro`` made and any function or class outside
+    :data:`STDLIB_CYCLES`."""
+    found = collections.Counter()
+    for obj in garbage:
+        if isinstance(obj, (types.FrameType, types.TracebackType,
+                            BaseException, Lease)):
+            found[type(obj).__name__] += 1
+        elif not world_held:
+            continue
+        elif isinstance(obj, (types.FunctionType, type)):
+            module, name = obj.__module__ or "", obj.__qualname__
+            if not any(module == m and name.startswith(prefix)
+                       for m, prefix in STDLIB_CYCLES):
+                found[f"{module}.{name}"] += 1
+        elif type(obj).__module__.startswith("repro"):
+            found[type(obj).__qualname__] += 1
+    return found
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("sequential", [False, True],
+                             ids=["batch", "sequential"])
+    def test_placements_with_denials(self, sequential):
+        def placements():
+            meta, request = place_closed_world(sequential)
+            scheduler = meta.make_scheduler("irs")
+            for _ in range(200):
+                scheduler.run(request, reservation_duration=30.0)
+                meta.advance(0.5)
+            return meta
+
+        meta, garbage = cyclic_garbage(placements)
+        assert sum(h.reservations.denials for h in meta.hosts) > 0
+        assert not forbidden(garbage, world_held=True)
+
+    def test_service(self):
+        def service():
+            meta = standard_world(7, 3, 6, 3, 0.3, host_slots=8,
+                                  sampler_window=30.0)
+            run_service(seed=7, duration=120.0, meta=meta)
+            return meta
+
+        meta, garbage = cyclic_garbage(service)
+        assert meta.service.gateway.requests
+        assert not forbidden(garbage, world_held=True)
+
+    def test_recovery_under_faults(self):
+        """Leases and heartbeats through a worker kill and revive and a
+        loss spike."""
+        from repro.chaos.injector import ChaosInjector
+        from repro.chaos.plan import ChaosPlan, FaultEvent
+        from repro.recovery import RecoveryConfig
+        from repro.service import ServiceConfig
+        from repro.service.report import default_model, open_loop_traffic
+
+        def recovery():
+            meta = standard_world(7, 2, 4, 3, 0.3, host_slots=4)
+            suite = meta.start_service(
+                ServiceConfig(workers=2, queue_cap=16),
+                recovery=RecoveryConfig(lease_ttl=20.0,
+                                        heartbeat_interval=5.0,
+                                        scan_interval=5.0))
+            injector = ChaosInjector(meta, ChaosPlan(events=[
+                FaultEvent(at=40.0, kind="message_loss_spike",
+                           duration=30.0, magnitude=0.3),
+                FaultEvent(at=50.0, kind="worker_crash", target="worker-0",
+                           duration=20.0)])).arm()
+            open_loop_traffic(meta, default_model(1_000_000, 120.0), 120.0)
+            meta.advance(300.0)
+            injector.teardown()
+            suite.stop()
+            return meta
+
+        meta, garbage = cyclic_garbage(recovery)
+        suite = meta.service
+        assert (suite.pool.kills, suite.pool.revivals) == (1, 1)
+        assert suite.supervisor.recovered == 1
+        assert suite.leases.renewals > 0
+        assert not forbidden(garbage, world_held=True)
+
+    def test_lossy_chaos_campaign(self):
+        """The chaos ledger's campaign, shrunk from 6 waves to 3; it
+        builds and drops its own worlds."""
+        from repro.tools import main
+
+        _, garbage = cyclic_garbage(lambda: main(
+            ["chaos", "--profile", "lossy", "--chaos-seed", "9",
+             "--waves", "3", "--count", "3", "--compare-retry"],
+            out=io.StringIO()))
+        assert not forbidden(garbage, world_held=False)
+
+    def test_an_error_caught_around_invoke(self):
+        """The application-layer pattern (``except LegionError: continue``
+        around a reservation): once the handler drops the error, none of
+        the failed call's frames survive it."""
+        from repro.errors import LegionError
+
+        def caught():
+            meta = build_testbed(TestbedSpec(seed=7, n_domains=1,
+                                             hosts_per_domain=2))
+            for host in meta.hosts:
+                try:
+                    meta.transport.invoke(None, host.location, _deny,
+                                          label="make_reservation")
+                except LegionError:
+                    continue
+            return meta
+
+        _, garbage = cyclic_garbage(caught)
+        assert not forbidden(garbage, world_held=True)
+
+    def test_a_lost_error_reply(self):
+        """A captured error raised while handling another keeps neither
+        traceback: the lost error-reply's ``MessageLostError`` carries the
+        callee's error as its context."""
+        from repro.errors import MessageLostError, ReservationDeniedError
+        from repro.net.transport import Call
+
+        class Draws:
+            """Loss draws in a fixed order: the request lands, the
+            error-reply is lost."""
+
+            def __init__(self):
+                self.values = [0.9, 0.1]
+
+            def random(self):
+                return self.values.pop(0)
+
+        def lost_reply():
+            meta = build_testbed(TestbedSpec(seed=7, n_domains=1,
+                                             hosts_per_domain=2))
+            meta.transport.loss_probability = 0.5
+            meta.transport._loss_rng = Draws()
+            outcome, = meta.transport.invoke_each(
+                [Call(None, meta.hosts[0].location, _deny)])
+            assert isinstance(outcome.error, MessageLostError)
+            assert isinstance(outcome.error.__context__,
+                              ReservationDeniedError)
+            return meta
+
+        _, garbage = cyclic_garbage(lost_reply)
+        assert not forbidden(garbage, world_held=True)
+
+
+def _deny():
+    from repro.errors import ReservationDeniedError
+    raise ReservationDeniedError("no slot")

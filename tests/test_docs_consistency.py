@@ -78,12 +78,10 @@ class TestReadme:
 
 #: self-rescheduling functions still allowed outside ``sim/kernel.py``,
 #: by (module under src/repro, function name): the Supervisor's lease
-#: scan on ``grid_delay``, the worker pool's per-lease heartbeats, and
-#: the gameday's one-shot checkpoint probe that re-polls on the worker
-#: grid until the service is quiescent
+#: scan on ``grid_delay`` and the gameday's one-shot checkpoint probe
+#: that re-polls on the worker grid until the service is quiescent
 HAND_ROLLED_LOOPS = {
     ("recovery/supervisor.py", "_tick"),
-    ("service/workers.py", "beat"),
     ("recovery/gameday.py", "try_checkpoint"),
 }
 

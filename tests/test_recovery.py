@@ -42,7 +42,8 @@ from repro.recovery import (
 from repro.recovery.checkpoint import quiescence_blockers
 from repro.service import ServiceConfig
 from repro.service.request import TERMINAL_STATES
-from repro.sim.kernel import grid_delay
+from repro.service.workers import WorkerPool
+from repro.sim.kernel import Simulator, grid_delay
 from repro.tools import main
 from repro.workload.testbed import TestbedSpec, build_testbed
 
@@ -182,6 +183,150 @@ class TestLeaseTable:
         lease = leases.grant("req-000000", 0, now=0.0)
         leases.deposit_effects(lease, object())
         assert not leases.late_effects
+
+
+class ChainedHeartbeatPool(WorkerPool):
+    """The heartbeat this repository had before each lease owned a
+    ``Ticker``, kept as the reference: a closure that reschedules itself
+    while the worker lives and the lease is active."""
+
+    def _schedule_heartbeat(self, lease, idx, generation):
+        interval = self.heartbeat_interval
+        if interval <= 0 or self.leases is None:
+            return
+
+        def beat():
+            if (self._stopped or self._dead[idx]
+                    or self._generation[idx] != generation):
+                return
+            if not self.leases.is_active(lease):
+                return
+            self.leases.renew(lease, self.sim.now)
+            self.sim.schedule(interval, beat)
+
+        self.sim.schedule(interval, beat)
+
+
+class _EmptyQueue:
+    """A revived worker idles on its poll grid: nothing is ever queued."""
+
+    def pop(self):
+        return None
+
+
+class _LoggedLeases(LeaseTable):
+    def __init__(self, sim, ttl):
+        super().__init__(ttl)
+        self.sim = sim
+        self.renewed = []
+
+    def renew(self, lease, now):
+        self.renewed.append((now, lease.request_id, self.sim.events_processed))
+        super().renew(lease, now)
+
+
+_BEAT = 2.0
+
+
+def heartbeats_on_heap(sim):
+    """Pending heartbeat events: a chained ``beat`` or a lease ticker's
+    firing (nothing else in a bare pool's kernel rides a ticker)."""
+    return sum(1 for *_, action in sim._heap
+               if getattr(action, "__name__", "") in ("beat", "_fire"))
+
+
+def _play_heartbeats(pool_class, script):
+    """Run ``script`` on a bare two-worker pool; return every renewal
+    (instant, request, events so far), the kernel's event count and heap
+    depth, and each lease's final expiry."""
+    sim = Simulator()
+    leases = _LoggedLeases(sim, ttl=5.0)
+    pool = pool_class(sim, _EmptyQueue(), None, None,
+                      ServiceConfig(workers=2),
+                      scheduler_factory=lambda i: None,
+                      rng_factory=lambda i: None, leases=leases,
+                      heartbeat_interval=_BEAT)
+    granted = []
+
+    def apply(op):
+        kind, arg = op
+        if kind == "grant" and not pool._dead[arg]:
+            lease = leases.grant(f"req-{len(granted):06d}", arg, sim.now)
+            granted.append(lease)
+            pool._schedule_heartbeat(lease, arg, pool._generation[arg])
+        elif kind == "release" and arg < len(granted):
+            leases.release(granted[arg], sim.now)
+        elif kind == "expire" and arg < len(granted):
+            leases.expire(granted[arg], sim.now)
+        elif kind == "kill" and not pool._dead[arg]:
+            pool.kill(arg)
+        elif kind == "revive" and pool._dead[arg]:
+            pool.revive(arg)
+        elif kind == "shutdown":
+            pool.shutdown()
+
+    when, late = 0.0, []
+    for gap, early, op in script:
+        when += gap
+        if early:
+            sim.schedule_at(when, lambda o=op: apply(o))
+        else:
+            late.append((when, op))
+    for at, op in late:
+        sim.run_until(at)
+        apply(op)
+    sim.run_until(when + 3 * _BEAT)
+    for lease in granted:
+        leases.release(lease, sim.now)
+    sim.run_until(sim.now + _BEAT)
+    assert heartbeats_on_heap(sim) == 0  # every lease is inactive now
+    return (leases.renewed, sim.events_processed, sim.queue_depth,
+            [lease.expires_at for lease in granted])
+
+
+_beat_gaps = st.one_of(
+    st.sampled_from([0.0, _BEAT, 2 * _BEAT]),
+    st.floats(min_value=0.0, max_value=7.0, allow_nan=False))
+_workers = st.integers(0, 1)
+_leases = st.integers(0, 5)
+_heartbeat_ops = st.one_of(
+    st.tuples(st.just("grant"), _workers),
+    st.tuples(st.just("release"), _leases),
+    st.tuples(st.just("expire"), _leases),
+    st.tuples(st.just("kill"), _workers),
+    st.tuples(st.just("revive"), _workers),
+    st.tuples(st.just("shutdown"), st.none()),
+)
+#: (gap since the previous op, run as a kernel event — so ahead of any
+#: heartbeat armed later at that instant — or from outside, the op)
+_heartbeat_script = st.lists(st.tuples(_beat_gaps, st.booleans(),
+                                       _heartbeat_ops),
+                             min_size=1, max_size=25)
+
+
+class TestHeartbeatTickerMatchesTheChain:
+    def test_grant_renew_release_kill_and_shutdown(self):
+        script = [
+            (0.0, False, ("grant", 0)),     # renewed at 2, 4, 6
+            (7.0, False, ("release", 0)),   # the beat at 8 stops
+            (0.0, False, ("grant", 1)),     # renewed at 9, 11
+            (5.0, True, ("kill", 1)),       # mid-lease: the beat at 13 stops
+            (1.0, False, ("grant", 0)),     # renewed at 15, 17
+            (4.5, False, ("shutdown", None)),  # generation bump
+        ]
+        ticker = _play_heartbeats(WorkerPool, script)
+        assert ticker == _play_heartbeats(ChainedHeartbeatPool, script)
+        renewed = [(at, rid) for at, rid, _events in ticker[0]]
+        assert renewed == [(2.0, "req-000000"), (4.0, "req-000000"),
+                           (6.0, "req-000000"), (9.0, "req-000001"),
+                           (11.0, "req-000001"), (15.0, "req-000002"),
+                           (17.0, "req-000002")]
+
+    @given(_heartbeat_script)
+    @settings(max_examples=150, deadline=None)
+    def test_same_renewals_and_kernel_events(self, script):
+        assert _play_heartbeats(WorkerPool, script) == \
+            _play_heartbeats(ChainedHeartbeatPool, script)
 
 
 class TestCancelRace:

@@ -125,6 +125,26 @@ class TestNoVerdictLeaksToACopy:
         assert resigned == tok and resigned is not unsigned
 
 
+class TestSignedOnce:
+    """The table signs one token per grant; the id is still drawn before
+    the admission check, so a denial consumes one."""
+
+    def test_a_denial_consumes_a_token_id(self):
+        t = table()
+        first = t.make_reservation(VAULT, CLASS, ONE_SHOT_SPACE, now=0.0,
+                                   duration=10.0)
+        with pytest.raises(ReservationDeniedError, match=(
+                r"window \(0\.0, 10\.0\) conflicts under type "
+                r"one-shot space")):
+            t.make_reservation(VAULT, CLASS, ONE_SHOT_SPACE, now=0.0,
+                               duration=10.0)
+        later = t.make_reservation(VAULT, CLASS, ONE_SHOT_SPACE, now=0.0,
+                                   start_time=20.0, duration=5.0)
+        assert later.token_id == first.token_id + 2
+        assert later == dataclasses.replace(later,
+                                            signature=b"").signed(SECRET)
+
+
 class TestExpiryBoundaries:
     """``expired`` is strict (``now > bound``) on both the confirmation
     deadline and the window end, exactly as before the entry recorded
