@@ -1,9 +1,9 @@
 """Render transport traces as ASCII sequence diagrams.
 
-The Tracer already records every ``net/invoke`` with source, destination,
-label, and round-trip time; :func:`render_sequence` turns a slice of those
-records into the classic lifeline diagram — the Fig. 3 protocol, drawn
-from an actual run:
+Every remote call of a traced request is an ``rpc:<label>`` span whose
+attributes name its source and destination; :func:`render_sequence`
+turns a slice of those spans into the classic lifeline diagram — the
+Fig. 3 protocol, drawn from an actual run:
 
 .. code-block:: text
 
@@ -19,34 +19,35 @@ Used by ``legion-sim run --trace`` and handy in notebooks/debugging.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
-from ..sim.tracing import TraceRecord, Tracer
+from ..obs.spans import Span
 
 __all__ = ["render_sequence", "protocol_trace"]
 
+_RPC = "rpc:"
 
-def _short(endpoint: str) -> str:
+
+def _short(endpoint: Optional[str]) -> str:
     """Compact an endpoint name ('None' becomes 'client')."""
     if endpoint in ("None", "", None):
         return "client"
     return str(endpoint)
 
 
-def render_sequence(records: Iterable[TraceRecord],
+def render_sequence(spans: Iterable[Span],
                     max_label: int = 28,
                     column_width: int = 16) -> str:
-    """Render ``net/invoke`` trace records as a sequence diagram."""
-    invokes = [r for r in records
-               if r.category == "net" and r.event == "invoke"]
+    """Render the ``rpc:`` spans among ``spans`` as a sequence diagram."""
+    invokes = [s for s in spans if s.name.startswith(_RPC)]
     if not invokes:
         return "(no invocations recorded)"
 
     # lifelines, in order of first appearance
     parties: List[str] = []
-    for rec in invokes:
-        for endpoint in (_short(rec.details.get("src")),
-                         _short(rec.details.get("dst"))):
+    for span in invokes:
+        for endpoint in (_short(span.attributes.get("src")),
+                         _short(span.attributes.get("dst"))):
             if endpoint not in parties:
                 parties.append(endpoint)
     width = max(column_width,
@@ -66,13 +67,12 @@ def render_sequence(records: Iterable[TraceRecord],
         header += p.center(width)
     lines.append(header.rstrip())
 
-    for rec in invokes:
-        src = _short(rec.details.get("src"))
-        dst = _short(rec.details.get("dst"))
-        label = str(rec.details.get("label", ""))[:max_label]
-        rtt = rec.details.get("rtt")
-        note = f"{label} ({float(rtt) * 1e3:.1f}ms)" if rtt is not None \
-            else label
+    for span in invokes:
+        src = _short(span.attributes.get("src"))
+        dst = _short(span.attributes.get("dst"))
+        label = span.name[len(_RPC):][:max_label]
+        note = (f"{label} ({(span.end - span.start) * 1e3:.1f}ms)"
+                if span.end is not None else label)
         a, b = col[src], col[dst]
         row = lifeline_row()
         left, right = min(a, b), max(a, b)
@@ -111,11 +111,12 @@ def render_sequence(records: Iterable[TraceRecord],
     return "\n".join(lines)
 
 
-def protocol_trace(tracer: Tracer, since: float = 0.0,
+def protocol_trace(spans: Iterable[Span], since: float = 0.0,
                    limit: Optional[int] = None) -> str:
-    """Sequence diagram of a tracer's invocations at/after ``since``."""
-    records = [r for r in tracer.select("net", "invoke")
-               if r.time >= since]
+    """Sequence diagram of the ``rpc:`` spans (e.g. ``meta.spans.spans``)
+    starting at/after ``since``, at most ``limit`` of them."""
+    invokes = [s for s in spans
+               if s.name.startswith(_RPC) and s.start >= since]
     if limit is not None:
-        records = records[:limit]
-    return render_sequence(records)
+        invokes = invokes[:limit]
+    return render_sequence(invokes)

@@ -34,7 +34,6 @@ from ..obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 from ..obs.spans import SpanTracer, TraceContext
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
-from ..sim.tracing import Tracer
 from .latency import LatencyModel
 from .topology import NetLocation, Topology
 
@@ -87,7 +86,6 @@ class Transport:
 
     def __init__(self, sim: Simulator, topology: Topology,
                  latency_model: LatencyModel, rngs: RngRegistry,
-                 tracer: Optional[Tracer] = None,
                  loss_probability: float = 0.0,
                  metrics: Optional[MetricsRegistry] = None,
                  spans: Optional[SpanTracer] = None):
@@ -98,8 +96,6 @@ class Transport:
         self.latency_model = latency_model
         self.rng = rngs.stream("net", "latency")
         self._loss_rng = rngs.stream("net", "loss")
-        self.tracer = tracer if tracer is not None else Tracer(
-            lambda: sim.now)
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry(lambda: sim.now))
         self.spans = spans if spans is not None else SpanTracer(
@@ -240,13 +236,12 @@ class Transport:
             breakers.check(dst)
         t0 = self.sim.now
         name = label or getattr(fn, "__name__", "call")
-        src_text, dst_text = str(src), str(dst)
         # a flag, not the callee's exception: a local naming the error
         # would sit in a frame its own traceback pins
         error_replied = False
         try:
-            with self.spans.span_if_active(f"rpc:{name}", src=src_text,
-                                           dst=dst_text):
+            with self.spans.span_if_active(f"rpc:{name}", src=str(src),
+                                           dst=str(dst)):
                 self._one_way(src, dst, name)
                 try:
                     result = fn(*args, **kwargs)
@@ -271,10 +266,8 @@ class Transport:
             raise
         if breakers is not None:
             breakers.record_success(dst)
-        rtt = self.sim.now - t0
-        self.tracer.emit("net", "invoke", src=src_text, dst=dst_text,
-                         label=name, rtt=rtt)
-        self.metrics.observe("transport_invoke_rtt_seconds", rtt)
+        self.metrics.observe("transport_invoke_rtt_seconds",
+                             self.sim.now - t0)
         return result
 
     def transfer(self, src: Optional[NetLocation], dst: NetLocation,
@@ -294,8 +287,6 @@ class Transport:
             self._count_message()
             self.metrics.count("transport_transfer_bytes_total", nbytes)
             self.sim.run_until(self.sim.now + elapsed)
-        self.tracer.emit("net", "transfer", src=str(src), dst=str(dst),
-                         nbytes=nbytes, elapsed=elapsed)
         return elapsed
 
     # -- batches of calls -----------------------------------------------------
@@ -451,8 +442,6 @@ class Transport:
         for o in outcomes:
             completion = max(completion, o.completed_at)
         self.sim.run_until(completion)
-        self.tracer.emit("net", "parallel_invoke", n=len(calls),
-                         elapsed=self.sim.now - start)
         self.metrics.observe("transport_parallel_batch_size", len(calls),
                              buckets=DEFAULT_SIZE_BUCKETS)
         return outcomes

@@ -10,8 +10,8 @@ history (:mod:`repro.obs.timeseries`), declarative SLOs with error
 budgets and burn-rate alerts (:mod:`repro.obs.slo`), and the unified
 health report behind ``legion-sim slo`` (:mod:`repro.obs.report`).
 Every Metasystem owns one of each
-(``meta.metrics``, ``meta.spans``, alongside ``meta.tracer``); the metric
-and span catalogues are documented in ``docs/observability.md``.
+(``meta.metrics``, ``meta.spans``); the metric and span catalogues are
+documented in ``docs/observability.md``.
 """
 
 from .export import (

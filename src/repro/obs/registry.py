@@ -536,7 +536,8 @@ class _NullHistogram(Histogram):
 
 
 class NullMetricsRegistry(MetricsRegistry):
-    """Records nothing — the hot-benchmark analogue of ``NullTracer``."""
+    """Records nothing — the hot-benchmark analogue of
+    :class:`~repro.obs.spans.NullSpanTracer`."""
 
     def __init__(self) -> None:
         super().__init__()

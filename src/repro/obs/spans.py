@@ -1,8 +1,11 @@
 """Causal span tracing: per-request timelines over the placement protocol.
 
-The flat :class:`~repro.sim.tracing.Tracer` answers "what happened";
-spans answer "what happened *to this request*, and what dominated its
-latency".  A :class:`SpanTracer` produces a tree of :class:`Span`\\ s per
+Spans are the one record of the protocol: they answer "what happened
+*to this request*, and what dominated its latency".  Every remote call
+is an ``rpc:<label>`` span carrying its ``src`` and ``dst``, so the
+Fig. 3 sequence diagram (:mod:`repro.bench.sequence`) and the step-order
+audit (:mod:`repro.audit.protocol`) read the same spans the exporters
+write.  A :class:`SpanTracer` produces a tree of :class:`Span`\\ s per
 trace — one trace per placement request (rooted by
 :meth:`~repro.scheduler.base.Scheduler.run`) or per migration — with
 every protocol step a named child span.  Sibling subtrees make master
@@ -64,12 +67,11 @@ class TraceContext:
 class Span:
     """One timed, attributed node in a trace tree.
 
-    Slotted, and the ``events`` list exists only once :meth:`add_event`
-    has run: a campaign retains one of these per protocol step.
+    Slotted: a campaign retains one of these per protocol step.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
-                 "attributes", "status", "_events", "seq")
+                 "attributes", "status", "seq")
 
     def __init__(self, trace_id: str, span_id: str,
                  parent_id: Optional[str], name: str, start: float,
@@ -85,15 +87,8 @@ class Span:
         self.attributes = {} if attributes is None else attributes
         #: "ok" | "error" | "unset" (still open)
         self.status = status
-        self._events: Optional[List[tuple]] = None
         #: global creation sequence number — the deterministic export order
         self.seq = seq
-
-    @property
-    def events(self) -> List[tuple]:
-        """Bridged flat-tracer records: (time, category, event, details).
-        Read-only view; :meth:`add_event` is the way to add one."""
-        return [] if self._events is None else self._events
 
     @property
     def duration(self) -> float:
@@ -111,12 +106,6 @@ class Span:
 
     def set_status(self, status: str) -> None:
         self.status = status
-
-    def add_event(self, time: float, category: str, event: str,
-                  details: Optional[Dict[str, Any]] = None) -> None:
-        if self._events is None:
-            self._events = []
-        self._events.append((time, category, event, dict(details or {})))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Span {self.name!r} {self.trace_id}/{self.span_id} "
@@ -208,7 +197,6 @@ class SpanTracer:
         #: innermost last: an open :class:`Span`, or a carried
         #: :class:`TraceContext` pushed by :meth:`activate`
         self._stack: List[Union[Span, TraceContext]] = []
-        self._open: Dict[str, Span] = {}
         self._trace_seq = 0
         self._span_seq = 0
 
@@ -264,7 +252,6 @@ class SpanTracer:
         span = Span(trace_id, "s%06d" % seq, parent_id, name, self._clock(),
                     None, attributes, "unset", seq)
         self.spans.append(span)
-        self._open[span.span_id] = span
         stack.append(span)
         return span
 
@@ -276,7 +263,6 @@ class SpanTracer:
             span.status = status
         elif span.status == "unset":
             span.status = "ok"
-        self._open.pop(span.span_id, None)
         stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
@@ -320,25 +306,6 @@ class SpanTracer:
         self.spans.append(span)
         return span
 
-    # -- flat-tracer bridge ---------------------------------------------------
-    def event(self, category: str, event: str, **details: Any) -> None:
-        """Attach a flat trace record to the innermost open span.
-
-        This is the legacy :class:`~repro.sim.tracing.Tracer` bridge:
-        ``Tracer.emit`` forwards here (via ``span_sink``), so E3/E7/E12
-        benchmark traces gain causal context without call-site rewrites.
-        Dropped silently when no span is open.
-        """
-        if not self._stack:
-            return
-        span = self._open.get(self._stack[-1].span_id)
-        if span is None:
-            return
-        # ``details`` is this call's own kwargs dict: no copy needed
-        if span._events is None:
-            span._events = []
-        span._events.append((self._clock(), category, event, details))
-
     # -- introspection --------------------------------------------------------
     def traces(self) -> Dict[str, List[Span]]:
         """Spans grouped by trace, both in first-seen order."""
@@ -356,7 +323,6 @@ class SpanTracer:
 
     def clear(self) -> None:
         self.spans.clear()
-        self._open.clear()
         self._stack.clear()
 
     def __len__(self) -> int:
@@ -364,7 +330,7 @@ class SpanTracer:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<SpanTracer spans={len(self.spans)} "
-                f"traces={self._trace_seq} open={len(self._open)}>")
+                f"traces={self._trace_seq} depth={len(self._stack)}>")
 
 
 #: shared inert span handed out by null/no-op paths; mutating it is a
@@ -382,19 +348,14 @@ class _NullSpan(Span):
     def set_status(self, status: str) -> None:
         return
 
-    def add_event(self, time: float, category: str, event: str,
-                  details: Optional[Dict[str, Any]] = None) -> None:
-        return
-
 
 _NULL_SPAN = _NullSpan()
 _NULL_SCOPE = _NullScope()
 
 
 class NullSpanTracer(SpanTracer):
-    """Records nothing — the span analogue of ``NullTracer`` /
-    ``NullMetricsRegistry`` for hot soak/benchmark loops
-    (``Metasystem(tracing="flat")`` or ``tracing="off"``)."""
+    """Records nothing — the span analogue of ``NullMetricsRegistry``
+    for hot soak/benchmark loops (``Metasystem(tracing="off")``)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -423,9 +384,6 @@ class NullSpanTracer(SpanTracer):
 
     def activate(self, context: Optional[TraceContext]):
         return _NULL_SCOPE
-
-    def event(self, category: str, event: str, **details: Any) -> None:
-        return
 
 
 #: shared do-nothing span tracer

@@ -12,9 +12,8 @@ Consumes the :class:`~repro.obs.spans.Span` list a
   step on it dominated;
 * :func:`chrome_trace` / :func:`chrome_trace_json` — Chrome trace-event
   JSON loadable in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``, with bridged flat-tracer records as instant
-  events; :func:`spans_to_jsonl` — a line-per-span dump for ad-hoc
-  processing.
+  ``chrome://tracing``; :func:`spans_to_jsonl` — a line-per-span dump
+  for ad-hoc processing.
 
 All output is deterministic: spans arrive in creation order (their IDs
 are sequence counters), timestamps are virtual-clock values, and every
@@ -223,10 +222,6 @@ def render_tree(spans: Sequence[Span],
                 f"{'  ' * depth}{span.name}  "
                 f"[{span.start:.6f} +{span.duration:.6f}s]"
                 f"{mark}{('  ' + attrs) if attrs else ''}")
-            for tm, category, event, details in span.events:
-                kv = " ".join(f"{k}={v}" for k, v in details.items())
-                lines.append(f"{'  ' * (depth + 1)}* {category}/{event} "
-                             f"@{tm:.6f}{(' ' + kv) if kv else ''}")
             for child in children.get(span.span_id, []):
                 walk(child, depth + 1)
 
@@ -331,8 +326,7 @@ def chrome_trace(spans: Sequence[Span]) -> Dict[str, Any]:
     """The Chrome trace-event dict (Perfetto / chrome://tracing).
 
     One process per trace; nested complete events reproduce the span
-    tree, parallel siblings fan out across thread lanes, and bridged
-    flat-tracer records become instant events.
+    tree, and parallel siblings fan out across thread lanes.
     """
     events: List[Dict[str, Any]] = []
     for trace_index, (trace_id, trace_spans) in enumerate(
@@ -360,13 +354,6 @@ def chrome_trace(spans: Sequence[Span]) -> Dict[str, Any]:
                 "ts": _us(span.start), "dur": _us(span.duration),
                 "args": args,
             })
-            for tm, category, event, details in span.events:
-                events.append({
-                    "ph": "i", "pid": pid, "tid": tid, "s": "t",
-                    "name": f"{category}/{event}", "cat": category,
-                    "ts": _us(tm),
-                    "args": dict(sorted(details.items())),
-                })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -391,10 +378,6 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
             "end": span.end,
             "status": span.status,
             "attributes": span.attributes,
-            "events": [
-                {"time": tm, "category": category, "event": event,
-                 "details": details}
-                for tm, category, event, details in span.events],
         }, sort_keys=True, separators=(",", ":"), allow_nan=False,
             default=str))
     return "\n".join(lines) + ("\n" if lines else "")
@@ -405,7 +388,6 @@ def spans_to_jsonl(spans: Sequence[Span]) -> str:
 # ---------------------------------------------------------------------------
 _REQUIRED_BY_PHASE = {
     "X": ("name", "pid", "tid", "ts", "dur"),
-    "i": ("name", "pid", "tid", "ts"),
     "M": ("name", "pid"),
 }
 

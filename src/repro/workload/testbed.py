@@ -63,7 +63,7 @@ class TestbedSpec:
     host_slots: int = 4
     reassess_interval: float = 30.0
     domain_distance_step: float = 0.5
-    #: "off" | "flat" | "spans" — passed to :class:`Metasystem`
+    #: "off" | "spans" — passed to :class:`Metasystem`
     tracing: str = "spans"
     #: federate the information database into this many Collection
     #: shards (0 = single monolithic Collection)

@@ -1,7 +1,7 @@
 """Determinism regression: identical seeded runs, identical telemetry.
 
 Two runs of the same seeded workload must produce byte-identical metrics
-snapshots and equal trace counts — the property every experiment table
+snapshots and span exports — the property every experiment table
 in benchmarks/ relies on, now pinned against regressions from new
 instrumentation.  The scale snapshot at the bottom extends the guarantee
 across *process boundaries* at metasystem scale (1000 hosts) with the
@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from campaign_runs import CAMPAIGNS
 from repro import Metasystem, ObjectClassRequest
 from repro.obs import chrome_trace_json, json_to_snapshot, spans_to_jsonl
 from repro.workload import (
@@ -33,12 +34,10 @@ REQUIRED_FAMILIES = (
     "sim_events_processed",           # kernel events
 )
 
-TRACE_KEYS = ("net", "enactor", "collection", "host")
-
 
 def _run_workload(seed: int):
-    """One seeded end-to-end workload; returns (metrics json, counts,
-    chrome trace json, span jsonl)."""
+    """One seeded end-to-end workload; returns (metrics json, chrome
+    trace json, span jsonl)."""
     meta = build_testbed(TestbedSpec(
         n_domains=2, hosts_per_domain=3, platform_mix=2,
         background_load_mean=0.4, seed=seed))
@@ -53,9 +52,7 @@ def _run_workload(seed: int):
         created.extend(outcome.created)
     wait_for_completion(meta, app, created)
     meta.advance(3600.0)
-    counts = {key: meta.tracer.count(key) for key in TRACE_KEYS}
-    return (meta.metrics.to_json(), counts,
-            chrome_trace_json(meta.spans.spans),
+    return (meta.metrics.to_json(), chrome_trace_json(meta.spans.spans),
             spans_to_jsonl(meta.spans.spans))
 
 
@@ -152,16 +149,15 @@ def _scale_digest() -> tuple:
 
 class TestDeterminism:
     def test_identical_seeds_identical_snapshots(self):
-        json_a, counts_a, chrome_a, jsonl_a = _run_workload(seed=1234)
-        json_b, counts_b, chrome_b, jsonl_b = _run_workload(seed=1234)
+        json_a, chrome_a, jsonl_a = _run_workload(seed=1234)
+        json_b, chrome_b, jsonl_b = _run_workload(seed=1234)
         assert json_a == json_b  # byte-identical export
-        assert counts_a == counts_b
         assert chrome_a == chrome_b  # byte-identical span exports too
         assert jsonl_a == jsonl_b
 
     def test_different_seeds_diverge(self):
-        json_a, _, chrome_a, _ = _run_workload(seed=1)
-        json_b, _, chrome_b, _ = _run_workload(seed=2)
+        json_a, chrome_a, _ = _run_workload(seed=1)
+        json_b, chrome_b, _ = _run_workload(seed=2)
         assert json_a != json_b
         assert chrome_a != chrome_b
 
@@ -185,7 +181,7 @@ class TestDeterminism:
             assert family in names, family
 
     def test_snapshot_covers_required_families(self):
-        text, _, _, _ = _run_workload(seed=7)
+        text, _, _ = _run_workload(seed=7)
         snapshot = json_to_snapshot(text)
         names = {m["name"] for m in snapshot["metrics"]}
         missing = [f for f in REQUIRED_FAMILIES if f not in names]
@@ -196,7 +192,7 @@ class TestDeterminism:
             for m in snapshot["metrics"] for s in m["series"])
 
 
-TRACING_LEVELS = ("off", "flat", "spans")
+TRACING_LEVELS = ("off", "spans")
 
 
 def _placement_outcome(tracing: str):
@@ -249,16 +245,28 @@ def _service_outcome(tracing: str):
             "messages": meta.transport.messages_sent}
 
 
+def _campaign_outcome(name: str):
+    """The outcome of a shrunk ledger campaign (``campaign_runs.py``) at
+    one tracing level: its report, kernel events and messages."""
+    def outcome_at(tracing: str):
+        meta, report = CAMPAIGNS[name](tracing)
+        return {"report": report.to_dict(),
+                "events": meta.sim.events_processed,
+                "messages": meta.transport.messages_sent}
+    return outcome_at
+
+
 class TestObsLevelInvariance:
     """Observing must not change what is observed (ROADMAP item 2's
     gate): the virtual outcome is the same at every tracing level."""
 
-    @pytest.mark.parametrize("outcome_at",
-                             [_placement_outcome, _service_outcome])
+    @pytest.mark.parametrize("outcome_at", [
+        _placement_outcome, _service_outcome,
+        *(_campaign_outcome(name)
+          for name in ("chaos", "guardrails", "economy", "gameday"))])
     def test_virtual_outcome_identical_across_tracing_levels(
             self, outcome_at):
-        off, flat, spans = (outcome_at(level) for level in TRACING_LEVELS)
-        assert off == flat
+        off, spans = (outcome_at(level) for level in TRACING_LEVELS)
         assert off == spans
 
 

@@ -1,6 +1,7 @@
 """Fig. 3 step-order checker (``repro.audit.protocol``): it accepts the
-traces the system records, under both co-allocation modes, and rejects
-hand-mutated copies that break each of its three rules."""
+traces the system records, under both co-allocation modes and over every
+ledger campaign, and rejects hand-mutated copies that break each of its
+three rules."""
 
 import copy
 import json
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from campaign_runs import CAMPAIGNS
 from repro import Implementation, ObjectClassRequest
 from repro.audit import check_spans, check_trace, load_jsonl
 from repro.obs import spans_to_jsonl
@@ -53,6 +55,18 @@ def test_recorded_placements_are_accepted(meta, sequential):
     assert check_spans(spans) == []
 
 
+class TestEveryCampaign:
+    """Every ledger campaign — faults, retries, guardrails, the economy,
+    the service tier and a checkpoint/restore game day — places in Fig. 3
+    order."""
+
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_campaign_spans_follow_fig3_step_order(self, name):
+        meta, _report = CAMPAIGNS[name]("spans")
+        assert meta.spans.find("rpc:create_instance")
+        assert check_spans(meta.spans.spans) == []
+
+
 def test_start_without_a_grant_is_rejected(spans):
     _start, host, _dst = _started_host(spans)
     mutated = [s for s in spans if not (
@@ -66,7 +80,7 @@ def test_start_after_its_grant_was_cancelled_is_rejected(spans):
     cancel = SimpleNamespace(
         trace_id=start.trace_id, span_id="s999999", parent_id=None,
         name="rpc:cancel_reservation", start=start.start, end=start.start,
-        status="ok", attributes={"dst": dst}, events=[])
+        status="ok", attributes={"dst": dst})
     at = spans.index(_first(spans, "enactor.enact"))
     problems = check_trace(spans[:at] + [cancel] + spans[at:])
     assert problems and "live granted reservation" in problems[0]

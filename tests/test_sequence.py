@@ -1,15 +1,13 @@
-"""Tests for the trace-to-sequence-diagram renderer."""
-
-import pytest
+"""Tests for the span-to-sequence-diagram renderer."""
 
 from repro.bench import protocol_trace, render_sequence
-from repro.sim.tracing import TraceRecord, Tracer
+from repro.obs import Span
 
 
 def rec(src, dst, label, rtt=0.001, t=0.0):
-    return TraceRecord(t, "net", "invoke",
-                       {"src": src, "dst": dst, "label": label,
-                        "rtt": rtt})
+    """The ``rpc:`` span of one call from ``src`` to ``dst``."""
+    return Span("t000001", "s000001", None, f"rpc:{label}", t, t + rtt,
+                {"src": src, "dst": dst})
 
 
 class TestRenderSequence:
@@ -51,16 +49,15 @@ class TestRenderSequence:
         assert "local" in out
 
     def test_non_invoke_records_ignored(self):
-        tracer = Tracer()
-        tracer.emit("net", "transfer", src="a", dst="b")
-        assert "no invocations" in protocol_trace(tracer)
+        spans = [Span("t000001", "s000001", None, "transfer:opr-move", 0.0,
+                      1.0, {"src": "a", "dst": "b"}),
+                 Span("t000001", "s000002", None, "enactor.negotiate", 0.0,
+                      1.0)]
+        assert "no invocations" in protocol_trace(spans)
 
     def test_protocol_trace_since_and_limit(self):
-        tracer = Tracer()
-        records = [rec("a/x", "b/y", f"m{i}", t=float(i))
-                   for i in range(5)]
-        tracer.records.extend(records)
-        out = protocol_trace(tracer, since=2.0, limit=2)
+        spans = [rec("a/x", "b/y", f"m{i}", t=float(i)) for i in range(5)]
+        out = protocol_trace(spans, since=2.0, limit=2)
         assert "m2" in out and "m3" in out
         assert "m0" not in out and "m4" not in out
 
@@ -72,17 +69,31 @@ class TestEndToEnd:
         sched = meta.make_scheduler("random")
         outcome = sched.run([ObjectClassRequest(app_class, 2)])
         assert outcome.ok
-        diagram = protocol_trace(meta.tracer)
+        diagram = protocol_trace(meta.spans.spans)
         assert "QueryCollection" in diagram or "create" in diagram
         assert "collection-svc" in diagram.splitlines()[0]
+
+    def test_batched_rounds_draw_a_lifeline_per_reserved_host(
+            self, meta, app_class):
+        """The reservation and create rounds go out as concurrent
+        batches; each call of a batch is still one row of the diagram."""
+        from repro import ObjectClassRequest
+        outcome = meta.make_scheduler("irs").run(
+            [ObjectClassRequest(app_class, 3)])
+        assert outcome.ok
+        diagram = protocol_trace(meta.spans.spans)
+        rows = diagram.splitlines()
+        assert any("make_reservation[" in row for row in rows[1:])
+        assert any("create_instance" in row for row in rows[1:])
+        reserved = {str(meta.resolve(m.host_loid).location)
+                    for m in outcome.feedback.reserved_entries}
+        assert set(rows[0].split()) == {"client"} | reserved
 
     def test_cli_trace_flag(self):
         import io
         from repro.tools import main
         out = io.StringIO()
-        code = main(["run", "--count", "2", "--load", "0",
-                     "--trace", "5"], out=out)
+        code = main(["run", "--count", "3", "--trace", "40"], out=out)
         assert code == 0
-        # with no placed services the trace may be sparse but must render
-        assert ("create_instance" in out.getvalue()
-                or "no invocations" in out.getvalue())
+        assert "create_instance" in out.getvalue()
+        assert "no invocations" not in out.getvalue()

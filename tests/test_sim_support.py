@@ -1,4 +1,4 @@
-"""Tests for RNG streams, distributions, statistics, and tracing."""
+"""Tests for RNG streams, distributions, and statistics."""
 
 import math
 
@@ -15,13 +15,11 @@ from repro.sim import (
     Histogram,
     LogNormal,
     Normal,
-    NullTracer,
     Pareto,
     RngRegistry,
     RunningStats,
     Shifted,
     TimeWeightedStats,
-    Tracer,
     Uniform,
     Weibull,
     derive_seed,
@@ -235,52 +233,3 @@ class TestSummarize:
 
     def test_single_value_std_zero(self):
         assert summarize([5.0])["std"] == 0.0
-
-
-class TestTracer:
-    def test_emit_and_count(self):
-        tr = Tracer(lambda: 1.5)
-        tr.emit("cat", "ev", x=1)
-        tr.emit("cat", "ev")
-        tr.emit("cat", "other")
-        assert tr.count("cat", "ev") == 2
-        assert tr.count("cat") == 3
-        assert len(tr) == 3
-        assert tr.records[0].time == 1.5
-
-    def test_category_filter(self):
-        tr = Tracer(enabled_categories={"keep"})
-        tr.emit("keep", "a")
-        tr.emit("drop", "b")
-        assert len(tr) == 1
-
-    def test_select(self):
-        tr = Tracer()
-        tr.emit("a", "x")
-        tr.emit("a", "y")
-        tr.emit("b", "x")
-        assert len(list(tr.select("a"))) == 2
-        assert len(list(tr.select(event="x"))) == 2
-        assert len(list(tr.select("a", "x"))) == 1
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.emit("a", "x")
-        tr.clear()
-        assert len(tr) == 0 and tr.count("a") == 0
-
-    def test_null_tracer_records_nothing(self):
-        tr = NullTracer()
-        tr.emit("a", "x")
-        assert len(tr) == 0
-
-    def test_bind_clock(self):
-        tr = Tracer()
-        tr.bind_clock(lambda: 9.0)
-        tr.emit("a", "x")
-        assert tr.records[0].time == 9.0
-
-    def test_record_str(self):
-        tr = Tracer(lambda: 2.0)
-        tr.emit("net", "invoke", rtt=0.5)
-        assert "net/invoke" in str(tr.records[0])

@@ -9,68 +9,13 @@ end (no oversubscription, no stuck objects, conserved counts).
 
 import pytest
 
-from repro import MachineSpec, Metasystem, ObjectClassRequest
+from repro import ObjectClassRequest
 from repro.hosts import BatchQueueHost
-from repro.sim.tracing import Tracer
 from repro.workload import (
     TestbedSpec,
     build_testbed,
     implementations_for_all_platforms,
 )
-
-
-class TestTracerRingBuffer:
-    """Long runs must not accumulate unbounded trace memory."""
-
-    def test_ring_buffer_bounds_retention_counts_stay_exact(self):
-        tr = Tracer(max_records=16)
-        for i in range(100):
-            tr.emit("cat", "ev", i=i)
-        assert len(tr) == 16
-        assert tr.total_records == 100
-        assert tr.count("cat", "ev") == 100  # exact despite eviction
-        # the buffer holds the most recent entries
-        assert [r.details["i"] for r in tr.records] == list(range(84, 100))
-
-    def test_unbounded_default_unchanged(self):
-        tr = Tracer()
-        for _ in range(100):
-            tr.emit("cat", "ev")
-        assert len(tr) == 100 == tr.total_records
-
-    def test_clear_resets_totals(self):
-        tr = Tracer(max_records=4)
-        for _ in range(10):
-            tr.emit("cat", "ev")
-        tr.clear()
-        assert len(tr) == 0
-        assert tr.total_records == 0
-        assert tr.count("cat", "ev") == 0
-
-    def test_max_records_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Tracer(max_records=0)
-
-    def test_metasystem_passes_through(self):
-        meta = Metasystem(seed=3, trace_max_records=8)
-        meta.add_domain("d")
-        for i in range(4):
-            meta.add_unix_host(f"h{i}", "d",
-                               MachineSpec(arch="sparc", os_name="SunOS"))
-        meta.add_vault("d", name="v")
-        app = meta.create_class("app",
-                                implementations_for_all_platforms(),
-                                work_units=50.0)
-        outcome = meta.make_scheduler("random").run(
-            [ObjectClassRequest(app, count=3)])
-        assert outcome.ok
-        meta.advance(600.0)
-        assert len(meta.tracer) <= 8
-        assert meta.tracer.total_records >= len(meta.tracer)
-        # exact counts survive eviction: the reserve batch and the create
-        # batch (one record each; the creates were three invokes) kept
-        # counting
-        assert meta.tracer.count("net") == 2
 
 
 @pytest.mark.slow

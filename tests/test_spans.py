@@ -30,7 +30,6 @@ from repro.obs import (
 )
 from repro.obs.export import snapshot_to_json
 from repro.obs.trace_export import children_of, dominant_step, self_time
-from repro.sim.tracing import NullTracer, Tracer
 from repro.workload import (
     TestbedSpec,
     build_testbed,
@@ -125,15 +124,6 @@ class TestSpanTracer:
         with tracer.activate(None):
             assert tracer.current_context() is None
 
-    def test_event_attaches_to_innermost_open_span(self, tracer, clock):
-        tracer.event("net", "dropped")  # no open span: dropped silently
-        with tracer.span("root"):
-            with tracer.span("inner") as inner:
-                clock.now = 2.0
-                tracer.event("enactor", "reserved", host="ws0")
-        assert inner.events == [(2.0, "enactor", "reserved",
-                                 {"host": "ws0"})]
-
     def test_clear_resets_spans_and_context(self, tracer):
         with tracer.span("a"):
             pass
@@ -212,14 +202,6 @@ class TestScopeObjects:
         with tracer.span("root"):
             assert tracer.span_if_active("child") is not scope
 
-    def test_events_list_exists_only_after_an_event(self, tracer):
-        with tracer.span("root") as root:
-            assert root.events == [] and root._events is None
-            tracer.event("net", "sent", n=1)
-            root.add_event(1.0, "net", "acked")
-        assert root.events == [(0.0, "net", "sent", {"n": 1}),
-                               (1.0, "net", "acked", {})]
-
 
 class TestNullSpanTracer:
     def test_records_nothing(self):
@@ -231,7 +213,6 @@ class TestNullSpanTracer:
                 pass
             with null.activate(TraceContext("t1", "s1")):
                 pass
-        null.event("cat", "ev")
         assert len(null.spans) == 0
         assert not null.enabled
         assert null.current_trace_id is None
@@ -239,15 +220,13 @@ class TestNullSpanTracer:
     def test_null_span_is_inert(self):
         with NULL_SPANS.span("x") as span:
             span.set_attribute("k", "v")
-            span.add_event(0.0, "c", "e")
         assert span.attributes == {}
-        assert span.events == []
         assert span.end is None  # the transport's stretch guard relies
         # on a null span never looking "closed"
 
 
 # ---------------------------------------------------------------------------
-# Metasystem wiring: the tracing knob, the bridge, exemplars
+# Metasystem wiring: the tracing knob, exemplars
 # ---------------------------------------------------------------------------
 def _tiny_meta(**kwargs):
     m = Metasystem(seed=11, **kwargs)
@@ -265,53 +244,33 @@ class TestTracingKnob:
         m = _tiny_meta()
         assert isinstance(m.spans, SpanTracer)
         assert not isinstance(m.spans, NullSpanTracer)
-        assert isinstance(m.tracer, Tracer)
-        assert m.tracer.span_sink is m.spans
         assert m.transport.spans is m.spans
         assert m.collection.spans is m.spans
         assert all(h.spans is m.spans for h in m.hosts)
         assert all(v.spans is m.spans for v in m.vaults)
 
-    def test_flat_mode_keeps_tracer_drops_spans(self):
-        m = _tiny_meta(tracing="flat")
-        assert isinstance(m.tracer, Tracer)
-        assert isinstance(m.spans, NullSpanTracer)
-
     def test_off_mode_disables_both(self):
         m = _tiny_meta(tracing="off")
-        assert isinstance(m.tracer, NullTracer)
         assert isinstance(m.spans, NullSpanTracer)
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Metasystem(seed=1, tracing="verbose")
+        for mode in ("verbose", "flat"):
+            with pytest.raises(ValueError):
+                Metasystem(seed=1, tracing=mode)
 
     def test_disabled_modes_still_place_objects(self):
-        for mode in ("flat", "off"):
-            m = _tiny_meta(tracing=mode)
-            app = m.create_class(
-                "A", [Implementation("sparc", "SunOS")], work_units=10.0)
-            outcome = m.make_scheduler("random").run(
-                [ObjectClassRequest(app, 1)])
-            assert outcome.ok
-            assert len(m.spans) == 0
-
-
-class TestTracerBridge:
-    def test_emit_during_open_span_becomes_span_event(self):
-        m = _tiny_meta()
-        with m.spans.span("root") as root:
-            m.tracer.emit("custom", "ping", n=1)
-        assert any(cat == "custom" and ev == "ping"
-                   for _, cat, ev, _ in root.events)
-        # the flat record was still recorded normally
-        assert m.tracer.count("custom") == 1
-
-    def test_emit_outside_spans_only_hits_flat_tracer(self):
-        m = _tiny_meta()
-        m.tracer.emit("custom", "ping")
-        assert m.tracer.count("custom") == 1
+        m = _tiny_meta(tracing="off")
+        app = m.create_class(
+            "A", [Implementation("sparc", "SunOS")], work_units=10.0)
+        outcome = m.make_scheduler("random").run(
+            [ObjectClassRequest(app, 1)])
+        assert outcome.ok
         assert len(m.spans) == 0
+        # and no exemplar links a histogram bucket to a trace
+        step = next(metric for metric in build_snapshot(m.metrics)["metrics"]
+                    if metric["name"] == "enactor_step_seconds")
+        assert all(trace_id is None for series in step["series"]
+                   for _b, _v, trace_id in series["exemplars"])
 
 
 class TestExemplars:
@@ -354,9 +313,11 @@ class TestPinnedTelemetry:
     #: (3,355 / 184 while every machine and host kept a private chain).
     #: Re-pinned when a placement's creates became one concurrent batch:
     #: the same 7,092 spans, with earlier timestamps and the creates in
-    #: arrival order (gauges were 2,095 / 58).
-    DIGEST = ("3b559002f48e5392ed3110dd375aa0ac"
-              "0da137ef7f299b8e2e436b4be7b6f18c")
+    #: arrival order (gauges were 2,095 / 58).  Re-pinned when the flat
+    #: tracer went: the same spans without their 1,320 duplicate
+    #: ``events`` and without the ``tracer_records`` gauge.
+    DIGEST = ("ccd7b186afcdf2eee4b2d324019f696f"
+              "a5e1f155e2fd2883b7b6ad38ef079cb2")
     KERNEL_GAUGES = {"sim_events_processed": 2098.0, "sim_queue_depth": 66.0}
 
     @pytest.fixture(scope="class")
@@ -505,8 +466,8 @@ class TestChromeExport:
         assert len(complete) == len(placed_meta.spans.spans)
         meta_events = [e for e in events if e["ph"] == "M"]
         assert meta_events[0]["args"]["name"] == "placement t000001"
-        # bridged flat-tracer records ride along as instant events
-        assert any(e["ph"] == "i" for e in events)
+        # spans are the whole record: nothing but complete and metadata
+        assert {e["ph"] for e in events} == {"M", "X"}
 
     def test_span_args_carry_identity_and_status(self, placed_meta):
         obj = chrome_trace(placed_meta.spans.spans)
