@@ -1,4 +1,4 @@
-"""Experiment harness: table rendering and run management.
+"""Experiment harness: table rendering.
 
 Every benchmark target in ``benchmarks/`` builds rows with
 :class:`ExperimentTable` and prints them, so experiment output is uniform
@@ -8,11 +8,9 @@ and EXPERIMENTS.md entries can be regenerated verbatim.
 from __future__ import annotations
 
 import sys
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
-__all__ = ["ExperimentTable", "Experiment", "fmt"]
+__all__ = ["ExperimentTable", "fmt"]
 
 
 def fmt(value: Any, precision: int = 3) -> str:
@@ -71,23 +69,3 @@ class ExperimentTable:
 
     def as_dicts(self) -> List[Dict[str, str]]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-@dataclass
-class Experiment:
-    """Declarative wrapper tying an experiment id to its runner."""
-
-    exp_id: str
-    paper_artifact: str
-    runner: Callable[[], ExperimentTable]
-    notes: str = ""
-
-    def run(self, print_table: bool = True) -> ExperimentTable:
-        t0 = time.perf_counter()
-        table = self.runner()
-        elapsed = time.perf_counter() - t0
-        if print_table:
-            print(f"[{self.exp_id}] {self.paper_artifact} "
-                  f"(wall {elapsed:.2f}s)")
-            table.print()
-        return table

@@ -22,7 +22,7 @@ module provides their simulated analogues over a reproducible testbed:
    $ legion-sim chaos --profile hosts --retry --guardrails
    $ legion-sim guardrails --compare --out BENCH_guardrails.json
    $ legion-sim scale --out BENCH_scale.json
-   $ legion-sim scale --sizes 16,32 --check BENCH_scale.json
+   $ legion-sim scale --sizes 16,32 --scheduler random
    $ legion-sim metrics --quantiles p50,p90,p99
    $ legion-sim trace steps --count 6
    $ legion-sim slo --window 30 --chaos-profile hosts --chaos-seed 1
@@ -614,52 +614,18 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
 
 
 def cmd_scale(args: argparse.Namespace, out) -> int:
-    """Run the scale campaign and write/check the BENCH_scale.json ledger.
-
-    ``--check FILE`` compares this run against a committed ledger: the
-    exit status is nonzero when a deterministic field drifted (the
-    ledger is stale) or events/sec regressed beyond tolerance — the
-    same :func:`~repro.bench.scale.check_report` gate that ``legion-sim
-    ledger check scale`` applies.
-    """
-    import json
-
-    from ..bench import scale as scale_bench
+    """Run the seeded placement waves at each ``--sizes`` system size;
+    the exit status is nonzero unless every burst placed and hit the
+    viable-hosts cache."""
+    from ..bench.scale import run_scale
     try:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
     except ValueError:
         print(f"bad --sizes {args.sizes!r}: expected comma-separated "
               f"integers", file=out)
         return 2
-    try:
-        report = scale_bench.build_report(
-            sizes=sizes, waves=args.waves, per_wave=args.count,
-            seed=args.seed, scheduler=args.scheduler,
-            members=args.members, reps=args.reps)
-    except (LegionError, ValueError) as exc:
-        print(f"scale error: {exc}", file=out)
-        return 2
-    scale_bench.placement_table(report["sizes"]).print(out)
-    scale_bench.engine_table(report["query_engines"]).print(out)
-    status = 0
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-        problems = scale_bench.check_report(
-            committed, report,
-            min_ratio=args.min_ratio if args.min_ratio > 0 else None)
-        for problem in problems:
-            print(f"ERROR: {problem}", file=out)
-        if problems:
-            status = 1
-        else:
-            print(f"ledger check passed against {args.check}", file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(scale_bench.report_to_json(report) + "\n")
-        print(f"wrote scale ledger to {args.out}", file=out)
-    return status
-
+    return _campaign(args, out, run_scale, _campaign_kwargs(
+        args, sizes=sizes, scheduler=args.scheduler))
 
 
 def cmd_ledger(args: argparse.Namespace, out) -> int:
@@ -861,21 +827,7 @@ ARG_GROUPS = {
         _arg("--sizes", default="64,256,1024",
              help="comma-separated total host counts, each divisible by "
                   "4 (default 64,256,1024)"),
-        _WAVES, _COUNT, _SCHEDULER, _SEED,
-        _arg("--members", type=int, default=4096,
-             help="member count for the query-engine microbench "
-                  "(default 4096)"),
-        _arg("--reps", type=int, default=20,
-             help="timing repetitions per engine (default 20)"),
-        _arg("--check", default="", metavar="FILE",
-             help="compare this run against a committed ledger; exit "
-                  "nonzero on staleness or speed regression"),
-        _arg("--min-ratio", type=float, default=0.0,
-             help="events/sec tolerance floor as a fraction of the "
-                  "committed speed (default: the committed ledger's own "
-                  "min_ratio)"),
-        _arg("--out", default="", metavar="FILE",
-             help="write the scale ledger JSON to FILE"),
+        _WAVES, _COUNT, _SCHEDULER, _SEED, _OUT,
     ),
     "economy": (
         _arg("--mode", choices=("time", "cost"), default="cost",
@@ -991,8 +943,8 @@ COMMANDS = (
      "error budgets, burn-rate alerts, and breached-window exemplar "
      "traces"),
     ("scale", cmd_scale, ("scale",), dict(waves=4, count=6),
-     "run the scale campaign and write/check the BENCH_scale.json speed "
-     "ledger"),
+     "run the seeded placement waves at growing system sizes: the "
+     "BENCH_scale.json campaign"),
     ("economy", cmd_economy,
      ("testbed", "waves", "arm-chaos", "resilience", "economy"),
      dict(work=250.0, count=2, scheduler="economy"),

@@ -6,17 +6,12 @@ the content checks its document must pass *beyond* its report's own
 what its run must (not) print.  ``legion-sim ledger check [NAME…|--all]``
 and ``legion-sim ledger write NAME`` run on top of it, and
 ``tests/test_ledgers.py`` calls the same :func:`check_ledger`, so CI, the
-CLI and tier-1 agree on what "the ledger holds" means:
-
-* a **virtual-time** ledger is regenerated twice in-process; the two
-  outputs must match byte for byte (determinism), match the committed
-  file byte for byte (freshness), the run must exit 0 (its report's
-  ``problems()`` is empty) and the document must pass its checks;
-* the **wall-clock** ledger (``scale``) cannot be byte-compared: a small
-  profile is re-measured and held against the committed datapoints by
-  :func:`repro.bench.scale.check_report` — deterministic fields exactly,
-  events/sec within the tolerance ratio; its content checks read the
-  committed document.
+CLI and tier-1 agree on what "the ledger holds" means.  Every ledger
+holds virtual-time results only and is checked one way: it is
+regenerated twice in-process; the two outputs must match byte for byte
+(determinism), match the committed file byte for byte (freshness), the
+run must exit 0 (its report's ``problems()`` is empty) and the document
+must pass its checks.
 
 Adding a ledger is adding a row (``docs/extending.md``).
 """
@@ -27,7 +22,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cli import main
@@ -49,8 +44,6 @@ class Ledger:
     #: substrings the regenerating run must / must not print
     stdout_has: Tuple[str, ...] = ()
     stdout_lacks: Tuple[str, ...] = ()
-    #: carries machine-dependent timings: ratio-gated, not byte-compared
-    wall_clock: bool = False
 
     @property
     def filename(self) -> str:
@@ -116,10 +109,8 @@ LEDGERS: Tuple[Ledger, ...] = (
         ("gameday", "--seed", "7", "--compare-restore"),
         stdout_has=("PASS",), stdout_lacks=("FAIL",)),
     Ledger(
-        "scale", ("scale",), wall_clock=True,
+        "scale", ("scale",),
         checks=(
-            ("committed compiled speedup >= 2x",
-             lambda d: d["query_engines"]["compiled_speedup"] >= 2.0),
             ("ledger holds >= 3 sizes", lambda d: len(d["sizes"]) >= 3),
         )),
 )
@@ -146,20 +137,6 @@ def _failed_checks(ledger: Ledger, doc: Dict[str, Any]) -> List[str]:
             if not holds(doc)]
 
 
-def _check_wall_clock(committed: Dict[str, Any], timing: bool) -> List[str]:
-    """Re-measure one small size and hold it against the committed
-    datapoints.  Without ``timing`` only the deterministic fields are
-    compared (no query-engine race, no events/sec floor)."""
-    from ..bench import scale
-    if timing:
-        return scale.check_report(
-            committed, scale.build_report(sizes=(64,), reps=5),
-            min_ratio=0.3)
-    points = scale.run_placement_scale((64,))
-    return scale.check_report(
-        committed, {"sizes": [asdict(p) for p in points]}, min_ratio=0.0)
-
-
 def _regenerate(ledger: Ledger, path: str) -> Tuple[int, str, bytes]:
     """One regenerating run: exit status, stdout, the bytes written."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -169,14 +146,13 @@ def _regenerate(ledger: Ledger, path: str) -> Tuple[int, str, bytes]:
         return code, out.getvalue(), fh.read()
 
 
-def check_ledger(ledger: Ledger, root: str = ".", timing: bool = True,
+def check_ledger(ledger: Ledger, root: str = ".",
                  keep: Optional[str] = None) -> List[str]:
     """Everything wrong with one committed ledger; empty = it holds.
 
     ``root`` is the directory holding the committed file.  ``keep``
     names a directory that receives the regenerated ledger and its
-    run's stdout.  ``timing=False`` skips the wall-clock assertions of
-    a ``wall_clock`` ledger (tier-1 must not depend on machine speed).
+    run's stdout.
     """
     committed_path = os.path.join(root, ledger.filename)
     try:
@@ -184,9 +160,6 @@ def check_ledger(ledger: Ledger, root: str = ".", timing: bool = True,
             committed = fh.read()
     except OSError as exc:
         return [f"cannot read the committed ledger: {exc}"]
-    if ledger.wall_clock:
-        doc = json.loads(committed)
-        return _failed_checks(ledger, doc) + _check_wall_clock(doc, timing)
 
     with tempfile.TemporaryDirectory() as tmp:
         try:

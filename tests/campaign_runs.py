@@ -6,17 +6,20 @@ afford, on a world built at the given tracing level.  The step-order
 audit reads the spans of each (``test_protocol_audit.py``) and the
 obs-level invariance gate compares them across levels
 (``test_determinism.py``).  A runner that takes ``meta=`` gets its world
-that way; ``run_gameday`` builds its own, so its module's
-``standard_world`` is wrapped instead.
+that way; ``run_gameday`` and ``run_scale`` build their own, so the
+world builder they call is wrapped instead.
 """
 
+import dataclasses
 from unittest import mock
 
+from repro.bench import run_scale
 from repro.campaign import standard_world
 from repro.chaos import run_campaign
 from repro.economy import run_economy
 from repro.recovery import gameday
 from repro.service import run_service
+from repro.workload import testbed
 
 #: seed, domains, hosts per domain, platforms, background load
 SMALL_WORLD = (3, 2, 4, 2, 0.5)
@@ -63,10 +66,25 @@ def gameday_restored(tracing):
     return meta, report
 
 
+def scale(tracing):
+    built = []
+    build_testbed = testbed.build_testbed
+
+    def world(spec):
+        built.append(build_testbed(dataclasses.replace(spec, tracing=tracing)))
+        return built[-1]
+
+    with mock.patch.object(testbed, "build_testbed", world):
+        report = run_scale(sizes=(64,))
+    meta, = built
+    return meta, report
+
+
 CAMPAIGNS = {
     "chaos": chaos,
     "guardrails": guardrails,
     "economy": economy,
     "service": service,
     "gameday": gameday_restored,
+    "scale": scale,
 }

@@ -1,20 +1,10 @@
-"""Tests for the experiment-table harness and shared metrics."""
+"""Tests for the experiment-table harness."""
 
 import io
-import math
 
 import pytest
 
-from repro.bench import (
-    Experiment,
-    ExperimentTable,
-    fmt,
-    host_load_imbalance,
-    mean_or_nan,
-    placement_spread,
-    success_rate,
-)
-from repro.scheduler.base import SchedulingOutcome
+from repro.bench import ExperimentTable, fmt
 
 
 class TestFmt:
@@ -76,42 +66,3 @@ class TestExperimentTable:
         table.print(buf)
         assert "== t ==" in buf.getvalue()
 
-
-class TestExperiment:
-    def test_run_prints_and_returns(self, capsys):
-        exp = Experiment("EX", "Fig. X",
-                         runner=lambda: ExperimentTable("inner", ["c"]))
-        table = exp.run()
-        out = capsys.readouterr().out
-        assert "[EX] Fig. X" in out
-        assert table.title == "inner"
-
-    def test_silent_mode(self, capsys):
-        exp = Experiment("EX", "Fig. X",
-                         runner=lambda: ExperimentTable("inner", ["c"]))
-        exp.run(print_table=False)
-        assert capsys.readouterr().out == ""
-
-
-class TestMetrics:
-    def test_success_rate(self):
-        outcomes = [SchedulingOutcome(ok=True), SchedulingOutcome(ok=False)]
-        assert success_rate(outcomes) == 0.5
-        assert math.isnan(success_rate([]))
-
-    def test_mean_or_nan(self):
-        assert mean_or_nan([1.0, float("nan"), 3.0]) == 2.0
-        assert math.isnan(mean_or_nan([float("nan")]))
-        assert math.isnan(mean_or_nan([]))
-
-    def test_placement_spread(self, meta, app_class):
-        from repro import ObjectClassRequest
-        sched = meta.make_scheduler("load")
-        outcome = sched.run([ObjectClassRequest(app_class, 3)])
-        assert placement_spread(outcome) == 3
-        assert placement_spread(SchedulingOutcome(ok=False)) == 0
-
-    def test_host_load_imbalance(self, meta):
-        assert host_load_imbalance(meta) == 0.0  # all idle
-        meta.hosts[0].machine.set_background_load(8.0)
-        assert host_load_imbalance(meta) > 0.5

@@ -1,6 +1,7 @@
 """Tests for the legion-sim command-line tools."""
 
 import io
+import json
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestCampaignCommands:
 
     @pytest.mark.parametrize("argv", [
         ("chaos",), ("guardrails",), ("slo", "--compare-guardrails"),
-        ("economy",), ("serve",), ("gameday",)], ids=" ".join)
+        ("economy",), ("serve",), ("gameday",), ("scale",)], ids=" ".join)
     def test_unknown_scheduler_is_a_usage_error(self, argv):
         from repro.metasystem import SCHEDULER_KINDS
         code, text = run_cli(*argv, "--scheduler", "bogus")
@@ -92,6 +93,31 @@ class TestCampaignCommands:
         for kind in SCHEDULER_KINDS:
             assert repr(kind) in text
         assert "Traceback" not in text
+
+
+class TestScaleCommand:
+    def test_output_and_ledger_are_deterministic(self, tmp_path):
+        path = tmp_path / "scale.json"
+        args = ("scale", "--sizes", "16,32", "--out", str(path))
+        code, first = run_cli(*args)
+        written = path.read_bytes()
+        assert run_cli(*args) == (code, first)
+        assert path.read_bytes() == written
+        assert [p["hosts"] for p in json.loads(written)["sizes"]] == [16, 32]
+        # 16 hosts are too few for every 6-instance burst: the gate says
+        # so, and the ledger is written all the same
+        assert code == 1
+        assert first.endswith(
+            "ERROR: 16 hosts: 7 of 8 burst requests placed\n")
+
+    @pytest.mark.parametrize("sizes,message", [
+        ("6", "scale error: size 6 not divisible by 4 domains"),
+        ("x", "bad --sizes 'x': expected comma-separated integers"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, sizes, message):
+        code, text = run_cli("scale", "--sizes", sizes)
+        assert code == 2
+        assert text.startswith(message)
 
 
 class TestMetrics:

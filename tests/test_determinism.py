@@ -90,8 +90,9 @@ def _run_federated_workload(seed: int):
 #:     PYTHONPATH=src python tests/test_determinism.py
 #: (prints "digest events") and update the digest; a change that only
 #: makes the kernel do the same thing in fewer events re-pins the integer
-#: alone (the bench ledger BENCH_scale.json will need regenerating too —
-#: see docs/architecture.md).
+#: alone.  Either change moves BENCH_scale.json's events too, and
+#: `legion-sim ledger check scale` then reports it stale: regenerate it
+#: with `legion-sim ledger write scale`.
 SCALE_SNAPSHOT = (  # re-pinned: a placement's 8 creates go out as a batch
     "3b0a64fa5524c52ddbf153ed37dbd0e2e4980aa00f875ed2c15680602066815e")
 SCALE_EVENTS = 20  # 4,016 with an event per host per reassessment
@@ -263,7 +264,8 @@ class TestObsLevelInvariance:
     @pytest.mark.parametrize("outcome_at", [
         _placement_outcome, _service_outcome,
         *(_campaign_outcome(name)
-          for name in ("chaos", "guardrails", "economy", "gameday"))])
+          for name in ("chaos", "guardrails", "economy", "gameday",
+                       "scale"))])
     def test_virtual_outcome_identical_across_tracing_levels(
             self, outcome_at):
         off, spans = (outcome_at(level) for level in TRACING_LEVELS)

@@ -1,9 +1,9 @@
 """The committed BENCH_*.json ledgers hold: every registry row passes the
 same check ``legion-sim ledger check`` runs (two regenerating runs
 byte-identical to each other and to the committed file, gate empty,
-content checks true).  The wall-clock ``scale`` row compares its
-deterministic fields only — tier-1 must not depend on machine speed."""
+content checks true)."""
 
+import json
 import shutil
 from pathlib import Path
 
@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 class TestLedgers:
     @pytest.mark.parametrize("ledger", LEDGERS, ids=lambda row: row.name)
     def test_check(self, ledger):
-        assert check_ledger(ledger, root=str(ROOT), timing=False) == []
+        assert check_ledger(ledger, root=str(ROOT)) == []
 
     def test_every_committed_ledger_has_a_row(self):
         committed = {path.name for path in ROOT.glob("BENCH_*.json")}
@@ -32,6 +32,16 @@ class TestLedgers:
         problems = check_ledger(ledger, root=str(tmp_path))
         assert len(problems) == 1 and "is stale" in problems[0]
         assert check_ledger(ledger, root=str(tmp_path / "nowhere"))
+
+    def test_drift_at_any_scale_size_is_stale(self, tmp_path):
+        (ledger,) = select(["scale"])
+        doc = json.loads((ROOT / ledger.filename).read_text())
+        (largest,) = [p for p in doc["sizes"] if p["hosts"] == 1024]
+        largest["events"] += 1
+        (tmp_path / ledger.filename).write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        problems = check_ledger(ledger, root=str(tmp_path))
+        assert len(problems) == 1 and "is stale" in problems[0]
 
     def test_cli_check_write_and_unknown_name(self, tmp_path, monkeypatch, capsys):
         shutil.copy(ROOT / "BENCH_guardrails.json", tmp_path)

@@ -57,8 +57,8 @@ def test_recorded_placements_are_accepted(meta, sequential):
 
 class TestEveryCampaign:
     """Every ledger campaign — faults, retries, guardrails, the economy,
-    the service tier and a checkpoint/restore game day — places in Fig. 3
-    order."""
+    the service tier, a checkpoint/restore game day and the scale waves —
+    places in Fig. 3 order."""
 
     @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
     def test_campaign_spans_follow_fig3_step_order(self, name):
