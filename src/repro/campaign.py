@@ -26,7 +26,8 @@ __all__ = ["WAVE_DRAIN_STEP", "SERVICE_DRAIN_STEP", "stable_round",
 
 #: drain slice for wave campaigns (chaos, economy): jobs run for minutes
 WAVE_DRAIN_STEP = 50.0
-#: drain slice for the service tier (serve, gameday): the worker grid
+#: drain slice for the service tier (serve, gameday): one Supervisor
+#: scan interval at the stock recovery settings
 SERVICE_DRAIN_STEP = 5.0
 
 

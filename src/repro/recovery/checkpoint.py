@@ -15,12 +15,13 @@ Determinism contract (what makes a restored run *byte-identical* to an
 uninterrupted one):
 
 * capture is only legal at a **safe point** — queue empty, every
-  request terminal, no active leases, every worker alive and
-  idle-polling on its grid (:attr:`WorkerPool.quiescent`); otherwise
+  request terminal, no active leases, every worker alive and idle,
+  waiting for work (:attr:`WorkerPool.quiescent`); otherwise
   :class:`~repro.errors.RecoveryError`;
-* workers and the Supervisor poll on **absolute time grids**
-  (:func:`~repro.sim.kernel.grid_delay`), so restored daemons re-enter
-  the very schedule their predecessors kept;
+* the Supervisor scans on an **absolute time grid**
+  (:func:`~repro.sim.kernel.grid_delay`); an enqueue wakes the
+  lowest-index parked worker and a restored pool starts its daemons in
+  index order, so restored daemons act as their predecessors would;
 * RNG streams are **cached by name** in the
   :class:`~repro.sim.rng.RngRegistry`, so a restored worker's
   ``("service", "sched", i)`` scheduler stream resumes mid-sequence —

@@ -43,6 +43,9 @@ from .config import RecoveryConfig
 __all__ = ["GamedayReport", "GamedayComparison", "default_gameday_plan",
            "run_gameday", "run_gameday_comparison"]
 
+#: the checkpoint probe's absolute grid (virtual s between safe-point checks)
+CHECKPOINT_PROBE_INTERVAL = 1.0
+
 
 @dataclass
 class GamedayReport(Report):
@@ -248,7 +251,9 @@ def run_gameday(seed: int = 0,
     """Run one seeded game day and return its scored report.
 
     ``checkpoint_at`` arms the checkpoint daemon: from that virtual
-    time on it polls (on the worker grid) for a safe point, then
+    time on it polls (every :data:`CHECKPOINT_PROBE_INTERVAL` on an
+    absolute grid) for a safe point — every worker parked waiting for
+    work, nothing queued or in flight — then
     captures a checkpoint, JSON-round-trips it, tears the service tier
     down, and restores — all inside one virtual instant, after which
     the run must proceed byte-identically to one that never stopped.
@@ -287,10 +292,9 @@ def run_gameday(seed: int = 0,
             if checkpoint_info is not None:
                 return
             if quiescence_blockers(meta):
-                # not a safe point yet — re-poll on the worker grid so
-                # the probe adds no off-grid events of its own
+                # not a safe point yet — re-poll on the probe's grid
                 meta.sim.schedule(
-                    grid_delay(meta.sim.now, config.poll_interval),
+                    grid_delay(meta.sim.now, CHECKPOINT_PROBE_INTERVAL),
                     try_checkpoint)
                 return
             checkpoint = capture_checkpoint(meta)

@@ -46,8 +46,6 @@ class ServiceConfig:
     #: to the job (default: generous for a 10-work-unit job) or the
     #: testbed saturates at its slot count
     reservation_duration: float = 30.0
-    #: idle worker poll interval in virtual seconds
-    poll_interval: float = 1.0
     #: virtual seconds of per-request dispatch bookkeeping
     dispatch_overhead: float = 1.0
     #: placement attempts per request before it fails (retry-on-transient)
@@ -75,8 +73,6 @@ class ServiceConfig:
             raise ValueError("load_limit must be positive (or None)")
         if self.work <= 0:
             raise ValueError("work must be positive")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.dispatch_overhead < 0:
             raise ValueError("dispatch_overhead must be >= 0")
         if self.max_attempts < 1:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from .config import ServiceConfig
 from .request import ServiceRequest
@@ -60,6 +60,9 @@ class PlacementQueue:
         self.rejected = 0
         self.deferred = 0
         self.cancelled = 0
+        #: called after every enqueue (``offer`` or ``requeue``); the
+        #: worker pool installs its wake-up here
+        self.on_enqueue: Callable[[], None] = lambda: None
         if metrics is not None:
             metrics.gauge_fn("service_queue_depth",
                              lambda: float(self._depth),
@@ -104,11 +107,7 @@ class PlacementQueue:
             self.shed += 1
             self._count("shed")
             return SHED
-        heappush(self._heap, (-request.priority, next(self._seq), request))
-        self._depth += 1
-        self.enqueued += 1
-        if self._depth > self.peak_depth:
-            self.peak_depth = self._depth
+        self._push(request)
         return ENQUEUED
 
     def requeue(self, request: ServiceRequest) -> str:
@@ -121,13 +120,17 @@ class PlacementQueue:
         as offered + enqueued again, matching the extra pop it will get.
         """
         self.offered += 1
+        self._count("requeued")
+        self._push(request)
+        return ENQUEUED
+
+    def _push(self, request: ServiceRequest) -> None:
         heappush(self._heap, (-request.priority, next(self._seq), request))
         self._depth += 1
         self.enqueued += 1
         if self._depth > self.peak_depth:
             self.peak_depth = self._depth
-        self._count("requeued")
-        return ENQUEUED
+        self.on_enqueue()
 
     def pop(self) -> Optional[ServiceRequest]:
         """Highest-priority, oldest request — or None when drained."""

@@ -2,12 +2,12 @@
 
 Each worker is a generator process on the sim kernel.  Its loop:
 
-1. pop the highest-priority request (idle-polling on an *absolute*
-   ``poll_interval`` time grid when the backlog is empty, so a worker
-   recreated mid-run — checkpoint/restore, chaos revival — falls back
-   into exactly the poll schedule its predecessor kept; each worker's
-   grid is phase-staggered by index so no two workers wake at the same
-   instant and claim order never depends on event-heap history),
+1. pop the highest-priority request, or park on the worker's own wake
+   :class:`~repro.sim.kernel.Event` while the backlog is empty: each
+   enqueue wakes the *lowest-index* parked worker at that instant, so
+   claim order is a function of virtual time and worker id alone (what
+   checkpoint/restore byte-identity needs: a restored pool restarts its
+   daemons in index order),
 2. honour a pending cancel at claim time (a request cancelled after the
    pop but before ``Scheduler.run`` starts finishes CANCELLED instead of
    being placed anyway),
@@ -51,7 +51,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..chaos.retry import RetryPolicy
 from ..errors import ChaosError, LegionError
 from ..scheduler.base import ObjectClassRequest
-from ..sim.kernel import Ticker, grid_delay
+from ..sim.kernel import Event, Ticker
 from .config import ServiceConfig
 from .gateway import RequestGateway
 from .queue import PlacementQueue
@@ -88,18 +88,6 @@ class WorkerPool:
                         multiplier=1.0, max_delay=config.retry_backoff,
                         jitter=0.5, rng=self._retry_rngs[i])
             for i in range(self.size)]
-        #: per-worker idle-poll phases: worker ``i`` wakes on the grid
-        #: ``k*poll_interval + (i+1)*poll_interval/(size+1)``, so no two
-        #: workers (and no daemon on the unshifted integer grid —
-        #: Supervisor, checkpoint probe) ever wake at the same instant.
-        #: Which idle worker claims a queued request is then a function
-        #: of absolute time alone, independent of event-heap insertion
-        #: order — without this, a restored pool (daemons recreated in
-        #: index order) can resolve same-instant wake ties differently
-        #: from the pool it replaced and break restore byte-identity.
-        self._poll_phase = [
-            (i + 1) * config.poll_interval / (self.size + 1)
-            for i in range(self.size)]
         #: recovery wiring (None without the recovery layer)
         self.leases = leases
         self.journal = journal
@@ -109,7 +97,9 @@ class WorkerPool:
         self._busy_time: List[float] = [0.0] * self.size
         self._dead: List[bool] = [False] * self.size
         self._generation: List[int] = [0] * self.size
-        self._idle: List[bool] = [False] * self.size
+        #: idle workers by index, each parked on its own wake event
+        self._parked: Dict[int, Event] = {}
+        queue.on_enqueue = self._wake
         self.handled: List[int] = [0] * self.size
         self.placed = 0
         self.failed = 0
@@ -142,16 +132,25 @@ class WorkerPool:
                                  name=f"service-worker-{i}"))
 
     def stop(self) -> None:
-        """Ask every worker to exit after its current request."""
+        """Ask every worker to exit after its current request; parked
+        workers wake and exit at once."""
         self._stopped = True
+        parked, self._parked = self._parked, {}
+        for wake in parked.values():
+            wake.succeed()
 
     def shutdown(self) -> None:
         """Tear the pool down for checkpoint/restore: stop, and bump
         every generation so stale pending resumes exit without touching
         the queue a successor pool now owns."""
-        self._stopped = True
         for i in range(self.size):
             self._generation[i] += 1
+        self.stop()
+
+    def _wake(self) -> None:
+        """Hand a fresh enqueue to the lowest-index parked worker."""
+        if self._parked:
+            self._parked.pop(min(self._parked)).succeed()
 
     # -- crash / revive (the worker_crash chaos fault) ------------------------
     def kill(self, idx: int) -> None:
@@ -162,7 +161,11 @@ class WorkerPool:
         if self._dead[idx]:
             raise ChaosError(f"worker {idx} is already dead")
         self._dead[idx] = True
-        self._idle[idx] = False
+        wake = self._parked.pop(idx, None)
+        if wake is not None:
+            wake.succeed()  # the parked generator returns on its dead check
+        elif self.queue.depth:
+            self._wake()  # it may have been woken for work it won't claim
         self.kills += 1
         if self.metrics is not None:
             self.metrics.count("recovery_worker_kills_total")
@@ -187,11 +190,10 @@ class WorkerPool:
 
     @property
     def quiescent(self) -> bool:
-        """True when every worker is alive and idle-polling on the grid
+        """True when every worker is alive and idle, waiting for work
         — the only state a checkpoint may be captured in (a restored
         pool restarts its daemons in exactly this state)."""
-        return (self._busy_now == 0 and not any(self._dead)
-                and all(self._idle))
+        return len(self._parked) == self.size
 
     @property
     def busy_fraction(self) -> float:
@@ -253,11 +255,9 @@ class WorkerPool:
                 return
             request = self.queue.pop()
             if request is None:
-                self._idle[idx] = True
-                yield sim.timeout(grid_delay(sim.now, cfg.poll_interval,
-                                             phase=self._poll_phase[idx]))
+                self._parked[idx] = sim.event()
+                yield self._parked[idx]
                 continue
-            self._idle[idx] = False
             if request.cancel_requested:
                 # claim-time cancel check: the request was cancelled
                 # between enqueue and this pop — honour it instead of

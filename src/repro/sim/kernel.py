@@ -49,27 +49,21 @@ __all__ = [
 ]
 
 
-def grid_delay(now: float, interval: float, phase: float = 0.0) -> float:
-    """Delay from ``now`` to the next strict point ``k*interval + phase``.
+def grid_delay(now: float, interval: float) -> float:
+    """Delay from ``now`` to the next strict point ``k*interval``.
 
     Daemons that poll on an *absolute* time grid (``k * interval``)
     rather than relative to their last wake-up are memoryless while
-    idle: a daemon recreated mid-run (checkpoint/restore, worker
-    revival) falls back into exactly the poll schedule its predecessor
-    would have kept, which is what makes restored runs byte-identical
-    to uninterrupted ones.  A small epsilon absorbs float error so a
-    wake-up *at* a grid point always waits a full interval.
-
-    ``phase`` shifts the whole grid: daemons sharing an ``interval``
-    but given distinct phases never wake at the same instant, so which
-    of them reacts first to a pending item is a function of absolute
-    time alone, not of event-heap insertion order — the other half of
-    restore transparency.
+    idle: a daemon recreated mid-run (a restored Supervisor) falls back
+    into exactly the poll schedule its predecessor would have kept,
+    which is what makes restored runs byte-identical to uninterrupted
+    ones.  A small epsilon absorbs float error so a wake-up *at* a grid
+    point always waits a full interval.
     """
     if interval <= 0:
         raise ValueError("grid interval must be positive")
-    k = math.floor((now - phase) / interval + 1e-9) + 1
-    delay = k * interval + phase - now
+    k = math.floor(now / interval + 1e-9) + 1
+    delay = k * interval - now
     if delay <= 0:  # float fallback; never returns a zero delay
         delay = interval
     return delay

@@ -79,7 +79,7 @@ class TestReadme:
 #: self-rescheduling functions still allowed outside ``sim/kernel.py``,
 #: by (module under src/repro, function name): the Supervisor's lease
 #: scan on ``grid_delay`` and the gameday's one-shot checkpoint probe
-#: that re-polls on the worker grid until the service is quiescent
+#: that re-polls on its own 1 s grid until every worker is parked
 HAND_ROLLED_LOOPS = {
     ("recovery/supervisor.py", "_tick"),
     ("recovery/gameday.py", "try_checkpoint"),

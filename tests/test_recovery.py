@@ -84,23 +84,10 @@ def assert_states_match(suite):
 
 
 class TestGridPhase:
-    def test_phase_shifts_grid(self):
-        assert grid_delay(0.2, 1.0, phase=0.5) == pytest.approx(0.3)
-        assert grid_delay(0.7, 1.0, phase=0.5) == pytest.approx(0.8)
-
-    def test_wakeup_at_phased_point_waits_full_interval(self):
-        assert grid_delay(0.5, 1.0, phase=0.5) == pytest.approx(1.0)
-
-    def test_distinct_phases_never_collide(self):
-        # the worker-pool stagger: no two workers wake at the same instant
-        phases = [(i + 1) * 1.0 / 5 for i in range(4)]
-        instants = set()
-        for phase in phases:
-            t = 0.0
-            for _ in range(20):
-                t += grid_delay(t, 1.0, phase=phase)
-                assert round(t, 9) not in instants
-                instants.add(round(t, 9))
+    def test_wakeup_at_grid_point_waits_full_interval(self):
+        assert grid_delay(0.3, 1.0) == pytest.approx(0.7)
+        assert grid_delay(5.0, 1.0) == pytest.approx(1.0)
+        assert grid_delay(6.0, 2.0) == pytest.approx(2.0)
 
 
 class TestJournal:
@@ -208,7 +195,9 @@ class ChainedHeartbeatPool(WorkerPool):
 
 
 class _EmptyQueue:
-    """A revived worker idles on its poll grid: nothing is ever queued."""
+    """A revived worker parks waiting for work: nothing is ever queued."""
+
+    depth = 0
 
     def pop(self):
         return None
@@ -519,6 +508,27 @@ class TestCheckpoint:
                                   implementations_for_all_platforms())
         with pytest.raises(RecoveryError):
             restore_service(meta, checkpoint, other)
+
+    def test_restore_then_same_instant_submit_matches_straight_run(self):
+        """Restored daemons start in index order at the capture instant,
+        so a burst submitted at that very instant is claimed by the same
+        workers, at the same times, as in a run that never stopped."""
+        def run(restore):
+            meta, suite = build_recovery_service(seed=5, workers=3)
+            meta.advance(2.5)
+            if restore:
+                checkpoint = ServiceCheckpoint.from_json(
+                    capture_checkpoint(meta).to_json())
+                meta.stop_service()
+                suite = restore_service(meta, checkpoint, suite.app)
+            for i in range(4):
+                suite.gateway.submit(user=f"u{i}", priority=i % 2)
+            meta.advance(60.0)
+            return json.dumps(suite.journal.to_dicts(), sort_keys=True)
+
+        straight = run(restore=False)
+        assert '"worker": 2' in straight  # the burst used the whole pool
+        assert run(restore=True) == straight
 
     def test_roundtrip_restores_registry_and_counters(self):
         meta, suite = build_recovery_service(workers=2)

@@ -284,6 +284,220 @@ class TestWorkerPool:
             assert name in names, name
 
 
+class InstantCheckedSimulator(Simulator):
+    """A kernel that calls ``end_of_instant()`` whenever an instant is
+    over — after an action, when the next one lies later or none is left
+    — at whatever depth of reentrant ``run_until`` the action ran."""
+
+    def __init__(self):
+        super().__init__()
+        self.end_of_instant = lambda: None
+
+    def run_until(self, until):
+        while self._heap and self._heap[0][0] <= until:
+            self.step()
+            if not self._heap or self._heap[0][0] > self._now:
+                self.end_of_instant()
+        if until > self._now:
+            self._now = until
+
+
+class ScriptedScheduler:
+    """Stands in for every worker's Scheduler: each ``run`` takes the
+    next ``(virtual seconds, ok)`` of the script (cycling), spending the
+    time through a reentrant ``run_until`` as a real placement does."""
+
+    def __init__(self, sim, script):
+        self.sim = sim
+        self.script = list(script)
+        self.runs = 0
+
+    def run(self, requests, reservation_duration):
+        from repro.scheduler.base import SchedulingOutcome
+        seconds, ok = self.script[self.runs % len(self.script)]
+        self.runs += 1
+        self.sim.run_until(self.sim.now + seconds)
+        return SchedulingOutcome(ok=ok, detail="" if ok else "scripted miss")
+
+
+def bare_pool(workers=4, script=((0.0, True),), recovery=False):
+    """A worker pool over a real queue and gateway on an
+    :class:`InstantCheckedSimulator`, placing through
+    :class:`ScriptedScheduler` (no world: only the pool is under test)."""
+    from repro.recovery import LeaseTable, RequestJournal, Supervisor
+    from repro.service import RequestGateway, WorkerPool
+
+    class App:
+        name = "bare-app"
+        instances = {}
+
+    sim = InstantCheckedSimulator()
+    config = ServiceConfig(workers=workers, queue_cap=6, max_attempts=2,
+                           retry_backoff=1.5)
+    queue = PlacementQueue(config.queue_cap, config.backpressure)
+    journal = leases = None
+    if recovery:
+        journal = RequestJournal(sim.clock)
+        leases = LeaseTable(ttl=3.0)
+    gateway = RequestGateway(sim, queue, config, journal=journal)
+    scheduler = ScriptedScheduler(sim, script)
+    pool = WorkerPool(sim, queue, gateway, App(), config,
+                      scheduler_factory=lambda i: scheduler,
+                      rng_factory=lambda i: None, leases=leases,
+                      journal=journal, heartbeat_interval=1.0)
+    pool.start()
+    if recovery:
+        Supervisor(sim, gateway, leases, journal, App(),
+                   scan_interval=2.0).start()
+    return sim, queue, gateway, pool
+
+
+#: gaps between scripted operations: same-instant bursts, points of the
+#: idle-poll grid the pool once had (worker i of 4 on k + (i+1)/5, the
+#: Supervisor on whole seconds), and anything in between
+_op_gaps = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=4.0, allow_nan=False))
+_pool_ops = st.one_of(
+    st.tuples(st.just("submit"), st.integers(0, 2)),
+    st.tuples(st.just("submit"), st.integers(0, 2)),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("kill"), st.integers(0, 3)),
+    st.tuples(st.just("revive"), st.integers(0, 3)),
+)
+_placements = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.05, 0.4, 1.0, 3.0]), st.booleans()),
+    min_size=1, max_size=6)
+
+
+class TestWorkConserving:
+    """An idle pool claims work the instant it is queued: at the end of
+    every virtual instant no request waits in the queue while a live
+    worker is idle, one enqueue wakes at most one worker, and a
+    same-instant tie goes to the lowest-index idle worker."""
+
+    @staticmethod
+    def play(ops, placements, recovery):
+        sim, queue, gateway, pool = bare_pool(script=placements,
+                                              recovery=recovery)
+        violations = []
+
+        def end_of_instant():
+            if queue.depth and pool._parked:
+                violations.append((sim.now, queue.depth, set(pool._parked)))
+
+        sim.end_of_instant = end_of_instant
+        wake = queue.on_enqueue
+
+        def audited_wake():
+            parked = set(pool._parked)
+            wake()
+            woken = parked - set(pool._parked)
+            assert len(woken) <= 1, woken
+            assert not parked or woken == {min(parked)}, (parked, woken)
+
+        queue.on_enqueue = audited_wake
+        submitted = []
+
+        def apply(op):
+            kind, arg = op
+            if kind == "submit":
+                submitted.append(
+                    gateway.submit(user="u", priority=arg).request_id)
+            elif kind == "cancel" and submitted:
+                gateway.cancel(submitted[arg % len(submitted)])
+            elif kind == "kill" and not pool._dead[arg]:
+                pool.kill(arg)
+            elif kind == "revive" and pool._dead[arg]:
+                pool.revive(arg)
+
+        when = 0.0
+        for gap, op in ops:
+            when += gap
+            sim.schedule_at(when, lambda o=op: apply(o))
+        sim.run_until(when)
+        for i in pool.dead_workers:
+            pool.revive(i)
+        sim.run_until(when + 120.0)
+        assert not violations, violations[:5]
+        return gateway, queue, pool
+
+    @given(ops=st.lists(st.tuples(_op_gaps, _pool_ops), min_size=1,
+                        max_size=40),
+           placements=_placements)
+    @settings(max_examples=80, deadline=None)
+    def test_no_request_waits_for_an_idle_worker(self, ops, placements):
+        gateway, queue, pool = self.play(ops, placements, recovery=False)
+        assert queue.depth == 0 and pool.quiescent
+
+    @given(ops=st.lists(st.tuples(_op_gaps, _pool_ops), min_size=1,
+                        max_size=40),
+           placements=_placements)
+    @settings(max_examples=40, deadline=None)
+    def test_with_recovery_every_request_ends(self, ops, placements):
+        gateway, queue, pool = self.play(ops, placements, recovery=True)
+        assert all(r.terminal for r in gateway.requests.values())
+        assert queue.depth == 0 and pool.quiescent
+
+    def test_burst_goes_to_the_lowest_idle_workers(self):
+        sim, queue, gateway, pool = bare_pool(script=[(5.0, True)])
+        sim.run_until(1.0)
+        assert pool.quiescent
+        pool.kill(1)
+        ids = [gateway.submit(user="u").request_id for _ in range(2)]
+        sim.run_until(1.0)
+        assert [gateway.requests[r].worker for r in ids] == [0, 2]
+        assert [gateway.requests[r].started_at for r in ids] == [1.0, 1.0]
+
+
+class TestIdleWorkerLifecycle:
+    """Kill, stop, shutdown and revive leave no worker parked for good."""
+
+    def test_kill_of_an_idle_worker_does_not_swallow_the_next_enqueue(self):
+        sim, queue, gateway, pool = bare_pool(workers=2)
+        sim.run_until(0.5)
+        victim = pool._processes[0]
+        pool.kill(0)
+        assert 0 not in pool._parked
+        rid = gateway.submit(user="u").request_id
+        sim.run_until(0.5)
+        assert victim.resolved  # returned on its dead check
+        assert gateway.requests[rid].worker == 1
+        assert gateway.requests[rid].started_at == 0.5
+
+    def test_kill_of_a_woken_worker_passes_its_wake_on(self):
+        sim, queue, gateway, pool = bare_pool(workers=2)
+        sim.run_until(0.5)
+        rid = gateway.submit(user="u").request_id  # wakes worker 0 ...
+        pool.kill(0)                               # ... which dies first
+        sim.run_until(0.5)
+        assert gateway.requests[rid].worker == 1
+        assert gateway.requests[rid].started_at == 0.5
+
+    @pytest.mark.parametrize("how", ["stop", "shutdown"])
+    def test_stop_and_shutdown_wake_every_parked_worker(self, how):
+        sim, queue, gateway, pool = bare_pool()
+        sim.run_until(0.5)
+        assert len(pool._parked) == pool.size
+        getattr(pool, how)()
+        assert not pool._parked
+        sim.run_until(0.5)
+        assert all(p.resolved for p in pool._processes)
+        assert sim.queue_depth == 0
+
+    def test_revive_with_a_backlog_claims_at_its_start_instant(self):
+        sim, queue, gateway, pool = bare_pool(workers=1)
+        sim.run_until(0.5)
+        pool.kill(0)
+        ids = [gateway.submit(user="u").request_id for _ in range(2)]
+        sim.run_until(3.0)
+        assert queue.depth == 2
+        pool.revive(0)
+        sim.run_until(3.0)
+        first = gateway.requests[ids[0]]
+        assert (first.worker, first.started_at) == (0, 3.0)
+
+
 class TestMetasystemWiring:
     def test_start_service_idempotent(self):
         meta, suite = build_service()
