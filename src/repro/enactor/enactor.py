@@ -17,7 +17,9 @@ Behaviour reproduced:
   variant schedules so as to avoid **reservation thrashing** (the canceling
   and subsequent remaking of the same reservation)" — when switching to a
   variant, reservations already held are kept unless the variant names a
-  different target for that entry.  The ``naive_variant_handling`` flag
+  different target for that entry, and the replaced ones are released in
+  one concurrent exchange before the replacements are requested, so a
+  switch costs the slowest release.  The ``naive_variant_handling`` flag
   disables this (cancel everything, re-reserve the whole variant) for the
   E7 ablation, and :attr:`EnactorStats.thrash_count` counts remakes of a
   previously cancelled identical reservation;
@@ -389,17 +391,19 @@ class Enactor:
                     to_reserve = list(enumerate(new_entries))
                 else:
                     to_reserve = []
+                    replaced: Dict[int, _Holding] = {}
                     for idx, replacement in variant.replacements.items():
                         held = holdings.get(idx)
                         if held is not None:
                             if held.mapping.same_target(replacement):
                                 # anti-thrashing: keep the reservation
                                 continue
-                            self._cancel_holdings({idx: held})
-                            del holdings[idx]
+                            replaced[idx] = holdings.pop(idx)
                         to_reserve.append((idx, replacement))
-                    # failed entries not replaced cannot exist (covers()
-                    # holds)
+                    # one release exchange, landing before any replacement
+                    # request leaves; failed entries not replaced cannot
+                    # exist (covers() holds)
+                    self._cancel_holdings(replaced)
 
                 outcomes = self._reserve(to_reserve, rtype, duration,
                                          start_time, timeout)

@@ -352,6 +352,48 @@ class TestNegotiationSpans:
         assert m_span.attributes["ok"] is True
         assert v_span.attributes["ok"] is True
 
+    def test_variant_switch_costs_the_slowest_release(self, multi):
+        """A switch releases every holding it replaces in one concurrent
+        exchange — costing the slowest cancel round trip, not the sum —
+        and that exchange ends before any replacement is requested."""
+        from repro.workload import implementations_for_all_platforms
+        meta = multi
+        app_class = meta.create_class(
+            "Wide", implementations_for_all_platforms(), work_units=1.0)
+        vaults = {v.location.domain: v for v in meta.vaults}
+
+        def on(host):
+            return entry(app_class, host, vaults[host.domain])
+
+        # one host per domain, so the release round trips differ
+        held, spare = meta.hosts[0::4], meta.hosts[1::4]
+        fill_reservations(held[0], vaults[held[0].domain], app_class)
+        master = MasterSchedule([on(h) for h in held])
+        master.add_variant(VariantSchedule(
+            {i: on(h) for i, h in enumerate(spare)}, label="elsewhere"))
+        with meta.spans.span("placement"):
+            feedback = meta.enactor.make_reservations(
+                ScheduleRequestList([master]))
+        assert feedback.ok and feedback.variant.label == "elsewhere"
+
+        (v_span,) = meta.spans.find("enactor.variant")
+        (cancel,) = [s for s in meta.spans.find("enactor.cancel")
+                     if s.parent_id == v_span.span_id]
+        assert cancel.attributes["entries"] == 2
+        releases = [s for s in meta.spans.spans
+                    if s.parent_id == cancel.span_id
+                    and s.name.startswith("rpc:cancel_reservation")]
+        assert len(releases) == 2
+        assert cancel.duration == pytest.approx(
+            max(s.duration for s in releases), rel=1e-9)
+        (reserve,) = [s for s in meta.spans.find("enactor.reserve")
+                      if s.parent_id == v_span.span_id]
+        replacements = [s for s in meta.spans.spans
+                        if s.parent_id == reserve.span_id
+                        and s.name.startswith("rpc:make_reservation")]
+        assert len(replacements) == 3
+        assert cancel.end <= min(s.start for s in replacements)
+
     def test_carried_context_parents_host_spans(self, meta, app_class):
         vault = meta.vaults[0]
         entries = [entry(app_class, h, vault) for h in meta.hosts[:2]]
