@@ -12,6 +12,7 @@ from repro.collection.query import evaluate, matches, parse
 from repro.hosts import REUSABLE_TIME, ReservationTable
 from repro.naming import LOID, LOIDMinter
 from repro.sim import Simulator
+from repro.workload.testbed import TestbedSpec, build_testbed
 
 
 HOST = LOID(("d", "host", "h"))
@@ -104,3 +105,19 @@ class TestNamingMicro:
         cls = minter.mint("class", "C")
         loid = benchmark(minter.mint_instance, cls)
         assert loid.is_descendant_of(cls)
+
+
+class TestHostMicro:
+    def test_idle_host_tick(self, benchmark):
+        """One 30 s tick of a 256-host world nobody places anything on:
+        every host takes its owed load steps, reassesses, and pushes its
+        attributes to the Collection."""
+        meta = build_testbed(TestbedSpec(
+            n_domains=4, hosts_per_domain=64, platform_mix=3,
+            background_load_mean=0.5, seed=7))
+        start = meta.now
+        before = sum(h.reassessments for h in meta.hosts)
+        benchmark(meta.advance, 30.0)
+        ticks = round((meta.now - start) / 30.0)
+        assert sum(h.reassessments for h in meta.hosts) - before \
+            == 256 * ticks

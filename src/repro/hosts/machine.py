@@ -87,11 +87,27 @@ class LoadWalk:
         self.spike_prob, self.spike_size = spike_prob, spike_size
 
     def step(self, rng, current: float) -> float:
-        nxt = (current + self.kappa * (self.mean - current)
-               + self.sigma * rng.standard_normal())
-        if self.spike_prob > 0.0 and rng.random() < self.spike_prob:
-            nxt += self.spike_size
-        return float(min(max(nxt, 0.0), self.cap))
+        """The load one interval after ``current``."""
+        return self.advance(rng, current, 1)
+
+    def advance(self, rng, load: float, n: int) -> float:
+        """The load ``n`` steps after ``load``.  A spike-free walk takes
+        its normals in one call, which numpy fills from the stream
+        exactly as ``n`` scalar draws; a spiky one interleaves ``random()``."""
+        spiky = self.spike_prob > 0.0
+        kappa, mean, sigma = self.kappa, self.mean, self.sigma
+        cap = float(self.cap)
+        for z in range(n) if spiky else rng.standard_normal(n).tolist():
+            if spiky:
+                z = rng.standard_normal()
+            load = load + kappa * (mean - load) + sigma * z
+            if spiky and rng.random() < self.spike_prob:
+                load += self.spike_size
+            if load < 0.0:  # min(max(load, 0.0), cap), without the calls
+                load = 0.0
+            if load > cap:
+                load = cap
+        return load
 
 
 class SimMachine:
@@ -143,10 +159,8 @@ class SimMachine:
         owed = grid.count - self._steps_taken
         self._steps_taken = grid.count
         if walk is not None:
-            load, rng = self._background_load, self._rng
-            for _ in range(owed):
-                load = walk.step(rng, load)
-            self._background_load = load
+            self._background_load = walk.advance(
+                self._rng, self._background_load, owed)
             if self.jobs:
                 self._reschedule()
 
@@ -173,6 +187,8 @@ class SimMachine:
 
     @property
     def available_memory_mb(self) -> float:
+        if not self.jobs:
+            return max(0.0, self.spec.memory_mb)
         used = sum(j.memory_mb for j in self.jobs.values())
         return max(0.0, self.spec.memory_mb - used)
 

@@ -293,6 +293,8 @@ class ReservationTable:
 
     def purge(self, now: float) -> int:
         """Drop expired/cancelled entries; returns the number removed."""
+        if not self._entries:
+            return 0
         dead = [tid for tid, e in self._entries.items()
                 if e.cancelled or e.expired(now)]
         for tid in dead:

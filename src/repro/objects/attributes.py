@@ -23,6 +23,10 @@ Scalar = Union[str, int, float, bool]
 AttrValue = Union[Scalar, List[Scalar]]
 
 _SCALARS = (str, int, float, bool)
+_EXACT_SCALARS = frozenset(_SCALARS)  # what ``update`` admits unchecked
+#: each distinct set of list-valued names, once, for databases to share
+_NO_LISTS: frozenset = frozenset()
+_LIST_NAMES: Dict[frozenset, frozenset] = {_NO_LISTS: _NO_LISTS}
 
 
 def _check_value(name: str, value: Any) -> AttrValue:
@@ -50,29 +54,48 @@ class AttributeDatabase:
         self._attrs: Dict[str, AttrValue] = {}
         self._updated_at: Dict[str, float] = {}
         self._last_update = 0.0
+        #: the names holding lists, which :meth:`snapshot` copies
+        self._lists = _NO_LISTS
         if initial:
             self.update(initial)
 
     # -- writes ---------------------------------------------------------------
     def set(self, name: str, value: AttrValue, now: float = 0.0) -> None:
-        self._attrs[name] = _check_value(name, value)
+        value = _check_value(name, value)
+        self._attrs[name] = value
         self._updated_at[name] = now
         self._last_update = max(self._last_update, now)
+        if type(value) is list or name in self._lists:
+            self._relist()
 
     def update(self, values: Mapping[str, AttrValue], now: float = 0.0) -> None:
         """Write several attributes with one timestamp.
 
         Every name and value is validated before anything is committed,
         so a bad entry leaves the database as it was."""
-        checked = {name: _check_value(name, value)
-                   for name, value in values.items()}
+        checked, slow = {}, False
+        for name, value in values.items():
+            if (type(value) not in _EXACT_SCALARS
+                    or type(name) is not str or not name):
+                value, slow = _check_value(name, value), True
+            checked[name] = value
         self._attrs.update(checked)
         self._updated_at.update(dict.fromkeys(checked, now))
         self._last_update = max(self._last_update, now)
+        lists = self._lists
+        if slow or (lists and not lists.isdisjoint(checked)):
+            self._relist()
 
     def delete(self, name: str) -> None:
         self._attrs.pop(name, None)
         self._updated_at.pop(name, None)
+        if name in self._lists:
+            self._relist()
+
+    def _relist(self) -> None:
+        names = frozenset(name for name, value in self._attrs.items()
+                          if type(value) is list)
+        self._lists = _LIST_NAMES.setdefault(names, names)
 
     # -- reads ----------------------------------------------------------------
     def get(self, name: str, default: Any = None) -> Any:
@@ -109,9 +132,8 @@ class AttributeDatabase:
     def snapshot(self) -> Dict[str, AttrValue]:
         """A deep-enough copy safe to ship to a Collection."""
         out = self._attrs.copy()
-        for name, value in out.items():
-            if isinstance(value, list):
-                out[name] = list(value)
+        for name in self._lists:
+            out[name] = out[name].copy()
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -162,12 +162,14 @@ class Scheduler:
 
     def viable_hosts_and_vaults(
             self, class_obj: ClassObject, extra_query: str = ""
-    ) -> Tuple[List[CollectionRecord], Optional[List[List[LOID]]]]:
+    ) -> Tuple[List[CollectionRecord],
+               Optional[List[Optional[List[LOID]]]]]:
         """:meth:`viable_hosts` plus the parsed-vault view of a cached
-        lookup: ``vaults[i]`` is :meth:`compatible_vaults_of` of
-        ``records[i]``, parsed when the cache entry was stored and shared
-        by every hit on it (read it, do not change it).  ``vaults`` is
-        None for an uncached lookup — parse the records you use."""
+        lookup, shared by every hit on it: ``vaults[i]`` is None until
+        a reader parses ``records[i]`` and stores
+        ``_vaults_of(records[i], _vault_loid)`` there (a parse is pure,
+        and any record write rolls the token).  ``vaults`` is None for
+        an uncached lookup — parse the records you use."""
         implementations = class_obj.get_implementations()
         memo = self._class_queries.get(class_obj.loid)
         if memo is None or memo[0] != implementations:
@@ -189,7 +191,7 @@ class Scheduler:
                    if r.get("host_health") != "down"]
         if token is None:
             return results, None
-        vaults = [self._vaults_of(r, self._vault_loid) for r in results]
+        vaults = [None] * len(results)
         self._viable_cache[query] = (token, results, vaults)
         self.viable_cache_misses += 1
         return list(results), vaults

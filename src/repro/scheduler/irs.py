@@ -54,6 +54,9 @@ class IRSScheduler(Scheduler):
         record = records[i]
         vaults = (parsed_vaults[i] if parsed_vaults is not None
                   else self.compatible_vaults_of(record))
+        if vaults is None:  # a cached record, parsed on its first draw
+            vaults = parsed_vaults[i] = self._vaults_of(record,
+                                                        self._vault_loid)
         if not vaults:
             raise SchedulingError(
                 f"host {record.member} advertises no compatible vaults")

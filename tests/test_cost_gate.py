@@ -52,6 +52,24 @@ IDLE_WORLD_HEAP_CEILING = 8
 #: ``host_load``, ``host_slots_free``, ``host_up``); it was all 17
 WRITES_PER_REASSESSMENT_CEILING = 4.0
 
+#: calls to a machine's load stream per reassessment of the same world:
+#: the load steps owed since the last one (three; two at the first) come
+#: from one batched ``standard_normal``; it was one scalar call per step
+#: (2.9)
+LOAD_DRAW_CALLS_PER_REASSESSMENT_CEILING = 1.0
+
+#: Python and builtin calls (``sys.setprofile`` "call" and "c_call"
+#: events) per host reassessment over 300 s of a 256-host idle world:
+#: 61.2 — it was 102.9 while every tick took its load steps one scalar
+#: draw at a time and type-checked every value it wrote, and every push
+#: ``isinstance``-tested all 17 snapshot values
+PY_CALLS_PER_HOST_TICK_CEILING = 75
+
+#: compatible-vault lists parsed by one IRS probe (4 instances x 4
+#: schedules) on a 256-host world's viable-cache miss: at most one per
+#: drawn record — it was every viable host's (256)
+VAULT_PARSES_PER_PROBE_CEILING = 16
+
 
 class CountingDatabase(AttributeDatabase):
     """Counts every attribute written, through either write path."""
@@ -102,10 +120,30 @@ def test_idle_pool_costs_no_worker_events():
     assert events[1] == events[0], events
 
 
-def test_attribute_writes_per_reassessment():
-    meta = build_testbed(TestbedSpec(
-        n_domains=4, hosts_per_domain=16, platform_mix=3,
+class CountingRng:
+    """A load stream that counts its ``standard_normal`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.normal_calls = rng, 0
+
+    def standard_normal(self, *args):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def idle_world(hosts_per_domain=16):
+    """A world nobody places anything on: 4 domains of hosts under a
+    background load walk, reassessing every 30 s."""
+    return build_testbed(TestbedSpec(
+        n_domains=4, hosts_per_domain=hosts_per_domain, platform_mix=3,
         background_load_mean=0.5, seed=7))
+
+
+def test_attribute_writes_per_reassessment():
+    meta = idle_world()
     for host in meta.hosts:
         host.attributes = CountingDatabase(host.attributes.snapshot())
         host.attributes.writes = 0
@@ -117,12 +155,58 @@ def test_attribute_writes_per_reassessment():
     assert writes / reassessments <= WRITES_PER_REASSESSMENT_CEILING
 
 
+def test_load_draw_calls_per_reassessment():
+    meta = idle_world()
+    for host in meta.hosts:
+        host.machine._rng = CountingRng(host.machine._rng)
+    meta.advance(300.0)
+    draws = sum(h.machine._rng.normal_calls for h in meta.hosts)
+    assert draws / (64 * 10) <= LOAD_DRAW_CALLS_PER_REASSESSMENT_CEILING
+
+
+def test_python_calls_per_host_tick():
+    meta = idle_world(64)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    reassessments = sum(h.reassessments for h in meta.hosts)
+    sys.setprofile(count)
+    try:
+        meta.advance(300.0)
+    finally:
+        sys.setprofile(None)
+    reassessments = sum(h.reassessments for h in meta.hosts) - reassessments
+    assert reassessments == 256 * 10
+    assert calls / reassessments <= PY_CALLS_PER_HOST_TICK_CEILING, \
+        f"{calls / reassessments:.1f} calls per host tick"
+
+
+def test_vault_parses_per_probe(monkeypatch):
+    from repro.scheduler.base import ObjectClassRequest, Scheduler
+    from repro.workload.testbed import implementations_for_all_platforms
+
+    meta = idle_world(64)
+    app = meta.create_class("bench-app",
+                            implementations_for_all_platforms(),
+                            work_units=5.0)
+    scheduler = meta.make_scheduler("irs")
+    parses = _Calls(monkeypatch, Scheduler, "_vaults_of")
+    outcome = scheduler.run([ObjectClassRequest(app, count=4)],
+                            reservation_duration=30.0)
+    assert outcome.ok and scheduler.viable_cache_misses == 1
+    assert VAULT_PARSES_PER_PROBE_CEILING == 4 * scheduler.n_schedules
+    assert parses.n <= VAULT_PARSES_PER_PROBE_CEILING, \
+        f"{parses.n} vault lists parsed"
+
+
 def test_idle_world_costs_no_events_per_host():
     readings = []
     for hosts_per_domain in (16, 64):
-        meta = build_testbed(TestbedSpec(
-            n_domains=4, hosts_per_domain=hosts_per_domain, platform_mix=3,
-            background_load_mean=0.5, seed=7))
+        meta = idle_world(hosts_per_domain)
         reassessments = sum(h.reassessments for h in meta.hosts)
         meta.advance(300.0)
         assert sum(h.reassessments for h in meta.hosts) - reassessments \
@@ -190,21 +274,24 @@ def place_closed_world(sequential=False):
 
 class _Calls:
     """Counts calls of ``owner.name`` while ``monkeypatch`` holds the
-    wrapper in place (a classmethod stays one).  A module-level function
-    is also replaced in every loaded ``repro`` module that imported it by
-    name, so ``from dataclasses import replace`` cannot dodge the count."""
+    wrapper in place (a class or static method stays one).  A
+    module-level function is also replaced in every loaded ``repro``
+    module that imported it by name, so ``from dataclasses import
+    replace`` cannot dodge the count."""
 
     def __init__(self, monkeypatch, owner, name):
         self.n = 0
         raw = owner.__dict__[name]
-        inner = raw.__func__ if isinstance(raw, classmethod) else raw
+        kind = type(raw) if isinstance(raw, (classmethod,
+                                             staticmethod)) else None
+        inner = raw.__func__ if kind else raw
 
         def counted(*args, **kwargs):
             self.n += 1
             return inner(*args, **kwargs)
 
-        if isinstance(raw, classmethod):
-            counted = classmethod(counted)
+        if kind:
+            counted = kind(counted)
         holders = [owner]
         if isinstance(owner, types.ModuleType):
             holders += [m for n, m in list(sys.modules.items())

@@ -203,6 +203,33 @@ class TestLoadWalk:
         rng = np.random.default_rng(0)
         assert walk.step(rng, -5.0) == 0.0
 
+    @pytest.mark.parametrize("spike_prob", [0.0, 0.2])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_advance_equals_repeated_steps(self, seed, spike_prob):
+        """``advance(rng, load, n)`` ends at the load, and leaves the
+        stream in the state, of ``n`` scalar-draw steps — so a spike-free
+        walk's one batched draw moves no later draw."""
+        import numpy as np
+        walk = LoadWalk(mean=1.0, sigma=0.4, interval=10.0,
+                        spike_prob=spike_prob)
+
+        def scalar_step(rng, load):
+            nxt = (load + walk.kappa * (walk.mean - load)
+                   + walk.sigma * rng.standard_normal())
+            if spike_prob > 0.0 and rng.random() < spike_prob:
+                nxt += walk.spike_size
+            return float(min(max(nxt, 0.0), walk.cap))
+
+        for n in range(9):
+            batched, stepped = (np.random.default_rng(seed),
+                                np.random.default_rng(seed))
+            expected = 1.0
+            for _ in range(n):
+                expected = scalar_step(stepped, expected)
+            assert walk.advance(batched, 1.0, n) == expected
+            assert batched.bit_generator.state == stepped.bit_generator.state
+            assert batched.random() == stepped.random()
+
 
 class TestLoadGrid:
     """The walk is stepped on a shared ticker: when somebody looks

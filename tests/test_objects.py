@@ -103,6 +103,63 @@ class TestAttributeDatabase:
         snap["lst"].append(3)
         assert db["lst"] == [1, 2]
 
+    @staticmethod
+    def assert_snapshot_copies_lists(db):
+        """Every snapshot value equals the stored one, and every list in
+        it is a copy of its own: changing one changes nothing else."""
+        snap, again = db.snapshot(), db.snapshot()
+        assert snap == dict(db.items())
+        for name, value in db.items():
+            if isinstance(value, list):
+                assert snap[name] is not value
+                assert snap[name] is not again[name]
+                snap[name].append("extra")
+                assert db[name] == again[name] != snap[name]
+
+    def test_snapshot_copies_lists_after_every_write(self):
+        db = AttributeDatabase({"a": 1, "v": ["x"], "t": ("p", "q")})
+        self.assert_snapshot_copies_lists(db)
+        db.set("w", ["y"])
+        self.assert_snapshot_copies_lists(db)
+        db.update({"u": ["z"], "n": 2})
+        self.assert_snapshot_copies_lists(db)
+        db.delete("v")
+        self.assert_snapshot_copies_lists(db)
+        db.set("v", 3)
+        self.assert_snapshot_copies_lists(db)
+        assert db.snapshot()["v"] == 3
+
+    def test_snapshot_follows_a_name_flipping_between_list_and_scalar(self):
+        db = AttributeDatabase()
+        db.set("v", ["x"])
+        db.update({"v": 5})
+        assert db.snapshot() == {"v": 5}
+        db.update({"v": ["y"]})
+        self.assert_snapshot_copies_lists(db)
+        db.set("v", "s")
+        assert db.snapshot() == {"v": "s"}
+        db.set("v", ("p",))
+        assert db.snapshot() == {"v": ["p"]}
+        self.assert_snapshot_copies_lists(db)
+
+    def test_tuple_is_stored_as_a_list(self):
+        db = AttributeDatabase({"t": ("a", "b")})
+        db.set("s", ("c",))
+        assert type(db["t"]) is list and type(db["s"]) is list
+        self.assert_snapshot_copies_lists(db)
+
+    def test_failed_update_leaves_list_bookkeeping_untouched(self):
+        db = AttributeDatabase({"v": ["x"], "a": 1})
+        before = db.snapshot()
+        for bad in ({"v": 7, "w": ["y"], "bad": object()},
+                    {"a": ["z"], "bad": [{}]}):
+            with pytest.raises(TypeError):
+                db.update(bad, now=9.0)
+            assert db.snapshot() == before
+            assert db.updated_at("v") == db.last_update == 0.0
+            self.assert_snapshot_copies_lists(db)
+            assert db.snapshot() == before
+
     def test_iteration_and_names(self):
         db = AttributeDatabase({"b": 1, "a": 2})
         assert db.names() == ["a", "b"]

@@ -123,21 +123,26 @@ _machine_ops = st.one_of(
     st.tuples(st.just("fail")),
     st.tuples(st.just("recover")),
 )
-#: (gap since the previous op, which machine, run as a kernel event
-#: scheduled at t=0 — so ahead of that instant's tick — or from outside
-#: after the instant's events, the op)
-_script = st.lists(st.tuples(_gaps, st.integers(0, 1), st.booleans(),
-                             _machine_ops), min_size=1, max_size=30)
+#: the walk's spike probability (a spike-free walk batches its owed
+#: draws), then a list of (gap since the previous op, which machine, run
+#: as a kernel event scheduled at t=0 — so ahead of that instant's tick
+#: — or from outside after the instant's events, the op)
+_script = st.tuples(
+    st.sampled_from([0.0, 0.2]),
+    st.lists(st.tuples(_gaps, st.integers(0, 1), st.booleans(),
+                       _machine_ops), min_size=1, max_size=30))
 
 
 def _play(machine_class, script):
     """Run ``script`` on two machines sharing one simulator; return
     everything observable: reads, completions, final state, next draws."""
+    spike_prob, script = script
     sim = Simulator()
     topo = Topology()
     topo.add_domain(AdministrativeDomain("d"))
     rngs = RngRegistry(42)
-    walk = LoadWalk(mean=1.0, sigma=0.4, interval=_GRID, spike_prob=0.2)
+    walk = LoadWalk(mean=1.0, sigma=0.4, interval=_GRID,
+                    spike_prob=spike_prob)
     machines = [machine_class(name, MachineSpec(cpus=2, memory_mb=1e9),
                               topo.add_node("d", name), sim, rngs,
                               load_walk=walk, initial_load=1.0)

@@ -157,7 +157,8 @@ class TestIRS:
         assert (drawn.bit_generator.state == skipped.bit_generator.state)
         # and with several vaults the vault draw is made, after the host's
         sched = meta.make_scheduler("irs")
-        records, vaults = sched.viable_hosts_and_vaults(app_class)
+        records, _ = sched.viable_hosts_and_vaults(app_class)
+        vaults = [sched.compatible_vaults_of(r) for r in records]
         twin = np.random.default_rng(21)
         sched.rng = np.random.default_rng(21)
         extra = LOID(("uva", "vault", "second"))
