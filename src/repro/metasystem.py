@@ -843,8 +843,7 @@ class Metasystem:
         if recovery is not None:
             from .recovery import Supervisor
             supervisor = Supervisor(self.sim, gateway, leases, journal,
-                                    app, recovery.scan_interval,
-                                    metrics=self.metrics,
+                                    app, metrics=self.metrics,
                                     spans=self.spans).start()
         self.service = ServiceSuite(config, gateway, queue, pool, app,
                                     recovery=recovery, journal=journal,

@@ -12,10 +12,10 @@ package is the reproduction's equivalent for the live service tier of
 * :mod:`~repro.recovery.leases` — **lease-based ownership**: a worker
   claims a request under a TTL lease renewed by heartbeat, so a crashed
   worker's claim visibly expires instead of silently wedging;
-* :mod:`~repro.recovery.supervisor` — the **Supervisor** daemon: detects
-  expired leases, destroys placements dead workers enacted but never
-  reported (no duplicates), and re-enqueues each orphan exactly once
-  (no losses);
+* :mod:`~repro.recovery.supervisor` — the **Supervisor** daemon: wakes
+  at each lease's expiry, destroys placements dead workers enacted but
+  never reported (no duplicates), and re-enqueues each orphan exactly
+  once (no losses);
 * :mod:`~repro.recovery.checkpoint` — **checkpoint/restore**: snapshot
   the tier as pure JSON at a safe point, tear it down, rebuild it, and
   continue deterministically;

@@ -18,10 +18,11 @@ uninterrupted one):
   request terminal, no active leases, every worker alive and idle,
   waiting for work (:attr:`WorkerPool.quiescent`); otherwise
   :class:`~repro.errors.RecoveryError`;
-* the Supervisor scans on an **absolute time grid**
-  (:func:`~repro.sim.kernel.grid_delay`); an enqueue wakes the
-  lowest-index parked worker and a restored pool starts its daemons in
-  index order, so restored daemons act as their predecessors would;
+* a safe point has no leases, so a restored Supervisor arms nothing;
+  it expires each later lease at its ``expires_at``, whatever timer its
+  predecessor still had pending; an enqueue wakes the lowest-index
+  parked worker and a restored pool starts its daemons in index order,
+  so restored daemons act as their predecessors would;
 * RNG streams are **cached by name** in the
   :class:`~repro.sim.rng.RngRegistry`, so a restored worker's
   ``("service", "sched", i)`` scheduler stream resumes mid-sequence —

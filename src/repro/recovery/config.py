@@ -1,14 +1,11 @@
 """RecoveryConfig: knobs for the service-tier recovery layer.
 
-The three timescales interlock: a worker heartbeats every
-``heartbeat_interval`` virtual seconds while it owns a request, each
-heartbeat extends the lease to ``now + lease_ttl``, and the Supervisor
-scans for expired leases every ``scan_interval``.  A crashed worker
-stops heartbeating, so its lease expires at most ``lease_ttl`` after
-the last beat and the orphan is detected at most ``scan_interval``
-later — worst-case orphan-recovery latency is
-``lease_ttl + scan_interval`` (the gameday report measures the actual
-distribution).
+The two timescales interlock: a worker heartbeats every
+``heartbeat_interval`` virtual seconds while it owns a request, and each
+heartbeat extends the lease to ``now + lease_ttl``.  A crashed worker
+stops heartbeating, so its lease expires ``lease_ttl`` after the last
+beat, and the Supervisor, whose timer is armed at the earliest lease
+expiry, requeues the orphan at that instant.
 """
 
 from __future__ import annotations
@@ -27,9 +24,6 @@ class RecoveryConfig:
     lease_ttl: float = 20.0
     #: how often a live worker renews its lease
     heartbeat_interval: float = 5.0
-    #: how often the Supervisor scans for expired leases (scans run on
-    #: an absolute time grid so restored supervisors stay in phase)
-    scan_interval: float = 5.0
 
     def __post_init__(self) -> None:
         if self.lease_ttl <= 0:
@@ -40,12 +34,9 @@ class RecoveryConfig:
             raise ValueError(
                 "heartbeat_interval must be shorter than lease_ttl "
                 "(a live worker must renew before its lease expires)")
-        if self.scan_interval <= 0:
-            raise ValueError("scan_interval must be positive")
 
     def to_dict(self) -> dict:
         return {
             "lease_ttl": self.lease_ttl,
             "heartbeat_interval": self.heartbeat_interval,
-            "scan_interval": self.scan_interval,
         }

@@ -9,7 +9,9 @@ truth the simulation can count exactly:
 * **duplicate placements** — app instances beyond the ones the placed
   requests own (must be 0: the Supervisor's reaper destroys what dead
   workers enacted but never reported);
-* **recovered orphans** and their expiry→requeue latency;
+* **recovered orphans** and their expiry→requeue latency (0: the
+  Supervisor requeues an orphan at its lease's expiry, ``lease_ttl``
+  after the dead worker's last heartbeat);
 * **MTTR** per fault kind from the injector's applied/reverted records;
 * **SLO burn** from the windowed ``service_*`` series.
 
@@ -35,16 +37,12 @@ from typing import Any, Dict, List, Optional
 from ..campaign import (SERVICE_DRAIN_STEP, Comparison, Report, drain,
                         run_variants, slo_block, stable_round,
                         standard_world)
-from ..sim.kernel import grid_delay
 from .checkpoint import (ServiceCheckpoint, capture_checkpoint,
                          quiescence_blockers, restore_service)
 from .config import RecoveryConfig
 
 __all__ = ["GamedayReport", "GamedayComparison", "default_gameday_plan",
-           "run_gameday", "run_gameday_comparison"]
-
-#: the checkpoint probe's absolute grid (virtual s between safe-point checks)
-CHECKPOINT_PROBE_INTERVAL = 1.0
+           "checkpoint_when_quiet", "run_gameday", "run_gameday_comparison"]
 
 
 @dataclass
@@ -175,6 +173,8 @@ class GamedayComparison(Comparison):
         problems = [f"{tag}: {problem}"
                     for tag in ("straight", "restored")
                     for problem in self.reports[tag].problems()]
+        if self.restored.checkpoint is None:
+            problems.append("restored: no checkpoint was captured")
         if not self.byte_identical:
             problems.append("restored run diverged from the "
                             "uninterrupted run")
@@ -226,6 +226,38 @@ def default_gameday_plan(duration: float, workers: int,
     return ChaosPlan(events=events, horizon=duration)
 
 
+def checkpoint_when_quiet(meta: Any, at: float) -> Dict[str, Any]:
+    """At the first safe point from virtual time ``at`` on, capture a
+    checkpoint, JSON-round-trip it, tear the tier down and restore it,
+    all in one instant.  The probe checks :func:`quiescence_blockers` at
+    ``at``, then, as its own kernel action, whenever a worker parks or
+    the Supervisor's timer fires.  Returns the capture's record, empty
+    until the capture happens."""
+    info: Dict[str, Any] = {}
+
+    def try_checkpoint() -> None:
+        if info or quiescence_blockers(meta):
+            return  # done already, or not a safe point: wait for a wake
+        checkpoint = capture_checkpoint(meta)
+        blob = checkpoint.to_json()
+        app = meta.stop_service().app
+        restore_service(meta, ServiceCheckpoint.from_json(blob), app)
+        info.update(captured_at=stable_round(checkpoint.captured_at),
+                    journal_entries=len(checkpoint.journal),
+                    bytes=len(blob))
+
+    def wake() -> None:
+        meta.sim.schedule(0.0, try_checkpoint)
+
+    def arm() -> None:
+        suite = meta.service
+        suite.pool.on_park = suite.supervisor.on_fire = wake
+        try_checkpoint()
+
+    meta.sim.schedule_at(float(at), arm)
+    return info
+
+
 def run_gameday(seed: int = 0,
                 users: int = 1_000_000,
                 duration: float = 240.0,
@@ -239,7 +271,6 @@ def run_gameday(seed: int = 0,
                 kills: int = 2,
                 lease_ttl: float = 20.0,
                 heartbeat_interval: float = 5.0,
-                scan_interval: float = 5.0,
                 checkpoint_at: Optional[float] = None,
                 n_domains: int = 3,
                 hosts_per_domain: int = 6,
@@ -250,13 +281,10 @@ def run_gameday(seed: int = 0,
                 drain_time: float = 1800.0) -> GamedayReport:
     """Run one seeded game day and return its scored report.
 
-    ``checkpoint_at`` arms the checkpoint daemon: from that virtual
-    time on it polls (every :data:`CHECKPOINT_PROBE_INTERVAL` on an
-    absolute grid) for a safe point — every worker parked waiting for
-    work, nothing queued or in flight — then
-    captures a checkpoint, JSON-round-trips it, tears the service tier
-    down, and restores — all inside one virtual instant, after which
-    the run must proceed byte-identically to one that never stopped.
+    ``checkpoint_at`` arms :func:`checkpoint_when_quiet`: the tier is
+    checkpointed, torn down and restored at the first safe point from
+    that virtual time on, after which the run must proceed
+    byte-identically to one that never stopped.
     """
     from ..service.config import ServiceConfig
     from ..service.report import (default_model, open_loop_traffic,
@@ -272,8 +300,7 @@ def run_gameday(seed: int = 0,
                            backpressure=backpressure,
                            scheduler=scheduler, work=work)
     recovery = RecoveryConfig(lease_ttl=lease_ttl,
-                              heartbeat_interval=heartbeat_interval,
-                              scan_interval=scan_interval)
+                              heartbeat_interval=heartbeat_interval)
     suite = meta.start_service(config, recovery=recovery)
     app = suite.app
 
@@ -285,28 +312,8 @@ def run_gameday(seed: int = 0,
                           surge_multiplier=surge_multiplier)
     generator = open_loop_traffic(meta, model, duration)
 
-    checkpoint_info: Optional[Dict[str, Any]] = None
-    if checkpoint_at is not None:
-        def try_checkpoint() -> None:
-            nonlocal checkpoint_info
-            if checkpoint_info is not None:
-                return
-            if quiescence_blockers(meta):
-                # not a safe point yet — re-poll on the probe's grid
-                meta.sim.schedule(
-                    grid_delay(meta.sim.now, CHECKPOINT_PROBE_INTERVAL),
-                    try_checkpoint)
-                return
-            checkpoint = capture_checkpoint(meta)
-            blob = checkpoint.to_json()
-            meta.stop_service()
-            restore_service(meta, ServiceCheckpoint.from_json(blob), app)
-            checkpoint_info = {
-                "captured_at": stable_round(checkpoint.captured_at),
-                "journal_entries": len(checkpoint.journal),
-                "bytes": len(blob),
-            }
-        meta.sim.schedule_at(float(checkpoint_at), try_checkpoint)
+    checkpoint_info = ({} if checkpoint_at is None else
+                       checkpoint_when_quiet(meta, checkpoint_at))
 
     meta.advance(duration)
 
@@ -390,7 +397,7 @@ def run_gameday(seed: int = 0,
         "mttr_mean": stable_round(chaos_stats["mttr_mean"]),
     }
     report.drain_seconds = drain_seconds
-    report.checkpoint = checkpoint_info
+    report.checkpoint = checkpoint_info or None
 
     if meta.sampler is not None:
         report.slo, _ = slo_block(

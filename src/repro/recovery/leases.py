@@ -19,7 +19,7 @@ the orphan.  The table is the single authority on ownership:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from ..errors import RecoveryError
 
@@ -69,8 +69,11 @@ class LeaseTable:
         self.expirations = 0
         #: leases whose worker deposited effects *after* the Supervisor
         #: had already expired them (Scheduler.run outlived the TTL);
-        #: drained and reaped at the Supervisor's next scan
+        #: reaped by the Supervisor at the deposit instant
         self.late_effects: List[Lease] = []
+        #: called with a grant's expiry and with the instant of a late
+        #: deposit; the Supervisor installs its timer's arming here
+        self.on_deadline: Callable[[float], None] = lambda when: None
         if metrics is not None:
             metrics.gauge_fn("recovery_active_leases",
                              lambda: float(len(self.active)),
@@ -88,6 +91,7 @@ class LeaseTable:
         self.grants += 1
         if self.metrics is not None:
             self.metrics.count("recovery_lease_grants_total")
+        self.on_deadline(lease.expires_at)
         return lease
 
     def renew(self, lease: Lease, now: float) -> None:
@@ -122,16 +126,17 @@ class LeaseTable:
         self.history.append((lease.request_id, lease.worker,
                              lease.granted_at, lease.expires_at, EXPIRED))
 
-    def deposit_effects(self, lease: Lease, outcome: Any) -> None:
+    def deposit_effects(self, lease: Lease, outcome: Any, now: float) -> None:
         """A dying worker hands its enacted-but-unreported placement to
         whoever will reap it.  While the lease is still active the
         Supervisor reaps at expiry; if the lease already expired (the
         placement outlived the TTL inside ``Scheduler.run``), the lease
-        joins :attr:`late_effects` for the next scan — either way the
-        zombie instances are destroyed exactly once."""
+        joins :attr:`late_effects` and wakes the Supervisor at ``now``
+        — either way the zombie instances are destroyed exactly once."""
         lease.effects = outcome
         if not self.is_active(lease):
             self.late_effects.append(lease)
+            self.on_deadline(now)
 
     # -- queries ------------------------------------------------------------
     def is_active(self, lease: Lease) -> bool:

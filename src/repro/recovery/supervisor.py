@@ -1,9 +1,12 @@
 """Supervisor: the daemon that turns worker crashes into recoveries.
 
-Scans the :class:`~repro.recovery.leases.LeaseTable` every
-``scan_interval`` virtual seconds (on an absolute time grid, so a
-restored Supervisor stays in phase with the one it replaces).  For each
-expired lease it:
+Owns one one-shot timer at the earliest ``expires_at`` in the
+:class:`~repro.recovery.leases.LeaseTable`, armed by a grant when none
+is (a new lease never expires first, and renewals only move expiry
+later), by a late effect at the deposit instant, and by each firing at
+the new minimum.  An orphan is thus requeued at its lease's expiry,
+``lease_ttl`` after the last beat.  A firing reaps late effects, then
+for each lease due it:
 
 1. retires the lease and journals the ``expire`` transition;
 2. **reaps zombie effects** — if the dead worker had already enacted the
@@ -22,35 +25,33 @@ expired lease it:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
-
-from ..sim.kernel import grid_delay
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Supervisor"]
 
 
 class Supervisor:
-    """Expired-lease scanner + orphan recovery daemon."""
+    """Lease-expiry timer + orphan recovery daemon."""
 
     def __init__(self, sim: Any, gateway: Any, leases: Any, journal: Any,
-                 app: Any, scan_interval: float, metrics: Any = None,
-                 spans: Any = None):
-        if scan_interval <= 0:
-            raise ValueError("scan_interval must be positive")
+                 app: Any, metrics: Any = None, spans: Any = None):
         self.sim = sim
         self.gateway = gateway
         self.leases = leases
         self.journal = journal
         self.app = app
-        self.scan_interval = float(scan_interval)
         self.metrics = metrics
         self.spans = spans
-        self.scans = 0
         self.recovered = 0
         self.cancelled_on_recovery = 0
         self.duplicates_averted = 0
         #: expiry→requeue latency samples (virtual seconds)
         self.orphan_latencies: List[float] = []
+        #: called after every timer firing; the gameday's checkpoint
+        #: probe installs its wake-up here
+        self.on_fire: Callable[[], None] = lambda: None
+        #: when the armed timer fires (None: nothing armed)
+        self._due: Optional[float] = None
         self._started = False
         self._stopped = False
 
@@ -60,26 +61,34 @@ class Supervisor:
             return self
         self._started = True
         self._stopped = False
-        self.sim.schedule(grid_delay(self.sim.now, self.scan_interval),
-                          self._tick)
+        self.leases.on_deadline = self._arm
         return self
 
     def stop(self) -> None:
         self._stopped = True
 
-    # -- the scan -----------------------------------------------------------
-    def _tick(self) -> None:
-        if self._stopped:
-            return
+    # -- the timer ----------------------------------------------------------
+    def _arm(self, when: float) -> None:
+        """Arm the timer at ``when`` unless it already fires no later."""
+        if self._due is None or when < self._due:
+            self._due = when
+            self.sim.schedule_at(when, self._fire)
+
+    def _fire(self) -> None:
         now = self.sim.now
-        self.scans += 1
+        if self._stopped or now != self._due:
+            return  # stopped, or superseded by an earlier arming
+        self._due = None
         # reap placements whose effects arrived after their lease had
         # already been expired (Scheduler.run outlived the TTL)
         while self.leases.late_effects:
             self._reap(self.leases.late_effects.pop(0), now)
         for lease in self.leases.expired(now):
             self._recover(lease, now)
-        self.sim.schedule(grid_delay(now, self.scan_interval), self._tick)
+        if self.leases.active:
+            self._arm(min(lease.expires_at
+                          for lease in self.leases.active.values()))
+        self.on_fire()
 
     def _recover(self, lease: Any, now: float) -> None:
         self.leases.expire(lease, now)
@@ -132,7 +141,6 @@ class Supervisor:
     def stats(self) -> Dict[str, Any]:
         lat = self.orphan_latencies
         return {
-            "scans": self.scans,
             "recovered": self.recovered,
             "cancelled_on_recovery": self.cancelled_on_recovery,
             "duplicates_averted": self.duplicates_averted,
@@ -142,7 +150,6 @@ class Supervisor:
 
     def counters(self) -> Dict[str, Any]:
         return {
-            "scans": self.scans,
             "recovered": self.recovered,
             "cancelled_on_recovery": self.cancelled_on_recovery,
             "duplicates_averted": self.duplicates_averted,
@@ -150,7 +157,6 @@ class Supervisor:
         }
 
     def restore_counters(self, doc: Dict[str, Any]) -> None:
-        self.scans = doc["scans"]
         self.recovered = doc["recovered"]
         self.cancelled_on_recovery = doc["cancelled_on_recovery"]
         self.duplicates_averted = doc["duplicates_averted"]
@@ -158,4 +164,4 @@ class Supervisor:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<Supervisor recovered={self.recovered} "
-                f"averted={self.duplicates_averted} scans={self.scans}>")
+                f"averted={self.duplicates_averted} due={self._due}>")

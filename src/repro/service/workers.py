@@ -100,6 +100,9 @@ class WorkerPool:
         #: idle workers by index, each parked on its own wake event
         self._parked: Dict[int, Event] = {}
         queue.on_enqueue = self._wake
+        #: called whenever a worker parks; the gameday's checkpoint
+        #: probe installs its wake-up here
+        self.on_park: Callable[[], None] = lambda: None
         self.handled: List[int] = [0] * self.size
         self.placed = 0
         self.failed = 0
@@ -256,6 +259,7 @@ class WorkerPool:
             request = self.queue.pop()
             if request is None:
                 self._parked[idx] = sim.event()
+                self.on_park()
                 yield self._parked[idx]
                 continue
             if request.cancel_requested:
@@ -306,7 +310,8 @@ class WorkerPool:
                     # orphan
                     if lease is not None and outcome is not None \
                             and outcome.ok:
-                        self.leases.deposit_effects(lease, outcome)
+                        self.leases.deposit_effects(lease, outcome,
+                                                    sim.now)
                     self._abandon(idx, started)
                     return
                 if ok:

@@ -29,7 +29,6 @@ DESIGN.md section 4 for the rationale.
 from __future__ import annotations
 
 import itertools
-import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -45,28 +44,7 @@ __all__ = [
     "Interrupt",
     "Ticker",
     "GridTicker",
-    "grid_delay",
 ]
-
-
-def grid_delay(now: float, interval: float) -> float:
-    """Delay from ``now`` to the next strict point ``k*interval``.
-
-    Daemons that poll on an *absolute* time grid (``k * interval``)
-    rather than relative to their last wake-up are memoryless while
-    idle: a daemon recreated mid-run (a restored Supervisor) falls back
-    into exactly the poll schedule its predecessor would have kept,
-    which is what makes restored runs byte-identical to uninterrupted
-    ones.  A small epsilon absorbs float error so a wake-up *at* a grid
-    point always waits a full interval.
-    """
-    if interval <= 0:
-        raise ValueError("grid interval must be positive")
-    k = math.floor(now / interval + 1e-9) + 1
-    delay = k * interval - now
-    if delay <= 0:  # float fallback; never returns a zero delay
-        delay = interval
-    return delay
 
 
 class Interrupt(Exception):

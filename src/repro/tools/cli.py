@@ -522,7 +522,6 @@ def cmd_gameday(args: argparse.Namespace, out) -> int:
         args, scheduler=args.scheduler, kills=args.kills,
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat_interval,
-        scan_interval=args.scan_interval,
         checkpoint_at=args.checkpoint_at or None)
     return _campaign(args, out,
                      run_gameday_comparison if args.compare_restore
@@ -871,10 +870,8 @@ ARG_GROUPS = {
                   "(default 20)"),
         _arg("--heartbeat-interval", type=float, default=5.0,
              help="worker lease-renewal period (default 5)"),
-        _arg("--scan-interval", type=float, default=5.0,
-             help="Supervisor expired-lease scan period (default 5)"),
         _arg("--checkpoint-at", type=float, default=0.0,
-             help="from this virtual time on, poll for a safe point, "
+             help="from this virtual time on, wait for a safe point, "
                   "then checkpoint/teardown/restore the tier mid-run "
                   "(default 0 = off)"),
         _arg("--compare-restore", action="store_true",

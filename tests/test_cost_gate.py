@@ -47,6 +47,13 @@ SERVICE_VIRT_P50_CEILING = 0.35
 IDLE_WORLD_EVENTS_CEILING = 64
 IDLE_WORLD_HEAP_CEILING = 8
 
+#: ``sim.events_per_op`` of a small traced ``world_dynamics`` rep
+#: (``benchmarks/perf/run.py --workload world_dynamics --scale 0.1``):
+#: 0.0005 with hosts on shared tickers, 0.133 when every machine and
+#: Host Object kept a private event chain.  CI's perf-bench-smoke job
+#: holds its rep to it, so host count stays free for the kernel
+WORLD_EVENTS_PER_OP_CEILING = 0.001
+
 #: attribute writes per host reassessment in a world where no descriptor
 #: changes: the four dynamic attributes (``host_available_memory_mb``,
 #: ``host_load``, ``host_slots_free``, ``host_up``); it was all 17
@@ -104,20 +111,23 @@ def test_service_virtual_p50():
 
 def test_idle_pool_costs_no_worker_events():
     """A started service tier with no traffic adds nothing to the
-    kernel: its workers park on their wake events (about 4,800 events
-    over these 600 s while its 4 workers polled a 1 s grid)."""
+    kernel, with or without the recovery tier: its workers park on their
+    wake events (about 4,800 events over these 600 s while its 4
+    workers polled a 1 s grid), and with no lease the Supervisor arms
+    no timer (120 events while it scanned every 5 s)."""
     events = []
-    for service in (False, True):
+    for service, recovery in ((False, None), (True, None), (True, True)):
         meta = build_testbed(TestbedSpec(seed=7, n_domains=1,
                                          hosts_per_domain=3, platform_mix=2))
         if service:
-            meta.start_service()
+            meta.start_service(recovery=recovery)
         meta.advance(0.0)  # the workers start, find nothing, and park
         before = meta.sim.events_processed
         meta.advance(600.0)
         events.append(meta.sim.events_processed - before)
     assert meta.service.pool.quiescent
-    assert events[1] == events[0], events
+    assert meta.service.supervisor is not None
+    assert events[2] == events[1] == events[0], events
 
 
 class CountingRng:
@@ -466,8 +476,7 @@ class TestNoCyclicGarbage:
             suite = meta.start_service(
                 ServiceConfig(workers=2, queue_cap=16),
                 recovery=RecoveryConfig(lease_ttl=20.0,
-                                        heartbeat_interval=5.0,
-                                        scan_interval=5.0))
+                                        heartbeat_interval=5.0))
             injector = ChaosInjector(meta, ChaosPlan(events=[
                 FaultEvent(at=40.0, kind="message_loss_spike",
                            duration=30.0, magnitude=0.3),

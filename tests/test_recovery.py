@@ -39,11 +39,14 @@ from repro.recovery import (
     run_gameday,
     run_gameday_comparison,
 )
+from repro.campaign import stable_round
+from repro.recovery import gameday as gameday_module
 from repro.recovery.checkpoint import quiescence_blockers
+from repro.recovery.gameday import checkpoint_when_quiet
 from repro.service import ServiceConfig
 from repro.service.request import TERMINAL_STATES
 from repro.service.workers import WorkerPool
-from repro.sim.kernel import Simulator, grid_delay
+from repro.sim.kernel import Simulator
 from repro.tools import main
 from repro.workload.testbed import TestbedSpec, build_testbed
 
@@ -54,8 +57,7 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def build_recovery_service(seed=0, ttl=5.0, heartbeat=2.0, scan=2.0,
-                           **cfg):
+def build_recovery_service(seed=0, ttl=5.0, heartbeat=2.0, **cfg):
     """A small testbed with the service tier + recovery layer started."""
     meta = build_testbed(TestbedSpec(
         seed=seed, n_domains=1, hosts_per_domain=3, platform_mix=2,
@@ -64,8 +66,7 @@ def build_recovery_service(seed=0, ttl=5.0, heartbeat=2.0, scan=2.0,
     cfg.setdefault("queue_cap", 16)
     suite = meta.start_service(
         ServiceConfig(**cfg),
-        recovery=RecoveryConfig(lease_ttl=ttl, heartbeat_interval=heartbeat,
-                                scan_interval=scan))
+        recovery=RecoveryConfig(lease_ttl=ttl, heartbeat_interval=heartbeat))
     return meta, suite
 
 
@@ -81,13 +82,6 @@ def assert_states_match(suite):
     replayed = RequestJournal.replay_state(suite.journal.entries)
     assert json.dumps(live, sort_keys=True) == \
         json.dumps(replayed, sort_keys=True)
-
-
-class TestGridPhase:
-    def test_wakeup_at_grid_point_waits_full_interval(self):
-        assert grid_delay(0.3, 1.0) == pytest.approx(0.7)
-        assert grid_delay(5.0, 1.0) == pytest.approx(1.0)
-        assert grid_delay(6.0, 2.0) == pytest.approx(2.0)
 
 
 class TestJournal:
@@ -161,14 +155,14 @@ class TestLeaseTable:
         lease = leases.grant("req-000000", 0, now=0.0)
         leases.expire(lease, now=2.0)
         outcome = object()
-        leases.deposit_effects(lease, outcome)
+        leases.deposit_effects(lease, outcome, now=3.0)
         assert lease.effects is outcome
         assert leases.late_effects == [lease]
 
     def test_active_deposit_stays_on_the_lease(self):
         leases = LeaseTable(ttl=10.0)
         lease = leases.grant("req-000000", 0, now=0.0)
-        leases.deposit_effects(lease, object())
+        leases.deposit_effects(lease, object(), now=1.0)
         assert not leases.late_effects
 
 
@@ -365,7 +359,7 @@ class TestOrphanRecovery:
         Supervisor re-enqueues the orphan exactly once, and the revived
         worker finishes it — nothing lost."""
         meta, suite = build_recovery_service(
-            workers=1, ttl=5.0, heartbeat=2.0, scan=2.0)
+            workers=1, ttl=5.0, heartbeat=2.0)
         # count nobody can place: the request stays in flight through
         # retries, so the kill is guaranteed to land mid-claim
         result = suite.gateway.submit(user="u", count=999)
@@ -383,10 +377,79 @@ class TestOrphanRecovery:
         assert len(journal_events(suite, "requeue", rid)) == 1
         assert len(journal_events(suite, "finish", rid)) == 1
         assert not suite.leases.active
+        # requeued at the lease's expiry instant, not at a later scan
+        [(_, _, _, expires_at, how)] = suite.leases.history[:1]
+        assert how == "expired"
+        [requeue] = journal_events(suite, "requeue", rid)
+        assert requeue.t == expires_at
+        assert suite.supervisor.orphan_latencies == [0.0]
+
+    def test_each_orphan_requeued_at_its_own_expiry(self):
+        """Three leases, two of whose workers die at different times: the
+        timer re-arms at the earliest remaining expiry, so each orphan is
+        requeued at its own lease's ``expires_at``."""
+        meta, suite = build_recovery_service(
+            workers=3, ttl=5.0, heartbeat=2.0)
+        for i in range(3):
+            suite.gateway.submit(user=f"u{i}", count=999)
+        meta.sim.schedule_at(2.0, lambda: suite.pool.kill(1))
+        meta.sim.schedule_at(3.0, lambda: suite.pool.kill(2))
+        meta.advance(30.0)
+        expired = {rid: ended for rid, _w, _g, ended, how
+                   in suite.leases.history if how == "expired"}
+        assert sorted(expired.values()) == [5.0, 7.0]
+        for rid, expires_at in expired.items():
+            [requeue] = journal_events(suite, "requeue", rid)
+            assert requeue.t == expires_at, rid
+        assert suite.supervisor.orphan_latencies == [0.0, 0.0]
+
+    def test_late_effects_reaped_at_the_deposit_instant(self):
+        """A placement outlives its lease: the lease expires while the
+        dead worker is still inside ``Scheduler.run``, then the worker
+        deposits what it enacted while no other lease is active.  The
+        zombie instances are destroyed at the deposit instant."""
+        meta, suite = build_recovery_service(
+            workers=1, ttl=5.0, heartbeat=2.0)
+        sim, pool, leases = meta.sim, suite.pool, suite.leases
+        real = pool.schedulers[0]
+
+        class SlowScheduler:
+            """Places for real, then spends 20 s before returning."""
+
+            def run(self, requests, reservation_duration):
+                outcome = real.run(
+                    requests, reservation_duration=reservation_duration)
+                sim.run_until(sim.now + 20.0)
+                return outcome
+
+        pool.schedulers[0] = SlowScheduler()
+        deposits, destroyed = [], []
+        deposit, destroy = leases.deposit_effects, suite.app.destroy_instance
+
+        def logged_deposit(lease, outcome, now):
+            deposits.append((now, list(outcome.created)))
+            deposit(lease, outcome, now)
+
+        def logged_destroy(loid, now):
+            destroyed.append((sim.now, loid))
+            return destroy(loid, now=now)
+
+        leases.deposit_effects = logged_deposit
+        suite.app.destroy_instance = logged_destroy
+        rid = suite.gateway.submit(user="u").request_id
+        sim.schedule_at(1.0, lambda: pool.kill(0))
+        meta.advance(40.0)
+        [expire] = journal_events(suite, "expire", rid)
+        [(deposited_at, created)] = deposits
+        assert created and expire.t < deposited_at
+        assert not leases.active and not leases.late_effects
+        assert destroyed == [(deposited_at, loid) for loid in created]
+        assert suite.supervisor.duplicates_averted == len(created)
+        assert not suite.app.instances
 
     def test_cancelled_orphan_finishes_cancelled(self):
         meta, suite = build_recovery_service(
-            workers=1, ttl=5.0, heartbeat=2.0, scan=2.0)
+            workers=1, ttl=5.0, heartbeat=2.0)
         result = suite.gateway.submit(user="u", count=999)
         meta.sim.schedule_at(2.0, lambda: suite.pool.kill(0))
         meta.sim.schedule_at(3.0,
@@ -530,6 +593,23 @@ class TestCheckpoint:
         assert '"worker": 2' in straight  # the burst used the whole pool
         assert run(restore=True) == straight
 
+    def test_probe_wakes_when_the_timer_settles_the_last_lease(self):
+        """The last blocker is a cancelled orphan's lease: nothing parks
+        when the Supervisor's timer finishes it CANCELLED, so the timer
+        firing itself wakes the probe, which captures at the expiry."""
+        meta, suite = build_recovery_service(
+            workers=1, ttl=5.0, heartbeat=2.0)
+        rid = suite.gateway.submit(user="u", count=999).request_id
+        meta.sim.schedule_at(2.0, lambda: suite.pool.kill(0))
+        meta.sim.schedule_at(2.5, lambda: suite.pool.revive(0))
+        meta.sim.schedule_at(3.0, lambda: suite.gateway.cancel(rid))
+        info = checkpoint_when_quiet(meta, 1.0)
+        meta.advance(30.0)
+        [expire] = journal_events(suite, "expire", rid)
+        assert suite.gateway.requests[rid].state == "cancelled"
+        assert info["captured_at"] == expire.t == 5.0
+        assert meta.service is not suite
+
     def test_roundtrip_restores_registry_and_counters(self):
         meta, suite = build_recovery_service(workers=2)
         for i in range(5):
@@ -555,7 +635,7 @@ class TestCheckpoint:
 GAMEDAY_SMALL = dict(
     users=2000, duration=40.0, workers=2, queue_cap=8,
     requests_per_user_hour=3.6, surge_multiplier=8.0, kills=2,
-    lease_ttl=6.0, heartbeat_interval=2.0, scan_interval=2.0,
+    lease_ttl=6.0, heartbeat_interval=2.0,
     n_domains=1, hosts_per_domain=4, platform_mix=2, drain_time=600.0)
 
 
@@ -573,6 +653,32 @@ class TestGameday:
         assert cmp.passed
         assert cmp.restored.checkpoint is not None
 
+    def test_checkpoint_captured_when_the_tier_goes_quiet(self,
+                                                          monkeypatch):
+        """At ``checkpoint_at`` requests are in flight and no worker is
+        dead; the capture happens the instant the last worker parks,
+        ``dispatch_overhead`` after the last ``finish``, not at a later
+        whole second, and the restored run stays byte-identical."""
+        captured = []
+
+        def spy(meta):
+            checkpoint = capture_checkpoint(meta)
+            captured.append(checkpoint)
+            return checkpoint
+
+        monkeypatch.setattr(gameday_module, "capture_checkpoint", spy)
+        cmp = run_gameday_comparison(seed=3, checkpoint_at=3.0,
+                                     **GAMEDAY_SMALL)
+        assert cmp.byte_identical and cmp.passed
+        [checkpoint] = captured
+        finishes = [e["t"] for e in checkpoint.journal
+                    if e["event"] == "finish"]
+        captured_at = cmp.restored.checkpoint["captured_at"]
+        assert 3.0 < finishes[-1] < captured_at < 18.0  # before any kill
+        assert captured_at == stable_round(
+            finishes[-1] + ServiceConfig().dispatch_overhead)
+        assert captured_at != int(captured_at)
+
     def test_report_roundtrips_to_json(self):
         report = run_gameday(seed=3, **GAMEDAY_SMALL)
         doc = json.loads(report.to_json())
@@ -587,6 +693,7 @@ class TestGameday:
         report = run_gameday(seed=seed, **GAMEDAY_SMALL)
         assert report.lost == 0
         assert report.duplicates == 0
+        assert report.recovery["orphan_latency_max"] == 0.0
         by_state = report.requests["by_state"]
         assert set(by_state) <= TERMINAL_STATES
         assert sum(by_state.values()) == report.requests["submitted"]
@@ -616,7 +723,7 @@ class TestLeaseProperties:
         every submission reaches exactly one terminal state with exactly
         one ``finish`` journal entry — under an arbitrary mid-run crash."""
         meta, suite = build_recovery_service(
-            seed=seed, workers=2, ttl=4.0, heartbeat=1.5, scan=2.0)
+            seed=seed, workers=2, ttl=4.0, heartbeat=1.5)
         for i in range(8):
             suite.gateway.submit(user=f"u{i}", priority=i % 2)
         meta.sim.schedule_at(kill_at, lambda: suite.pool.kill(0))
@@ -649,6 +756,15 @@ class TestGamedayCLI:
         doc = json.loads(out_file.read_text())
         assert doc["passed"] and doc["byte_identical"]
         assert doc["reports"]["restored"]["checkpoint"] is not None
+
+    def test_restore_gate_fails_without_a_capture(self):
+        """A checkpoint time past the end of the run captures nothing,
+        so the restored leg was never restored: the gate must fail."""
+        code, text = run_cli("gameday", "--seed", "7", "--duration", "60",
+                             "--compare-restore", "--checkpoint-at",
+                             "5000")
+        assert code == 1
+        assert "ERROR: restored: no checkpoint was captured" in text
 
     def test_failed_gate_exits_nonzero(self):
         # kills=0 can never satisfy the >= 2 worker-kill gate

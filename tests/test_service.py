@@ -347,8 +347,7 @@ def bare_pool(workers=4, script=((0.0, True),), recovery=False):
                       journal=journal, heartbeat_interval=1.0)
     pool.start()
     if recovery:
-        Supervisor(sim, gateway, leases, journal, App(),
-                   scan_interval=2.0).start()
+        Supervisor(sim, gateway, leases, journal, App()).start()
     return sim, queue, gateway, pool
 
 
