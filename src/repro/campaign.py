@@ -26,8 +26,10 @@ __all__ = ["WAVE_DRAIN_STEP", "SERVICE_DRAIN_STEP", "stable_round",
 
 #: drain slice for wave campaigns (chaos, economy): jobs run for minutes
 WAVE_DRAIN_STEP = 50.0
-#: drain slice for the service tier (serve, gameday): one Supervisor
-#: scan interval at the stock recovery settings
+#: drain slice for the service tier (serve, gameday): ``drain`` tests
+#: for idle once per slice, so the ``drain_seconds`` BENCH_service.json
+#: and BENCH_gameday.json record is whole slices, plus any time a
+#: placement in flight ran the clock past a slice's end
 SERVICE_DRAIN_STEP = 5.0
 
 

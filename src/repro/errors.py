@@ -230,6 +230,15 @@ class BudgetExceededError(SchedulingError):
 
 
 # ---------------------------------------------------------------------------
+# Service tier
+# ---------------------------------------------------------------------------
+
+class RequestStateError(LegionError):
+    """A service request was sent an event its state machine
+    (``repro.service.request.FIRES_FROM``) forbids."""
+
+
+# ---------------------------------------------------------------------------
 # Chaos / fault injection
 # ---------------------------------------------------------------------------
 

@@ -836,14 +836,13 @@ class Metasystem:
                 name=f"svc-w{i}", **sched_kwargs),
             rng_factory=lambda i: self.rngs.stream("service", "retry",
                                                    str(i)),
-            metrics=self.metrics, spans=self.spans,
-            leases=leases, journal=journal,
+            metrics=self.metrics, spans=self.spans, leases=leases,
             heartbeat_interval=heartbeat_interval)
         pool.start()
         if recovery is not None:
             from .recovery import Supervisor
-            supervisor = Supervisor(self.sim, gateway, leases, journal,
-                                    app, metrics=self.metrics,
+            supervisor = Supervisor(self.sim, gateway, leases, app,
+                                    metrics=self.metrics,
                                     spans=self.spans).start()
         self.service = ServiceSuite(config, gateway, queue, pool, app,
                                     recovery=recovery, journal=journal,

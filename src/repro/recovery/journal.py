@@ -2,11 +2,14 @@
 
 OAR (PAPERS.md) keeps the scheduler's entire state in a durable store so
 the scheduler process can be killed and restarted without losing work.
-The journal is this reproduction's equivalent: the gateway, queue, and
-workers record every transition *before* acting on it, and
-:func:`RequestJournal.replay` folds the entries back into the exact
-request registry and live queue content — byte-identical to a live
-snapshot (:meth:`RequestJournal.snapshot_state`), which is what the
+The journal is this reproduction's equivalent: every live transition
+goes through :meth:`~repro.service.gateway.RequestGateway.transition`,
+which records it here *before*
+:meth:`~repro.service.request.ServiceRequest.apply` acts on it, and
+:func:`RequestJournal.replay` fires the same entries through the same
+``apply`` — so the replayed request registry and live queue content are
+byte-identical to a live snapshot
+(:meth:`RequestJournal.snapshot_state`), which is what the
 checkpoint/restore path and the replay tests pin.
 
 Event vocabulary (one entry per transition, in admission order):
@@ -24,19 +27,17 @@ Event vocabulary (one entry per transition, in admission order):
 ``finish``         terminal state reached (``state/detail/created``)
 =================  ==========================================================
 
-Replay folds events into :class:`~repro.service.request.ServiceRequest`
-objects, so ``to_dict()`` equality against the live registry is exact.
 Queue *counters* (offered/shed/...) are deliberately not journalled —
 they are cumulative statistics, carried by the checkpoint, not state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from ..errors import RecoveryError
-from ..service.request import CANCELLED, DEFERRED, PLACING, QUEUED, \
-    ServiceRequest
+from ..errors import RecoveryError, RequestStateError
+from ..obs.registry import NULL_METRICS
+from ..service.request import QUEUED, ServiceRequest
 
 __all__ = ["JournalEntry", "RequestJournal"]
 
@@ -75,15 +76,14 @@ class JournalEntry:
 class RequestJournal:
     """Append-only write-ahead log for the service tier."""
 
-    def __init__(self, clock: Callable[[], float], metrics: Any = None):
+    def __init__(self, clock: Callable[[], float],
+                 metrics: Any = NULL_METRICS):
         self._clock = clock
         self.metrics = metrics
         self.entries: List[JournalEntry] = []
-        if metrics is not None:
-            metrics.gauge_fn("recovery_journal_entries",
-                             lambda: float(len(self.entries)),
-                             help="transitions recorded in the request "
-                                  "journal")
+        metrics.gauge_fn("recovery_journal_entries",
+                         lambda: float(len(self.entries)),
+                         help="transitions recorded in the request journal")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -97,9 +97,7 @@ class RequestJournal:
         entry = JournalEntry(len(self.entries), self._clock(), event,
                              request_id, data)
         self.entries.append(entry)
-        if self.metrics is not None:
-            self.metrics.count("recovery_journal_records_total",
-                               event=event)
+        self.metrics.count("recovery_journal_records_total", event=event)
         return entry
 
     # -- serialization ------------------------------------------------------
@@ -117,22 +115,22 @@ class RequestJournal:
                           List[Tuple[int, str]], Dict[str, int]]:
         """Fold the log into (requests, live queue entries, counters).
 
-        ``requests`` maps id → a reconstructed
-        :class:`~repro.service.request.ServiceRequest`; ``live`` lists
-        ``(priority, request_id)`` in queue pop order (higher priority
-        first, admission serial within a level — the replay serial
-        counts ``enqueue``/``requeue`` events, which is exactly the
-        order the live queue assigned its heap serials in); ``counters``
-        carries ``submitted`` and ``admission_rejections``.
+        ``requests`` maps id → a
+        :class:`~repro.service.request.ServiceRequest` built from its
+        ``submit`` entry, with every later entry fired through
+        :meth:`~repro.service.request.ServiceRequest.apply` (an illegal
+        transition raises :class:`~repro.errors.RecoveryError`);
+        ``live`` lists ``(priority, request_id)`` of the QUEUED ones in
+        pop order (higher priority first, then the serial of the last
+        ``enqueue``/``requeue`` — exactly the order the live queue
+        assigned its heap serials in); ``counters`` carries
+        ``submitted`` and ``admission_rejections``.
         """
         requests: Dict[str, ServiceRequest] = {}
-        live: Dict[str, Tuple[int, int]] = {}  # rid -> (serial, priority)
-        serial = 0
-        submitted = 0
+        serials: Dict[str, int] = {}
         admission_rejections = 0
-        for e in entries:
+        for i, e in enumerate(entries):
             if e.event == "submit":
-                submitted += 1
                 requests[e.request_id] = ServiceRequest(
                     request_id=e.request_id, user=e.data["user"],
                     count=e.data["count"], priority=e.data["priority"],
@@ -143,71 +141,47 @@ class RequestJournal:
                 raise RecoveryError(
                     f"journal entry #{e.seq} ({e.event}) references "
                     f"unknown request {e.request_id!r}")
+            try:
+                request.apply(e.event, e.t, e.data)
+            except RequestStateError as exc:
+                raise RecoveryError(f"journal entry #{e.seq}: {exc}") \
+                    from exc
             if e.event == "admission_rej":
                 admission_rejections += 1
             elif e.event in ("enqueue", "requeue"):
-                request.state = QUEUED
-                request.enqueued_at = e.t
-                if e.event == "requeue":
-                    request.worker = None
-                    request.requeues = e.data["requeues"]
-                live[e.request_id] = (serial, request.priority)
-                serial += 1
-            elif e.event == "defer":
-                request.state = DEFERRED
-                request.defers = e.data["defers"]
-            elif e.event == "claim":
-                request.state = PLACING
-                request.started_at = e.t
-                request.worker = e.data["worker"]
-                live.pop(e.request_id, None)
-            elif e.event == "attempt":
-                request.attempts = e.data["attempt"]
-            elif e.event == "cancel_flag":
-                request.cancel_requested = True
-            elif e.event == "expire":
-                pass  # ownership change only; a requeue/finish follows
-            elif e.event == "finish":
-                request.state = e.data["state"]
-                request.finished_at = e.t
-                request.detail = e.data["detail"]
-                request.created = list(e.data["created"])
-                if e.data["state"] == CANCELLED:
-                    live.pop(e.request_id, None)
-        ordered = sorted(live.items(),
-                         key=lambda kv: (-kv[1][1], kv[1][0]))
-        live_entries = [(prio, rid) for rid, (_s, prio) in ordered]
-        return requests, live_entries, {
-            "submitted": submitted,
+                serials[e.request_id] = i
+        live = sorted((-requests[rid].priority, serial, rid)
+                      for rid, serial in serials.items()
+                      if requests[rid].state == QUEUED)
+        return requests, [(-nprio, rid) for nprio, _serial, rid in live], {
+            "submitted": len(requests),
             "admission_rejections": admission_rejections,
         }
 
     @staticmethod
+    def _canonical(requests: Dict[str, ServiceRequest],
+                   queue_entries: List[Tuple[int, str]],
+                   counters: Dict[str, int]) -> Dict[str, Any]:
+        """The JSON shape :meth:`snapshot_state` and :meth:`replay_state`
+        share (compare with ``json.dumps`` for byte identity)."""
+        return {"requests": {rid: req.to_dict()
+                             for rid, req in sorted(requests.items())},
+                "queue_entries": [[prio, rid] for prio, rid in queue_entries],
+                **counters}
+
+    @staticmethod
     def snapshot_state(gateway: Any, queue: Any) -> Dict[str, Any]:
-        """Canonical JSON view of the live gateway + queue state — the
-        thing :meth:`replay` must reconstruct byte-identically."""
-        return {
-            "requests": {rid: req.to_dict()
-                         for rid, req in sorted(gateway.requests.items())},
-            "queue_entries": [[prio, rid]
-                              for prio, rid in queue.snapshot_entries()],
-            "submitted": gateway.submitted,
-            "admission_rejections": gateway.admission.rejections,
-        }
+        """Canonical view of the live gateway + queue state — the thing
+        :meth:`replay` must reconstruct byte-identically."""
+        return RequestJournal._canonical(
+            gateway.requests, queue.snapshot_entries(),
+            {"submitted": gateway.submitted,
+             "admission_rejections": gateway.admission.rejections})
 
     @staticmethod
     def replay_state(entries: List[JournalEntry]) -> Dict[str, Any]:
-        """Replay, in the same canonical shape as
-        :meth:`snapshot_state` (compare with ``json.dumps`` for the
-        byte-identity property)."""
-        requests, live, counters = RequestJournal.replay(entries)
-        return {
-            "requests": {rid: req.to_dict()
-                         for rid, req in sorted(requests.items())},
-            "queue_entries": [[prio, rid] for prio, rid in live],
-            "submitted": counters["submitted"],
-            "admission_rejections": counters["admission_rejections"],
-        }
+        """Replay, in the same canonical shape as :meth:`snapshot_state`."""
+        return RequestJournal._canonical(*RequestJournal.replay(entries))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RequestJournal entries={len(self.entries)}>"

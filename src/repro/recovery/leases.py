@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List
 
 from ..errors import RecoveryError
+from ..obs.registry import NULL_METRICS
 
 __all__ = ["Lease", "LeaseTable"]
 
@@ -54,7 +55,7 @@ class Lease:
 class LeaseTable:
     """Active leases plus the full ownership-interval history."""
 
-    def __init__(self, ttl: float, metrics: Any = None):
+    def __init__(self, ttl: float, metrics: Any = NULL_METRICS):
         if ttl <= 0:
             raise ValueError("lease ttl must be positive")
         self.ttl = float(ttl)
@@ -74,11 +75,9 @@ class LeaseTable:
         #: called with a grant's expiry and with the instant of a late
         #: deposit; the Supervisor installs its timer's arming here
         self.on_deadline: Callable[[float], None] = lambda when: None
-        if metrics is not None:
-            metrics.gauge_fn("recovery_active_leases",
-                             lambda: float(len(self.active)),
-                             help="requests currently owned by a worker "
-                                  "lease")
+        metrics.gauge_fn("recovery_active_leases",
+                         lambda: float(len(self.active)),
+                         help="requests currently owned by a worker lease")
 
     # -- lifecycle ----------------------------------------------------------
     def grant(self, request_id: str, worker: int, now: float) -> Lease:
@@ -89,8 +88,7 @@ class LeaseTable:
         lease = Lease(request_id, worker, now, now + self.ttl)
         self.active[request_id] = lease
         self.grants += 1
-        if self.metrics is not None:
-            self.metrics.count("recovery_lease_grants_total")
+        self.metrics.count("recovery_lease_grants_total")
         self.on_deadline(lease.expires_at)
         return lease
 
@@ -102,8 +100,7 @@ class LeaseTable:
         lease.expires_at = now + self.ttl
         lease.renewals += 1
         self.renewals += 1
-        if self.metrics is not None:
-            self.metrics.count("recovery_heartbeats_total")
+        self.metrics.count("recovery_heartbeats_total")
 
     def release(self, lease: Lease, now: float) -> None:
         """The worker finished the request and gives up ownership."""
@@ -121,8 +118,7 @@ class LeaseTable:
             return
         del self.active[lease.request_id]
         self.expirations += 1
-        if self.metrics is not None:
-            self.metrics.count("recovery_lease_expirations_total")
+        self.metrics.count("recovery_lease_expirations_total")
         self.history.append((lease.request_id, lease.worker,
                              lease.granted_at, lease.expires_at, EXPIRED))
 

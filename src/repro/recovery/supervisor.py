@@ -8,7 +8,9 @@ the new minimum.  An orphan is thus requeued at its lease's expiry,
 ``lease_ttl`` after the last beat.  A firing reaps late effects, then
 for each lease due it:
 
-1. retires the lease and journals the ``expire`` transition;
+1. retires the lease and fires the ``expire`` transition through
+   :meth:`~repro.service.gateway.RequestGateway.transition` (which
+   journals it);
 2. **reaps zombie effects** — if the dead worker had already enacted the
    placement (the outcome was deposited on the lease), every created
    instance is destroyed through the Class object, releasing its host
@@ -27,18 +29,20 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from ..obs.registry import NULL_METRICS
+from ..obs.spans import NULL_SPANS
+
 __all__ = ["Supervisor"]
 
 
 class Supervisor:
     """Lease-expiry timer + orphan recovery daemon."""
 
-    def __init__(self, sim: Any, gateway: Any, leases: Any, journal: Any,
-                 app: Any, metrics: Any = None, spans: Any = None):
+    def __init__(self, sim: Any, gateway: Any, leases: Any, app: Any,
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         self.sim = sim
         self.gateway = gateway
         self.leases = leases
-        self.journal = journal
         self.app = app
         self.metrics = metrics
         self.spans = spans
@@ -92,13 +96,9 @@ class Supervisor:
 
     def _recover(self, lease: Any, now: float) -> None:
         self.leases.expire(lease, now)
-        if self.journal is not None:
-            self.journal.record("expire", lease.request_id,
-                                worker=lease.worker)
+        request = self.gateway.requests[lease.request_id]
+        self.gateway.transition(request, "expire", worker=lease.worker)
         reaped = self._reap(lease, now)
-        request = self.gateway.requests.get(lease.request_id)
-        if request is None or request.terminal:  # pragma: no cover
-            return  # nothing left to recover (defensive)
         if request.cancel_requested:
             self.cancelled_on_recovery += 1
             self.gateway.requeue(request)  # honours the flag: CANCELLED
@@ -108,17 +108,13 @@ class Supervisor:
             self.recovered += 1
             latency = now - lease.expires_at
             self.orphan_latencies.append(latency)
-            if self.metrics is not None:
-                self.metrics.count("recovery_orphans_recovered_total")
-                self.metrics.observe("recovery_orphan_latency_seconds",
-                                     latency)
-        if self.spans is not None:
-            self.spans.record_span(
-                "recovery.orphan", start=lease.expires_at, end=now,
-                request=lease.request_id, worker=lease.worker,
-                reaped=reaped,
-                outcome="cancelled" if request.cancel_requested
-                else "requeued")
+            self.metrics.count("recovery_orphans_recovered_total")
+            self.metrics.observe("recovery_orphan_latency_seconds", latency)
+        self.spans.record_span(
+            "recovery.orphan", start=lease.expires_at, end=now,
+            request=lease.request_id, worker=lease.worker, reaped=reaped,
+            outcome="cancelled" if request.cancel_requested
+            else "requeued")
 
     def _reap(self, lease: Any, now: float) -> int:
         """Destroy instances a dead worker enacted but never reported."""
@@ -132,9 +128,7 @@ class Supervisor:
         lease.effects = None
         if reaped:
             self.duplicates_averted += reaped
-            if self.metrics is not None:
-                self.metrics.count("recovery_duplicates_averted_total",
-                                   reaped)
+            self.metrics.count("recovery_duplicates_averted_total", reaped)
         return reaped
 
     # -- reporting / checkpoint ---------------------------------------------

@@ -22,7 +22,8 @@ executor — and drives it open-loop:
   seeded diurnal/bursty user populations (Lazarevic & Sacks, PAPERS.md)
   scaling to millions of simulated users at O(arrivals) cost,
 * :mod:`~repro.service.report` — the :class:`ServiceReport` joining
-  per-request end-to-end latency (enqueue→placed, from the span tracer)
+  per-request end-to-end latency (submit→placed, from the gateway's
+  request registry)
   with the SLO engine's burn-rate verdicts, exported byte-stably; plus
   ``run_service`` / ``run_service_comparison``, the engines behind
   ``legion-sim serve`` and the committed ``BENCH_service.json``.

@@ -20,14 +20,17 @@ gateway's registry, so ``status`` answers for it forever: *counted, not
 lost*.  The gateway is also the single place terminal outcomes are
 recorded (workers call :meth:`RequestGateway.finish`), which keeps the
 outcome counters, the e2e latency histogram, and the per-request spans
-consistent with each other.
+consistent with each other, and every live state change (workers' and
+the Supervisor's too) goes through :meth:`RequestGateway.transition`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import AdmissionRejected
+from ..obs.registry import NULL_METRICS
+from ..obs.spans import NULL_SPANS
 from .config import ServiceConfig
 from .queue import PlacementQueue
 from .request import (
@@ -57,7 +60,7 @@ class ServiceAdmission:
     """
 
     def __init__(self, load_limit: Optional[float] = None,
-                 metrics: Any = None):
+                 metrics: Any = NULL_METRICS):
         if load_limit is not None and load_limit <= 0:
             raise ValueError("load_limit must be positive (or None)")
         self.load_limit = load_limit
@@ -71,9 +74,8 @@ class ServiceAdmission:
         load = sum(h.machine.load_average for h in hosts) / len(hosts)
         if load > self.load_limit:
             self.rejections += 1
-            if self.metrics is not None:
-                self.metrics.count("service_admission_rejected_total",
-                                   reason="load")
+            self.metrics.count("service_admission_rejected_total",
+                               reason="load")
             raise AdmissionRejected(
                 f"service: mean load {load:.2f} exceeds limit "
                 f"{self.load_limit:.2f}")
@@ -87,8 +89,8 @@ class RequestGateway:
     """Typed submit/status/cancel/health routes over the placement queue."""
 
     def __init__(self, sim: Any, queue: PlacementQueue,
-                 config: ServiceConfig, metrics: Any = None,
-                 spans: Any = None, hosts: Optional[List[Any]] = None,
+                 config: ServiceConfig, metrics: Any = NULL_METRICS,
+                 spans: Any = NULL_SPANS, hosts: Optional[List[Any]] = None,
                  journal: Any = None):
         self.sim = sim
         self.queue = queue
@@ -113,14 +115,12 @@ class RequestGateway:
             priority=priority, work=work, submitted_at=now)
         self.submitted += 1
         self.requests[request.request_id] = request
-        if self.journal is not None:
-            self.journal.record("submit", request.request_id, user=user,
-                                count=count, priority=priority, work=work)
+        self.transition(request, "submit", user=user, count=count,
+                        priority=priority, work=work)
         try:
             self.admission.check(self.hosts, now)
         except AdmissionRejected as exc:
-            if self.journal is not None:
-                self.journal.record("admission_rej", request.request_id)
+            self.transition(request, "admission_rej")
             self.finish(request, REJECTED, detail=str(exc))
             return RouteResult("submit", False, request.request_id,
                                REJECTED, detail=str(exc))
@@ -171,9 +171,7 @@ class RequestGateway:
             detail=f"not cancellable in state {request.state!r}")
 
     def _flag_cancel(self, request: ServiceRequest) -> RouteResult:
-        request.cancel_requested = True
-        if self.journal is not None:
-            self.journal.record("cancel_flag", request.request_id)
+        self.transition(request, "cancel_flag")
         return RouteResult(
             "cancel", True, request.request_id, request.state,
             detail="cancel pending: claimed by a worker; honoured at its "
@@ -194,84 +192,63 @@ class RequestGateway:
         }
 
     # -- backpressure ---------------------------------------------------------
-    def _offer(self, request: ServiceRequest) -> RouteResult:
-        disposition = self.queue.offer(request)
-        now = self.sim.now
+    def _offer(self, request: ServiceRequest,
+               final: bool = False) -> RouteResult:
+        """Offer ``request`` to the backlog (again, for a deferred one:
+        ``final`` once it is out of defers) and act on the disposition."""
+        disposition = self.queue.offer(request, final=final)
         if disposition == "enqueued":
-            request.state = QUEUED
-            request.enqueued_at = now
-            if self.journal is not None:
-                self.journal.record("enqueue", request.request_id)
+            self.transition(request, "enqueue")
             return RouteResult("submit", True, request.request_id, QUEUED)
         if disposition == "deferred":
-            request.state = DEFERRED
-            request.defers += 1
-            if self.journal is not None:
-                self.journal.record("defer", request.request_id,
-                                    defers=request.defers)
+            self.transition(request, "defer", defers=request.defers + 1)
             self.sim.schedule(self.config.defer_delay,
                               lambda: self._reoffer(request))
             return RouteResult("submit", True, request.request_id, DEFERRED,
                                detail=f"backlog full; retrying in "
                                       f"{self.config.defer_delay:g}s")
-        if disposition == "rejected":
-            self.finish(request, REJECTED, detail="backlog full")
-            return RouteResult("submit", False, request.request_id,
-                               REJECTED, detail="backlog full")
-        self.finish(request, SHED, detail="backlog full")
-        return RouteResult("submit", False, request.request_id, SHED,
-                           detail="backlog full")
+        state = REJECTED if disposition == "rejected" else SHED
+        detail = (f"backlog still full after {request.defers} defers"
+                  if request.defers else "backlog full")
+        self.finish(request, state, detail=detail)
+        return RouteResult("submit", False, request.request_id, state,
+                           detail=detail)
 
     def _reoffer(self, request: ServiceRequest) -> None:
-        if request.state != DEFERRED:  # cancelled in the meantime
-            return
-        out_of_defers = request.defers >= self.config.max_defers
-        disposition = self.queue.offer(request, final=out_of_defers)
-        if disposition == "enqueued":
-            request.state = QUEUED
-            request.enqueued_at = self.sim.now
-            if self.journal is not None:
-                self.journal.record("enqueue", request.request_id)
-        elif disposition == "deferred":
-            request.defers += 1
-            if self.journal is not None:
-                self.journal.record("defer", request.request_id,
-                                    defers=request.defers)
-            self.sim.schedule(self.config.defer_delay,
-                              lambda: self._reoffer(request))
-        else:  # shed (final) or rejected
-            self.finish(request, SHED if disposition == "shed" else REJECTED,
-                        detail=f"backlog still full after "
-                               f"{request.defers} defers")
+        if request.state == DEFERRED:  # else cancelled in the meantime
+            self._offer(request,
+                        final=request.defers >= self.config.max_defers)
 
-    # -- terminal bookkeeping -------------------------------------------------
+    # -- transitions ----------------------------------------------------------
+    def transition(self, request: ServiceRequest, event: str,
+                   **data: Any) -> None:
+        """The one way the live tier changes a request: journal
+        ``event`` first (write-ahead, when the recovery layer is on),
+        then :meth:`ServiceRequest.apply` it.  ``submit`` is journalled
+        only: the constructor made the request."""
+        if self.journal is not None:
+            self.journal.record(event, request.request_id, **data)
+        if event != "submit":
+            request.apply(event, self.sim.now, data)
+
     def finish(self, request: ServiceRequest, state: str,
-               detail: str = "") -> None:
+               detail: str = "", created: Sequence[str] = ()) -> None:
         """Move ``request`` to a terminal state; the only place outcome
         counters, the e2e histogram, and request spans are emitted."""
         now = self.sim.now
-        request.state = state
-        request.finished_at = now
-        if detail:
-            request.detail = detail
-        if self.journal is not None:
-            self.journal.record("finish", request.request_id, state=state,
-                                detail=request.detail,
-                                created=list(request.created))
-        if self.metrics is not None:
-            self.metrics.count("service_request_outcomes_total",
-                               outcome=state)
+        self.transition(request, "finish", state=state, detail=detail,
+                        created=list(created))
+        self.metrics.count("service_request_outcomes_total", outcome=state)
+        if state == PLACED:
+            self.metrics.observe("service_e2e_seconds",
+                                 now - request.submitted_at)
         if state in (PLACED, FAILED):
-            e2e = now - request.submitted_at
-            if self.metrics is not None and state == PLACED:
-                self.metrics.observe("service_e2e_seconds", e2e)
-            if self.spans is not None:
-                self.spans.record_span(
-                    "service.request", start=request.submitted_at, end=now,
-                    status="ok" if state == PLACED else "error",
-                    request=request.request_id, user=request.user,
-                    outcome=state, priority=request.priority,
-                    worker=request.worker, attempts=request.attempts)
+            self.spans.record_span(
+                "service.request", start=request.submitted_at, end=now,
+                status="ok" if state == PLACED else "error",
+                request=request.request_id, user=request.user,
+                outcome=state, priority=request.priority,
+                worker=request.worker, attempts=request.attempts)
 
     def requeue(self, request: ServiceRequest, reason: str = "") -> None:
         """Put a recovered orphan back in the queue (Supervisor path).
@@ -286,18 +263,12 @@ class RequestGateway:
             self.finish(request, CANCELLED,
                         detail="cancelled during crash recovery")
             return
-        request.requeues += 1
-        request.worker = None
         self.queue.requeue(request)
-        request.state = QUEUED
-        request.enqueued_at = self.sim.now
-        if self.journal is not None:
-            self.journal.record("requeue", request.request_id,
-                                requeues=request.requeues, reason=reason)
+        self.transition(request, "requeue", requeues=request.requeues + 1,
+                        reason=reason)
 
     def _route(self, route: str) -> None:
-        if self.metrics is not None:
-            self.metrics.count("service_requests_total", route=route)
+        self.metrics.count("service_requests_total", route=route)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<RequestGateway submitted={self.submitted} "

@@ -26,6 +26,7 @@ import itertools
 from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Set, Tuple
 
+from ..obs.registry import NULL_METRICS
 from .config import ServiceConfig
 from .request import ServiceRequest
 
@@ -42,7 +43,7 @@ class PlacementQueue:
     """Bounded priority backlog between the gateway and the worker pool."""
 
     def __init__(self, cap: int = 0, backpressure: str = "shed",
-                 metrics: Any = None):
+                 metrics: Any = NULL_METRICS):
         ServiceConfig(queue_cap=cap, backpressure=backpressure)  # validate
         self.cap = cap
         self.backpressure = backpressure
@@ -63,14 +64,13 @@ class PlacementQueue:
         #: called after every enqueue (``offer`` or ``requeue``); the
         #: worker pool installs its wake-up here
         self.on_enqueue: Callable[[], None] = lambda: None
-        if metrics is not None:
-            metrics.gauge_fn("service_queue_depth",
-                             lambda: float(self._depth),
-                             help="placement requests waiting in the "
-                                  "bounded backlog")
-            metrics.gauge_fn("service_queue_peak_depth",
-                             lambda: float(self.peak_depth),
-                             help="high-water mark of the backlog")
+        metrics.gauge_fn("service_queue_depth",
+                         lambda: float(self._depth),
+                         help="placement requests waiting in the bounded "
+                              "backlog")
+        metrics.gauge_fn("service_queue_peak_depth",
+                         lambda: float(self.peak_depth),
+                         help="high-water mark of the backlog")
 
     # -- state ----------------------------------------------------------------
     @property
@@ -192,9 +192,7 @@ class PlacementQueue:
 
     # -- metrics --------------------------------------------------------------
     def _count(self, disposition: str) -> None:
-        if self.metrics is not None:
-            self.metrics.count("service_backpressure_total",
-                               mode=disposition)
+        self.metrics.count("service_backpressure_total", mode=disposition)
 
     def stats(self) -> dict:
         return {

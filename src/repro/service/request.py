@@ -1,38 +1,34 @@
 """ServiceRequest: one user placement request moving through the tier.
 
-The request's lifecycle is a small state machine::
-
-    submit ──┬─► QUEUED ──► PLACING ──┬─► PLACED
-             │     │          │       └─► FAILED
-             │     │          └─► (lease expired: worker crash) ─► QUEUED
-             │     └─► CANCELLED
-             ├─► DEFERRED ──► (re-offer) ──► QUEUED | SHED
-             ├─► SHED          (backlog full, mode "shed")
-             └─► REJECTED      (backlog full, mode "reject";
-                                or front-door admission refusal)
+A request's state changes only in :meth:`ServiceRequest.apply`, which
+fires one journal event (the vocabulary of
+:mod:`~repro.recovery.journal`): the live tier calls it through
+:meth:`~repro.service.gateway.RequestGateway.transition`, which journals
+the event first, and journal replay calls it for each logged entry.
+:data:`FIRES_FROM` is the spec.  No row lists a terminal state, so a
+request reaches exactly one of them and then never moves again.
 
 Shed/rejected/cancelled requests stay in the gateway's registry — they
 are *counted, not lost*: ``status`` answers for them forever, which is
 what the backpressure-correctness tests pin.
 
-With the recovery layer on, a PLACING request whose worker crashes is
-re-enqueued by the Supervisor when its lease expires (``requeues``
-counts the recoveries), so PLACING → QUEUED is a legal edge and every
-submitted request still terminates in exactly one terminal state.  A
-cancel that arrives after a worker has already popped the request sets
-``cancel_requested`` instead of finishing it; the worker (or the
-Supervisor, if the worker dies first) honours the flag at its next
-claim-time check and finishes the request CANCELLED.
+With the recovery layer on, the Supervisor re-enqueues a PLACING
+request whose worker crashed when its lease expires.  A cancel that
+arrives after a worker popped the request sets ``cancel_requested``;
+the worker (or the Supervisor, if the worker dies first) honours it at
+its next claim-time check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional
+
+from ..errors import RequestStateError
 
 __all__ = [
     "QUEUED", "DEFERRED", "PLACING", "PLACED", "FAILED", "SHED",
-    "REJECTED", "CANCELLED", "TERMINAL_STATES",
+    "REJECTED", "CANCELLED", "TERMINAL_STATES", "FIRES_FROM",
     "ServiceRequest", "RouteResult",
 ]
 
@@ -47,6 +43,21 @@ CANCELLED = "cancelled"
 
 #: states a request never leaves
 TERMINAL_STATES = frozenset({PLACED, FAILED, SHED, REJECTED, CANCELLED})
+
+#: the request state machine: event -> the states it may fire from.
+#: ``submit`` has no row (the constructor is the submit: a new request
+#: starts QUEUED) and no row lists a terminal state
+FIRES_FROM: Dict[str, FrozenSet[str]] = {
+    "admission_rej": frozenset({QUEUED}),      # a finish(REJECTED) follows
+    "enqueue": frozenset({QUEUED, DEFERRED}),  # -> QUEUED
+    "defer": frozenset({QUEUED, DEFERRED}),    # -> DEFERRED
+    "claim": frozenset({QUEUED}),              # -> PLACING
+    "attempt": frozenset({PLACING}),
+    "cancel_flag": frozenset({QUEUED, PLACING}),
+    "expire": frozenset({PLACING}),            # a requeue or finish follows
+    "requeue": frozenset({PLACING}),           # -> QUEUED
+    "finish": frozenset({QUEUED, DEFERRED, PLACING}),  # -> terminal
+}
 
 
 class ServiceRequest:
@@ -81,13 +92,47 @@ class ServiceRequest:
         #: times the Supervisor re-enqueued it after a lease expiry
         self.requeues = 0
 
+    def apply(self, event: str, t: float, data: Mapping[str, Any]) -> None:
+        """Fire journal ``event`` at virtual time ``t``: the only code
+        that changes a request's state (see :data:`FIRES_FROM`)."""
+        if self.state in TERMINAL_STATES:
+            raise RequestStateError(
+                f"{self.request_id} is already terminal ({self.state}); "
+                f"{event!r} cannot fire")
+        if self.state not in FIRES_FROM.get(event, ()):
+            raise RequestStateError(
+                f"{self.request_id}: {event!r} cannot fire from "
+                f"{self.state!r}")
+        if event == "enqueue" or event == "requeue":
+            self.state = QUEUED
+            self.enqueued_at = t
+            if event == "requeue":
+                self.worker = None
+                self.requeues = data["requeues"]
+        elif event == "claim":
+            self.state = PLACING
+            self.started_at = t
+            self.worker = data["worker"]
+        elif event == "attempt":
+            self.attempts = data["attempt"]
+        elif event == "finish":
+            self.state = data["state"]
+            self.finished_at = t
+            self.detail = data["detail"]
+            self.created = list(data["created"])
+        elif event == "defer":
+            self.state = DEFERRED
+            self.defers = data["defers"]
+        elif event == "cancel_flag":
+            self.cancel_requested = True
+
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
     @property
     def e2e_latency(self) -> Optional[float]:
-        """Enqueue→placed latency (None unless the request was placed)."""
+        """Submit→placed latency (None unless the request was placed)."""
         if self.state != PLACED or self.finished_at is None:
             return None
         return self.finished_at - self.submitted_at

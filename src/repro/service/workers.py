@@ -50,12 +50,14 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..chaos.retry import RetryPolicy
 from ..errors import ChaosError, LegionError
+from ..obs.registry import NULL_METRICS
+from ..obs.spans import NULL_SPANS
 from ..scheduler.base import ObjectClassRequest
 from ..sim.kernel import Event, Ticker
 from .config import ServiceConfig
 from .gateway import RequestGateway
 from .queue import PlacementQueue
-from .request import CANCELLED, FAILED, PLACED, PLACING
+from .request import CANCELLED, FAILED, PLACED
 
 __all__ = ["WorkerPool"]
 
@@ -67,9 +69,8 @@ class WorkerPool:
                  gateway: RequestGateway, app: Any, config: ServiceConfig,
                  scheduler_factory: Callable[[int], Any],
                  rng_factory: Callable[[int], Any],
-                 metrics: Any = None, spans: Any = None,
-                 leases: Any = None, journal: Any = None,
-                 heartbeat_interval: float = 0.0):
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS,
+                 leases: Any = None, heartbeat_interval: float = 0.0):
         self.sim = sim
         self.queue = queue
         self.gateway = gateway
@@ -90,7 +91,6 @@ class WorkerPool:
             for i in range(self.size)]
         #: recovery wiring (None without the recovery layer)
         self.leases = leases
-        self.journal = journal
         self.heartbeat_interval = float(heartbeat_interval)
         self._stopped = False
         self._busy_now = 0
@@ -112,14 +112,13 @@ class WorkerPool:
         self.abandons = 0
         self._started_at: Optional[float] = None
         self._processes: List[Any] = []
-        if metrics is not None:
-            metrics.gauge_fn("service_workers_busy",
-                             lambda: float(self._busy_now),
-                             help="workers currently driving a placement")
-            metrics.gauge_fn("service_worker_busy_fraction",
-                             lambda: self.busy_fraction,
-                             help="pool-wide fraction of wall time spent "
-                                  "placing since start()")
+        metrics.gauge_fn("service_workers_busy",
+                         lambda: float(self._busy_now),
+                         help="workers currently driving a placement")
+        metrics.gauge_fn("service_worker_busy_fraction",
+                         lambda: self.busy_fraction,
+                         help="pool-wide fraction of wall time spent "
+                              "placing since start()")
 
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> None:
@@ -170,8 +169,7 @@ class WorkerPool:
         elif self.queue.depth:
             self._wake()  # it may have been woken for work it won't claim
         self.kills += 1
-        if self.metrics is not None:
-            self.metrics.count("recovery_worker_kills_total")
+        self.metrics.count("recovery_worker_kills_total")
 
     def revive(self, idx: int) -> None:
         """Bring worker ``idx`` back as a fresh generator process."""
@@ -272,11 +270,7 @@ class WorkerPool:
             started = sim.now
             self._busy_now += 1
             self.handled[idx] += 1
-            request.state = PLACING
-            request.started_at = started
-            request.worker = idx
-            if self.journal is not None:
-                self.journal.record("claim", request.request_id, worker=idx)
+            self.gateway.transition(request, "claim", worker=idx)
             lease = None
             if self.leases is not None:
                 lease = self.leases.grant(request.request_id, idx, started)
@@ -288,10 +282,7 @@ class WorkerPool:
                 if request.cancel_requested:
                     cancelled = True
                     break
-                request.attempts = attempt
-                if self.journal is not None:
-                    self.journal.record("attempt", request.request_id,
-                                        attempt=attempt)
+                self.gateway.transition(request, "attempt", attempt=attempt)
                 outcome = None
                 try:
                     outcome = scheduler.run(
@@ -315,15 +306,11 @@ class WorkerPool:
                     self._abandon(idx, started)
                     return
                 if ok:
-                    # stringified: request records are serialized (journal,
-                    # checkpoint); the raw LOIDs stay on the outcome
-                    request.created = [str(l) for l in outcome.created]
                     break
                 if attempt >= cfg.max_attempts:
                     break
                 self.retries += 1
-                if self.metrics is not None:
-                    self.metrics.count("service_retries_total")
+                self.metrics.count("service_retries_total")
                 yield sim.timeout(policy.backoff(attempt))
                 if (self._dead[idx]
                         or self._generation[idx] != generation):
@@ -337,15 +324,17 @@ class WorkerPool:
                                     detail="cancelled before retry")
             elif ok:
                 self.placed += 1
-                self.gateway.finish(request, PLACED)
+                # stringified: request records are serialized (journal,
+                # checkpoint); the raw LOIDs stay on the outcome
+                self.gateway.finish(request, PLACED,
+                                    created=[str(l) for l in outcome.created])
             else:
                 self.failed += 1
                 self.gateway.finish(request, FAILED, detail=detail)
-            if self.spans is not None:
-                self.spans.record_span(
-                    "service.worker", start=started, end=now,
-                    status="ok" if ok else "error", worker=idx,
-                    request=request.request_id, attempts=request.attempts)
+            self.spans.record_span(
+                "service.worker", start=started, end=now,
+                status="ok" if ok else "error", worker=idx,
+                request=request.request_id, attempts=request.attempts)
             self._busy_time[idx] += now - started
             self._busy_now -= 1
             if cfg.dispatch_overhead > 0:
@@ -357,8 +346,7 @@ class WorkerPool:
         self._busy_time[idx] += now - started
         self._busy_now -= 1
         self.abandons += 1
-        if self.metrics is not None:
-            self.metrics.count("recovery_worker_abandons_total")
+        self.metrics.count("recovery_worker_abandons_total")
 
     def _schedule_heartbeat(self, lease: Any, idx: int,
                             generation: int) -> None:

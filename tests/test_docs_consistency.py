@@ -1,12 +1,17 @@
 """Documentation-integrity tests: DESIGN.md's experiment index and module
-inventory must reference things that actually exist.  Plus one source
-check: periodic work goes through the kernel's ``Ticker``."""
+inventory must reference things that actually exist.  Plus source
+checks: periodic work goes through the kernel's ``Ticker``, and a
+service request's state changes only in ``ServiceRequest.apply``, whose
+event table matches the journal vocabulary docs/recovery.md lists."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from repro.recovery.journal import EVENTS
+from repro.service.request import FIRES_FROM, ServiceRequest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,3 +128,90 @@ class TestPeriodicDaemons:
             "    def once(self):\n"
             "        self.sim.schedule(1.0, self._tick)\n")
         assert self_rescheduling_functions(tree) == {"tick", "_tick"}
+
+
+def request_slot_writes(tree):
+    """``obj.slot`` texts of every plain, annotated or augmented
+    assignment to a ``ServiceRequest`` slot on an object other than
+    ``self``."""
+    slots = set(ServiceRequest.__slots__)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for attr in ast.walk(target):
+                if (isinstance(attr, ast.Attribute)
+                        and isinstance(attr.ctx, ast.Store)
+                        and attr.attr in slots
+                        and not (isinstance(attr.value, ast.Name)
+                                 and attr.value.id == "self")):
+                    found.add(ast.unparse(attr))
+    return found
+
+
+def reaches_service_requests(module, tree):
+    """A module in the ``service`` or ``recovery`` package, or one that
+    imports from them: the only places a ``ServiceRequest`` is held
+    (elsewhere ``.state`` / ``.detail`` belong to jobs and outcomes)."""
+    packages = ("service", "recovery")
+    if module.split("/")[0] in packages:
+        return True
+    return any(isinstance(node, ast.ImportFrom) and node.module
+               and set(packages) & set(node.module.split("."))
+               for node in ast.walk(tree))
+
+
+class TestRequestStateHasOneWriter:
+    def test_nothing_bypasses_apply(self):
+        """The live tier changes a request only through
+        ``RequestGateway.transition`` -> ``ServiceRequest.apply``, the
+        code journal replay runs too."""
+        src = ROOT / "src" / "repro"
+        writes = set()
+        for path in sorted(src.rglob("*.py")):
+            module = path.relative_to(src).as_posix()
+            if module == "service/request.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if reaches_service_requests(module, tree):
+                writes |= {(module, text)
+                           for text in request_slot_writes(tree)}
+        assert not writes, writes
+
+    def test_the_check_sees_both_spellings(self):
+        tree = ast.parse(
+            "request.state = QUEUED\n"
+            "request.defers += 1\n"
+            "requests[request.request_id] = request\n"
+            "class R:\n"
+            "    def f(self):\n"
+            "        self.state = QUEUED\n")
+        assert request_slot_writes(tree) == {"request.state",
+                                             "request.defers"}
+
+    def test_the_scope_follows_imports(self):
+        assert reaches_service_requests("recovery/gameday.py",
+                                        ast.parse(""))
+        assert reaches_service_requests(
+            "metasystem.py", ast.parse("from .service import X\n"))
+        assert reaches_service_requests(
+            "tools/cli.py", ast.parse("from ..service.request import X\n"))
+        assert not reaches_service_requests(
+            "queues/base.py", ast.parse("from ..sim import X\n"))
+
+
+class TestJournalVocabulary:
+    def test_recovery_doc_lists_exactly_the_journal_events(self):
+        section = read("docs/recovery.md").split(
+            "## The request journal", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z_]+)` \|", section, flags=re.M)
+        assert sorted(documented) == sorted(EVENTS)
+        assert len(documented) == len(set(documented))
+
+    def test_every_event_but_submit_has_a_row_in_apply(self):
+        assert set(FIRES_FROM) == set(EVENTS) - {"submit"}

@@ -44,7 +44,14 @@ from repro.recovery import gameday as gameday_module
 from repro.recovery.checkpoint import quiescence_blockers
 from repro.recovery.gameday import checkpoint_when_quiet
 from repro.service import ServiceConfig
-from repro.service.request import TERMINAL_STATES
+from repro.service.request import (
+    CANCELLED,
+    DEFERRED,
+    PLACING,
+    QUEUED,
+    TERMINAL_STATES,
+    ServiceRequest,
+)
 from repro.service.workers import WorkerPool
 from repro.sim.kernel import Simulator
 from repro.tools import main
@@ -76,11 +83,75 @@ def journal_events(suite, event, request_id=None):
             and (request_id is None or e.request_id == request_id)]
 
 
+def reference_replay_state(entries):
+    """The journal fold this repository had before
+    ``ServiceRequest.apply`` became the one state machine, kept as an
+    independent oracle: it assigns every field itself, so a transition
+    ``apply`` gets wrong shows up as a difference here even though the
+    live tier and ``RequestJournal.replay`` (which share ``apply``)
+    still agree with each other."""
+    requests = {}
+    live = {}  # rid -> (serial, priority)
+    serial = 0
+    submitted = 0
+    admission_rejections = 0
+    for e in entries:
+        if e.event == "submit":
+            submitted += 1
+            requests[e.request_id] = ServiceRequest(
+                request_id=e.request_id, user=e.data["user"],
+                count=e.data["count"], priority=e.data["priority"],
+                work=e.data["work"], submitted_at=e.t)
+            continue
+        request = requests[e.request_id]
+        if e.event == "admission_rej":
+            admission_rejections += 1
+        elif e.event in ("enqueue", "requeue"):
+            request.state = QUEUED
+            request.enqueued_at = e.t
+            if e.event == "requeue":
+                request.worker = None
+                request.requeues = e.data["requeues"]
+            live[e.request_id] = (serial, request.priority)
+            serial += 1
+        elif e.event == "defer":
+            request.state = DEFERRED
+            request.defers = e.data["defers"]
+        elif e.event == "claim":
+            request.state = PLACING
+            request.started_at = e.t
+            request.worker = e.data["worker"]
+            live.pop(e.request_id, None)
+        elif e.event == "attempt":
+            request.attempts = e.data["attempt"]
+        elif e.event == "cancel_flag":
+            request.cancel_requested = True
+        elif e.event == "finish":
+            request.state = e.data["state"]
+            request.finished_at = e.t
+            request.detail = e.data["detail"]
+            request.created = list(e.data["created"])
+            if e.data["state"] == CANCELLED:
+                live.pop(e.request_id, None)
+    ordered = sorted(live.items(), key=lambda kv: (-kv[1][1], kv[1][0]))
+    return {
+        "requests": {rid: req.to_dict()
+                     for rid, req in sorted(requests.items())},
+        "queue_entries": [[prio, rid] for rid, (_s, prio) in ordered],
+        "submitted": submitted,
+        "admission_rejections": admission_rejections,
+    }
+
+
 def assert_states_match(suite):
-    """Journal replay must equal the live snapshot byte for byte."""
+    """The live snapshot, journal replay and the reference fold agree
+    byte for byte."""
     live = RequestJournal.snapshot_state(suite.gateway, suite.queue)
     replayed = RequestJournal.replay_state(suite.journal.entries)
+    reference = reference_replay_state(suite.journal.entries)
     assert json.dumps(live, sort_keys=True) == \
+        json.dumps(replayed, sort_keys=True)
+    assert json.dumps(reference, sort_keys=True) == \
         json.dumps(replayed, sort_keys=True)
 
 
@@ -106,6 +177,16 @@ class TestJournal:
         meta.advance(90.0)
         assert all(r.terminal for r in suite.gateway.requests.values())
         assert_states_match(suite)  # fully drained
+
+    def test_replay_claim_after_finish_raises(self):
+        journal = RequestJournal(lambda: 0.0)
+        journal.record("submit", "req-000000", user="u", count=1,
+                       priority=0, work=None)
+        journal.record("finish", "req-000000", state="shed",
+                       detail="backlog full", created=[])
+        journal.record("claim", "req-000000", worker=0)
+        with pytest.raises(RecoveryError, match="#2"):
+            RequestJournal.replay(journal.entries)
 
     def test_load_roundtrips_entries(self):
         meta, suite = build_recovery_service()
@@ -366,8 +447,11 @@ class TestOrphanRecovery:
         rid = result.request_id
         meta.sim.schedule_at(2.0, lambda: suite.pool.kill(0))
         meta.sim.schedule_at(12.0, lambda: suite.pool.revive(0))
-        meta.advance(90.0)
+        meta.advance(10.0)
         request = suite.gateway.requests[rid]
+        assert request.state == QUEUED and request.worker is None
+        assert_states_match(suite)  # requeued, not yet reclaimed
+        meta.advance(80.0)
         assert request.terminal
         assert request.requeues == 1
         assert suite.supervisor.recovered == 1
@@ -459,6 +543,7 @@ class TestOrphanRecovery:
         assert request.state == "cancelled"
         assert suite.supervisor.cancelled_on_recovery == 1
         assert suite.supervisor.recovered == 0
+        assert_states_match(suite)
 
     def test_reaper_destroys_deposited_placements(self):
         """Effects a dead worker deposited are destroyed on recovery —

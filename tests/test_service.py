@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionRejected
+from repro.errors import AdmissionRejected, RequestStateError
 from repro.service import (
     PlacementQueue,
     ServiceConfig,
@@ -250,6 +250,26 @@ class TestGatewayBackpressure:
         assert ids == ["req-000000", "req-000001", "req-000002"]
 
 
+class TestRequestStateMachine:
+    def test_second_finish_on_a_terminal_request_raises(self):
+        meta, suite = build_service()
+        suite.pool.stop()
+        rid = suite.gateway.submit(user="u").request_id
+        assert suite.gateway.cancel(rid).state == "cancelled"
+        request = suite.gateway.requests[rid]
+        with pytest.raises(RequestStateError, match="already terminal"):
+            suite.gateway.finish(request, "placed")
+        assert request.state == "cancelled"
+
+    def test_event_outside_its_row_raises(self):
+        request = make_request(0)
+        with pytest.raises(RequestStateError, match="from 'queued'"):
+            request.apply("attempt", 1.0, {"attempt": 1})
+        request.apply("claim", 1.0, {"worker": 2})
+        assert (request.state, request.started_at, request.worker) == \
+            ("placing", 1.0, 2)
+
+
 class TestWorkerPool:
     def test_workers_drain_queue_into_placements(self):
         meta, suite = build_service(workers=2, queue_cap=8)
@@ -344,10 +364,10 @@ def bare_pool(workers=4, script=((0.0, True),), recovery=False):
     pool = WorkerPool(sim, queue, gateway, App(), config,
                       scheduler_factory=lambda i: scheduler,
                       rng_factory=lambda i: None, leases=leases,
-                      journal=journal, heartbeat_interval=1.0)
+                      heartbeat_interval=1.0)
     pool.start()
     if recovery:
-        Supervisor(sim, gateway, leases, journal, App()).start()
+        Supervisor(sim, gateway, leases, App()).start()
     return sim, queue, gateway, pool
 
 
