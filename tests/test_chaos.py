@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Metasystem
+from repro.audit.claims import failures
 from repro.chaos import (
     ChaosInjector,
     ChaosPlan,
@@ -17,6 +18,7 @@ from repro.chaos import (
     generate_campaign,
     run_campaign,
 )
+from repro.chaos.campaign import run_retry_comparison
 from repro.chaos.faults import (
     DomainPartition,
     FederationShardOutage,
@@ -27,6 +29,7 @@ from repro.chaos.faults import (
     make_fault,
 )
 from repro.chaos.plan import PROFILES, CampaignConfig, FaultClassConfig
+from repro.chaos.report import RetryComparison
 from repro.errors import (
     ChaosError,
     HostUnreachableError,
@@ -468,19 +471,14 @@ class TestCampaigns:
         assert a.residual_faults == []
 
     def test_retry_strictly_improves_survival_under_loss(self):
-        """Acceptance criterion: with the identical fault timeline, the
-        retry layer yields strictly more successful placements."""
-        kwargs = dict(waves=6, per_wave=3, profile="lossy", chaos_seed=9)
-        base = run_campaign(retry=False, **kwargs)
-        with_retry = run_campaign(retry=True, **kwargs)
-        assert base.residual_faults == []
-        assert with_retry.residual_faults == []
-        assert with_retry.transport_retries \
-            + with_retry.reservation_retries > 0
-        assert (with_retry.placement_successes
-                > base.placement_successes)
-        assert (with_retry.placement_success_rate
-                > base.placement_success_rate)
+        """The chaos ledger's claim table holds at chaos seed 9: with the
+        identical fault timeline, faults land, retries fire, and the
+        retry run places strictly more waves — a benefit of this seed,
+        not of every seed, until the claim is stated over a seed set."""
+        comparison = run_retry_comparison(waves=6, per_wave=3,
+                                          profile="lossy", chaos_seed=9)
+        assert comparison.problems() == []  # no residual fault, either run
+        assert failures(RetryComparison.claims, comparison.arms()) == []
 
     def test_report_json_round_trip(self):
         report = run_campaign(waves=2, per_wave=2, profile="light",
@@ -511,8 +509,10 @@ class TestChaosCli:
         out = StringIO()
         rc = cli_main(["chaos", "--profile", "light", "--waves", "2",
                        "--count", "2", "--compare-retry"], out=out)
+        # a benefit that does not hold at this toy size (2 -> 2 waves)
+        # is a verdict line, not an exit status
         assert rc == 0
-        assert "retry benefit" in out.getvalue()
+        assert "FAILS: retry places more waves than off" in out.getvalue()
 
     def test_run_subcommand_with_chaos_profile(self):
         out = StringIO()

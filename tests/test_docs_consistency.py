@@ -1,17 +1,22 @@
 """Documentation-integrity tests: DESIGN.md's experiment index and module
 inventory must reference things that actually exist.  Plus source
-checks: periodic work goes through the kernel's ``Ticker``, and a
-service request's state changes only in ``ServiceRequest.apply``, whose
-event table matches the journal vocabulary docs/recovery.md lists."""
+checks: periodic work goes through the kernel's ``Ticker``, a service
+request's state changes only in ``ServiceRequest.apply``, whose event
+table matches the journal vocabulary docs/recovery.md lists, and a
+comparison's claims are data judged by one evaluator."""
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from repro.audit.claims import Claim
+from repro.guardrails.compare import SLO_CLAIMS
 from repro.recovery.journal import EVENTS
 from repro.service.request import FIRES_FROM, ServiceRequest
+from repro.tools.ledgers import LEDGERS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -215,3 +220,70 @@ class TestJournalVocabulary:
 
     def test_every_event_but_submit_has_a_row_in_apply(self):
         assert set(FIRES_FROM) == set(EVENTS) - {"submit"}
+
+
+def comparison_bool_defs(trees):
+    """``(class, def)`` of every def annotated ``-> bool`` in a class
+    that derives, directly or not, from ``Comparison``."""
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def derives(cls, seen=()):
+        for base in cls.bases:
+            name = (base.id if isinstance(base, ast.Name) else
+                    base.attr if isinstance(base, ast.Attribute) else None)
+            if name == "Comparison" or (
+                    name in classes and name not in seen
+                    and derives(classes[name], seen + (name,))):
+                return True
+        return False
+
+    return {(cls.name, node.name) for cls in classes.values()
+            if derives(cls) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.returns is not None
+            and ast.unparse(node.returns) == "bool"}
+
+
+class TestClaimsAreData:
+    #: booleans a comparison still computes itself, none of them a claim
+    NOT_CLAIMS = {
+        # which claim table applies (sampled or not)
+        ("GuardrailsComparison", "has_slo"),
+        # the restore gate: two runs' report cores match byte for byte
+        ("GamedayComparison", "byte_identical"),
+        # the restore gate's verdict: problems() is empty
+        ("GamedayComparison", "passed"),
+    }
+
+    def test_the_ledger_registry_holds_no_code(self):
+        assert "lambda" not in read("src/repro/tools/ledgers.py")
+        tables = [ledger.comparison.claims for ledger in LEDGERS
+                  if ledger.comparison is not None] + [SLO_CLAIMS]
+        for table in tables:
+            for row in table:
+                assert isinstance(row, Claim), row
+                assert not any(callable(getattr(row, f.name))
+                               for f in fields(row)), row
+
+    def test_no_comparison_judges_a_claim_itself(self):
+        """A comparison's verdict booleans come from
+        ``repro.audit.claims``; it defines no predicate of its own."""
+        src = ROOT / "src" / "repro"
+        trees = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(src.rglob("*.py"))]
+        assert comparison_bool_defs(trees) == self.NOT_CLAIMS
+
+    def test_the_check_sees_a_reintroduced_predicate(self):
+        tree = ast.parse(
+            "class Base(Comparison):\n"
+            "    pass\n"
+            "class EconomyComparison(Base):\n"
+            "    def beats(self, baseline: str) -> bool:\n"
+            "        return True\n"
+            "    def summary(self) -> str:\n"
+            "        return ''\n"
+            "class Report:\n"
+            "    def ok(self) -> bool:\n"
+            "        return True\n")
+        assert comparison_bool_defs([tree]) == {
+            ("EconomyComparison", "beats")}
