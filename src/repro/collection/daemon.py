@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
+from ..obs.registry import NULL_METRICS
 from ..sim.kernel import Simulator, Ticker
 from .collection import Collection
 
@@ -22,7 +23,7 @@ class DataCollectionDaemon:
     """Periodically pulls attributes from sources and pushes to Collections."""
 
     def __init__(self, sim: Simulator, collections: Sequence[Collection],
-                 interval: float = 60.0, metrics: Any = None):
+                 interval: float = 60.0, metrics: Any = NULL_METRICS):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
@@ -71,8 +72,7 @@ class DataCollectionDaemon:
                 # is that the record no longer answers queries
                 continue
         self.evictions += 1
-        if self.metrics is not None:
-            self.metrics.count("collection_evictions_total")
+        self.metrics.count("collection_evictions_total")
 
     def sweep(self) -> None:
         """One pull-all/push-all pass."""
@@ -95,8 +95,7 @@ class DataCollectionDaemon:
                     self._credentials[(id(coll), source.loid)] = cred
                 else:
                     coll.update_entry(source.loid, snapshot, cred)
-        if self.metrics is not None:
-            self.metrics.set_gauge("collection_down_members", down)
+        self.metrics.set_gauge("collection_down_members", down)
         self.sweeps += 1
 
     def start(self) -> None:

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..obs.registry import NULL_METRICS
+
 __all__ = ["Ask", "AuctionResult", "SealedBidAuction"]
 
 
@@ -61,7 +63,8 @@ class AuctionResult:
 class SealedBidAuction:
     """Deterministic sealed-bid clearing with running efficiency stats."""
 
-    def __init__(self, pricing: str = "second", metrics: Any = None):
+    def __init__(self, pricing: str = "second",
+                 metrics: Any = NULL_METRICS):
         if pricing not in ("first", "second"):
             raise ValueError("pricing must be 'first' or 'second'")
         self.pricing = pricing
@@ -79,9 +82,8 @@ class SealedBidAuction:
         feasible = sorted((a for a in asks if a.price <= ceiling),
                           key=lambda a: a.sort_key)
         if not feasible:
-            if self.metrics is not None:
-                self.metrics.count("economy_auction_rounds_total",
-                                   outcome="uncleared")
+            self.metrics.count("economy_auction_rounds_total",
+                               outcome="uncleared")
             return AuctionResult(winner=None, n_asks=0)
         winner = feasible[0]
         if self.pricing == "first" or len(feasible) == 1:
@@ -94,12 +96,11 @@ class SealedBidAuction:
         self.cleared_rounds += 1
         self.sum_min_ask += winner.price
         self.sum_clearing += price
-        if self.metrics is not None:
-            self.metrics.count("economy_auction_rounds_total",
-                               outcome="cleared")
-            self.metrics.observe("economy_clearing_price", price,
-                                 buckets=(0.005, 0.01, 0.02, 0.04,
-                                          0.08, 0.16))
+        self.metrics.count("economy_auction_rounds_total",
+                           outcome="cleared")
+        self.metrics.observe("economy_clearing_price", price,
+                             buckets=(0.005, 0.01, 0.02, 0.04,
+                                      0.08, 0.16))
         return AuctionResult(winner=winner, clearing_price=price,
                              min_ask=winner.price, n_asks=len(feasible))
 

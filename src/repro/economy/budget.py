@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import BudgetExceededError
 from ..naming.loid import LOID
+from ..obs.registry import NULL_METRICS
 
 __all__ = ["UserAccount", "BudgetManager"]
 
@@ -87,7 +88,7 @@ class _Binding:
 class BudgetManager:
     """Accounts, holds, and the ledger hook that turns cycles into spend."""
 
-    def __init__(self, clock=None, metrics: Any = None):
+    def __init__(self, clock=None, metrics: Any = NULL_METRICS):
         self._clock = clock or (lambda: 0.0)
         self.metrics = metrics
         self.accounts: Dict[str, UserAccount] = {}
@@ -141,9 +142,8 @@ class BudgetManager:
             raise ValueError("hold amount must be >= 0")
         if amount > account.available + 1e-9:
             self.rejections += 1
-            if self.metrics is not None:
-                self.metrics.count("economy_budget_rejections_total",
-                                   user=user)
+            self.metrics.count("economy_budget_rejections_total",
+                               user=user)
             raise BudgetExceededError(
                 f"user {user!r}: hold {amount:.4f} exceeds available "
                 f"budget {account.available:.4f} "
@@ -152,9 +152,8 @@ class BudgetManager:
                 f"committed {account.committed:.4f})")
         account.committed += amount
         account.holds += 1
-        if self.metrics is not None:
-            self.metrics.count("economy_budget_held_total", amount,
-                               user=user)
+        self.metrics.count("economy_budget_held_total", amount,
+                           user=user)
 
     def release(self, user: str, amount: float) -> None:
         """Refund a hold (failed/aborted placement)."""
@@ -162,9 +161,8 @@ class BudgetManager:
         released = min(amount, account.committed)
         account.committed -= released
         account.refunded += released
-        if self.metrics is not None:
-            self.metrics.count("economy_budget_refunded_total", released,
-                               user=user)
+        self.metrics.count("economy_budget_refunded_total", released,
+                           user=user)
 
     def bind_instance(self, instance_loid: LOID, user: str, rate: float,
                       hold: float) -> None:
@@ -204,9 +202,8 @@ class BudgetManager:
             amount = record.amount
         account.spent += amount
         account.charges += 1
-        if self.metrics is not None:
-            self.metrics.count("economy_budget_spent_total", amount,
-                               user=account.name)
+        self.metrics.count("economy_budget_spent_total", amount,
+                           user=account.name)
 
     def attach_ledger(self, ledger: Any) -> None:
         """Install :meth:`on_charge` as the ledger's post hook."""

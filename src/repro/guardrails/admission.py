@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..errors import AdmissionRejected
+from ..obs.registry import NULL_METRICS
 
 __all__ = ["AdmissionController"]
 
@@ -28,7 +29,8 @@ class AdmissionController:
     """Shared, stateless admission policy consulted by each Host Object."""
 
     def __init__(self, max_pending: Optional[int] = 16,
-                 load_limit: Optional[float] = 16.0, metrics: Any = None):
+                 load_limit: Optional[float] = 16.0,
+                 metrics: Any = NULL_METRICS):
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if load_limit is not None and load_limit <= 0:
@@ -57,9 +59,8 @@ class AdmissionController:
 
     def _reject(self, reason: str) -> None:
         self.rejections += 1
-        if self.metrics is not None:
-            self.metrics.count("guardrail_admission_rejected_total",
-                               reason=reason)
+        self.metrics.count("guardrail_admission_rejected_total",
+                           reason=reason)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<AdmissionController max_pending={self.max_pending} "
