@@ -1,7 +1,7 @@
 """Computational-economy scheduling: budgets, deadlines, auctions.
 
-ROADMAP item 3 — a Nimrod/G-style economy layered on the accounting
-seed.  Hosts publish ask prices discovered by a seeded market daemon
+A Nimrod/G-style economy layered on the accounting seed.  Hosts
+publish ask prices discovered by a seeded market daemon
 (:mod:`~repro.economy.market`), reservations clear through sealed-bid
 auctions (:mod:`~repro.economy.auction`), users spend finite budgets
 against deadlines (:mod:`~repro.economy.budget`), and two

@@ -1,4 +1,5 @@
-"""Deterministic cost gate (ROADMAP item 1a).
+"""Deterministic cost gate (ROADMAP aim: "Performance that is measured,
+end to end and layer by layer").
 
 Counts of model-free work — work the simulator does that no modelled
 quantity depends on — pinned under stated ceilings.  All repeat exactly
@@ -228,7 +229,7 @@ def test_idle_world_costs_no_events_per_host():
     assert heap <= IDLE_WORLD_HEAP_CEILING
 
 
-# -- what one placement costs (ROADMAP items 1 and 9) -----------------------
+# -- what one placement costs -----------------------------------------------
 #
 # Per-placement ceilings over a 200-placement IRS run on the benchmark's
 # ``place_closed`` world (4 x 16 hosts, 4 instances per request, seed 7).

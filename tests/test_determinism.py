@@ -261,8 +261,9 @@ def _campaign_outcome(name: str):
 
 
 class TestObsLevelInvariance:
-    """Observing must not change what is observed (ROADMAP item 2's
-    gate): the virtual outcome is the same at every tracing level."""
+    """Observing must not change what is observed (the ROADMAP's
+    "Observability" aim): the virtual outcome is the same at every
+    tracing level."""
 
     @pytest.mark.parametrize("outcome_at", [
         _placement_outcome, _service_outcome,

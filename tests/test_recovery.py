@@ -474,11 +474,13 @@ class TestOrphanRecovery:
         requeued at its own lease's ``expires_at``."""
         meta, suite = build_recovery_service(
             workers=3, ttl=5.0, heartbeat=2.0)
+        # one instance more than the testbed's 3 hosts x 4 slots: no
+        # request places, so each worker still holds its lease when it dies
         for i in range(3):
-            suite.gateway.submit(user=f"u{i}", count=999)
+            suite.gateway.submit(user=f"u{i}", count=13)
         meta.sim.schedule_at(2.0, lambda: suite.pool.kill(1))
         meta.sim.schedule_at(3.0, lambda: suite.pool.kill(2))
-        meta.advance(30.0)
+        meta.advance(7.5)  # just past the later expiry
         expired = {rid: ended for rid, _w, _g, ended, how
                    in suite.leases.history if how == "expired"}
         assert sorted(expired.values()) == [5.0, 7.0]
