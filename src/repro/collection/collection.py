@@ -35,7 +35,7 @@ from ..errors import AuthenticationError, NotAMemberError
 from ..naming.loid import LOID
 from ..net.topology import NetLocation
 from ..objects.base import LegionObject
-from ..obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from ..obs.registry import DEFAULT_SIZE_BUCKETS, NULL_METRICS
 from ..obs.spans import NULL_SPANS
 from .query.ast import Node
 from .query.compile import CompiledQuery, compile_query
@@ -121,14 +121,13 @@ class Collection(LegionObject):
     def __init__(self, loid: LOID, location: Optional[NetLocation] = None,
                  require_auth: bool = True,
                  clock: Optional[Callable[[], float]] = None,
-                 metrics: Optional[MetricsRegistry] = None):
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         super().__init__(loid)
         self.location = location
         self.require_auth = require_auth
         self._clock = clock or (lambda: 0.0)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: span tracer (wired by the Metasystem; inert by default)
-        self.spans = NULL_SPANS
+        self.metrics = metrics
+        self.spans = spans
         self._records: Dict[LOID, CollectionRecord] = {}
         #: guardrails knob: when True, records whose ``host_health``
         #: attribute says "down" are invisible to queries (the HealthMonitor

@@ -49,8 +49,6 @@ from ..hosts.reservations import (
 from ..naming.loid import LOID
 from ..net.topology import NetLocation
 from ..net.transport import Call, CallOutcome, Transport
-from ..obs.registry import MetricsRegistry
-from ..obs.spans import SpanTracer
 from ..objects.class_object import ClassObject, CreateResult, Placement
 from ..schedule.mapping import ScheduleMapping
 from ..schedule.schedule import (
@@ -138,15 +136,12 @@ class Enactor:
                  offered_price: float = 0.0,
                  naive_variant_handling: bool = False,
                  sequential_coallocation: bool = False,
-                 max_variant_attempts: int = 32,
-                 metrics: Optional[MetricsRegistry] = None,
-                 spans: Optional[SpanTracer] = None):
+                 max_variant_attempts: int = 32):
         self.transport = transport
         self.resolver = resolver
         self.location = location
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(lambda: transport.sim.now))
-        self.spans = spans if spans is not None else transport.spans
+        self.metrics = transport.metrics
+        self.spans = transport.spans
         self.coallocator = CoAllocator(
             transport, resolver, src=location,
             requester_domain=requester_domain,

@@ -46,7 +46,7 @@ from ..errors import (
 from ..naming.loid import LOID
 from ..net.topology import NetLocation
 from ..net.transport import Call, Transport
-from ..obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from ..obs.registry import DEFAULT_SIZE_BUCKETS, NULL_METRICS
 from ..obs.spans import NULL_SPANS
 from .ring import ConsistentHashRing
 from .shard import CollectionShard
@@ -108,10 +108,11 @@ class FederatedCollection:
                  transport: Optional[Transport] = None,
                  location: Optional[NetLocation] = None,
                  clock: Optional[Callable[[], float]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+                 metrics: Any = NULL_METRICS,
                  require_auth: bool = True,
                  cache_ttl: float = 0.0,
-                 shard_timeout: float = math.inf):
+                 shard_timeout: float = math.inf,
+                 spans: Any = NULL_SPANS):
         if not shards:
             raise ValueError("federation needs at least one shard")
         self.loid = loid
@@ -122,11 +123,11 @@ class FederatedCollection:
         self.transport = transport
         self.location = location
         self._clock = clock or (lambda: 0.0)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = metrics
+        self.spans = spans
         self.require_auth = require_auth
         self.cache_ttl = cache_ttl
         self.shard_timeout = shard_timeout
-        self.spans = NULL_SPANS
         #: per-(shard, member) write credentials held by the router
         self._credentials: Dict[Tuple[str, str], Credential] = {}
         #: member -> the credential handed back to the caller at join
@@ -137,6 +138,8 @@ class FederatedCollection:
         self.queries_served = 0
         self.updates_applied = 0
         self.partial_queries = 0
+        #: query-cache lookups by outcome (hit / miss / expired)
+        self.cache_events = {"hit": 0, "miss": 0, "expired": 0}
 
     # -- reachability --------------------------------------------------------
     def _shard_reachable(self, shard: CollectionShard) -> bool:
@@ -319,15 +322,18 @@ class FederatedCollection:
                 stored_at, results = hit
                 age = now - stored_at
                 if age <= self.cache_ttl:
+                    self.cache_events["hit"] += 1
                     self.metrics.count("federation_cache_events_total",
                                        outcome="hit")
                     self.metrics.observe("federation_cache_age_seconds",
                                          age, buckets=STALENESS_BUCKETS)
                     return list(results)
                 del self._cache[query]
+                self.cache_events["expired"] += 1
                 self.metrics.count("federation_cache_events_total",
                                    outcome="expired")
             else:
+                self.cache_events["miss"] += 1
                 self.metrics.count("federation_cache_events_total",
                                    outcome="miss")
         with self.spans.span_if_active("federation.query", step="2",
@@ -484,14 +490,8 @@ class FederatedCollection:
 
     def cache_stats(self) -> Dict[str, float]:
         """Hit/miss/expired counts plus the derived hit ratio."""
-        out = {"hit": 0.0, "miss": 0.0, "expired": 0.0}
-        counter = self.metrics.get("federation_cache_events_total")
-        if counter is not None:
-            for labels, leaf in counter._series():
-                outcome = labels.get("outcome")
-                if outcome in out:
-                    out[outcome] = leaf.value
-        lookups = out["hit"] + out["miss"] + out["expired"]
+        out: Dict[str, float] = dict(self.cache_events)
+        lookups = sum(self.cache_events.values())
         out["hit_ratio"] = out["hit"] / lookups if lookups else 0.0
         return out
 

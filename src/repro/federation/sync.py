@@ -26,11 +26,11 @@ one daemon fanning every record to one Collection.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from ..errors import NetworkError
 from ..net.transport import Transport
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import NULL_METRICS
 from ..obs.spans import NULL_SPANS
 from ..sim.kernel import Simulator, Ticker
 from .shard import CollectionShard
@@ -54,8 +54,7 @@ class GossipDaemon:
     def __init__(self, sim: Simulator, shards: List[CollectionShard],
                  interval: float = 60.0, rng=None,
                  transport: Optional[Transport] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 spans=None):
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         if interval <= 0:
             raise ValueError("interval must be positive")
         if len(shards) < 2:
@@ -65,8 +64,8 @@ class GossipDaemon:
         self.interval = interval
         self.rng = rng
         self.transport = transport
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else NULL_SPANS
+        self.metrics = metrics
+        self.spans = spans
         self.rounds = 0
         self.records_exchanged = 0
         self.bytes_exchanged = 0

@@ -36,7 +36,7 @@ from ..errors import (
 )
 from ..naming.loid import LOID
 from ..objects.base import LegionObject
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import NULL_METRICS
 from ..obs.spans import NULL_SPANS
 from ..sim.kernel import Simulator, Ticker
 from .machine import SimJob, SimMachine
@@ -80,16 +80,12 @@ class HostObject(LegionObject):
                  slots: int = 0,
                  price_per_cpu_second: float = 0.0,
                  reassess_interval: float = 30.0,
-                 metrics: Optional[MetricsRegistry] = None):
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         super().__init__(loid)
         self.machine = machine
         self.sim = sim
-        # usually replaced by the Metasystem's shared registry at wiring
-        # time (instruments are looked up per call, so rebinding is safe)
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(lambda: sim.now))
-        #: span tracer (wired by the Metasystem; inert by default)
-        self.spans = NULL_SPANS
+        self.metrics = metrics
+        self.spans = spans
         self.policy = policy or AcceptAll()
         self.slots = slots or max(2 * machine.spec.cpus, 2)
         self.price = price_per_cpu_second

@@ -142,14 +142,13 @@ class ReservationToken:
 
 
 class _Entry:
-    __slots__ = ("token", "cancelled", "redeemed", "confirmed",
-                 "start", "end", "deadline")
+    __slots__ = ("token", "cancelled", "redeemed", "start", "end",
+                 "deadline")
 
     def __init__(self, token: ReservationToken):
         self.token = token
         self.cancelled = False
-        self.redeemed = 0      # number of StartObject presentations
-        self.confirmed = False
+        self.redeemed = 0      # StartObject presentations (the first confirms)
         # the token is frozen, so its interval and its confirmation
         # deadline (inf: none to meet) are fixed here once
         self.start, self.end = token.window()
@@ -159,7 +158,7 @@ class _Entry:
 
     def expired(self, now: float) -> bool:
         return now > self.end or (now > self.deadline
-                                  and not self.confirmed)
+                                  and not self.redeemed)
 
 
 class ReservationTable:
@@ -252,7 +251,7 @@ class ReservationTable:
         reservation-timeout case the observability layer counts apart
         from ordinary denials."""
         entry = self._entries.get(token.token_id)
-        if entry is None or entry.cancelled or entry.confirmed:
+        if entry is None or entry.cancelled or entry.redeemed:
             return False
         return now > entry.deadline
 
@@ -264,7 +263,6 @@ class ReservationTable:
                 f"{self.host_loid}")
         entry = self._entries[token.token_id]
         entry.redeemed += 1
-        entry.confirmed = True
 
     def cancel_reservation(self, token: ReservationToken, now: float) -> None:
         entry = self._entries.get(token.token_id)

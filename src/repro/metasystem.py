@@ -50,7 +50,7 @@ from .net.topology import AdministrativeDomain, NetLocation, Topology
 from .net.transport import Transport
 from .objects.base import LegionObject
 from .obs.registry import MetricsRegistry
-from .obs.spans import NullSpanTracer, SpanTracer
+from .obs.spans import NULL_SPANS, SpanTracer
 from .objects.class_object import ClassObject, Implementation, Placement
 from .queues.backfill import BackfillQueue
 from .queues.base import QueueSystem
@@ -109,7 +109,7 @@ class Metasystem:
         if tracing == "spans":
             self.spans: SpanTracer = SpanTracer(self.sim.clock)
         else:
-            self.spans = NullSpanTracer()
+            self.spans = NULL_SPANS
         self.metrics = MetricsRegistry(clock=self.sim.clock)
         self.metrics.gauge_fn("sim_events_processed",
                               lambda: self.sim.events_processed,
@@ -152,8 +152,8 @@ class Metasystem:
             self.collection = Collection(
                 self.minter.mint("svc", "collection"),
                 location=None, require_auth=require_collection_auth,
-                clock=lambda: self.sim.now, metrics=self.metrics)
-            self.collection.spans = self.spans
+                clock=lambda: self.sim.now, metrics=self.metrics,
+                spans=self.spans)
         else:
             self.collection = self._build_federation(
                 self.federation_config, require_collection_auth)
@@ -161,8 +161,7 @@ class Metasystem:
         self.context.bind("/etc/Collection", self.collection.loid)
         self._host_credentials: Dict[LOID, Credential] = {}
 
-        self.enactor = Enactor(self.transport, self.resolve,
-                               metrics=self.metrics)
+        self.enactor = Enactor(self.transport, self.resolve)
         self.migrator = Migrator(self.transport, self.resolve)
         self.monitor: Optional[ExecutionMonitor] = None
         self._machine_serial = itertools.count()
@@ -187,8 +186,8 @@ class Metasystem:
             coll = Collection(
                 self.minter.mint("svc", f"collection-{shard_id}"),
                 location=None, require_auth=require_auth,
-                clock=lambda: self.sim.now, metrics=self.metrics)
-            coll.spans = self.spans
+                clock=lambda: self.sim.now, metrics=self.metrics,
+                spans=self.spans)
             shard = CollectionShard(shard_id, coll, ring,
                                     cfg.replication)
             self.collection_shards.append(shard)
@@ -205,8 +204,8 @@ class Metasystem:
             self.collection_shards, ring, cfg.replication,
             transport=self.transport, clock=lambda: self.sim.now,
             metrics=self.metrics, require_auth=require_auth,
-            cache_ttl=cfg.cache_ttl, shard_timeout=cfg.shard_timeout)
-        router.spans = self.spans
+            cache_ttl=cfg.cache_ttl, shard_timeout=cfg.shard_timeout,
+            spans=self.spans)
         if cfg.gossip_interval > 0:
             self.gossip = GossipDaemon(
                 self.sim, self.collection_shards,
@@ -283,8 +282,6 @@ class Metasystem:
     # hosts
     # ------------------------------------------------------------------
     def _wire_host(self, host: HostObject, push_to_collection: bool) -> None:
-        host.metrics = self.metrics
-        host.spans = self.spans
         self._register(host)
         self.hosts.append(host)
         self.context.bind(f"/hosts/{host.machine.name}", host.loid)
@@ -334,7 +331,8 @@ class Metasystem:
                         policy=policy, slots=slots,
                         price_per_cpu_second=price,
                         reassess_interval=self.reassess_interval,
-                        load_trigger_level=load_trigger_level)
+                        load_trigger_level=load_trigger_level,
+                        metrics=self.metrics, spans=self.spans)
         self._wire_host(host, push_to_collection)
         return host
 
@@ -370,7 +368,8 @@ class Metasystem:
         host = BatchQueueHost(self.minter.mint("host", name), machine,
                               self.sim, queue, policy=policy,
                               max_queue_length=max_queue_length,
-                              reassess_interval=self.reassess_interval)
+                              reassess_interval=self.reassess_interval,
+                              metrics=self.metrics, spans=self.spans)
         self._wire_host(host, push_to_collection)
         return host
 
@@ -388,8 +387,8 @@ class Metasystem:
         vault = VaultObject(self.minter.mint("vault", name), location,
                             capacity_bytes=capacity_bytes,
                             cost_per_byte=cost_per_byte,
-                            allowed_domains=allowed_domains)
-        vault.spans = self.spans
+                            allowed_domains=allowed_domains,
+                            spans=self.spans)
         self._register(vault)
         self.vaults.append(vault)
         self.context.bind(f"/vaults/{name}", vault.loid)

@@ -30,8 +30,8 @@ from ..errors import (
     MessageLostError,
     NetworkError,
 )
-from ..obs.registry import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from ..obs.spans import SpanTracer, TraceContext
+from ..obs.registry import DEFAULT_SIZE_BUCKETS, NULL_METRICS
+from ..obs.spans import NULL_SPANS, TraceContext
 from ..sim.kernel import Simulator
 from ..sim.rng import RngRegistry
 from .latency import LatencyModel
@@ -87,8 +87,7 @@ class Transport:
     def __init__(self, sim: Simulator, topology: Topology,
                  latency_model: LatencyModel, rngs: RngRegistry,
                  loss_probability: float = 0.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 spans: Optional[SpanTracer] = None):
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
         self.sim = sim
@@ -96,10 +95,8 @@ class Transport:
         self.latency_model = latency_model
         self.rng = rngs.stream("net", "latency")
         self._loss_rng = rngs.stream("net", "loss")
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(lambda: sim.now))
-        self.spans = spans if spans is not None else SpanTracer(
-            lambda: sim.now)
+        self.metrics = metrics
+        self.spans = spans
         self.loss_probability = loss_probability
         self.loss_timeout_factor = self.LOSS_TIMEOUT_FACTOR
         #: opt-in retry layer (duck-typed; see repro.chaos.retry.RetryPolicy)

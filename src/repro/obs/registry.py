@@ -102,34 +102,6 @@ class _Instrument:
         return [(dict(zip(self.labelnames, key)), self._children[key])
                 for key in sorted(self._children)]
 
-    def reset(self) -> None:
-        self._children.clear()
-        self._memo.clear()
-        self._reset_leaf()
-
-    def _reset_leaf(self) -> None:
-        raise NotImplementedError
-
-    def merge(self, other: "_Instrument") -> None:
-        """Fold another instrument of the same kind/shape into this one."""
-        if type(other) is not type(self):
-            raise TypeError(f"cannot merge {type(other).__name__} "
-                            f"into {type(self).__name__}")
-        if other.labelnames != self.labelnames:
-            raise ValueError(
-                f"metric {self.name!r}: label mismatch "
-                f"{other.labelnames} vs {self.labelnames}")
-        self._merge_leaf(other)
-        for key, child in other._children.items():
-            mine = self._children.get(key)
-            if mine is None:
-                mine = self._make_child()
-                self._children[key] = mine
-            mine.merge(child)
-
-    def _merge_leaf(self, other: "_Instrument") -> None:
-        raise NotImplementedError
-
 
 class Counter(_Instrument):
     """A monotonically increasing total."""
@@ -152,12 +124,6 @@ class Counter(_Instrument):
     @property
     def value(self) -> float:
         return self._value
-
-    def _reset_leaf(self) -> None:
-        self._value = 0.0
-
-    def _merge_leaf(self, other: "_Instrument") -> None:
-        self._value += other._value  # type: ignore[attr-defined]
 
 
 class Gauge(_Instrument):
@@ -194,14 +160,6 @@ class Gauge(_Instrument):
             return float(self._fn())
         return self._value
 
-    def _reset_leaf(self) -> None:
-        self._value = 0.0
-
-    def _merge_leaf(self, other: "_Instrument") -> None:
-        # merging gauges keeps the other's current reading (last-writer)
-        self._value = other.value  # type: ignore[attr-defined]
-        self._fn = None
-
 
 class Histogram(_Instrument):
     """Cumulative-bucket histogram with exact moments and quantiles.
@@ -225,8 +183,7 @@ class Histogram(_Instrument):
         self._counts = [0] * (len(bounds) + 1)   # last slot = +Inf
         self.stats = RunningStats()
         #: bucket index -> (value, trace_id) of that bucket's max-latency
-        #: observation seen so far (the exemplar window is cleared by
-        #: ``reset``, i.e. per snapshot window when the caller resets)
+        #: observation seen so far
         self.exemplars: Dict[int, Tuple[float, str]] = {}
 
     def _make_child(self) -> "Histogram":
@@ -278,23 +235,6 @@ class Histogram(_Instrument):
                 return min(max(value, self.stats.minimum),
                            self.stats.maximum)
         return self.stats.maximum
-
-    def _reset_leaf(self) -> None:
-        self._counts = [0] * (len(self.bounds) + 1)
-        self.stats = RunningStats()
-        self.exemplars = {}
-
-    def _merge_leaf(self, other: "_Instrument") -> None:
-        assert isinstance(other, Histogram)
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"metric {self.name!r}: bucket bounds differ")
-        self._counts = [a + b for a, b in zip(self._counts, other._counts)]
-        self.stats = self.stats.merge(other.stats)
-        for idx, (value, trace_id) in other.exemplars.items():
-            mine = self.exemplars.get(idx)
-            if mine is None or value >= mine[0]:
-                self.exemplars[idx] = (value, trace_id)
 
 
 class Timer:
@@ -350,9 +290,6 @@ class MetricsRegistry:
         self._metrics: Dict[str, _Instrument] = {}
         self._exemplar_provider: Optional[
             Callable[[], Optional[str]]] = None
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
 
     def set_exemplar_provider(
             self, fn: Optional[Callable[[], Optional[str]]]) -> None:
@@ -468,24 +405,6 @@ class MetricsRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
-
-    def reset(self) -> None:
-        for instrument in self._metrics.values():
-            instrument.reset()
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's series into this one (shard roll-up)."""
-        for name in other.names():
-            theirs = other._metrics[name]
-            mine = self._metrics.get(name)
-            if mine is None:
-                kwargs = {}
-                if isinstance(theirs, Histogram):
-                    kwargs["buckets"] = theirs.bounds
-                mine = self._get_or_create(
-                    type(theirs), name, theirs.help, theirs.labelnames,
-                    **kwargs)
-            mine.merge(theirs)
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

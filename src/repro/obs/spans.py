@@ -200,10 +200,6 @@ class SpanTracer:
         self._trace_seq = 0
         self._span_seq = 0
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach the virtual clock after construction."""
-        self._clock = clock
-
     @property
     def enabled(self) -> bool:
         return True

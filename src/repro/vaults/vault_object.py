@@ -17,7 +17,7 @@ forward-looking attributes feed scheduler experiments.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import (
     InsufficientResourcesError,
@@ -39,7 +39,8 @@ class VaultObject(LegionObject):
     def __init__(self, loid: LOID, location: NetLocation,
                  capacity_bytes: float = 10e9,
                  cost_per_byte: float = 0.0,
-                 allowed_domains: Optional[List[str]] = None):
+                 allowed_domains: Optional[List[str]] = None,
+                 spans: Any = NULL_SPANS):
         super().__init__(loid)
         self.location = location
         self.capacity_bytes = float(capacity_bytes)
@@ -48,8 +49,7 @@ class VaultObject(LegionObject):
         self.allowed_domains = (None if allowed_domains is None
                                 else list(allowed_domains))
         self._oprs: Dict[LOID, OPR] = {}
-        #: span tracer (wired by the Metasystem; inert by default)
-        self.spans = NULL_SPANS
+        self.spans = spans
         self.stores = 0
         self.retrievals = 0
         self.attributes.update({

@@ -2,8 +2,9 @@
 inventory must reference things that actually exist.  Plus source
 checks: periodic work goes through the kernel's ``Ticker``, a service
 request's state changes only in ``ServiceRequest.apply``, whose event
-table matches the journal vocabulary docs/recovery.md lists, and a
-comparison's claims are data judged by one evaluator."""
+table matches the journal vocabulary docs/recovery.md lists, a
+comparison's claims are data judged by one evaluator, and telemetry is
+handed to a component at construction, live only from the Metasystem."""
 
 import ast
 import re
@@ -23,6 +24,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def read(name):
     return (ROOT / name).read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def source_trees():
+    """``(module, tree)`` for every file under ``src/repro``, module
+    relative to that directory: parsed once for this file's source
+    checks and released when they are done (kept for the whole session,
+    the trees would slow every later garbage collection)."""
+    src = ROOT / "src" / "repro"
+    return [(path.relative_to(src).as_posix(),
+             ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(src.rglob("*.py"))]
 
 
 class TestDesignDoc:
@@ -107,18 +120,15 @@ def self_rescheduling_functions(tree):
 
 
 class TestPeriodicDaemons:
-    def test_no_new_hand_rolled_periodic_loops(self):
+    def test_no_new_hand_rolled_periodic_loops(self, source_trees):
         """A periodic daemon owns a ``Ticker`` (docs/extending.md,
         "Writing a periodic daemon") and a wake-up at a computed instant
         is one ``_arm`` method ("Waking on a deadline"); no function
         reschedules itself through ``sim.schedule``."""
-        src = ROOT / "src" / "repro"
         loops = set()
-        for path in sorted(src.rglob("*.py")):
-            module = path.relative_to(src).as_posix()
+        for module, tree in source_trees:
             if module == "sim/kernel.py":
                 continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
             loops |= {(module, name)
                       for name in self_rescheduling_functions(tree)}
         assert not loops, loops
@@ -172,17 +182,14 @@ def reaches_service_requests(module, tree):
 
 
 class TestRequestStateHasOneWriter:
-    def test_nothing_bypasses_apply(self):
+    def test_nothing_bypasses_apply(self, source_trees):
         """The live tier changes a request only through
         ``RequestGateway.transition`` -> ``ServiceRequest.apply``, the
         code journal replay runs too."""
-        src = ROOT / "src" / "repro"
         writes = set()
-        for path in sorted(src.rglob("*.py")):
-            module = path.relative_to(src).as_posix()
+        for module, tree in source_trees:
             if module == "service/request.py":
                 continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
             if reaches_service_requests(module, tree):
                 writes |= {(module, text)
                            for text in request_slot_writes(tree)}
@@ -265,12 +272,10 @@ class TestClaimsAreData:
                 assert not any(callable(getattr(row, f.name))
                                for f in fields(row)), row
 
-    def test_no_comparison_judges_a_claim_itself(self):
+    def test_no_comparison_judges_a_claim_itself(self, source_trees):
         """A comparison's verdict booleans come from
         ``repro.audit.claims``; it defines no predicate of its own."""
-        src = ROOT / "src" / "repro"
-        trees = [ast.parse(path.read_text(encoding="utf-8"))
-                 for path in sorted(src.rglob("*.py"))]
+        trees = [tree for _, tree in source_trees]
         assert comparison_bool_defs(trees) == self.NOT_CLAIMS
 
     def test_the_check_sees_a_reintroduced_predicate(self):
@@ -287,3 +292,71 @@ class TestClaimsAreData:
             "        return True\n")
         assert comparison_bool_defs([tree]) == {
             ("EconomyComparison", "beats")}
+
+
+TELEMETRY = ("metrics", "spans")
+LIVE_TELEMETRY = ("MetricsRegistry", "SpanTracer")
+
+
+def telemetry_wiring(module, tree):
+    """Breaches of the telemetry rule (docs/observability.md): a live
+    registry or tracer built outside ``metasystem.py``, a ``metrics`` /
+    ``spans`` parameter defaulting to ``None``, or telemetry assigned
+    onto an object other than ``self``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and module != "metasystem.py":
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name in LIVE_TELEMETRY:
+                found.add(ast.unparse(node))
+        elif isinstance(node, ast.arguments):
+            positional = node.posonlyargs + node.args
+            pairs = list(zip(positional[len(positional)
+                                        - len(node.defaults):],
+                             node.defaults))
+            pairs += zip(node.kwonlyargs, node.kw_defaults)
+            found |= {f"{arg.arg}={ast.unparse(default)}"
+                      for arg, default in pairs
+                      if arg.arg in TELEMETRY
+                      and isinstance(default, ast.Constant)
+                      and default.value is None}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found |= {ast.unparse(target) for target in targets
+                      if isinstance(target, ast.Attribute)
+                      and target.attr in TELEMETRY
+                      and not (isinstance(target.value, ast.Name)
+                               and target.value.id == "self")}
+    return found
+
+
+class TestTelemetryHasOneRule:
+    def test_only_the_metasystem_builds_live_telemetry(self, source_trees):
+        """Every component takes ``metrics`` / ``spans`` at construction,
+        null by default; the Metasystem builds the live ones and hands
+        them down."""
+        breaches = set()
+        for module, tree in source_trees:
+            if module.startswith("obs/"):
+                continue
+            breaches |= {(module, text)
+                         for text in telemetry_wiring(module, tree)}
+        assert not breaches, breaches
+
+    def test_the_check_sees_each_breach(self):
+        tree = ast.parse(
+            "class Host:\n"
+            "    def __init__(self, sim, metrics=None, *, spans=None):\n"
+            "        self.metrics = metrics or MetricsRegistry()\n"
+            "        self.spans = spans\n"
+            "def wire(self, host):\n"
+            "    host.spans = self.spans\n"
+            "    self.tracer = obs.SpanTracer(clock)\n")
+        assert telemetry_wiring("hosts/host_object.py", tree) == {
+            "metrics=None", "spans=None", "MetricsRegistry()",
+            "obs.SpanTracer(clock)", "host.spans"}
+        assert telemetry_wiring("metasystem.py", tree) == {
+            "metrics=None", "spans=None", "host.spans"}

@@ -19,13 +19,17 @@ from repro import (
     MachineSpec,
     ObjectClassRequest,
 )
+from repro.collection.collection import Collection
 from repro.errors import (
     AuthenticationError,
     HostUnreachableError,
     NotAMemberError,
 )
 from repro.federation.ring import ConsistentHashRing
+from repro.federation.router import FederatedCollection
+from repro.federation.shard import CollectionShard
 from repro.naming.loid import LOID
+from repro.obs import NULL_METRICS
 from repro.workload import (
     TestbedSpec,
     build_testbed,
@@ -409,6 +413,26 @@ class TestQueryCache:
         coll.query(q)
         # second query re-scattered (no hit recorded for a partial)
         assert coll.cache_stats()["hit"] == 0
+
+    def test_stats_do_not_depend_on_telemetry(self):
+        """A router built with the null registry still counts its own
+        cache outcomes: observing must not change what it reports."""
+        ring = ConsistentHashRing(seed=0)
+        shards = []
+        for i in range(2):
+            ring.add_shard(f"s{i}")
+            coll = Collection(LOID(("test", "svc", f"s{i}")),
+                              require_auth=False)
+            shards.append(CollectionShard(f"s{i}", coll, ring, 2))
+        router = FederatedCollection(
+            LOID(("test", "svc", "router")), shards, ring, 2,
+            metrics=NULL_METRICS, require_auth=False, cache_ttl=60.0)
+        router.join(loid("h0"), {"host_up": True})
+        for _ in range(2):
+            assert [r.member for r in router.query("$host_up == true")] \
+                == [loid("h0")]
+        assert router.cache_stats() == {
+            "hit": 1, "miss": 1, "expired": 0, "hit_ratio": 0.5}
 
 
 # ---------------------------------------------------------------------------

@@ -53,31 +53,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.labels()
 
-    def test_merge_sums_values_and_children(self):
-        a = Counter("c", labelnames=("k",))
-        b = Counter("c", labelnames=("k",))
-        a.labels(k="x").inc(1)
-        b.labels(k="x").inc(2)
-        b.labels(k="y").inc(4)
-        a.merge(b)
-        assert a.labels(k="x").value == 3
-        assert a.labels(k="y").value == 4
-
-    def test_merge_kind_mismatch_raises(self):
-        with pytest.raises(TypeError):
-            Counter("c").merge(Gauge("c"))
-
-    def test_merge_label_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            Counter("c", labelnames=("a",)).merge(
-                Counter("c", labelnames=("b",)))
-
-    def test_reset(self):
-        c = Counter("c", labelnames=("k",))
-        c.labels(k="x").inc(7)
-        c.reset()
-        assert c.labels(k="x").value == 0
-
 
 class TestGauge:
     def test_set_inc_dec(self):
@@ -94,13 +69,6 @@ class TestGauge:
         assert g.value == 1.0
         box["v"] = 9.0
         assert g.value == 9.0
-
-    def test_merge_takes_other_reading(self):
-        a, b = Gauge("g"), Gauge("g")
-        a.set(1)
-        b.set(5)
-        a.merge(b)
-        assert a.value == 5
 
 
 class TestHistogram:
@@ -133,24 +101,6 @@ class TestHistogram:
 
     def test_empty_quantile_is_nan(self):
         assert math.isnan(Histogram("h").quantile(0.5))
-
-    def test_merge_requires_same_bounds(self):
-        a = Histogram("h", buckets=(1.0,))
-        b = Histogram("h", buckets=(2.0,))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge_adds_counts_and_stats(self):
-        a = Histogram("h", buckets=(1.0, 2.0))
-        b = Histogram("h", buckets=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 3
-        assert a.cumulative_counts() == [1, 2, 3]
-        assert a.stats.minimum == 0.5
-        assert a.stats.maximum == 3.0
 
     def test_needs_at_least_one_bound(self):
         with pytest.raises(ValueError):
@@ -212,22 +162,6 @@ class TestRegistry:
         assert reg.get("queries_total").labels(path="scan").value == 1
         assert reg.get("sizes").labels(path="scan").count == 1
         assert reg.get("members").value == 8
-
-    def test_merge_registries(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.count("c", path="x")
-        b.count("c", path="x")
-        b.count("only_b")
-        a.merge(b)
-        assert a.get("c").labels(path="x").value == 2
-        assert a.get("only_b").value == 1
-
-    def test_reset_keeps_names_zeroes_values(self):
-        reg = MetricsRegistry()
-        reg.count("c", n=5)
-        reg.reset()
-        assert "c" in reg
-        assert reg.get("c").value == 0
 
     def test_null_registry_records_nothing(self):
         for reg in (NullMetricsRegistry(), NULL_METRICS):
@@ -291,30 +225,6 @@ class TestSeriesMemo:
             reg.count("c", a=1, b="x")   # keyed by str(value), never memoised
         assert reg.get("c").labels(a="1", b="x").value == 6
         assert len(reg.get("c")._children) == 1
-
-    def test_reset_invalidates_the_memo(self):
-        reg = self._warm()
-        reg.reset()
-        assert build_snapshot(reg)["metrics"][0]["series"] == []
-        reg.count("c", path="scan")
-        reg.count("plain")
-        assert reg.get("c").labels(path="scan").value == 1
-        assert reg.get("plain").value == 1
-        # resetting one instrument directly is seen as well
-        reg.get("c").reset()
-        reg.count("c", path="scan")
-        assert reg.get("c").labels(path="scan").value == 1
-
-    def test_merge_lands_in_the_memoised_series(self):
-        a, b = self._warm(), self._warm()
-        b.count("c", path="index")
-        a.merge(b)
-        a.count("c", path="scan")      # memo hit on a merged-into series
-        a.count("c", path="index")     # series created by merge, then hit
-        a.count("c", path="index")
-        assert a.get("c").labels(path="scan").value == 7
-        assert a.get("c").labels(path="index").value == 3
-        assert a.get("h").labels(step="a").count == 6
 
     def test_timer_and_exemplars_go_through_the_memo(self):
         clock = {"t": 0.0}

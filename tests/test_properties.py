@@ -350,7 +350,7 @@ class TestReservationEntryProperties:
             timeout=timeout,
             start_time=issued + lead if future else INSTANTANEOUS)
         entry = table._entries[tok.token_id]
-        entry.confirmed = confirmed
+        entry.redeemed = int(confirmed)
         assert (entry.start, entry.end) == tok.window()
         # the exact boundaries, one ulp either side, and arbitrary times
         bounds = [entry.end, issued + timeout, tok.window()[0]]

@@ -25,10 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accounting.ledger import ChargeRecord
 from repro.chaos.faults import make_fault
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ChaosError, RecoveryError
+from repro.naming.loid import LOID
 from repro.recovery import (
     LeaseTable,
     RecoveryConfig,
@@ -717,6 +719,49 @@ class TestCheckpoint:
         assert restored.pool.placed == placed
         assert restored.leases.grants == grants
         assert restored is meta.service and restored is not suite
+
+    @pytest.mark.parametrize("perturb", [
+        None,
+        lambda meta, app: meta.transport.breakers.breaker_for(
+            meta.hosts[0].location).record_failure(meta.now),
+        lambda meta, app: meta.guardrails.monitor.note_outcome(
+            str(meta.hosts[0].location), False),
+        lambda meta, app: meta.economy.budgets.on_charge(ChargeRecord(
+            time=meta.now, host_loid=meta.hosts[0].loid,
+            instance_loid=LOID(("test", "instance", "x")),
+            class_loid=app.loid, cycles=10.0, price_per_cycle=0.01)),
+    ], ids=["unperturbed", "breaker-failure", "health-failure",
+            "budget-charge"])
+    def test_restore_audits_the_world_side_state(self, perturb):
+        """The audit compares real breaker, health and budget snapshots:
+        one breaker failure, one failed outcome seen by the health
+        monitor, or one charge between capture and restore refuses the
+        restore."""
+        meta = build_testbed(TestbedSpec(
+            seed=0, n_domains=1, hosts_per_domain=3, platform_mix=2,
+            background_load_mean=0.2))
+        meta.enable_guardrails()
+        economy = meta.enable_economy()
+        suite = meta.start_service(
+            ServiceConfig(workers=1, queue_cap=16),
+            recovery=RecoveryConfig(lease_ttl=5.0, heartbeat_interval=2.0))
+        economy.budgets.create_user("alice")
+        economy.budgets.register_class(suite.app.loid, "alice")
+        for i in range(3):
+            suite.gateway.submit(user=f"u{i}")
+        meta.advance(90.0)
+        checkpoint = capture_checkpoint(meta)
+        audit = checkpoint.audit
+        assert len(audit["breakers"]) == len(audit["health"]) == 3
+        assert audit["budgets"]["alice"]["charges"] == 3
+        meta.stop_service()
+        if perturb is None:
+            assert restore_service(meta, checkpoint, suite.app) \
+                is meta.service
+        else:
+            perturb(meta, suite.app)
+            with pytest.raises(RecoveryError, match="world state diverged"):
+                restore_service(meta, checkpoint, suite.app)
 
 
 GAMEDAY_SMALL = dict(
