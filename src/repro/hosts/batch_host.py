@@ -44,6 +44,9 @@ class BatchQueueHost(HostObject):
     queue system's nodes.
     """
 
+    __slots__ = ("queue", "max_queue_length", "_queue_jobs",
+                 "_native_reservations")
+
     def __init__(self, loid: LOID, machine: SimMachine, sim, queue: QueueSystem,
                  max_queue_length: int = 1000, **kwargs):
         kwargs.setdefault("slots", max_queue_length)

@@ -74,6 +74,13 @@ class PlacedObject:
 class HostObject(LegionObject):
     """Guardian object for one machine."""
 
+    __slots__ = ("machine", "sim", "metrics", "spans", "policy", "slots",
+                 "price", "_compatible_vaults", "reservations", "admission",
+                 "placed", "reassess_interval", "_push_targets",
+                 "on_object_complete", "billing", "starts", "start_failures",
+                 "reassessments", "_descriptor_sources_written",
+                 "_reassess_ticker")
+
     def __init__(self, loid: LOID, machine: SimMachine, sim: Simulator,
                  compatible_vaults: Optional[List[LOID]] = None,
                  policy: Optional[PlacementPolicy] = None,

@@ -113,6 +113,11 @@ class LoadWalk:
 class SimMachine:
     """A machine in the simulated metasystem."""
 
+    __slots__ = ("name", "spec", "location", "sim", "_rng", "load_walk",
+                 "_background_load", "up", "jobs", "_last_advance",
+                 "_epoch", "_grid", "_steps_taken", "completed_jobs",
+                 "total_work_done", "failures")
+
     def __init__(self, name: str, spec: MachineSpec, location: NetLocation,
                  sim: Simulator, rngs: RngRegistry,
                  load_walk: Optional[LoadWalk] = None,

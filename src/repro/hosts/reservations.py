@@ -170,14 +170,19 @@ class ReservationTable:
       reservation overlaps its window, and it blocks all later overlaps;
     * **shared** reservations may overlap each other up to ``slots``
       concurrent grants, but never overlap an unshared one.
+
+    Token ids count from 1 per table: a token is named by its host and
+    its id together.
     """
 
-    _ids = itertools.count(1)
+    __slots__ = ("host_loid", "_secret", "slots", "_ids", "_entries",
+                 "grants", "denials", "cancellations")
 
     def __init__(self, host_loid: LOID, secret: bytes, slots: int = 4):
         if slots < 1:
             raise ValueError("slots must be >= 1")
         self.host_loid = host_loid
+        self._ids = itertools.count(1)
         self._secret = secret
         self.slots = slots
         self._entries: Dict[int, _Entry] = {}

@@ -17,8 +17,20 @@ from .host_object import HostObject
 __all__ = ["UnixHost"]
 
 
+def _load_high(host: "UnixHost") -> bool:
+    """Guard of :attr:`UnixHost.LOAD_EVENT`, shared by every host."""
+    return host.machine.load_average > host.load_trigger_level
+
+
+def _load_ok(host: "UnixHost") -> bool:
+    """Guard of :attr:`UnixHost.LOAD_OK_EVENT`, shared by every host."""
+    return host.machine.load_average <= host.load_trigger_level
+
+
 class UnixHost(HostObject):
     """Host Object for a single Unix workstation or SMP."""
+
+    __slots__ = ("load_trigger_level",)
 
     #: event name raised when the machine's load crosses the trigger level
     LOAD_EVENT = "host.load.high"
@@ -29,16 +41,12 @@ class UnixHost(HostObject):
                  trigger_min_interval: float = 60.0, **kwargs):
         super().__init__(*args, **kwargs)
         self.load_trigger_level = load_trigger_level
-        self.rge.define_trigger(
-            self.LOAD_EVENT,
-            lambda host: host.machine.load_average > host.load_trigger_level,
-            edge_triggered=True,
-            min_interval=trigger_min_interval)
-        self.rge.define_trigger(
-            self.LOAD_OK_EVENT,
-            lambda host: host.machine.load_average <= host.load_trigger_level,
-            edge_triggered=True,
-            min_interval=trigger_min_interval)
+        self.rge.define_trigger(self.LOAD_EVENT, _load_high,
+                                edge_triggered=True,
+                                min_interval=trigger_min_interval)
+        self.rge.define_trigger(self.LOAD_OK_EVENT, _load_ok,
+                                edge_triggered=True,
+                                min_interval=trigger_min_interval)
 
     def _descriptor_attributes(self) -> Dict[str, Any]:
         attributes = super()._descriptor_attributes()

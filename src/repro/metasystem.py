@@ -160,6 +160,8 @@ class Metasystem:
         self._register(self.collection)
         self.context.bind("/etc/Collection", self.collection.loid)
         self._host_credentials: Dict[LOID, Credential] = {}
+        #: the push-model sink every host shares, bound once
+        self._push_host = self._push_to_collection
 
         self.enactor = Enactor(self.transport, self.resolve)
         self.migrator = Migrator(self.transport, self.resolve)
@@ -294,17 +296,7 @@ class Metasystem:
                                           host.attributes.snapshot())
         self._host_credentials[host.loid] = credential
         if push_to_collection:
-            def push(h: HostObject, now: float,
-                     cred: Credential = credential) -> None:
-                try:
-                    self.collection.update_entry(
-                        h.loid, h.attributes.snapshot(), cred)
-                except NotAMemberError:
-                    # the health-aware daemon evicted the record while the
-                    # host was DOWN — recovery re-joins (credentials are
-                    # deterministic per member, so ``cred`` stays valid)
-                    self.collection.join(h.loid, h.attributes.snapshot())
-            host.add_push_target(push)
+            host.add_push_target(self._push_host)
         if self.guardrails is not None:
             host.admission = self.guardrails.admission
             self.guardrails.monitor.watch(host, credential)
@@ -312,6 +304,19 @@ class Metasystem:
             self.economy.ledger.attach(host)
             self.economy.market.enroll(host)
         host.start_periodic_reassessment()
+
+    def _push_to_collection(self, host: HostObject, now: float) -> None:
+        """Deposit ``host``'s attributes into the Collection (the push
+        model), under the credential it joined with."""
+        try:
+            self.collection.update_entry(
+                host.loid, host.attributes.snapshot(),
+                self._host_credentials[host.loid])
+        except NotAMemberError:
+            # the health-aware daemon evicted the record while the host
+            # was DOWN — recovery re-joins (credentials are deterministic
+            # per member, so the stored one stays valid)
+            self.collection.join(host.loid, host.attributes.snapshot())
 
     def add_unix_host(self, name: str, domain: str,
                       spec: Optional[MachineSpec] = None,

@@ -21,6 +21,7 @@ with the slowest resource — the behaviour E8 measures.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -237,8 +238,9 @@ class Transport:
         # would sit in a frame its own traceback pins
         error_replied = False
         try:
-            with self.spans.span_if_active(f"rpc:{name}", src=str(src),
-                                           dst=str(dst)):
+            # interned: every retained span of a label shares one name
+            with self.spans.span_if_active(sys.intern(f"rpc:{name}"),
+                                           src=str(src), dst=str(dst)):
                 self._one_way(src, dst, name)
                 try:
                     result = fn(*args, **kwargs)
@@ -306,7 +308,8 @@ class Transport:
     def _rpc_span(self, call: Call):
         """The ``rpc:`` span of one call of a parallel batch."""
         name = call.label or getattr(call.fn, "__name__", "call")
-        return self.spans.span_if_active(f"rpc:{name}", src=str(call.src),
+        return self.spans.span_if_active(sys.intern(f"rpc:{name}"),
+                                         src=str(call.src),
                                          dst=str(call.dst))
 
     def _failed_span(self, call: Call, caller_ctx: Optional[TraceContext],

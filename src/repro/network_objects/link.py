@@ -75,10 +75,9 @@ class NetworkObject(LegionObject):
 
     ``capacity`` is the link's total bandwidth (bytes/second).  Bandwidth
     reservations are admission-controlled so the sum of live grants never
-    exceeds capacity at any instant.
+    exceeds capacity at any instant.  Bandwidth token ids count from 1
+    per link.
     """
-
-    _ids = itertools.count(1)
 
     def __init__(self, loid: LOID, domain_a: str, domain_b: str,
                  capacity: float = 1.0e6,
@@ -93,6 +92,7 @@ class NetworkObject(LegionObject):
         self.base_latency = float(base_latency)
         self.refused_domains = frozenset(refused_domains or [])
         self._secret = os.urandom(16)
+        self._ids = itertools.count(1)
         self._grants: Dict[int, _Grant] = {}
         self.grants_made = 0
         self.denials = 0

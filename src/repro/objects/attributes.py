@@ -50,6 +50,8 @@ def _check_value(name: str, value: Any) -> AttrValue:
 class AttributeDatabase:
     """A mapping of attribute names to scalar or list-of-scalar values."""
 
+    __slots__ = ("_attrs", "_updated_at", "_last_update", "_lists")
+
     def __init__(self, initial: Optional[Mapping[str, AttrValue]] = None):
         self._attrs: Dict[str, AttrValue] = {}
         self._updated_at: Dict[str, float] = {}

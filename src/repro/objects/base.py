@@ -44,8 +44,14 @@ class LegionObject:
 
     Subclasses override :meth:`save_state` / :meth:`restore_state` to define
     what persists across deactivation, and may define triggers on their
-    :attr:`rge` engine.
+    :attr:`rge` engine.  Its fields live in ``__slots__``, so an object
+    a world holds once per host (a Host Object) carries no instance
+    ``__dict__``; a subclass that declares no slots gets one, as usual.
     """
+
+    __slots__ = ("loid", "class_loid", "attributes", "_rge", "state",
+                 "host_loid", "vault_loid", "last_host_loid",
+                 "_opr_version", "activation_count", "migration_count")
 
     def __init__(self, loid: LOID, class_loid: Optional[LOID] = None):
         self.loid = loid

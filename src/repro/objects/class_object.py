@@ -100,9 +100,10 @@ class ClassObject(LegionObject):
         self._instance_factory = instance_factory
         self._default_placer = default_placer
         self.instances: Dict[LOID, LegionObject] = {}
-        #: token_id -> loids created under that reservation; lets the
-        #: Enactor reap creates whose success ack was lost in transit
-        self._creations_by_token: Dict[int, List[LOID]] = {}
+        #: host -> token_id -> loids created under that reservation; lets
+        #: the Enactor reap creates whose success ack was lost in transit
+        #: (token ids count per host, so the id alone is not unique)
+        self._creations_by_token: Dict[LOID, Dict[int, List[LOID]]] = {}
         self.attributes.set("class_name", name)
         self.create_attempts = 0
         self.create_failures = 0
@@ -323,7 +324,8 @@ class ClassObject(LegionObject):
     def _note_token(self, token: Any, loids: List[LOID]) -> None:
         if token is not None:
             self._creations_by_token.setdefault(
-                token.token_id, []).extend(loids)
+                token.host_loid, {}).setdefault(
+                    token.token_id, []).extend(loids)
 
     def reap_reserved(self, token: Any, now: float = 0.0) -> List[LOID]:
         """Destroy every live instance created under ``token``.
@@ -336,7 +338,8 @@ class ClassObject(LegionObject):
         it, so the rollback is exact even for unacknowledged creates.
         """
         reaped: List[LOID] = []
-        for loid in self._creations_by_token.pop(token.token_id, []):
+        for loid in self._creations_by_token.get(
+                token.host_loid, {}).pop(token.token_id, []):
             if loid in self.instances:
                 self.destroy_instance(loid, now=now)
                 reaped.append(loid)

@@ -38,6 +38,9 @@ class TriggerFiring:
 class Trigger:
     """A guarded event source."""
 
+    __slots__ = ("event_name", "guard", "edge_triggered", "min_interval",
+                 "_was_true", "_last_fire", "fire_count")
+
     def __init__(self, event_name: str, guard: Guard,
                  edge_triggered: bool = True,
                  min_interval: float = 0.0):
@@ -89,6 +92,9 @@ class TriggerEngine:
     evaluates to true", section 3.5).  Outcall exceptions are isolated: a
     failing Monitor must not corrupt the Host.
     """
+
+    __slots__ = ("owner", "_triggers", "_outcalls", "_failed_outcalls",
+                 "firings")
 
     def __init__(self, owner: Any):
         self.owner = owner

@@ -16,6 +16,7 @@ import io
 import math
 import statistics
 import sys
+import tracemalloc
 import types
 
 import pytest
@@ -72,6 +73,14 @@ LOAD_DRAW_CALLS_PER_REASSESSMENT_CEILING = 1.0
 #: draw at a time and type-checked every value it wrote, and every push
 #: ``isinstance``-tested all 17 snapshot values
 PY_CALLS_PER_HOST_TICK_CEILING = 75
+
+#: traced bytes one host adds to a world: the tracemalloc marginal
+#: between a 256-host and a 1,024-host ``build_testbed`` (seed 7), after
+#: a small build has paid the imports — 6,110 with every object a world
+#: holds once per host in ``__slots__`` and its callbacks shared, 8,270
+#: while each kept an instance ``__dict__`` and every host its own
+#: trigger lambdas and push closure
+BYTES_PER_HOST_CEILING = 6600
 
 #: compatible-vault lists parsed by one IRS probe (4 instances x 4
 #: schedules) on a 256-host world's viable-cache miss: at most one per
@@ -227,6 +236,23 @@ def test_idle_world_costs_no_events_per_host():
     events, heap = readings[0]
     assert events <= IDLE_WORLD_EVENTS_CEILING
     assert heap <= IDLE_WORLD_HEAP_CEILING
+
+
+def test_bytes_per_host():
+    def traced_bytes(hosts):
+        tracemalloc.start()
+        try:
+            meta = build_testbed(TestbedSpec(
+                n_domains=4, hosts_per_domain=hosts // 4, seed=7))
+            assert len(meta.hosts) == hosts
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    traced_bytes(4)  # pays the imports and one-time caches of a build
+    small = traced_bytes(256)
+    per_host = (traced_bytes(1024) - small) / (1024 - 256)
+    assert per_host <= BYTES_PER_HOST_CEILING, f"{per_host:.0f} B per host"
 
 
 # -- what one placement costs -----------------------------------------------

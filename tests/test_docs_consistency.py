@@ -3,8 +3,10 @@ inventory must reference things that actually exist.  Plus source
 checks: periodic work goes through the kernel's ``Ticker``, a service
 request's state changes only in ``ServiceRequest.apply``, whose event
 table matches the journal vocabulary docs/recovery.md lists, a
-comparison's claims are data judged by one evaluator, and telemetry is
-handed to a component at construction, live only from the Metasystem."""
+comparison's claims are data judged by one evaluator, telemetry is
+handed to a component at construction, live only from the Metasystem,
+and what a world holds once per host has no instance ``__dict__`` and
+no callback of its own."""
 
 import ast
 import re
@@ -18,6 +20,7 @@ from repro.guardrails.compare import SLO_CLAIMS
 from repro.recovery.journal import EVENTS
 from repro.service.request import FIRES_FROM, ServiceRequest
 from repro.tools.ledgers import LEDGERS
+from repro.workload.testbed import TestbedSpec, build_testbed
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -360,3 +363,65 @@ class TestTelemetryHasOneRule:
             "obs.SpanTracer(clock)", "host.spans"}
         assert telemetry_wiring("metasystem.py", tree) == {
             "metrics=None", "spans=None", "host.spans"}
+
+
+#: ``(module, class, method)`` run once per host: each may create no
+#: function object, so every callback it wires is one shared function
+PER_HOST_WIRING = (("metasystem.py", "Metasystem", "_wire_host"),
+                   ("hosts/unix_host.py", "UnixHost", "__init__"))
+
+
+def per_host_functions(tree, cls, method):
+    """The lambdas and nested ``def``s inside ``cls.method``."""
+    [body] = [item for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == cls
+              for item in node.body
+              if isinstance(item, ast.FunctionDef) and item.name == method]
+    return [ast.unparse(node).splitlines()[0] for node in ast.walk(body)
+            if node is not body
+            and isinstance(node, (ast.Lambda, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))]
+
+
+class TestPerHostObjectsAreLean:
+    def test_per_host_objects_have_no_dict(self):
+        """Everything a world holds once per host keeps its fields in
+        ``__slots__``, for a Unix and a batch host alike."""
+        meta = build_testbed(TestbedSpec(
+            seed=0, n_domains=1, hosts_per_domain=2, platform_mix=1))
+        meta.add_batch_host("cluster", meta.hosts[0].domain)
+        for host in meta.hosts:
+            for obj in (host, host.machine, host.attributes, host.rge,
+                        *host.rge.triggers, host.reservations):
+                assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+    def test_per_host_callbacks_are_shared(self):
+        meta = build_testbed(TestbedSpec(
+            seed=0, n_domains=1, hosts_per_domain=2, platform_mix=1))
+        first, second = meta.hosts
+        [push], [other] = first._push_targets, second._push_targets
+        assert other is push
+        assert ([t.guard for t in first.rge.triggers]
+                == [t.guard for t in second.rge.triggers])
+
+    def test_per_host_wiring_creates_no_function(self, source_trees):
+        trees = dict(source_trees)
+        found = {(module, cls, method): per_host_functions(
+                     trees[module], cls, method)
+                 for module, cls, method in PER_HOST_WIRING}
+        assert not any(found.values()), found
+
+    def test_the_check_sees_a_reintroduced_lambda_trigger(self):
+        tree = ast.parse(
+            "class UnixHost(HostObject):\n"
+            "    def __init__(self, level=4.0):\n"
+            "        self.rge.define_trigger(\n"
+            "            'host.load.high',\n"
+            "            lambda host: host.machine.load_average > level)\n"
+            "        def push(h, now):\n"
+            "            pass\n"
+            "    def other(self):\n"
+            "        return lambda: 0\n")
+        assert sorted(per_host_functions(tree, "UnixHost", "__init__")) == [
+            "def push(h, now):",
+            "lambda host: host.machine.load_average > level"]

@@ -85,6 +85,23 @@ class TestReservationInterface:
             host.make_reservation(vault_loid, app_class.loid)
 
 
+    def test_token_ids_restart_with_each_world(self):
+        """Ids are drawn per host, so two identical worlds built one
+        after the other in one process issue the same ids, and so the
+        same signed fields."""
+        def first_two_ids():
+            world = Metasystem(seed=7)
+            world.add_domain("uva")
+            host = world.add_unix_host("ws0", "uva", MachineSpec(), slots=4)
+            vault = world.add_vault("uva", name="uva-vault")
+            app = world.create_class("App",
+                                     [Implementation("sparc", "SunOS")])
+            return [host.make_reservation(vault.loid, app.loid).token_id
+                    for _ in range(2)]
+
+        assert first_two_ids() == first_two_ids() == [1, 2]
+
+
 class TestStartObject:
     def test_start_with_token(self, meta, host, vault_loid, app_class):
         tok = host.make_reservation(vault_loid, app_class.loid)

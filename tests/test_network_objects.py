@@ -31,6 +31,12 @@ class TestBandwidthReservations:
         assert link.check_bandwidth(tok, now=50.0)
         assert link.available_at(50.0) == pytest.approx(400.0)
 
+    def test_token_ids_count_per_link(self):
+        ids = [make_link().reserve_bandwidth(100.0, now=0.0,
+                                             duration=10.0).token_id
+               for _ in range(2)]
+        assert ids == [1, 1]
+
     def test_capacity_enforced(self):
         link = make_link(1000.0)
         link.reserve_bandwidth(700.0, now=0.0, duration=100.0)

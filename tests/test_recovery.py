@@ -443,9 +443,10 @@ class TestOrphanRecovery:
         worker finishes it — nothing lost."""
         meta, suite = build_recovery_service(
             workers=1, ttl=5.0, heartbeat=2.0)
-        # count nobody can place: the request stays in flight through
-        # retries, so the kill is guaranteed to land mid-claim
-        result = suite.gateway.submit(user="u", count=999)
+        # one instance more than the testbed's 3 hosts x 4 slots: nobody
+        # can place it, so the request stays in flight through retries
+        # and the kill is guaranteed to land mid-claim
+        result = suite.gateway.submit(user="u", count=13)
         rid = result.request_id
         meta.sim.schedule_at(2.0, lambda: suite.pool.kill(0))
         meta.sim.schedule_at(12.0, lambda: suite.pool.revive(0))
@@ -591,6 +592,29 @@ class TestUnackedCreateReap:
         assert reaped == [result.loid]
         assert result.loid not in app.instances
         assert app.reap_reserved(token, now=2.0) == []  # exactly once
+
+    def test_reap_tells_apart_equal_ids_from_two_hosts(self):
+        """Each host counts its token ids from 1, so the Class keys its
+        creations by host and id: reaping one host's token leaves the
+        instance another host started under the same id."""
+        meta = build_testbed(TestbedSpec(
+            seed=0, n_domains=1, hosts_per_domain=2, platform_mix=1))
+        from repro.objects.class_object import Placement
+        from repro.workload.testbed import implementations_for_all_platforms
+        app = meta.create_class("reap-app",
+                                implementations_for_all_platforms())
+        vault = meta.vaults[0]
+        tokens, loids = [], []
+        for host in meta.hosts:
+            token = host.make_reservation(vault.loid, app.loid, now=0.0)
+            result = app.create_instance(
+                Placement(host.loid, vault.loid, reservation_token=token))
+            assert result.ok
+            tokens.append(token)
+            loids.append(result.loid)
+        assert tokens[0].token_id == tokens[1].token_id
+        assert app.reap_reserved(tokens[0], now=1.0) == [loids[0]]
+        assert list(app.instances) == [loids[1]]
 
 
 class TestWorkerFaults:

@@ -405,6 +405,12 @@ class TestPlacementTrace:
         assert root.end is not None
         assert all(s.end is not None for s in spans.spans)
 
+    def test_rpc_spans_of_a_label_share_one_name(self, placed_meta):
+        rpc = [s.name for s in placed_meta.spans.spans
+               if s.name.startswith("rpc:")]
+        assert len(rpc) > len(set(rpc))
+        assert len({id(name) for name in rpc}) == len(set(rpc))
+
     def test_summary_and_reports_render(self, placed_meta):
         spans = placed_meta.spans.spans
         summary, = trace_summary(spans)
