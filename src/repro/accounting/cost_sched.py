@@ -30,16 +30,18 @@ __all__ = ["CostAwareScheduler"]
 class CostAwareScheduler(Scheduler):
     """Cheapest-feasible placement under a per-instance deadline."""
 
-    def __init__(self, *args, deadline: float = float("inf"),
-                 n_variants: int = 2, work_attr: str = "work_units",
-                 default_work: float = 1.0, **kwargs):
+    #: fallback alternatives carried per entry
+    N_VARIANTS = 2
+    #: the class attribute that advertises per-instance work
+    WORK_ATTR = "work_units"
+    #: per-instance work of a class that advertises none
+    DEFAULT_WORK = 1.0
+
+    def __init__(self, *args, deadline: float = float("inf"), **kwargs):
         super().__init__(*args, **kwargs)
         if deadline <= 0:
             raise ValueError("deadline must be positive")
         self.deadline = deadline
-        self.n_variants = n_variants
-        self.work_attr = work_attr
-        self.default_work = default_work
 
     # -- estimates ----------------------------------------------------------
     def _rate_of(self, record: CollectionRecord) -> float:
@@ -51,8 +53,8 @@ class CostAwareScheduler(Scheduler):
         return float(record.get("host_price", 0.0))
 
     def _work_of(self, request: ObjectClassRequest) -> float:
-        value = request.class_obj.attributes.get(self.work_attr)
-        return float(value) if value is not None else self.default_work
+        value = request.class_obj.attributes.get(self.WORK_ATTR)
+        return float(value) if value is not None else self.DEFAULT_WORK
 
     def estimated_completion(self, record: CollectionRecord,
                              work: float, queued: int = 0) -> float:
@@ -115,7 +117,7 @@ class CostAwareScheduler(Scheduler):
                 entries.append(ScheduleMapping(class_obj.loid, best.member,
                                                vaults[0]))
                 alts = []
-                for record in ranked[1: 1 + self.n_variants]:
+                for record in ranked[1: 1 + self.N_VARIANTS]:
                     v = self.compatible_vaults_of(record)
                     if v:
                         alts.append(ScheduleMapping(
@@ -123,7 +125,7 @@ class CostAwareScheduler(Scheduler):
                 alternates.append(alts)
 
         master = MasterSchedule(entries, label="cost-aware")
-        for v in range(self.n_variants):
+        for v in range(self.N_VARIANTS):
             replacements = {
                 j: alts[v] for j, alts in enumerate(alternates)
                 if v < len(alts) and not alts[v].same_target(entries[j])}

@@ -92,10 +92,6 @@ class Ledger:
         return sum(r.amount for r in self.records
                    if r.class_loid == class_loid)
 
-    def total_for_instance(self, instance_loid: LOID) -> float:
-        return sum(r.amount for r in self.records
-                   if r.instance_loid == instance_loid)
-
     def revenue_by_host(self) -> Dict[LOID, float]:
         out: Dict[LOID, float] = {}
         for r in self.records:

@@ -23,7 +23,7 @@ Design rules:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Type
 
 from ..errors import ChaosError, NetworkError
 

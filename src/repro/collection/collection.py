@@ -118,12 +118,13 @@ class _RecordView(Mapping):
 class Collection(LegionObject):
     """An attribute-record database with the Fig. 4 interface."""
 
-    def __init__(self, loid: LOID, location: Optional[NetLocation] = None,
-                 require_auth: bool = True,
+    def __init__(self, loid: LOID, require_auth: bool = True,
                  clock: Optional[Callable[[], float]] = None,
                  metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         super().__init__(loid)
-        self.location = location
+        #: the Collection's network node, assigned by
+        #: :meth:`~repro.metasystem.Metasystem.place_collection`
+        self.location: Optional[NetLocation] = None
         self.require_auth = require_auth
         self._clock = clock or (lambda: 0.0)
         self.metrics = metrics

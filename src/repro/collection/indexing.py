@@ -71,10 +71,6 @@ class IndexedCollection(Collection):
         self.scan_fallbacks = 0
 
     # -- index maintenance -------------------------------------------------
-    def _unindex_record(self, record: CollectionRecord) -> None:
-        for attr, value in record.attributes.items():
-            self._unindex_value(record.member, attr, value)
-
     def _unindex_value(self, member: LOID, attr: str, value: Any) -> None:
         values = value if isinstance(value, list) else [value]
         buckets = self._index.get(attr)

@@ -5,7 +5,7 @@ its published ask (sealed — asks are set by the market daemon, not
 adjusted per-round), and the auctioneer awards the reservation to the
 *lowest* ask, breaking ties deterministically by ``(price, str(loid))``.
 
-Two pricing rules, selected by :class:`~repro.economy.config.EconomyConfig`:
+Two pricing rules, selected by :class:`SealedBidAuction`'s ``pricing``:
 
 * **first-price** — the winner is paid its own ask;
 * **second-price** (default) — the winner is paid the runner-up's ask
@@ -21,8 +21,8 @@ second-price.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from ..obs.registry import NULL_METRICS
 

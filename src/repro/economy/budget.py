@@ -28,8 +28,8 @@ long as metered cycles never exceed the advertised work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import BudgetExceededError
 from ..naming.loid import LOID
@@ -217,10 +217,6 @@ class BudgetManager:
     @property
     def total_committed(self) -> float:
         return sum(a.committed for a in self.accounts.values())
-
-    def overrun_users(self) -> List[str]:
-        return sorted(name for name, a in self.accounts.items()
-                      if a.overrun > 0)
 
     def to_dict(self) -> Dict[str, Any]:
         return {name: self.accounts[name].to_dict()

@@ -5,7 +5,7 @@ The supply side of the computational economy.  Each enrolled host gets a
 premium, the GRACE "resource owners set prices" idea from Nimrod/G), and
 a seeded, deterministic **repricing daemon** adjusts the ask with demand:
 
-    ask = base x (1 + load_factor x load) x (1 + util_factor x busy/slots)
+    ask = base x (1 + LOAD_FACTOR x load) x (1 + UTIL_FACTOR x busy/slots)
               x (1 +- jitter)
 
 The adjusted ask is written to ``host.price`` (so the accounting Ledger
@@ -25,30 +25,30 @@ from ..sim.kernel import Ticker
 
 __all__ = ["Market"]
 
+#: ask price per cycle for a speed-1.0 host at idle
+BASE_PRICE = 0.01
+#: extra ask per unit of speed above 1.0 (faster hardware costs more)
+SPEED_PREMIUM = 1.0
+#: ask multiplier contribution per unit of machine load average
+LOAD_FACTOR = 0.25
+#: ask multiplier contribution at full slot utilization
+UTIL_FACTOR = 0.5
+#: immediate relative ask increase when an auction awards a host a
+#: reservation (demand signal; the next sweep re-anchors to load)
+DEMAND_BUMP = 0.25
+
 
 class Market:
     """Per-host ask pricing plus the periodic repricing daemon."""
 
     def __init__(self, sim: Any, rng: Any = None,
-                 base_price: float = 0.01,
-                 speed_premium: float = 1.0,
-                 load_factor: float = 0.25,
-                 util_factor: float = 0.5,
                  repricing_interval: float = 60.0,
                  repricing_jitter: float = 0.05,
-                 demand_bump: float = 0.25,
                  metrics: Any = NULL_METRICS):
-        if base_price <= 0:
-            raise ValueError("base_price must be positive")
         self.sim = sim
         self.rng = rng
-        self.base_price = base_price
-        self.speed_premium = speed_premium
-        self.load_factor = load_factor
-        self.util_factor = util_factor
         self.repricing_interval = repricing_interval
         self.repricing_jitter = repricing_jitter
-        self.demand_bump = demand_bump
         self.metrics = metrics
         self._hosts: List[Any] = []
         self._by_loid: Dict[Any, Any] = {}
@@ -60,11 +60,11 @@ class Market:
     # -- enrollment ---------------------------------------------------------
     def base_ask_for(self, host: Any) -> float:
         """The demand-independent floor price for one host: a speed-1.0
-        machine asks ``base_price`` per cycle; faster hardware charges a
+        machine asks ``BASE_PRICE`` per cycle; faster hardware charges a
         linear premium per unit of extra speed."""
         speed = float(host.machine.spec.speed)
-        return round(self.base_price
-                     * (1.0 + self.speed_premium * max(0.0, speed - 1.0)),
+        return round(BASE_PRICE
+                     * (1.0 + SPEED_PREMIUM * max(0.0, speed - 1.0)),
                      6)
 
     def enroll(self, host: Any) -> float:
@@ -82,9 +82,6 @@ class Market:
         # refresh the Collection record so queries see the new ask
         host.reassess()
 
-    def ask_of(self, host: Any) -> float:
-        return float(host.price)
-
     def note_award(self, host_loid: Any) -> None:
         """Demand signal: a reservation auction just awarded this host,
         so its *advertised ask* rises immediately (before the work even
@@ -94,12 +91,12 @@ class Market:
         the repricing sweeps, which also re-anchor the ask once the
         awarded job *is* the load."""
         host = self._by_loid.get(host_loid)
-        if host is None or self.demand_bump <= 0:
+        if host is None:
             return
         self.awards += 1
         ask = float(host.attributes.get("host_ask_price", host.price))
         host.attributes.set("host_ask_price",
-                            round(ask * (1.0 + self.demand_bump), 6),
+                            round(ask * (1.0 + DEMAND_BUMP), 6),
                             now=self.sim.now)
         host.reassess()
         self.metrics.count("economy_demand_bumps_total")
@@ -115,8 +112,8 @@ class Market:
                 continue
             load = max(0.0, float(host.machine.load_average))
             busy = 1.0 - host.free_slots / max(1, host.slots)
-            ask = base * (1.0 + self.load_factor * load) \
-                       * (1.0 + self.util_factor * busy)
+            ask = base * (1.0 + LOAD_FACTOR * load) \
+                       * (1.0 + UTIL_FACTOR * busy)
             if self.repricing_jitter > 0 and self.rng is not None:
                 ask *= 1.0 + float(self.rng.uniform(
                     -self.repricing_jitter, self.repricing_jitter))

@@ -17,8 +17,8 @@ machinery and cleared through the sealed-bid
 
 Both modes bid under a **DBC-style adaptive ceiling**: early in the
 user's deadline window the scheduler offers only a thrifty fraction
-``1 / (1 + bid_escalation)`` of the affordable rate, then escalates
-linearly to the full affordable rate once ``escalation_onset`` of the
+``1 / (1 + BID_ESCALATION)`` of the affordable rate, then escalates
+linearly to the full affordable rate once ``ESCALATION_ONSET`` of the
 deadline has elapsed — spend reluctantly while there is slack, pay
 whatever the budget allows when time runs out.
 
@@ -49,8 +49,15 @@ from ..schedule.schedule import (
 from ..scheduler.base import ObjectClassRequest, SchedulingOutcome
 from .auction import Ask
 from .budget import BudgetManager
+from .market import DEMAND_BUMP
 
 __all__ = ["EconomyScheduler"]
+
+#: DBC-style bid escalation: the affordable ceiling is multiplied by up
+#: to ``1 + BID_ESCALATION`` as the user's deadline approaches
+BID_ESCALATION = 0.5
+#: fraction of the deadline elapsed before escalation starts
+ESCALATION_ONSET = 0.5
 
 
 @dataclass
@@ -70,8 +77,6 @@ class EconomyScheduler(CostAwareScheduler):
 
     def __init__(self, *args, budgets: BudgetManager, auction,
                  market=None, user: str = "default", mode: str = "cost",
-                 bid_escalation: float = 0.5,
-                 escalation_onset: float = 0.5,
                  deadline_safety: float = 0.6, **kwargs):
         super().__init__(*args, **kwargs)
         if mode not in ("cost", "time"):
@@ -87,8 +92,6 @@ class EconomyScheduler(CostAwareScheduler):
         self.deadline_safety = deadline_safety
         self.user = user
         self.mode = mode
-        self.bid_escalation = bid_escalation
-        self.escalation_onset = escalation_onset
         #: virtual time the user's deadline clock started (first run)
         self._t0: Optional[float] = None
         #: bids awaiting enactment, in master-schedule entry order
@@ -109,16 +112,16 @@ class EconomyScheduler(CostAwareScheduler):
 
     def bid_ceiling_factor(self) -> float:
         """DBC escalation: fraction of the affordable rate we bid now."""
-        thrift = 1.0 / (1.0 + self.bid_escalation)
+        thrift = 1.0 / (1.0 + BID_ESCALATION)
         deadline = self.budgets.account(self.user).deadline
-        if deadline == float("inf") or self.bid_escalation <= 0:
+        if deadline == float("inf"):
             return 1.0
         t0 = self._t0 if self._t0 is not None else self._now()
         elapsed = (self._now() - t0) / deadline
-        onset = self.escalation_onset
-        if elapsed <= onset:
+        if elapsed <= ESCALATION_ONSET:
             return thrift
-        pressure = min(1.0, (elapsed - onset) / max(1e-9, 1.0 - onset))
+        pressure = min(1.0, (elapsed - ESCALATION_ONSET)
+                       / (1.0 - ESCALATION_ONSET))
         if pressure > 0:
             self.escalations += 1
         return thrift + (1.0 - thrift) * pressure
@@ -137,8 +140,8 @@ class EconomyScheduler(CostAwareScheduler):
         the Collection record we hold is a snapshot."""
         ask = self._ask_of(record)
         n = assigned.get(record.member, 0)
-        if n and self.market is not None and self.market.demand_bump > 0:
-            ask *= (1.0 + self.market.demand_bump) ** n
+        if n and self.market is not None:
+            ask *= (1.0 + DEMAND_BUMP) ** n
         return round(ask, 6)
 
     # -- hold bookkeeping ----------------------------------------------------
@@ -228,7 +231,7 @@ class EconomyScheduler(CostAwareScheduler):
                     alts = []
                     runners = [r for r in pool
                                if r.member != best.member]
-                    for record in runners[: self.n_variants]:
+                    for record in runners[: self.N_VARIANTS]:
                         v = self.compatible_vaults_of(record)
                         if not v:
                             continue
@@ -251,7 +254,7 @@ class EconomyScheduler(CostAwareScheduler):
 
         label = f"economy-{self.mode}"
         master = MasterSchedule(entries, label=label)
-        for v in range(self.n_variants):
+        for v in range(self.N_VARIANTS):
             replacements = {
                 j: alts[v] for j, alts in enumerate(alternates)
                 if v < len(alts) and not alts[v].same_target(entries[j])}
@@ -321,11 +324,9 @@ class EconomyScheduler(CostAwareScheduler):
 
     # -- the wrapper, with refund/bind hooks --------------------------------
     def run(self, requests: Sequence[ObjectClassRequest],
-            reservation_duration: float = 3600.0,
-            rollback_on_failure: bool = True) -> SchedulingOutcome:
+            reservation_duration: float = 3600.0) -> SchedulingOutcome:
         outcome = super().run(requests,
-                              reservation_duration=reservation_duration,
-                              rollback_on_failure=rollback_on_failure)
+                              reservation_duration=reservation_duration)
         metrics = self.transport.metrics
         if outcome.ok and outcome.feedback is not None:
             reserved = outcome.feedback.reserved_entries

@@ -47,13 +47,11 @@ class CoAllocator:
     def __init__(self, transport: Transport, resolver: Resolver,
                  src: Optional[NetLocation] = None,
                  requester_domain: str = "",
-                 offered_price: float = 0.0,
                  sequential: bool = False):
         self.transport = transport
         self.resolver = resolver
         self.src = src
         self.requester_domain = requester_domain
-        self.offered_price = offered_price
         #: ablation knob — negotiate one resource at a time (E8 baseline)
         self.sequential = sequential
         self.requests_issued = 0
@@ -73,8 +71,7 @@ class CoAllocator:
         # reads them
         kwargs = dict(rtype=rtype, start_time=start_time,
                       duration=duration, timeout=timeout,
-                      requester_domain=self.requester_domain,
-                      offered_price=self.offered_price)
+                      requester_domain=self.requester_domain)
         context = self.transport.spans.current_context()
         for pos, (idx, mapping) in enumerate(indexed_entries):
             outcome = ReservationOutcome(index=idx, mapping=mapping)

@@ -133,7 +133,6 @@ class Enactor:
     def __init__(self, transport: Transport, resolver: Resolver,
                  location: Optional[NetLocation] = None,
                  requester_domain: str = "",
-                 offered_price: float = 0.0,
                  naive_variant_handling: bool = False,
                  sequential_coallocation: bool = False,
                  max_variant_attempts: int = 32):
@@ -145,7 +144,6 @@ class Enactor:
         self.coallocator = CoAllocator(
             transport, resolver, src=location,
             requester_domain=requester_domain,
-            offered_price=offered_price,
             sequential=sequential_coallocation)
         self.naive_variant_handling = naive_variant_handling
         self.max_variant_attempts = max_variant_attempts
@@ -155,9 +153,6 @@ class Enactor:
         #: opt-in health source for load shedding (duck-typed; see
         #: repro.guardrails.health.HealthMonitor)
         self.health = None
-        #: shed SUSPECT hosts too (only when fallback schedules remain);
-        #: DOWN hosts are always shed while a health source is installed
-        self.shed_suspect = True
         self.stats = EnactorStats()
         self._cancelled_targets: set = set()
 
@@ -223,8 +218,7 @@ class Enactor:
         shed: List[ReservationOutcome] = []
         for idx, mapping in indexed:
             state = self.health.state_of(mapping.host_loid)
-            if state == "down" or (state == "suspect" and have_fallback
-                                   and self.shed_suspect):
+            if state == "down" or (state == "suspect" and have_fallback):
                 shed.append(ReservationOutcome(
                     index=idx, mapping=mapping,
                     error=f"shed: host {state}"))

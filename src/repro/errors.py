@@ -69,10 +69,6 @@ class MessageLostError(NetworkError):
     retryable = True
 
 
-class RPCError(NetworkError):
-    """A remote method invocation failed at the callee."""
-
-
 class CircuitOpenError(NetworkError):
     """A per-destination circuit breaker refused the call without sending.
 
@@ -202,14 +198,6 @@ class MalformedScheduleError(ScheduleError):
 
 class EnactmentError(LegionError):
     """Base class for Enactor failures."""
-
-
-class ReservationPhaseError(EnactmentError):
-    """make_reservations failed for every master/variant schedule."""
-
-
-class InstantiationPhaseError(EnactmentError):
-    """enact_schedule failed after reservations had been obtained."""
 
 
 class SchedulingError(LegionError):

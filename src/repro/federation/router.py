@@ -13,11 +13,11 @@ change.  Behind the facade:
   (:mod:`repro.federation.sync`);
 * **queries** scatter to every shard concurrently (located shards go
   through :meth:`Transport.parallel_invoke`, so the cost is the
-  *slowest* shard, not the sum), gather with per-shard timeouts, and
-  merge with dedup — for a member seen on several replicas the freshest
+  *slowest* shard, not the sum), gather every reply, and merge with
+  dedup — for a member seen on several replicas the freshest
   ``(updated_at, update_count)`` version wins — in deterministic
-  LOID-sorted order.  An unreachable or late shard degrades the result
-  to a partial answer instead of failing the query;
+  LOID-sorted order.  An unreachable shard degrades the result to a
+  partial answer instead of failing the query;
 * **caching** — an optional TTL-bounded, router-side query cache
   absorbs repeated identical queries (schedulers re-query the same
   viability expression every attempt) at an explicit staleness cost,
@@ -32,7 +32,6 @@ equivalence the acceptance test pins.
 from __future__ import annotations
 
 import hmac
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -68,14 +67,10 @@ class FederationConfig:
 
     shards: int = 3
     replication: int = 2
-    vnodes: int = 64
     #: anti-entropy sweep period in virtual seconds; 0 disables gossip
     gossip_interval: float = 60.0
     #: router-side query cache TTL in virtual seconds; 0 disables
     cache_ttl: float = 0.0
-    #: drop a shard's gather slot if its reply lands later than this
-    #: many virtual seconds after scatter start (inf = wait for all)
-    shard_timeout: float = math.inf
 
     def __post_init__(self) -> None:
         if self.shards < 2:
@@ -106,12 +101,10 @@ class FederatedCollection:
     def __init__(self, loid: LOID, shards: List[CollectionShard],
                  ring: ConsistentHashRing, replication: int,
                  transport: Optional[Transport] = None,
-                 location: Optional[NetLocation] = None,
                  clock: Optional[Callable[[], float]] = None,
                  metrics: Any = NULL_METRICS,
                  require_auth: bool = True,
                  cache_ttl: float = 0.0,
-                 shard_timeout: float = math.inf,
                  spans: Any = NULL_SPANS):
         if not shards:
             raise ValueError("federation needs at least one shard")
@@ -121,13 +114,13 @@ class FederatedCollection:
         self.ring = ring
         self.replication = replication
         self.transport = transport
-        self.location = location
+        #: the router's network node, assigned by the placer
+        self.location: Optional[NetLocation] = None
         self._clock = clock or (lambda: 0.0)
         self.metrics = metrics
         self.spans = spans
         self.require_auth = require_auth
         self.cache_ttl = cache_ttl
-        self.shard_timeout = shard_timeout
         #: per-(shard, member) write credentials held by the router
         self._credentials: Dict[Tuple[str, str], Credential] = {}
         #: member -> the credential handed back to the caller at join
@@ -362,8 +355,6 @@ class FederatedCollection:
     def _scatter_gather(self, query: str
                         ) -> Tuple[List[CollectionRecord], int]:
         """Fan the query out, count reachable shards, merge and dedup."""
-        start = self.transport.sim.now if self.transport is not None \
-            else self._clock()
         per_shard: List[Tuple[CollectionShard, List[CollectionRecord]]] = []
         reached = 0
         remote: List[Tuple[CollectionShard, Call]] = []
@@ -393,10 +384,6 @@ class FederatedCollection:
                     self.metrics.count(
                         "federation_shard_unreachable_total",
                         shard=shard.shard_id)
-                    continue
-                if outcome.completed_at - start > self.shard_timeout:
-                    self.metrics.count("federation_shard_timeouts_total",
-                                       shard=shard.shard_id)
                     continue
                 per_shard.append((shard, outcome.value))
                 reached += 1

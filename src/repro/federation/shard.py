@@ -30,15 +30,16 @@ class CollectionShard:
     """A ring-aware wrapper around one peer Collection."""
 
     def __init__(self, shard_id: str, collection: Collection,
-                 ring: ConsistentHashRing, replication: int,
-                 location: Optional[NetLocation] = None):
+                 ring: ConsistentHashRing, replication: int):
         if replication < 1:
             raise ValueError("replication must be >= 1")
         self.shard_id = shard_id
         self.collection = collection
         self.ring = ring
         self.replication = replication
-        self.location = location
+        #: the shard's network node, assigned by
+        #: :meth:`~repro.metasystem.Metasystem.place_federation`
+        self.location: Optional[NetLocation] = None
         #: fault-injection override: an unlocated shard can still be
         #: forced unreachable (located shards use the topology instead)
         self.forced_down = False
@@ -54,11 +55,6 @@ class CollectionShard:
     def owns(self, member: LOID) -> bool:
         """Is this shard in the record's replica set?"""
         return self.shard_id in self.preference_list(member)
-
-    def misplaced_members(self) -> List[LOID]:
-        """Members stored here that the ring no longer assigns here —
-        non-empty only after ring membership changed under live data."""
-        return [m for m in self.collection.members() if not self.owns(m)]
 
     # -- anti-entropy surface ------------------------------------------------
     def digest(self) -> Dict[str, Version]:

@@ -37,6 +37,9 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: how long an open breaker rejects before allowing a half-open probe
+BREAKER_COOLDOWN = 45.0
+
 
 class CircuitBreaker:
     """One destination's breaker state machine."""
@@ -46,7 +49,7 @@ class CircuitBreaker:
                  "opens", "fast_fails", "_on_transition")
 
     def __init__(self, dst: str, failure_threshold: int = 3,
-                 cooldown: float = 45.0,
+                 cooldown: float = BREAKER_COOLDOWN,
                  on_transition: Optional[Callable[["CircuitBreaker", str,
                                                    str, float], None]] = None):
         self.dst = dst
@@ -123,7 +126,8 @@ class BreakerBoard:
     """All destinations' breakers, shared metrics, and the listener hook."""
 
     def __init__(self, clock: Callable[[], float],
-                 failure_threshold: int = 3, cooldown: float = 45.0,
+                 failure_threshold: int = 3,
+                 cooldown: float = BREAKER_COOLDOWN,
                  metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS,
                  listener: Optional[Callable[[str, bool], None]] = None):
         self._clock = clock

@@ -10,7 +10,7 @@ The monitor fuses two evidence streams:
 A periodic sweep classifies each watched host::
 
                  stale > suspect_after              stale > down_after
-                 or failures >= fail_suspect        or failures >= fail_down
+                 or failures >= FAIL_SUSPECT        or failures >= FAIL_DOWN
         LIVE  ------------------------------> SUSPECT -----------------> DOWN
           ^                                      |                        |
           |        fresh heartbeat /             |   fresh heartbeat /    |
@@ -36,13 +36,19 @@ from ..errors import HostUnreachableError, NetworkError, NotAMemberError
 from ..obs import NULL_METRICS, NULL_SPANS
 from ..sim.kernel import Ticker
 
-__all__ = ["LIVE", "SUSPECT", "DOWN", "HealthMonitor"]
+__all__ = ["LIVE", "SUSPECT", "DOWN", "FAIL_DOWN", "FAIL_SUSPECT",
+           "HEALTH_INTERVAL", "HealthMonitor"]
 
 LIVE = "live"
 SUSPECT = "suspect"
 DOWN = "down"
 
-_RANK = {LIVE: 0, SUSPECT: 1, DOWN: 2}
+#: classification sweep period on the virtual clock
+HEALTH_INTERVAL = 15.0
+#: consecutive invoke failures that force SUSPECT regardless of age
+FAIL_SUSPECT = 2
+#: consecutive invoke failures that force DOWN regardless of age
+FAIL_DOWN = 5
 
 
 class _HostHealth:
@@ -66,17 +72,12 @@ class HealthMonitor:
     """Classify watched hosts LIVE/SUSPECT/DOWN and publish quarantine."""
 
     def __init__(self, sim: Any, collection: Any, *,
-                 interval: float = 15.0, suspect_after: float = 75.0,
-                 down_after: float = 150.0, fail_suspect: int = 2,
-                 fail_down: int = 5, metrics: Any = NULL_METRICS,
-                 spans: Any = NULL_SPANS):
+                 suspect_after: float = 75.0, down_after: float = 150.0,
+                 metrics: Any = NULL_METRICS, spans: Any = NULL_SPANS):
         self.sim = sim
         self.collection = collection
-        self.interval = float(interval)
         self.suspect_after = float(suspect_after)
         self.down_after = float(down_after)
-        self.fail_suspect = int(fail_suspect)
-        self.fail_down = int(fail_down)
         self.metrics = metrics
         self.spans = spans
         self._hosts: Dict[str, _HostHealth] = {}
@@ -118,9 +119,9 @@ class HealthMonitor:
     # -- classification ----------------------------------------------------
     def _classify(self, record: _HostHealth, now: float) -> str:
         stale = now - record.last_seen
-        if stale > self.down_after or record.consecutive_failures >= self.fail_down:
+        if stale > self.down_after or record.consecutive_failures >= FAIL_DOWN:
             return DOWN
-        if stale > self.suspect_after or record.consecutive_failures >= self.fail_suspect:
+        if stale > self.suspect_after or record.consecutive_failures >= FAIL_SUSPECT:
             return SUSPECT
         return LIVE
 
@@ -175,10 +176,6 @@ class HealthMonitor:
         record = self._hosts.get(str(loid))
         return record.state if record is not None else LIVE
 
-    def state_of_location(self, location: Any) -> str:
-        loid = self._by_location.get(str(location))
-        return self._hosts[loid].state if loid is not None else LIVE
-
     def down_since(self, loid: Any) -> Optional[float]:
         record = self._hosts.get(str(loid))
         if record is not None and record.state == DOWN:
@@ -205,7 +202,7 @@ class HealthMonitor:
     # -- daemon ------------------------------------------------------------
     def start(self) -> None:
         if self._ticker is None:
-            self._ticker = Ticker(self.sim, self.interval)
+            self._ticker = Ticker(self.sim, HEALTH_INTERVAL)
             self._ticker.subscribe(self, self.tick)
 
     def __repr__(self) -> str:  # pragma: no cover

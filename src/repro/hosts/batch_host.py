@@ -64,7 +64,6 @@ class BatchQueueHost(HostObject):
                            duration: float = 3600.0,
                            timeout: float = 60.0,
                            requester_domain: str = "",
-                           offered_price: float = 0.0,
                            now: Optional[float] = None) -> ReservationToken:
         from .reservations import REUSABLE_TIME
         if rtype is None:
@@ -77,8 +76,7 @@ class BatchQueueHost(HostObject):
         token = super()._grant_reservation(
             vault_loid, class_loid, rtype=rtype, start_time=start_time,
             duration=duration, timeout=timeout,
-            requester_domain=requester_domain,
-            offered_price=offered_price, now=now)
+            requester_domain=requester_domain, now=now)
         if self.queue.supports_reservations:
             # pass-through: back the token with a native advance reservation
             start = now if start_time == INSTANTANEOUS else start_time

@@ -82,8 +82,6 @@ class HostObject(LegionObject):
                  "_reassess_ticker")
 
     def __init__(self, loid: LOID, machine: SimMachine, sim: Simulator,
-                 compatible_vaults: Optional[List[LOID]] = None,
-                 policy: Optional[PlacementPolicy] = None,
                  slots: int = 0,
                  price_per_cpu_second: float = 0.0,
                  reassess_interval: float = 30.0,
@@ -93,10 +91,11 @@ class HostObject(LegionObject):
         self.sim = sim
         self.metrics = metrics
         self.spans = spans
-        self.policy = policy or AcceptAll()
+        #: the site's placement policy; assign to change it
+        self.policy: PlacementPolicy = AcceptAll()
         self.slots = slots or max(2 * machine.spec.cpus, 2)
         self.price = price_per_cpu_second
-        self._compatible_vaults: List[LOID] = list(compatible_vaults or [])
+        self._compatible_vaults: List[LOID] = []
         self.reservations = ReservationTable(
             loid, secret=os.urandom(16), slots=self.slots)
         #: opt-in load-aware admission control (duck-typed; see
@@ -138,7 +137,6 @@ class HostObject(LegionObject):
                          duration: float = 3600.0,
                          timeout: float = 60.0,
                          requester_domain: str = "",
-                         offered_price: float = 0.0,
                          now: Optional[float] = None) -> ReservationToken:
         """Grant a reservation for future service.
 
@@ -159,7 +157,7 @@ class HostObject(LegionObject):
                     vault_loid, class_loid, rtype=rtype,
                     start_time=start_time, duration=duration,
                     timeout=timeout, requester_domain=requester_domain,
-                    offered_price=offered_price, now=now)
+                    now=now)
             except Exception as exc:
                 self.metrics.count("host_reservations_rejected_total",
                                    reason=type(exc).__name__)
@@ -174,7 +172,6 @@ class HostObject(LegionObject):
                            duration: float = 3600.0,
                            timeout: float = 60.0,
                            requester_domain: str = "",
-                           offered_price: float = 0.0,
                            now: Optional[float] = None) -> ReservationToken:
         now = self.sim.now if now is None else now
         if not self.machine.up:
@@ -187,8 +184,7 @@ class HostObject(LegionObject):
                 f"host {self.loid}: vault {vault_loid} not reachable")
         decision = self.policy.decide(
             self, PlacementRequest(class_loid=class_loid,
-                                   requester_domain=requester_domain,
-                                   offered_price=offered_price), now)
+                                   requester_domain=requester_domain), now)
         if not decision:
             raise PlacementPolicyError(
                 f"host {self.loid}: policy refused: {decision.reason}")

@@ -70,20 +70,22 @@ class SimJob:
 class LoadWalk:
     """Mean-reverting random walk for background load.
 
-    ``L(t+dt) = clip(L + kappa*(mean - L) + sigma*N(0,1), 0, cap)`` stepped
+    ``L(t+dt) = clip(L + kappa*(mean - L) + sigma*N(0,1), 0, CAP)`` stepped
     every ``interval`` seconds.  Occasional spikes (probability
     ``spike_prob`` per step, magnitude ``spike_size``) model another user
     starting a heavy job.
     """
 
+    #: ceiling of the background load average
+    CAP = 8.0
+
     def __init__(self, mean: float = 0.5, kappa: float = 0.2,
-                 sigma: float = 0.15, cap: float = 8.0,
-                 interval: float = 10.0,
+                 sigma: float = 0.15, interval: float = 10.0,
                  spike_prob: float = 0.0, spike_size: float = 3.0):
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.mean, self.kappa, self.sigma = mean, kappa, sigma
-        self.cap, self.interval = cap, interval
+        self.interval = interval
         self.spike_prob, self.spike_size = spike_prob, spike_size
 
     def step(self, rng, current: float) -> float:
@@ -96,7 +98,7 @@ class LoadWalk:
         exactly as ``n`` scalar draws; a spiky one interleaves ``random()``."""
         spiky = self.spike_prob > 0.0
         kappa, mean, sigma = self.kappa, self.mean, self.sigma
-        cap = float(self.cap)
+        cap = self.CAP
         for z in range(n) if spiky else rng.standard_normal(n).tolist():
             if spiky:
                 z = rng.standard_normal()

@@ -38,7 +38,6 @@ from .federation.sync import GossipDaemon
 from .hosts.batch_host import BatchQueueHost
 from .hosts.host_object import HostObject
 from .hosts.machine import LoadWalk, MachineSpec, SimMachine
-from .hosts.policy import PlacementPolicy
 from .hosts.unix_host import UnixHost
 from .monitor.migration import Migrator
 from .monitor.monitor import ExecutionMonitor
@@ -56,7 +55,7 @@ from .queues.backfill import BackfillQueue
 from .queues.base import QueueSystem
 from .queues.condor import CondorPool
 from .queues.fcfs import FCFSQueue
-from .scheduler.base import ObjectClassRequest, Scheduler
+from .scheduler.base import Scheduler
 from .scheduler.gang import GangScheduler
 from .scheduler.irs import IRSScheduler
 from .scheduler.kofn import KofNScheduler
@@ -84,6 +83,13 @@ _SCHEDULER_KINDS = {
     "kofn": KofNScheduler,
 }
 _ECONOMY_KINDS = ("economy", "economy-cost", "economy-time")
+#: the LOID domain every object of a metasystem is minted in
+LOID_DOMAIN = "legion"
+#: network node names of the placed Collection and Enactor services
+COLLECTION_NODE = "collection-svc"
+ENACTOR_NODE = "enactor-svc"
+#: the machine behind a batch host: the queue's front-end node
+BATCH_FRONTEND_SPEC = MachineSpec(cpus=2, memory_mb=512.0)
 #: every kind :meth:`Metasystem.make_scheduler` accepts — the one list
 #: its error message and the CLI's ``--scheduler`` help are read from
 SCHEDULER_KINDS = tuple(sorted([*_SCHEDULER_KINDS, *_ECONOMY_KINDS]))
@@ -94,10 +100,8 @@ class Metasystem:
 
     def __init__(self, seed: int = 0,
                  latency_model: Optional[LatencyModel] = None,
-                 loss_probability: float = 0.0,
                  reassess_interval: float = 30.0,
                  require_collection_auth: bool = True,
-                 domain: str = "legion",
                  tracing: str = "spans",
                  federation: Any = None):
         if tracing not in ("off", "spans"):
@@ -130,10 +134,9 @@ class Metasystem:
             self.topology)
         self.transport = Transport(self.sim, self.topology,
                                    self.latency_model, self.rngs,
-                                   loss_probability=loss_probability,
                                    metrics=self.metrics,
                                    spans=self.spans)
-        self.minter = LOIDMinter(domain)
+        self.minter = LOIDMinter(LOID_DOMAIN)
         self.context = ContextSpace()
         self.reassess_interval = reassess_interval
 
@@ -151,7 +154,7 @@ class Metasystem:
         if self.federation_config is None:
             self.collection = Collection(
                 self.minter.mint("svc", "collection"),
-                location=None, require_auth=require_collection_auth,
+                require_auth=require_collection_auth,
                 clock=lambda: self.sim.now, metrics=self.metrics,
                 spans=self.spans)
         else:
@@ -181,13 +184,13 @@ class Metasystem:
     def _build_federation(self, cfg: FederationConfig,
                           require_auth: bool) -> FederatedCollection:
         """Assemble shards, ring, router, and (optionally) gossip."""
-        ring = ConsistentHashRing(seed=self.rngs.seed, vnodes=cfg.vnodes)
+        ring = ConsistentHashRing(seed=self.rngs.seed)
         for i in range(cfg.shards):
             shard_id = f"shard{i}"
             ring.add_shard(shard_id)
             coll = Collection(
                 self.minter.mint("svc", f"collection-{shard_id}"),
-                location=None, require_auth=require_auth,
+                require_auth=require_auth,
                 clock=lambda: self.sim.now, metrics=self.metrics,
                 spans=self.spans)
             shard = CollectionShard(shard_id, coll, ring,
@@ -206,8 +209,7 @@ class Metasystem:
             self.collection_shards, ring, cfg.replication,
             transport=self.transport, clock=lambda: self.sim.now,
             metrics=self.metrics, require_auth=require_auth,
-            cache_ttl=cfg.cache_ttl, shard_timeout=cfg.shard_timeout,
-            spans=self.spans)
+            cache_ttl=cfg.cache_ttl, spans=self.spans)
         if cfg.gossip_interval > 0:
             self.gossip = GossipDaemon(
                 self.sim, self.collection_shards,
@@ -262,20 +264,18 @@ class Metasystem:
         return self.topology.add_domain(
             AdministrativeDomain(name, description, distance))
 
-    def place_collection(self, domain: str,
-                         node_name: str = "collection-svc") -> NetLocation:
+    def place_collection(self, domain: str) -> NetLocation:
         """Give the Collection a network location so queries and updates
         cost real (simulated) messages — required for experiments that
         measure information-service latency (E2, E3, E6)."""
-        location = self.topology.add_node(domain, node_name)
+        location = self.topology.add_node(domain, COLLECTION_NODE)
         self.collection.location = location
         return location
 
-    def place_enactor(self, domain: str,
-                      node_name: str = "enactor-svc") -> NetLocation:
+    def place_enactor(self, domain: str) -> NetLocation:
         """Give the Enactor a service location (reservation requests then
         originate from that node rather than a free endpoint)."""
-        location = self.topology.add_node(domain, node_name)
+        location = self.topology.add_node(domain, ENACTOR_NODE)
         self.enactor.location = location
         self.enactor.coallocator.src = location
         return location
@@ -297,13 +297,23 @@ class Metasystem:
         self._host_credentials[host.loid] = credential
         if push_to_collection:
             host.add_push_target(self._push_host)
-        if self.guardrails is not None:
-            host.admission = self.guardrails.admission
-            self.guardrails.monitor.watch(host, credential)
-        if self.economy is not None:
-            self.economy.ledger.attach(host)
-            self.economy.market.enroll(host)
+        self._attach_layers(host, self.guardrails, self.economy)
         host.start_periodic_reassessment()
+
+    def _attach_layers(self, host: HostObject, guardrails: Any,
+                       economy: Any) -> None:
+        """Give ``host`` its share of the per-host layers that are not
+        ``None``: the shared admission controller and a HealthMonitor
+        watch (guardrails), the ledger's billing hook and a market ask
+        (economy).  The one path for a host present when a layer is
+        enabled and for a host added after."""
+        if guardrails is not None:
+            host.admission = guardrails.admission
+            guardrails.monitor.watch(
+                host, self._host_credentials.get(host.loid))
+        if economy is not None:
+            economy.ledger.attach(host)
+            economy.market.enroll(host)
 
     def _push_to_collection(self, host: HostObject, now: float) -> None:
         """Deposit ``host``'s attributes into the Collection (the push
@@ -320,33 +330,25 @@ class Metasystem:
 
     def add_unix_host(self, name: str, domain: str,
                       spec: Optional[MachineSpec] = None,
-                      policy: Optional[PlacementPolicy] = None,
                       load_walk: Optional[LoadWalk] = None,
                       initial_load: float = 0.0,
                       slots: int = 0,
                       price: float = 0.0,
-                      push_to_collection: bool = True,
-                      load_trigger_level: float = 4.0) -> UnixHost:
+                      push_to_collection: bool = True) -> UnixHost:
         """Create a workstation/SMP machine plus its Unix Host Object."""
         spec = spec or MachineSpec()
         location = self.topology.add_node(domain, name)
         machine = SimMachine(name, spec, location, self.sim, self.rngs,
                              load_walk=load_walk, initial_load=initial_load)
         host = UnixHost(self.minter.mint("host", name), machine, self.sim,
-                        policy=policy, slots=slots,
-                        price_per_cpu_second=price,
+                        slots=slots, price_per_cpu_second=price,
                         reassess_interval=self.reassess_interval,
-                        load_trigger_level=load_trigger_level,
                         metrics=self.metrics, spans=self.spans)
         self._wire_host(host, push_to_collection)
         return host
 
     def add_batch_host(self, name: str, domain: str,
                        queue_kind: str = "fcfs", nodes: int = 16,
-                       node_speed: float = 1.0,
-                       spec: Optional[MachineSpec] = None,
-                       policy: Optional[PlacementPolicy] = None,
-                       push_to_collection: bool = True,
                        max_queue_length: int = 1000,
                        **queue_kwargs) -> BatchQueueHost:
         """Create a queue-managed cluster fronted by a Batch Queue Host.
@@ -355,27 +357,27 @@ class Metasystem:
         (Maui-like, reservation capable), or ``"condor"`` (cycle-scavenged
         pool).
         """
-        spec = spec or MachineSpec(cpus=2, memory_mb=512.0)
         location = self.topology.add_node(domain, name)
-        machine = SimMachine(name, spec, location, self.sim, self.rngs)
+        machine = SimMachine(name, BATCH_FRONTEND_SPEC, location, self.sim,
+                             self.rngs)
         queue: QueueSystem
         if queue_kind == "fcfs":
-            queue = FCFSQueue(self.sim, nodes, node_speed,
-                              name=f"{name}-fcfs", **queue_kwargs)
+            queue = FCFSQueue(self.sim, nodes, name=f"{name}-fcfs",
+                              **queue_kwargs)
         elif queue_kind == "backfill":
-            queue = BackfillQueue(self.sim, nodes, node_speed,
-                                  name=f"{name}-maui", **queue_kwargs)
+            queue = BackfillQueue(self.sim, nodes, name=f"{name}-maui",
+                                  **queue_kwargs)
         elif queue_kind == "condor":
-            queue = CondorPool(self.sim, nodes, self.rngs, node_speed,
+            queue = CondorPool(self.sim, nodes, self.rngs,
                                name=f"{name}-condor", **queue_kwargs)
         else:
             raise ValueError(f"unknown queue kind {queue_kind!r}")
         host = BatchQueueHost(self.minter.mint("host", name), machine,
-                              self.sim, queue, policy=policy,
+                              self.sim, queue,
                               max_queue_length=max_queue_length,
                               reassess_interval=self.reassess_interval,
                               metrics=self.metrics, spans=self.spans)
-        self._wire_host(host, push_to_collection)
+        self._wire_host(host, push_to_collection=True)
         return host
 
     # ------------------------------------------------------------------
@@ -383,7 +385,6 @@ class Metasystem:
     # ------------------------------------------------------------------
     def add_vault(self, domain: str, name: str = "",
                   capacity_bytes: float = 10e9,
-                  cost_per_byte: float = 0.0,
                   allowed_domains: Optional[List[str]] = None
                   ) -> VaultObject:
         """Create a Vault in a domain and make same-domain hosts compatible."""
@@ -391,7 +392,6 @@ class Metasystem:
         location = self.topology.add_node(domain, name)
         vault = VaultObject(self.minter.mint("vault", name), location,
                             capacity_bytes=capacity_bytes,
-                            cost_per_byte=cost_per_byte,
                             allowed_domains=allowed_domains,
                             spans=self.spans)
         self._register(vault)
@@ -487,26 +487,22 @@ class Metasystem:
         ``"economy-time"`` spellings) builds an
         :class:`~repro.economy.sched.EconomyScheduler`, enabling the
         economy layer on demand and auto-provisioning the named
-        ``user=`` account at the config's default budget/deadline if it
-        does not exist yet.
+        ``user=`` account at ``DEFAULT_BUDGET`` / ``DEFAULT_DEADLINE`` if
+        it does not exist yet.
         """
         if kind in _ECONOMY_KINDS:
             from .economy import EconomyScheduler
+            from .economy.config import DEFAULT_BUDGET, DEFAULT_DEADLINE
             suite = self.enable_economy()
             mode = kwargs.pop("mode", None)
             if mode is None:
                 mode = "time" if kind == "economy-time" else "cost"
             user = kwargs.pop("user", "default")
-            suite.budgets.ensure(user,
-                                 budget=suite.config.default_budget,
-                                 deadline=suite.config.default_deadline)
+            suite.budgets.ensure(user, budget=DEFAULT_BUDGET,
+                                 deadline=DEFAULT_DEADLINE)
             rng = kwargs.pop("rng", None)
             if rng is None:
                 rng = self.rngs.stream("scheduler", kind, user)
-            kwargs.setdefault("bid_escalation",
-                              suite.config.bid_escalation)
-            kwargs.setdefault("escalation_onset",
-                              suite.config.escalation_onset)
             return EconomyScheduler(
                 self.collection, self.enactor, self.transport, rng=rng,
                 budgets=suite.budgets, auction=suite.auction,
@@ -523,7 +519,6 @@ class Metasystem:
                    rng=rng, **kwargs)
 
     def make_daemon(self, interval: float = 60.0,
-                    watch_hosts: bool = True,
                     evict_down_after: Optional[float] = None
                     ) -> DataCollectionDaemon:
         daemon = DataCollectionDaemon(
@@ -537,9 +532,8 @@ class Metasystem:
                        else 2.0 * self.guardrails.config.down_after)
             daemon.attach_health(self.guardrails.monitor,
                                  evict_after=horizon)
-        if watch_hosts:
-            for host in self.hosts:
-                daemon.watch(host)
+        for host in self.hosts:
+            daemon.watch(host)
         return daemon
 
     def make_monitor(self, **kwargs) -> ExecutionMonitor:
@@ -550,8 +544,7 @@ class Metasystem:
     # ------------------------------------------------------------------
     # time-series telemetry / SLOs
     # ------------------------------------------------------------------
-    def start_sampler(self, window: float = 30.0,
-                      max_windows: int = 256) -> Any:
+    def start_sampler(self, window: float = 30.0) -> Any:
         """Arm the windowed time-series sampler
         (:class:`~repro.obs.timeseries.MetricsSampler`): registry deltas
         are captured every ``window`` virtual seconds into a bounded
@@ -562,8 +555,7 @@ class Metasystem:
         if self.sampler is not None:
             raise LegionError("a metrics sampler is already armed")
         self.sampler = MetricsSampler(self.sim, self.metrics,
-                                      window=window,
-                                      max_windows=max_windows).start()
+                                      window=window).start()
         return self.sampler
 
     def default_slos(self) -> List[Any]:
@@ -592,51 +584,40 @@ class Metasystem:
     # ------------------------------------------------------------------
     # chaos / resilience
     # ------------------------------------------------------------------
-    def start_chaos(self, plan: Any = None, profile: str = "",
-                    chaos_seed: int = 0,
+    def start_chaos(self, profile: Any = "", chaos_seed: int = 0,
                     horizon: Optional[float] = None) -> Any:
-        """Generate (if needed) and arm a fault-injection campaign.
+        """Generate and arm a fault-injection campaign.
 
-        ``plan`` may be a prebuilt :class:`~repro.chaos.plan.ChaosPlan`;
-        otherwise a campaign is generated from ``profile`` (a name in
+        The campaign is generated from ``profile`` (a name in
         :data:`repro.chaos.plan.PROFILES` or a
         :class:`~repro.chaos.plan.CampaignConfig`).  Call after hosts are
         built — campaign generation targets the current topology.
         Returns the armed :class:`~repro.chaos.injector.ChaosInjector`.
         """
         from .chaos.injector import ChaosInjector
-        from .chaos.plan import (
-            PROFILES,
-            CampaignConfig,
-            ChaosPlan,
-            generate_campaign,
-        )
+        from .chaos.plan import PROFILES, CampaignConfig, generate_campaign
         if self.chaos is not None:
             raise LegionError("a chaos injector is already armed")
-        if plan is None and not profile:
-            raise LegionError("no chaos plan or profile (pass plan=/profile=)")
-        source = plan if plan is not None else profile
-        if isinstance(source, ChaosPlan):
-            built = source
-        else:
-            if isinstance(source, str):
-                config = PROFILES.get(source)
-                if config is None:
-                    raise LegionError(
-                        f"unknown chaos profile {source!r}; choose from "
-                        f"{sorted(PROFILES)}")
-                profile_name = source
-            elif isinstance(source, CampaignConfig):
-                config = source
-                profile_name = profile or "custom"
-            else:
+        if not profile:
+            raise LegionError("no chaos profile (pass profile=)")
+        if isinstance(profile, str):
+            config = PROFILES.get(profile)
+            if config is None:
                 raise LegionError(
-                    f"chaos source must be a profile name, "
-                    f"CampaignConfig, or ChaosPlan, got {type(source)}")
-            if horizon:
-                config = config.with_horizon(horizon)
-            built = generate_campaign(self, config, seed=chaos_seed,
-                                      profile=profile_name)
+                    f"unknown chaos profile {profile!r}; choose from "
+                    f"{sorted(PROFILES)}")
+            profile_name = profile
+        elif isinstance(profile, CampaignConfig):
+            config = profile
+            profile_name = "custom"
+        else:
+            raise LegionError(
+                f"chaos profile must be a name or a CampaignConfig, "
+                f"got {type(profile)}")
+        if horizon:
+            config = config.with_horizon(horizon)
+        built = generate_campaign(self, config, seed=chaos_seed,
+                                  profile=profile_name)
         self.chaos = ChaosInjector(self, built).arm()
         return self.chaos
 
@@ -671,16 +652,12 @@ class Metasystem:
             config = GuardrailConfig()
         monitor = HealthMonitor(
             self.sim, self.collection,
-            interval=config.health_interval,
             suspect_after=config.suspect_after,
             down_after=config.down_after,
-            fail_suspect=config.fail_suspect,
-            fail_down=config.fail_down,
             metrics=self.metrics, spans=self.spans)
         board = BreakerBoard(
             lambda: self.sim.now,
             failure_threshold=config.breaker_failure_threshold,
-            cooldown=config.breaker_cooldown,
             metrics=self.metrics, spans=self.spans,
             listener=monitor.note_outcome)
         admission = AdmissionController(
@@ -689,14 +666,13 @@ class Metasystem:
             metrics=self.metrics)
         self.transport.breakers = board
         self.enactor.health = monitor
-        self.enactor.shed_suspect = config.shed_suspect
         self.collection.exclude_down_members = True
+        suite = GuardrailSuite(config, monitor, board, admission)
         for host in self.hosts:
-            host.admission = admission
-            monitor.watch(host, self._host_credentials.get(host.loid))
+            self._attach_layers(host, suite, None)
         monitor.start()
-        self.guardrails = GuardrailSuite(config, monitor, board, admission)
-        return self.guardrails
+        self.guardrails = suite
+        return suite
 
     def enable_economy(self, config: Any = None) -> Any:
         """Install the computational-economy layer:
@@ -736,36 +712,27 @@ class Metasystem:
         budgets.attach_ledger(ledger)
         market = Market(
             self.sim, rng=self.rngs.stream("economy", "market"),
-            base_price=config.base_price,
-            speed_premium=config.speed_premium,
-            load_factor=config.load_factor,
-            util_factor=config.util_factor,
-            repricing_interval=config.repricing_interval,
-            repricing_jitter=config.repricing_jitter,
-            demand_bump=config.demand_bump, metrics=self.metrics)
-        auction = SealedBidAuction(pricing=config.auction_pricing,
-                                   metrics=self.metrics)
+            repricing_jitter=config.repricing_jitter, metrics=self.metrics)
+        auction = SealedBidAuction(metrics=self.metrics)
+        suite = EconomySuite(config=config, market=market, auction=auction,
+                             budgets=budgets, ledger=ledger)
         for host in self.hosts:
-            ledger.attach(host)
-            market.enroll(host)
+            self._attach_layers(host, None, suite)
         market.start()
         self.metrics.gauge_fn("economy_budget_committed",
                               lambda: budgets.total_committed,
                               help="funds held against pending placements")
-        self.economy = EconomySuite(config=config, market=market,
-                                    auction=auction, budgets=budgets,
-                                    ledger=ledger)
-        return self.economy
+        self.economy = suite
+        return suite
 
-    def enable_retries(self, policy: Any = None, **kwargs) -> Any:
-        """Install the opt-in resilience layer: a shared RetryPolicy on
-        the transport (idempotent calls) and the Enactor (reservation
-        round).  Jitter draws from a dedicated seeded stream, keeping
-        retry-enabled runs deterministic."""
-        if policy is None:
-            from .chaos.retry import RetryPolicy
-            policy = RetryPolicy(rng=self.rngs.stream("chaos", "retry"),
-                                 **kwargs)
+    def enable_retries(self, **kwargs) -> Any:
+        """Install the opt-in resilience layer: a shared RetryPolicy
+        (built from ``kwargs``) on the transport (idempotent calls) and
+        the Enactor (reservation round).  Jitter draws from a dedicated
+        seeded stream, keeping retry-enabled runs deterministic."""
+        from .chaos.retry import RetryPolicy
+        policy = RetryPolicy(rng=self.rngs.stream("chaos", "retry"),
+                             **kwargs)
         self.transport.retry_policy = policy
         self.enactor.retry_policy = policy
         return policy
@@ -879,9 +846,6 @@ class Metasystem:
     def advance(self, seconds: float) -> None:
         """Run the world forward by ``seconds`` of virtual time."""
         self.sim.run_until(self.sim.now + seconds)
-
-    def run_until_quiescent(self, max_time: Optional[float] = None) -> None:
-        self.sim.run(until=max_time)
 
     # ------------------------------------------------------------------
     # convenience

@@ -25,6 +25,9 @@ from ..vaults.vault_object import VaultObject
 
 __all__ = ["Migrator", "MigrationReport"]
 
+#: how long the destination host holds the reservation a move takes
+RESERVATION_DURATION = 3600.0
+
 Resolver = Callable[[LOID], Any]
 
 
@@ -49,8 +52,7 @@ class Migrator:
         self.failures = 0
 
     def migrate(self, instance_loid: LOID, to_host_loid: LOID,
-                to_vault_loid: Optional[LOID] = None,
-                reservation_duration: float = 3600.0) -> MigrationReport:
+                to_vault_loid: Optional[LOID] = None) -> MigrationReport:
         """Move one active object to another host (and optionally vault).
 
         Each migration is the root of its own trace (steps 12-13 of the
@@ -59,15 +61,14 @@ class Migrator:
                 "migration", step="12-13", instance=str(instance_loid),
                 to_host=str(to_host_loid)) as root:
             report = self._migrate(instance_loid, to_host_loid,
-                                   to_vault_loid, reservation_duration)
+                                   to_vault_loid)
             root.set_attribute("ok", report.ok)
             if not report.ok:
                 root.set_status("error")
             return report
 
     def _migrate(self, instance_loid: LOID, to_host_loid: LOID,
-                 to_vault_loid: Optional[LOID],
-                 reservation_duration: float) -> MigrationReport:
+                 to_vault_loid: Optional[LOID]) -> MigrationReport:
         sim = self.transport.sim
         start = sim.now
         report = MigrationReport(ok=False, instance=instance_loid,
@@ -118,7 +119,7 @@ class Migrator:
                 from_host.location, to_host.location,
                 to_host.make_reservation, new_vault_loid,
                 instance.class_loid, rtype=REUSABLE_TIME,
-                duration=reservation_duration, label="migrate-reserve")
+                duration=RESERVATION_DURATION, label="migrate-reserve")
         except LegionError as exc:
             report.detail = f"destination refused: {exc}"
             self.failures += 1

@@ -44,6 +44,10 @@ class MonitorStats:
     reports: List[MigrationReport] = field(default_factory=list)
 
 
+#: victim objects moved off a host per overload outcall
+MAX_MIGRATIONS_PER_EVENT = 1
+
+
 class ExecutionMonitor:
     """Trigger-driven rescheduling agent.
 
@@ -55,7 +59,6 @@ class ExecutionMonitor:
 
     def __init__(self, migrator: Migrator, collection: Collection,
                  resolver: Resolver,
-                 max_migrations_per_event: int = 1,
                  min_load_advantage: float = 1.0,
                  enabled: bool = True,
                  policy: Optional["ReschedulePolicy"] = None):
@@ -63,7 +66,6 @@ class ExecutionMonitor:
         self.migrator = migrator
         self.collection = collection
         self.resolver = resolver
-        self.max_migrations_per_event = max_migrations_per_event
         #: destination must be at least this much less loaded than source
         #: (consumed by the default policy)
         self.min_load_advantage = min_load_advantage
@@ -74,10 +76,10 @@ class ExecutionMonitor:
         self._watched: List[HostObject] = []
 
     # -- registration (step 12: outcall to the Monitor) ----------------------
-    def watch(self, host: HostObject,
-              event_name: str = UnixHost.LOAD_EVENT) -> None:
-        """Register this monitor's outcall with a host's trigger engine."""
-        host.rge.register_outcall(event_name, self._on_overload)
+    def watch(self, host: HostObject) -> None:
+        """Register this monitor's outcall with a host's high-load
+        trigger (:attr:`UnixHost.LOAD_EVENT`)."""
+        host.rge.register_outcall(UnixHost.LOAD_EVENT, self._on_overload)
         self._watched.append(host)
 
     def watch_all(self, hosts: Sequence[HostObject]) -> None:
@@ -97,8 +99,7 @@ class ExecutionMonitor:
 
     # -- rescheduling (delegated to the policy) ---------------------------------
     def _pick_victims(self, host: HostObject) -> List[LOID]:
-        return self.policy.pick_victims(host,
-                                        self.max_migrations_per_event)
+        return self.policy.pick_victims(host, MAX_MIGRATIONS_PER_EVENT)
 
     def rebalance_host(self, host: HostObject) -> List[MigrationReport]:
         """Move victim objects from an overloaded host to better homes."""

@@ -3,8 +3,8 @@
 Calibrated to late-1990s metacomputing conditions (the paper's era):
 sub-millisecond local calls, ~1 ms LAN round-trips within a domain, and tens
 to hundreds of milliseconds between administrative domains, with heavy-tailed
-jitter.  All parameters are constructor arguments so experiments can sweep
-them.
+jitter.  The inter-domain latency is a constructor argument so experiments
+can sweep it; the rest are constants of :class:`MetasystemLatencyModel`.
 """
 
 from __future__ import annotations
@@ -41,38 +41,36 @@ class MetasystemLatencyModel(LatencyModel):
     ----------
     topology:
         Used for domain-distance scaling of inter-domain latency.
-    local_overhead:
-        Cost of a method call on the same node (seconds).
-    intra, inter:
-        Base one-way latency distributions within / across domains.  The
-        inter-domain sample is multiplied by the topology's domain distance.
-    intra_bandwidth, inter_bandwidth:
-        Bulk-transfer bandwidth in bytes/second (for OPR migration).
+    inter:
+        Base one-way latency distribution across domains, multiplied by
+        the topology's domain distance.
     """
 
+    #: cost of a method call on the same node (seconds)
+    LOCAL_OVERHEAD = 50e-6
+    #: base one-way latency within a domain: LogNormal(mu, sigma) with a
+    #: median of ~0.5 ms
+    INTRA: Distribution = Clipped(
+        LogNormal(mu=-7.6, sigma=0.35), low=1e-4, high=0.05)
+    #: bulk-transfer bandwidth in bytes/second within / across domains
+    #: (for OPR migration)
+    INTRA_BANDWIDTH = 1.0e6
+    INTER_BANDWIDTH = 100.0e3
+
     def __init__(self, topology: Topology,
-                 local_overhead: float = 50e-6,
-                 intra: Optional[Distribution] = None,
-                 inter: Optional[Distribution] = None,
-                 intra_bandwidth: float = 1.0e6,
-                 inter_bandwidth: float = 100.0e3):
+                 inter: Optional[Distribution] = None):
         self.topology = topology
-        self.local_overhead = local_overhead
-        # LogNormal(mu, sigma): medians of ~0.5ms intra and ~25ms inter.
-        self.intra = intra or Clipped(
-            LogNormal(mu=-7.6, sigma=0.35), low=1e-4, high=0.05)
+        # median of ~25 ms
         self.inter = inter or Clipped(
             LogNormal(mu=-3.7, sigma=0.5), low=5e-3, high=2.0)
-        self.intra_bandwidth = intra_bandwidth
-        self.inter_bandwidth = inter_bandwidth
 
     def sample_latency(self, rng: np.random.Generator,
                        src: Optional[NetLocation],
                        dst: NetLocation) -> float:
         if src is not None and src == dst:
-            return self.local_overhead
+            return self.LOCAL_OVERHEAD
         if src is None or src.domain == dst.domain:
-            return float(self.intra.sample(rng))
+            return float(self.INTRA.sample(rng))
         scale = 0.5 * self.topology.domain_distance(src.domain, dst.domain)
         return float(self.inter.sample(rng)) * max(scale, 1.0)
 
@@ -84,9 +82,9 @@ class MetasystemLatencyModel(LatencyModel):
         if src is not None and src == dst:
             return lat
         if src is None or src.domain == dst.domain:
-            bw = self.intra_bandwidth
+            bw = self.INTRA_BANDWIDTH
         else:
-            bw = self.inter_bandwidth
+            bw = self.INTER_BANDWIDTH
         return lat + float(nbytes) / bw
 
 

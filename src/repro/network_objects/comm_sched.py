@@ -57,9 +57,6 @@ class CommPlan:
     demands: Dict[LOID, float] = field(default_factory=dict)  # link -> B/s
     tokens: List[BandwidthToken] = field(default_factory=list)
 
-    def total_demand(self) -> float:
-        return sum(self.demands.values())
-
 
 class BandwidthAwareScheduler(LoadAwareScheduler):
     """Load-aware placement that also prices inter-domain bandwidth.

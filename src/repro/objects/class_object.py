@@ -19,7 +19,7 @@ go through the standard placement steps."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import NoImplementationError, UnknownObjectError
 from ..naming.loid import LOID, LOIDMinter

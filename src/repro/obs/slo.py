@@ -37,7 +37,7 @@ and budget numbers are deterministic for a seeded run (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from .timeseries import Window
 

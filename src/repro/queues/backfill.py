@@ -96,10 +96,6 @@ class BackfillQueue(QueueSystem):
                    if r.start <= t < r.end)
 
     # -- scheduling ----------------------------------------------------------
-    def _nodes_unreserved(self, t: float) -> int:
-        """Nodes not promised to advance reservations at instant ``t``."""
-        return self.total_nodes - self._reserved_at(t)
-
     def _can_start_now(self, job: QueueJob) -> bool:
         """Enough free nodes now, clear of reservation windows the job's
         *estimated* runtime would collide with."""

@@ -42,13 +42,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..errors import RecoveryError
+from ..service.workers import DISPATCH_OVERHEAD, RESERVATION_DURATION
 from .config import RecoveryConfig
 from .journal import RequestJournal
 
 __all__ = ["ServiceCheckpoint", "capture_checkpoint", "restore_service"]
+
+#: worker constants a checkpoint's ``config`` block carries beside the
+#: ServiceConfig fields, keeping one checkpoint format (restore drops them)
+WORKER_CONSTANTS = {"dispatch_overhead": DISPATCH_OVERHEAD,
+                    "reservation_duration": RESERVATION_DURATION}
 
 
 class ServiceCheckpoint:
@@ -145,7 +151,7 @@ def capture_checkpoint(meta: Any) -> ServiceCheckpoint:
     suite = meta.service
     return ServiceCheckpoint(
         captured_at=meta.now,
-        config=asdict(suite.config),
+        config=dict(asdict(suite.config), **WORKER_CONSTANTS),
         recovery=suite.recovery.to_dict(),
         app_name=suite.app.name,
         journal=suite.journal.to_dicts(),
@@ -185,7 +191,8 @@ def restore_service(meta: Any, checkpoint: ServiceCheckpoint,
             "world state diverged from the checkpoint's "
             "budget/breaker/health audit — restore would not be "
             "deterministic")
-    config = ServiceConfig(**checkpoint.config)
+    config = ServiceConfig(**{k: v for k, v in checkpoint.config.items()
+                              if k not in WORKER_CONSTANTS})
     recovery = RecoveryConfig(**checkpoint.recovery)
     suite = meta.start_service(config=config, app=app, recovery=recovery)
     # replay the journal into the exact request registry the old tier held

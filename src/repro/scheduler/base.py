@@ -17,7 +17,6 @@ capability" claim: the Random Scheduler is ~20 lines on top of this base.
 
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,13 +104,13 @@ class Scheduler:
 
     def __init__(self, collection: Collection, enactor: Enactor,
                  transport: Transport,
-                 location: Optional[NetLocation] = None,
                  rng: Optional[np.random.Generator] = None,
                  name: str = "", viable_cache: bool = True):
         self.collection = collection
         self.enactor = enactor
         self.transport = transport
-        self.location = location
+        #: the Scheduler's network node; None calls from a free endpoint
+        self.location: Optional[NetLocation] = None
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.name = name or type(self).__name__
         self.collection_queries = 0
@@ -251,13 +250,12 @@ class Scheduler:
 
     # -- the wrapper loop (generalized Fig. 9) -----------------------------------
     def run(self, requests: Sequence[ObjectClassRequest],
-            reservation_duration: float = 3600.0,
-            rollback_on_failure: bool = True) -> SchedulingOutcome:
+            reservation_duration: float = 3600.0) -> SchedulingOutcome:
         """Compute schedules, negotiate reservations, and enact.
 
         Mirrors the IRS wrapper (Fig. 9): up to ``sched_try_limit``
         recomputations, each offered to the Enactor up to
-        ``enact_try_limit`` times.
+        ``enact_try_limit`` times.  A failed enactment is rolled back.
         """
         start = self.transport.sim.now
         queries_before = self.collection_queries
@@ -287,7 +285,7 @@ class Scheduler:
                         outcome.detail = feedback.failure_detail
                         continue
                     result = self.enactor.enact_schedule(
-                        feedback, rollback_on_failure=rollback_on_failure)
+                        feedback, rollback_on_failure=True)
                     outcome.enact_result = result
                     if result.ok:
                         outcome.ok = True

@@ -27,13 +27,14 @@ __all__ = ["KofNScheduler"]
 class KofNScheduler(Scheduler):
     """Equivalence-class scheduling: reserve n, keep k."""
 
-    def __init__(self, *args, overprovision: float = 2.0,
-                 max_n: int = 64, **kwargs):
+    #: most reservations requested for one equivalence class
+    MAX_N = 64
+
+    def __init__(self, *args, overprovision: float = 2.0, **kwargs):
         super().__init__(*args, **kwargs)
         if overprovision < 1.0:
             raise ValueError("overprovision must be >= 1.0")
         self.overprovision = overprovision
-        self.max_n = max_n
 
     def compute_schedule(self, requests: Sequence[ObjectClassRequest]
                          ) -> ScheduleRequestList:
@@ -45,7 +46,7 @@ class KofNScheduler(Scheduler):
                 raise SchedulingError(
                     f"no viable hosts for class {class_obj.name!r}")
             k = request.count
-            n = min(self.max_n, max(k, int(round(k * self.overprovision))),
+            n = min(self.MAX_N, max(k, int(round(k * self.overprovision))),
                     len(records) if len(records) >= k else
                     max(k, len(records)))
             if len(records) < k:

@@ -42,6 +42,7 @@ from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
 
 __all__ = [
+    "APP_LOCATION",
     "LayeringOutcome",
     "LayeringStrategy",
     "AppDoesItAll",
@@ -49,6 +50,10 @@ __all__ = [
     "CombinedSchedulerRM",
     "SeparateLayers",
 ]
+
+#: where the application's calls leave from: no node of its own (a free
+#: endpoint), so an app hop costs only the callee's side
+APP_LOCATION: Optional[NetLocation] = None
 
 
 @dataclass
@@ -65,10 +70,8 @@ class LayeringStrategy:
 
     name = "abstract"
 
-    def __init__(self, transport: Transport,
-                 app_location: Optional[NetLocation] = None):
+    def __init__(self, transport: Transport):
         self.transport = transport
-        self.app_location = app_location
 
     def place(self, requests: Sequence[ObjectClassRequest]
               ) -> LayeringOutcome:
@@ -91,9 +94,8 @@ class AppDoesItAll(LayeringStrategy):
     name = "(a) app does it all"
 
     def __init__(self, transport: Transport, hosts: Sequence[HostObject],
-                 app_location: Optional[NetLocation] = None,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__(transport, app_location)
+        super().__init__(transport)
         self.hosts = list(hosts)
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
@@ -107,7 +109,7 @@ class AppDoesItAll(LayeringStrategy):
             for host in self.hosts:
                 try:
                     attrs = self.transport.invoke(
-                        self.app_location, host.location,
+                        APP_LOCATION, host.location,
                         host.attributes.snapshot, label="probe")
                 except LegionError:
                     continue
@@ -127,14 +129,14 @@ class AppDoesItAll(LayeringStrategy):
                         continue
                     try:
                         token = self.transport.invoke(
-                            self.app_location, host.location,
+                            APP_LOCATION, host.location,
                             host.make_reservation, vaults[0],
                             class_obj.loid, label="make_reservation")
                     except LegionError:
                         continue
                     placement = Placement(host.loid, vaults[0], token)
                     created = self.transport.invoke(
-                        self.app_location, host.location,
+                        APP_LOCATION, host.location,
                         class_obj.create_instance, placement,
                         now=self.transport.sim.now,
                         label="create_instance")
@@ -157,9 +159,8 @@ class AppWithRMServices(LayeringStrategy):
 
     def __init__(self, transport: Transport, collection: Collection,
                  enactor: Enactor,
-                 app_location: Optional[NetLocation] = None,
                  rng: Optional[np.random.Generator] = None):
-        super().__init__(transport, app_location)
+        super().__init__(transport)
         self.collection = collection
         self.enactor = enactor
         self.rng = rng if rng is not None else np.random.default_rng(0)
@@ -173,7 +174,7 @@ class AppWithRMServices(LayeringStrategy):
             query = implementation_query(class_obj.get_implementations())
             if self.collection.location is not None:
                 records = self.transport.invoke(
-                    self.app_location, self.collection.location,
+                    APP_LOCATION, self.collection.location,
                     self.collection.query, query, label="QueryCollection")
             else:
                 records = self.collection.query(query)
@@ -205,9 +206,8 @@ class CombinedSchedulerRM(LayeringStrategy):
     name = "(c) combined Scheduler + RM module"
 
     def __init__(self, transport: Transport, scheduler: Scheduler,
-                 module_location: Optional[NetLocation] = None,
-                 app_location: Optional[NetLocation] = None):
-        super().__init__(transport, app_location)
+                 module_location: Optional[NetLocation] = None):
+        super().__init__(transport)
         self.scheduler = scheduler
         self.module_location = module_location
 
@@ -217,7 +217,7 @@ class CombinedSchedulerRM(LayeringStrategy):
             return self.scheduler.run(requests)
         if self.module_location is not None:
             outcome = self.transport.invoke(
-                self.app_location, self.module_location, run_module,
+                APP_LOCATION, self.module_location, run_module,
                 label="combined-module")
         else:
             outcome = run_module()
@@ -233,9 +233,8 @@ class SeparateLayers(LayeringStrategy):
 
     def __init__(self, transport: Transport, scheduler: Scheduler,
                  scheduler_location: Optional[NetLocation] = None,
-                 enactor_location: Optional[NetLocation] = None,
-                 app_location: Optional[NetLocation] = None):
-        super().__init__(transport, app_location)
+                 enactor_location: Optional[NetLocation] = None):
+        super().__init__(transport)
         self.scheduler = scheduler
         self.scheduler_location = scheduler_location
         self.enactor_location = enactor_location
@@ -248,7 +247,7 @@ class SeparateLayers(LayeringStrategy):
         try:
             if self.scheduler_location is not None:
                 request_list = self.transport.invoke(
-                    self.app_location, self.scheduler_location, compute,
+                    APP_LOCATION, self.scheduler_location, compute,
                     label="compute_schedule")
             else:
                 request_list = compute()

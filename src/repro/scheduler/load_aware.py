@@ -36,12 +36,10 @@ class LoadAwareScheduler(Scheduler):
 
     def __init__(self, *args, n_variants: int = 3,
                  predicted_load_attr: str = "",
-                 require_free_slot: bool = True,
                  select_implementation: bool = False, **kwargs):
         super().__init__(*args, **kwargs)
         self.n_variants = n_variants
         self.predicted_load_attr = predicted_load_attr
-        self.require_free_slot = require_free_slot
         #: section 3.3 future work: pin the fastest matching binary
         self.select_implementation = select_implementation
 
@@ -67,8 +65,8 @@ class LoadAwareScheduler(Scheduler):
         return rate
 
     def _ranked_hosts(self, class_obj) -> List[CollectionRecord]:
-        extra = "$host_slots_free > 0" if self.require_free_slot else ""
-        records = self.viable_hosts(class_obj, extra_query=extra)
+        records = self.viable_hosts(class_obj,
+                                    extra_query="$host_slots_free > 0")
         if not records:
             raise SchedulingError(
                 f"no viable hosts for class {class_obj.name!r}")

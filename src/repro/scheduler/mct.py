@@ -35,13 +35,12 @@ __all__ = ["MCTScheduler"]
 class MCTScheduler(Scheduler):
     """Greedy LPT/min-completion-time placement with next-best variants."""
 
-    def __init__(self, *args, n_variants: int = 2,
-                 work_attr: str = "work_units",
-                 default_work: float = 1.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.n_variants = n_variants
-        self.work_attr = work_attr
-        self.default_work = default_work
+    #: next-best alternatives carried per entry
+    N_VARIANTS = 2
+    #: the class attribute that advertises per-instance work
+    WORK_ATTR = "work_units"
+    #: per-instance work of a class that advertises none
+    DEFAULT_WORK = 1.0
 
     def _rate_of(self, record: CollectionRecord) -> float:
         speed = float(record.get("host_speed", 1.0))
@@ -51,9 +50,9 @@ class MCTScheduler(Scheduler):
     def _work_of(self, request: ObjectClassRequest) -> float:
         """Expected per-instance work: SmartNet's 'compute characteristics'
         — here taken from the class's attribute surface if present."""
-        value = request.class_obj.attributes.get(self.work_attr)
+        value = request.class_obj.attributes.get(self.WORK_ATTR)
         if value is None:
-            return self.default_work
+            return self.DEFAULT_WORK
         return float(value)
 
     def compute_schedule(self, requests: Sequence[ObjectClassRequest]
@@ -98,7 +97,7 @@ class MCTScheduler(Scheduler):
             entries.append(ScheduleMapping(class_obj.loid, best.member,
                                            vaults[0]))
             alts = []
-            for record in ranked[1: 1 + self.n_variants]:
+            for record in ranked[1: 1 + self.N_VARIANTS]:
                 v = self.compatible_vaults_of(record)
                 if v:
                     alts.append(ScheduleMapping(class_obj.loid,
@@ -106,7 +105,7 @@ class MCTScheduler(Scheduler):
             alternates.append(alts)
 
         master = MasterSchedule(entries, label="mct")
-        for v in range(self.n_variants):
+        for v in range(self.N_VARIANTS):
             replacements = {}
             for j, alts in enumerate(alternates):
                 if v < len(alts) and not alts[v].same_target(entries[j]):

@@ -47,17 +47,21 @@ def snake_order(rows: int, cols: int) -> List[Tuple[int, int]]:
     return order
 
 
+#: cost of one grid edge between cells on the same host, in the same
+#: domain, and across domains — the 1999 reality: in-memory ~ free,
+#: LAN ~ 1, WAN ~ 20
+SAME_HOST_COST = 0.0
+INTRA_DOMAIN_COST = 1.0
+INTER_DOMAIN_COST = 20.0
+
+
 def grid_comm_cost(rows: int, cols: int,
                    cell_host: Dict[Tuple[int, int], LOID],
-                   host_domain: Dict[LOID, str],
-                   same_host_cost: float = 0.0,
-                   intra_domain_cost: float = 1.0,
-                   inter_domain_cost: float = 20.0) -> float:
+                   host_domain: Dict[LOID, str]) -> float:
     """Per-iteration communication cost of a grid placement.
 
     Each of the grid's nearest-neighbour edges contributes the cost of the
-    link between its endpoints' hosts.  Defaults approximate the 1999
-    reality: in-memory ~ free, LAN ~ 1, WAN ~ 20.
+    link between its endpoints' hosts.
     """
     total = 0.0
     for r in range(rows):
@@ -69,11 +73,11 @@ def grid_comm_cost(rows: int, cols: int,
                     continue
                 there = cell_host[(rr, cc)]
                 if here == there:
-                    total += same_host_cost
+                    total += SAME_HOST_COST
                 elif host_domain.get(here) == host_domain.get(there):
-                    total += intra_domain_cost
+                    total += INTRA_DOMAIN_COST
                 else:
-                    total += inter_domain_cost
+                    total += INTER_DOMAIN_COST
     return total
 
 
@@ -180,9 +184,8 @@ class StencilScheduler(Scheduler):
     # -- evaluation help ----------------------------------------------------
     def placement_cost(self, entries: Sequence[ScheduleMapping],
                        host_domain: Dict[LOID, str],
-                       rows: int, cols: int, **cost_kwargs) -> float:
+                       rows: int, cols: int) -> float:
         """Communication cost of the grid produced by the last compute."""
         cell_host = {cell: entries[idx].host_loid
                      for cell, idx in self.last_grid.items()}
-        return grid_comm_cost(rows, cols, cell_host, host_domain,
-                              **cost_kwargs)
+        return grid_comm_cost(rows, cols, cell_host, host_domain)

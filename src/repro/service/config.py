@@ -40,14 +40,6 @@ class ServiceConfig:
     scheduler: str = "irs"
     #: work units per placed instance of the service app class
     work: float = 10.0
-    #: reservation duration passed to ``Scheduler.run``.  Reservations
-    #: occupy their whole window even after the job completes, so the
-    #: service's sustained capacity is ``total_slots / this`` — size it
-    #: to the job (default: generous for a 10-work-unit job) or the
-    #: testbed saturates at its slot count
-    reservation_duration: float = 30.0
-    #: virtual seconds of per-request dispatch bookkeeping
-    dispatch_overhead: float = 1.0
     #: placement attempts per request before it fails (retry-on-transient)
     max_attempts: int = 3
     #: base backoff between placement attempts (virtual seconds; each
@@ -73,8 +65,6 @@ class ServiceConfig:
             raise ValueError("load_limit must be positive (or None)")
         if self.work <= 0:
             raise ValueError("work must be positive")
-        if self.dispatch_overhead < 0:
-            raise ValueError("dispatch_overhead must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.retry_backoff <= 0:

@@ -29,7 +29,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
-__all__ = ["TrafficGenerator", "TrafficModel"]
+__all__ = ["PRIORITY_WEIGHTS", "TrafficGenerator", "TrafficModel"]
+
+#: relative weights of priorities 0, 1, 2 for each arrival
+PRIORITY_WEIGHTS: Tuple[float, ...] = (0.8, 0.15, 0.05)
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,6 @@ class TrafficModel:
     surge_length: float = 0.0
     #: rate multiplier inside the surge window
     surge_multiplier: float = 1.0
-    #: relative weights of priorities 0, 1, 2, ... for each arrival
-    priority_weights: Tuple[float, ...] = (0.8, 0.15, 0.05)
 
     def __post_init__(self) -> None:
         if self.users < 1:
@@ -77,11 +78,6 @@ class TrafficModel:
         if self.surge_start >= 0 and self.surge_length <= 0:
             raise ValueError("surge_length must be positive when a "
                              "surge is scheduled")
-        if not self.priority_weights or \
-                any(w < 0 for w in self.priority_weights) or \
-                sum(self.priority_weights) <= 0:
-            raise ValueError("priority_weights must be non-negative "
-                             "with a positive sum")
 
     @property
     def base_rate(self) -> float:
@@ -126,10 +122,10 @@ class TrafficGenerator:
         self._next_toggle = 0.0
         self._proc = None
         # normalised cumulative priority distribution
-        total = sum(model.priority_weights)
+        total = sum(PRIORITY_WEIGHTS)
         acc = 0.0
         self._cum_weights = []
-        for w in model.priority_weights:
+        for w in PRIORITY_WEIGHTS:
             acc += w / total
             self._cum_weights.append(acc)
 

@@ -59,7 +59,15 @@ from .gateway import RequestGateway
 from .queue import PlacementQueue
 from .request import CANCELLED, FAILED, PLACED
 
-__all__ = ["WorkerPool"]
+__all__ = ["DISPATCH_OVERHEAD", "RESERVATION_DURATION", "WorkerPool"]
+
+#: reservation duration a worker passes to ``Scheduler.run``.
+#: Reservations occupy their whole window even after the job completes,
+#: so the service's sustained capacity is ``total_slots / this`` —
+#: generous for the default 10-work-unit job
+RESERVATION_DURATION = 30.0
+#: virtual seconds of per-request dispatch bookkeeping
+DISPATCH_OVERHEAD = 1.0
 
 
 class WorkerPool:
@@ -287,7 +295,7 @@ class WorkerPool:
                 try:
                     outcome = scheduler.run(
                         [ObjectClassRequest(self.app, count=request.count)],
-                        reservation_duration=cfg.reservation_duration)
+                        reservation_duration=RESERVATION_DURATION)
                     ok = outcome.ok
                     detail = outcome.detail
                 except LegionError as exc:
@@ -337,8 +345,7 @@ class WorkerPool:
                 request=request.request_id, attempts=request.attempts)
             self._busy_time[idx] += now - started
             self._busy_now -= 1
-            if cfg.dispatch_overhead > 0:
-                yield sim.timeout(cfg.dispatch_overhead)
+            yield sim.timeout(DISPATCH_OVERHEAD)
 
     def _abandon(self, idx: int, started: float) -> None:
         """Bookkeeping for a worker dying with a request in hand."""

@@ -369,13 +369,12 @@ class Simulator:
             self._heap, (self._now + delay, priority, next(self._seq), action)
         )
 
-    def schedule_at(self, when: float, action: Callable[[], None],
-                    priority: int = 0) -> None:
+    def schedule_at(self, when: float, action: Callable[[], None]) -> None:
         """Schedule ``action()`` at absolute virtual time ``when``."""
         if when < self._now:
             raise SimTimeError(
                 f"cannot schedule at {when} before now={self._now}")
-        heappush(self._heap, (when, priority, next(self._seq), action))
+        heappush(self._heap, (when, 0, next(self._seq), action))
 
     def ticker(self, interval: float) -> Ticker:
         """The shared :class:`GridTicker` that next fires ``interval`` from
@@ -446,13 +445,10 @@ class Simulator:
         if until > self._now:
             self._now = until
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run to quiescence, or until virtual time ``until``."""
-        if until is None:
-            while self.step():
-                pass
-        else:
-            self.run_until(until)
+    def run(self) -> None:
+        """Run to quiescence."""
+        while self.step():
+            pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.3f} pending={len(self._heap)}>"

@@ -32,6 +32,9 @@ PLATFORMS: List[Tuple[str, str, str, float]] = [
     ("alpha", "OSF1", "4.0", 2.0),
     ("rs6000", "AIX", "4.3", 1.3),
 ]
+#: each further domain is this much farther away (domain ``d`` sits at
+#: distance ``1 + DOMAIN_DISTANCE_STEP * d``); each domain has one vault
+DOMAIN_DISTANCE_STEP = 0.5
 
 
 def implementations_for_all_platforms(memory_mb: float = 16.0
@@ -50,7 +53,6 @@ class TestbedSpec:
 
     n_domains: int = 3
     hosts_per_domain: int = 8
-    vaults_per_domain: int = 1
     #: how many distinct platforms appear (1 = homogeneous)
     platform_mix: int = 3
     #: mean background load of workstation load walks (0 disables dynamics)
@@ -62,7 +64,6 @@ class TestbedSpec:
     seed: int = 0
     host_slots: int = 4
     reassess_interval: float = 30.0
-    domain_distance_step: float = 0.5
     #: "off" | "spans" — passed to :class:`Metasystem`
     tracing: str = "spans"
     #: federate the information database into this many Collection
@@ -125,10 +126,8 @@ def build_testbed(spec: Optional[TestbedSpec] = None, **kwargs) -> Metasystem:
     spec_rng = meta.rngs.stream("testbed")
     for d in range(spec.n_domains):
         domain = f"dom{d}"
-        meta.add_domain(domain,
-                        distance=1.0 + spec.domain_distance_step * d)
-        for v in range(spec.vaults_per_domain):
-            meta.add_vault(domain, name=f"{domain}-vault{v}")
+        meta.add_domain(domain, distance=1.0 + DOMAIN_DISTANCE_STEP * d)
+        meta.add_vault(domain, name=f"{domain}-vault0")
         for h in range(spec.hosts_per_domain):
             arch, os_name, os_ver, speed = PLATFORMS[
                 (d + h) % spec.platform_mix]

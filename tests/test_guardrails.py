@@ -36,6 +36,7 @@ from repro.guardrails import (
     GuardrailConfig,
     run_comparison,
 )
+from repro.guardrails.health import FAIL_DOWN, FAIL_SUSPECT, HEALTH_INTERVAL
 from repro.hosts import MachineSpec
 from repro.net import AdministrativeDomain, NetLocation, Topology, Transport
 from repro.sim import RngRegistry, Simulator
@@ -78,7 +79,7 @@ class TestGuardrailConfig:
     def test_defaults_valid(self):
         cfg = GuardrailConfig()
         assert cfg.suspect_after < cfg.down_after
-        assert cfg.fail_suspect < cfg.fail_down
+        assert FAIL_SUSPECT < FAIL_DOWN
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -335,7 +336,7 @@ class TestHealthMonitor:
         # recovery: heartbeats resume, the monitor re-classifies LIVE
         host.machine.recover()
         meta.topology.set_node_down(host.location, down=False)
-        meta.advance(meta.guardrails.config.health_interval * 4)
+        meta.advance(HEALTH_INTERVAL * 4)
         assert monitor.state_of(host.loid) == LIVE
         names = [r.get("host_name") for r in meta.collection.query("true")]
         assert host.machine.name in names
@@ -345,7 +346,7 @@ class TestHealthMonitor:
         monitor = meta.guardrails.monitor
         host = meta.host_by_name("ws1")
         key = str(host.location)
-        for _ in range(meta.guardrails.config.fail_suspect):
+        for _ in range(FAIL_SUSPECT):
             monitor.note_outcome(key, ok=False)
         monitor.tick()
         assert monitor.state_of(host.loid) == SUSPECT
@@ -391,8 +392,7 @@ class TestDaemonEviction:
 
     def test_long_down_record_evicted_then_rejoins(self):
         meta = guarded_meta()
-        daemon = meta.make_daemon(interval=30.0, watch_hosts=True,
-                                  evict_down_after=300.0)
+        daemon = meta.make_daemon(interval=30.0, evict_down_after=300.0)
         daemon.start()
         host = self._down_host(meta)
         meta.advance(meta.guardrails.config.down_after + 300.0 + 120.0)
@@ -403,7 +403,7 @@ class TestDaemonEviction:
         # recovery re-joins on the next sweep and clears the gauge
         host.machine.recover()
         meta.topology.set_node_down(host.location, down=False)
-        meta.advance(meta.guardrails.config.health_interval * 4 + 60.0)
+        meta.advance(HEALTH_INTERVAL * 4 + 60.0)
         assert host.loid in meta.collection.members()
         assert meta.metrics.gauge("collection_down_members").value == 0.0
 

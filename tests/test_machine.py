@@ -170,7 +170,7 @@ class TestLoadWalk:
         sim, m = make_machine(load_walk=walk, initial_load=0.0)
         sim.run_until(500.0)
         assert m.background_load != 0.0
-        assert 0.0 <= m.background_load <= walk.cap
+        assert 0.0 <= m.background_load <= walk.CAP
 
     def test_walk_is_deterministic_per_seed(self):
         def trace():
@@ -218,7 +218,7 @@ class TestLoadWalk:
                    + walk.sigma * rng.standard_normal())
             if spike_prob > 0.0 and rng.random() < spike_prob:
                 nxt += walk.spike_size
-            return float(min(max(nxt, 0.0), walk.cap))
+            return float(min(max(nxt, 0.0), walk.CAP))
 
         for n in range(9):
             batched, stepped = (np.random.default_rng(seed),

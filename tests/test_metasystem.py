@@ -108,3 +108,46 @@ class TestDeterminism:
         a = self.build_and_run(1)
         b = self.build_and_run(2)
         assert a != b
+
+
+class TestLayersReachLateHosts:
+    """A host added after the per-host layers are enabled gets the same
+    wiring as a host that was there when they were enabled."""
+
+    def wiring(self, meta, host):
+        from repro.objects.base import LegionObject
+        guard, econ = meta.guardrails, meta.economy
+        app = meta.classes["App"]
+        instance = LegionObject(meta.minter.mint("inst", host.machine.name),
+                                app.loid)
+        before = len(econ.ledger.records)
+        host.billing(instance, 10.0)
+        billed = econ.ledger.records[before:]
+        return {
+            "watched": str(host.loid) in guard.monitor.snapshot(),
+            "heard": guard.monitor.snapshot()[str(host.loid)]["last_seen"]
+            == meta.now,
+            "admission": host.admission is guard.admission,
+            "ledger": [(r.host_loid, r.instance_loid) for r in billed]
+            == [(host.loid, instance.loid)],
+            "market": host.attributes.get("host_ask_price")
+            == econ.market.base_ask_for(host),
+        }
+
+    def test_late_host_is_wired_like_an_early_one(self):
+        meta = Metasystem(seed=3)
+        meta.add_domain("uva")
+        spec = MachineSpec(arch="sparc", os_name="SunOS")
+        early = meta.add_unix_host("early", "uva", spec)
+        meta.add_vault("uva")
+        meta.create_class("App", [Implementation("sparc", "SunOS")])
+        meta.enable_guardrails()
+        meta.enable_economy()
+        late = meta.add_unix_host("late", "uva", spec)
+        assert meta.guardrails.monitor.watched() == 2
+        assert len(meta.economy.market) == 2
+        meta.advance(meta.reassess_interval)
+        expected = dict.fromkeys(
+            ("watched", "heard", "admission", "ledger", "market"), True)
+        assert self.wiring(meta, early) == expected
+        assert self.wiring(meta, late) == expected

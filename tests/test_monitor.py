@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Implementation, ObjectClassRequest
-from repro.hosts import UnixHost
 from repro.workload import wait_for_completion
 
 
@@ -142,7 +141,7 @@ class TestMonitor:
     def test_rebalance_updates_collection_view(self, meta, placed):
         heavy, loid, src = placed
         monitor = meta.make_monitor(min_load_advantage=0.5)
-        monitor.watch(src, UnixHost.LOAD_EVENT)
+        monitor.watch(src)
         src.machine.set_background_load(20.0)
         src.reassess()
         assert len(monitor.stats.reports) == monitor.stats.reschedules_attempted

@@ -110,7 +110,7 @@ class TestLatencyModel:
         small = model.transfer_time(rng, 1e3, a, c)
         big = model.transfer_time(rng, 1e7, a, c)
         assert big > small
-        assert big > 1e7 / model.inter_bandwidth  # at least the wire time
+        assert big > 1e7 / model.INTER_BANDWIDTH  # at least the wire time
 
     def test_zero_model(self, topo):
         import numpy as np

@@ -54,7 +54,7 @@ from repro.service.request import (
     TERMINAL_STATES,
     ServiceRequest,
 )
-from repro.service.workers import WorkerPool
+from repro.service.workers import DISPATCH_OVERHEAD, WorkerPool
 from repro.sim.kernel import Simulator
 from repro.tools import main
 from repro.workload.testbed import TestbedSpec, build_testbed
@@ -813,7 +813,7 @@ class TestGameday:
                                                           monkeypatch):
         """At ``checkpoint_at`` requests are in flight and no worker is
         dead; the capture happens the instant the last worker parks,
-        ``dispatch_overhead`` after the last ``finish``, not at a later
+        ``DISPATCH_OVERHEAD`` after the last ``finish``, not at a later
         whole second, and the restored run stays byte-identical."""
         captured = []
 
@@ -832,7 +832,7 @@ class TestGameday:
         captured_at = cmp.restored.checkpoint["captured_at"]
         assert 3.0 < finishes[-1] < captured_at < 18.0  # before any kill
         assert captured_at == stable_round(
-            finishes[-1] + ServiceConfig().dispatch_overhead)
+            finishes[-1] + DISPATCH_OVERHEAD)
         assert captured_at != int(captured_at)
 
     def test_report_roundtrips_to_json(self):

@@ -89,7 +89,7 @@ class TestMCT:
         bare = meta.create_class("Bare", [Implementation("sparc",
                                                          "SunOS")])
         assert sched._work_of(ObjectClassRequest(bare, 1)) == \
-            sched.default_work
+            sched.DEFAULT_WORK
 
     def test_no_viable_hosts(self, hetero):
         meta, _ = hetero

@@ -27,7 +27,7 @@ from repro.service import (
 )
 from repro.service.gateway import ServiceAdmission
 from repro.service.request import ServiceRequest, TERMINAL_STATES
-from repro.service.traffic import TrafficGenerator
+from repro.service.traffic import PRIORITY_WEIGHTS, TrafficGenerator
 from repro.sim import RngRegistry, Simulator
 from repro.tools import main
 from repro.workload.testbed import TestbedSpec, build_testbed
@@ -563,8 +563,8 @@ def reference_arrivals(sim, rng, model, duration, out):
     bursting = False
     next_toggle = t0 + float(rng.exponential(model.mean_burst_every))
     cum, acc = [], 0.0
-    for w in model.priority_weights:
-        acc += w / sum(model.priority_weights)
+    for w in PRIORITY_WEIGHTS:
+        acc += w / sum(PRIORITY_WEIGHTS)
         cum.append(acc)
     while True:
         gap = float(rng.exponential(1.0 / lam_max))

@@ -28,8 +28,7 @@ class TestSoak:
             seed=777, host_slots=3))
         daemon = meta.make_daemon(interval=45.0)
         daemon.start()
-        monitor = meta.make_monitor(min_load_advantage=2.0,
-                                    max_migrations_per_event=1)
+        monitor = meta.make_monitor(min_load_advantage=2.0)
         monitor.watch_all(meta.hosts)
 
         apps = [
