@@ -88,16 +88,6 @@ class Ledger:
     def total(self) -> float:
         return sum(r.amount for r in self.records)
 
-    def total_for_class(self, class_loid: LOID) -> float:
-        return sum(r.amount for r in self.records
-                   if r.class_loid == class_loid)
-
-    def revenue_by_host(self) -> Dict[LOID, float]:
-        out: Dict[LOID, float] = {}
-        for r in self.records:
-            out[r.host_loid] = out.get(r.host_loid, 0.0) + r.amount
-        return out
-
     def cycles_by_host(self) -> Dict[LOID, float]:
         out: Dict[LOID, float] = {}
         for r in self.records:

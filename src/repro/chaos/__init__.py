@@ -26,12 +26,10 @@ Entry points: ``Metasystem.start_chaos(...)``,
 from .campaign import run_campaign
 from .faults import (
     FAULT_CLASSES,
-    DomainHeal,
     DomainPartition,
     Fault,
     FederationShardOutage,
     HostCrash,
-    HostRecover,
     LatencySpike,
     LoadSurge,
     MessageLossSpike,
@@ -52,9 +50,7 @@ from .retry import RetryPolicy
 __all__ = [
     "Fault",
     "HostCrash",
-    "HostRecover",
     "DomainPartition",
-    "DomainHeal",
     "MessageLossSpike",
     "LatencySpike",
     "LoadSurge",

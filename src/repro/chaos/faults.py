@@ -33,9 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover — avoid the metasystem import cycle
 __all__ = [
     "Fault",
     "HostCrash",
-    "HostRecover",
     "DomainPartition",
-    "DomainHeal",
     "MessageLossSpike",
     "LatencySpike",
     "LoadSurge",
@@ -51,7 +49,7 @@ class Fault:
     """One revertible fault action against a metasystem."""
 
     kind = "fault"
-    #: one-shot faults are repairs (recover/heal): applied once, nothing
+    #: one-shot faults are repairs (a worker revive): applied once, nothing
     #: to revert
     one_shot = False
     #: faults sharing a lock group may not overlap on the same target;
@@ -87,10 +85,6 @@ class Fault:
 
     def _revert(self, meta: "Metasystem") -> None:
         pass
-
-    def describe(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "target": self.target,
-                "magnitude": self.magnitude}
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.target or '*'}>"
@@ -133,21 +127,6 @@ class HostCrash(Fault):
         machine.recover()
 
 
-class HostRecover(Fault):
-    """One-shot repair: bring a crashed host back (declarative plans)."""
-
-    kind = "host_recover"
-    lock_group = "host"
-    one_shot = True
-
-    def _apply(self, meta: "Metasystem") -> None:
-        machine = _machine_of(meta, self.target)
-        if machine.up:
-            raise ChaosError(f"host {self.target} is already up")
-        meta.topology.set_node_down(machine.location, False)
-        machine.recover()
-
-
 class DomainPartition(Fault):
     """Cut connectivity between two administrative domains."""
 
@@ -165,20 +144,6 @@ class DomainPartition(Fault):
 
     def _revert(self, meta: "Metasystem") -> None:
         a, b = _domain_pair(self.target)
-        meta.topology.heal(a, b)
-
-
-class DomainHeal(Fault):
-    """One-shot repair: heal a partition (declarative plans)."""
-
-    kind = "domain_heal"
-    lock_group = "partition"
-    one_shot = True
-
-    def _apply(self, meta: "Metasystem") -> None:
-        a, b = _domain_pair(self.target)
-        if tuple(sorted((a, b))) not in meta.topology.partitions():
-            raise ChaosError(f"{a}|{b} is not partitioned")
         meta.topology.heal(a, b)
 
 
@@ -330,9 +295,8 @@ class WorkerRevive(Fault):
 #: registry used by plans to instantiate faults from serialized events
 FAULT_CLASSES: Dict[str, Type[Fault]] = {
     cls.kind: cls
-    for cls in (HostCrash, HostRecover, DomainPartition, DomainHeal,
-                MessageLossSpike, LatencySpike, LoadSurge,
-                FederationShardOutage, WorkerCrash, WorkerRevive)
+    for cls in (HostCrash, DomainPartition, MessageLossSpike, LatencySpike,
+                LoadSurge, FederationShardOutage, WorkerCrash, WorkerRevive)
 }
 
 

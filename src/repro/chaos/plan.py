@@ -123,12 +123,6 @@ class ChaosPlan:
                 "profile": self.profile,
                 "events": [e.to_dict() for e in self.events]}
 
-    def describe(self) -> str:
-        counts = ", ".join(f"{k} x{n}"
-                           for k, n in sorted(self.counts_by_kind().items()))
-        return (f"{len(self.events)} fault(s) over {self.horizon:.0f}s"
-                + (f": {counts}" if counts else ""))
-
 
 #: named campaign shapes for the CLI / testbed knob.  MTBF/MTTR are per
 #: target, in virtual seconds.
@@ -172,9 +166,9 @@ PROFILES: Dict[str, CampaignConfig] = {
 
 def _targets_for(meta: "Metasystem", kind: str) -> List[str]:
     """Deterministic target universe for one fault class."""
-    if kind in ("host_crash", "host_recover", "load_surge"):
+    if kind in ("host_crash", "load_surge"):
         return sorted(h.machine.name for h in meta.hosts)
-    if kind in ("domain_partition", "domain_heal"):
+    if kind == "domain_partition":
         names = sorted(d.name for d in meta.topology.domains())
         return [f"{a}|{b}" for a, b in combinations(names, 2)]
     if kind in ("message_loss_spike", "latency_spike"):

@@ -129,13 +129,3 @@ class CoAllocator:
             return 0
         self.transport.parallel_invoke(calls)
         return len(calls)
-
-    def domains_involved(self,
-                         entries: Sequence[ScheduleMapping]) -> List[str]:
-        """Distinct administrative domains named by a schedule."""
-        domains = set()
-        for mapping in entries:
-            host = self.resolver(mapping.host_loid)
-            if host is not None:
-                domains.add(host.domain)
-        return sorted(domains)

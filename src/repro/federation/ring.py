@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 __all__ = ["ConsistentHashRing"]
 
@@ -126,9 +126,3 @@ class ConsistentHashRing:
                 arc = total
             fractions[self._owners[i]] += arc / total
         return {n: fractions[n] for n in sorted(fractions)}
-
-    def assignments(self, keys: List[str], replication: int
-                    ) -> Dict[str, Tuple[str, ...]]:
-        """Full placement map: key -> (home, replica, ...)."""
-        return {key: tuple(self.preference_list(key, replication))
-                for key in keys}

@@ -8,9 +8,10 @@ change.  Behind the facade:
 
 * **writes** (join/update/leave/pull) route to the record's *replica
   set* — the consistent-hash ring's home shard plus ``replication - 1``
-  successors.  A write succeeds if any replica accepts it; replicas
-  missed while unreachable are repaired later by anti-entropy gossip
-  (:mod:`repro.federation.sync`);
+  successors.  A write succeeds if any replica accepts it; a join or
+  update that misses a replica (unreachable, or its message lost) is
+  repaired later by anti-entropy gossip (:mod:`repro.federation.sync`)
+  or the member's next push;
 * **queries** scatter to every shard concurrently (located shards go
   through :meth:`Transport.parallel_invoke`, so the cost is the
   *slowest* shard, not the sum), gather every reply, and merge with
@@ -40,6 +41,7 @@ from ..collection.records import CollectionRecord
 from ..errors import (
     AuthenticationError,
     HostUnreachableError,
+    NetworkError,
     NotAMemberError,
 )
 from ..naming.loid import LOID
@@ -203,7 +205,7 @@ class FederatedCollection:
                 cred = self._write_call(
                     shard, shard.collection.join, joiner,
                     attributes, label="JoinCollection")
-            except HostUnreachableError:
+            except NetworkError:
                 self.metrics.count("federation_shard_unreachable_total",
                                    shard=shard.shard_id)
                 continue
@@ -246,7 +248,7 @@ class FederatedCollection:
                     self._write_call(
                         shard, shard.collection.update_entry, member,
                         attributes, cred, label="UpdateCollectionEntry")
-            except HostUnreachableError:
+            except NetworkError:
                 self.metrics.count("federation_shard_unreachable_total",
                                    shard=shard.shard_id)
                 continue

@@ -52,10 +52,6 @@ class CollectionShard:
     def is_home(self, member: LOID) -> bool:
         return self.preference_list(member)[0] == self.shard_id
 
-    def owns(self, member: LOID) -> bool:
-        """Is this shard in the record's replica set?"""
-        return self.shard_id in self.preference_list(member)
-
     # -- anti-entropy surface ------------------------------------------------
     def digest(self) -> Dict[str, Version]:
         """Version summary of every record held, keyed by LOID text.

@@ -191,9 +191,6 @@ class BreakerBoard:
     def open_count(self) -> int:
         return sum(1 for b in self._breakers.values() if b.state == OPEN)
 
-    def states(self) -> Dict[str, str]:
-        return {dst: b.state for dst, b in sorted(self._breakers.items())}
-
     def total_opens(self) -> int:
         return sum(b.opens for b in self._breakers.values())
 

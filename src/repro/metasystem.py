@@ -30,7 +30,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 from .collection.collection import Collection, Credential
 from .collection.daemon import DataCollectionDaemon
 from .enactor.enactor import Enactor
-from .errors import LegionError, NotAMemberError, UnknownObjectError
+from .errors import (LegionError, NetworkError, NotAMemberError,
+                     UnknownObjectError)
 from .federation.ring import ConsistentHashRing
 from .federation.router import FederatedCollection, FederationConfig
 from .federation.shard import CollectionShard
@@ -319,14 +320,20 @@ class Metasystem:
         """Deposit ``host``'s attributes into the Collection (the push
         model), under the credential it joined with."""
         try:
-            self.collection.update_entry(
-                host.loid, host.attributes.snapshot(),
-                self._host_credentials[host.loid])
-        except NotAMemberError:
-            # the health-aware daemon evicted the record while the host
-            # was DOWN — recovery re-joins (credentials are deterministic
-            # per member, so the stored one stays valid)
-            self.collection.join(host.loid, host.attributes.snapshot())
+            try:
+                self.collection.update_entry(
+                    host.loid, host.attributes.snapshot(),
+                    self._host_credentials[host.loid])
+            except NotAMemberError:
+                # the health-aware daemon evicted the record while the
+                # host was DOWN — recovery re-joins (credentials are
+                # deterministic per member, so the stored one stays valid)
+                self.collection.join(host.loid, host.attributes.snapshot())
+        except NetworkError:
+            # no replica of a federated record took the write (lost or
+            # unreachable); as HealthMonitor._publish does, drop it: the
+            # next reassessment pushes again
+            pass
 
     def add_unix_host(self, name: str, domain: str,
                       spec: Optional[MachineSpec] = None,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..errors import LegionError
+from ..errors import LegionError, NetworkError
 from ..hosts.host_object import HostObject
 from ..hosts.reservations import REUSABLE_TIME
 from ..naming.loid import LOID
@@ -165,31 +165,37 @@ class Migrator:
         new_vault: Optional[VaultObject] = self.resolver(new_vault_loid)
         if new_vault is None:
             return rollback(f"unknown vault {new_vault_loid}")
+        moved = old_vault is not None and old_vault.loid != new_vault.loid
         try:
-            if old_vault is not None and old_vault.loid != new_vault.loid:
+            if moved:
                 self.transport.transfer(old_vault.location,
                                         new_vault.location,
                                         opr.size_bytes, label="opr-move")
             new_vault.store_opr(opr)
         except LegionError as exc:
             return rollback(f"OPR move failed: {exc}")
-        if (old_vault is not None and old_vault.loid != new_vault.loid
-                and old_vault.has_opr(instance_loid)):
-            old_vault.delete_opr(instance_loid)
 
-        # 4. reactivate on the destination
+        # 4. reactivate on the destination.  A start the destination
+        # refused, or whose request was lost, rolls back as step 3 does; a
+        # start that ran but whose reply was lost is a completed move.
         instance.reactivate(new_vault.retrieve_opr(instance_loid),
                             host_loid=to_host.loid,
                             vault_loid=new_vault.loid, now=sim.now)
-        started = self.transport.invoke(
-            None, to_host.location, to_host.start_object, instance,
-            new_vault.loid, reservation_token=token, label="migrate-start")
-        if not started.ok:
-            from ..objects.base import ObjectState
-            report.detail = f"reactivation failed: {started.reason}"
-            instance.state = ObjectState.INERT
-            self.failures += 1
-            return report
+        try:
+            started = self.transport.invoke(
+                None, to_host.location, to_host.start_object, instance,
+                new_vault.loid, reservation_token=token,
+                label="migrate-start")
+            failure = None if started.ok else started.reason
+        except NetworkError as exc:
+            failure = None if instance_loid in to_host.placed else str(exc)
+        if failure is not None:
+            instance.cancel_activation()
+            if moved:  # the object stays with its old vault
+                new_vault.delete_opr(instance_loid)
+            return rollback(f"reactivation failed: {failure}")
+        if moved and old_vault.has_opr(instance_loid):
+            old_vault.delete_opr(instance_loid)
 
         report.ok = True
         report.elapsed = sim.now - start

@@ -134,6 +134,16 @@ class LegionObject:
         self.vault_loid = vault_loid
         self.activation_count += 1
 
+    def cancel_activation(self) -> None:
+        """Undo :meth:`reactivate` when the host did not start the object:
+        INERT again, held by no host, neither the activation nor a move
+        counted."""
+        if self.last_host_loid not in (None, self.host_loid):
+            self.migration_count -= 1
+        self.activation_count -= 1
+        self.state = ObjectState.INERT
+        self.host_loid = None
+
     def kill(self) -> None:
         """Destroy the object; it can never be reactivated."""
         self.state = ObjectState.DEAD

@@ -316,7 +316,7 @@ class ClassObject(LegionObject):
         started = host.start_object(instance, instance.vault_loid,
                                     None, now=now)
         if not started.ok:
-            instance.state = ObjectState.INERT
+            instance.cancel_activation()
             raise MigrationError(
                 f"reactivation of {loid} failed: {started.reason}")
         return instance

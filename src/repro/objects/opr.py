@@ -47,13 +47,3 @@ class OPR:
             saved_at=self.saved_at,
             size_bytes=self.size_bytes,
         )
-
-    def successor(self, state: Dict[str, Any], now: float) -> "OPR":
-        """A new OPR reflecting a later checkpoint of the same object."""
-        return OPR(
-            loid=self.loid,
-            class_loid=self.class_loid,
-            state=copy.deepcopy(state),
-            version=self.version + 1,
-            saved_at=now,
-        )

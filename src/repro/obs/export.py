@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
+from .registry import bucket_quantile
+
 __all__ = [
     "build_snapshot",
     "snapshot_to_json",
@@ -133,20 +135,9 @@ def _series_quantile(series: Dict[str, Any], q: float) -> Optional[float]:
     count = series["count"]
     if not count:
         return None
-    rank = q * count
-    prev_cum = 0
-    prev_bound = series["min"]
-    for bound, cum in series["buckets"]:
-        upper = series["max"] if bound == "+Inf" else float(bound)
-        if rank <= cum:
-            width = cum - prev_cum
-            frac = (rank - prev_cum) / width if width else 1.0
-            value = prev_bound + (upper - prev_bound) * frac
-            return min(max(value, series["min"]), series["max"])
-        if cum > prev_cum:
-            prev_bound = upper
-        prev_cum = cum
-    return series["max"]
+    buckets = ((series["max"] if bound == "+Inf" else float(bound), cum)
+               for bound, cum in series["buckets"])
+    return bucket_quantile(buckets, count, series["min"], series["max"], q)
 
 
 def _fmt(x: Optional[float]) -> str:

@@ -36,7 +36,8 @@ Design points:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..sim.stats import RunningStats
 
@@ -167,7 +168,7 @@ class Histogram(_Instrument):
     ``buckets`` are finite upper bounds; an implicit +Inf bucket catches
     the overflow.  Exact count/sum/min/max/mean come from a
     :class:`RunningStats`; :meth:`quantile` interpolates linearly within
-    the containing bucket (clamped to the observed min/max).
+    the containing bucket (see :func:`bucket_quantile`).
     """
 
     kind = "histogram"
@@ -219,22 +220,35 @@ class Histogram(_Instrument):
         """Interpolated q-quantile (q in [0, 1]); NaN when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.stats.n == 0:
+        stats = self.stats
+        if stats.n == 0:
             return float("nan")
-        rank = q * self.stats.n
-        cumulative = self.cumulative_counts()
-        for i, cum in enumerate(cumulative):
-            if rank <= cum:
-                lo = self.bounds[i - 1] if i > 0 else self.stats.minimum
-                hi = (self.bounds[i] if i < len(self.bounds)
-                      else self.stats.maximum)
-                prev = cumulative[i - 1] if i > 0 else 0
-                width = cum - prev
-                frac = (rank - prev) / width if width else 1.0
-                value = lo + (hi - lo) * frac
-                return min(max(value, self.stats.minimum),
-                           self.stats.maximum)
-        return self.stats.maximum
+        uppers = (*self.bounds, stats.maximum)
+        return bucket_quantile(zip(uppers, self.cumulative_counts()),
+                               stats.n, stats.minimum, stats.maximum, q)
+
+
+def bucket_quantile(buckets: Iterable[Tuple[float, int]], count: int,
+                    minimum: float, maximum: float, q: float) -> float:
+    """The q-quantile of ``count`` observations from their cumulative
+    ``(upper bound, count)`` buckets: linear inside the bucket that holds
+    rank ``q * count``, from the upper bound of the last non-empty bucket
+    below it (the observed minimum if none) to its own upper bound,
+    clamped to the observed ``[minimum, maximum]``.  One interpolation
+    for :meth:`Histogram.quantile` and the ``legion-sim metrics`` table."""
+    rank = q * count
+    prev_cum = 0
+    lower = minimum
+    for upper, cum in buckets:
+        if rank <= cum:
+            width = cum - prev_cum
+            frac = (rank - prev_cum) / width if width else 1.0
+            value = lower + (upper - lower) * frac
+            return min(max(value, minimum), maximum)
+        if cum > prev_cum:
+            lower = upper
+        prev_cum = cum
+    return maximum
 
 
 class Timer:

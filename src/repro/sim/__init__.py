@@ -1,27 +1,14 @@
 """Discrete-event simulation substrate: kernel, RNG streams, distributions,
 and online statistics."""
 
-from .kernel import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
+from .kernel import Event, Process, Simulator, Timeout
 from .rng import RngRegistry, derive_seed
-from .distributions import (
-    Clipped,
-    Constant,
-    Distribution,
-    Empirical,
-    Exponential,
-    LogNormal,
-    Normal,
-    Pareto,
-    Shifted,
-    Uniform,
-    Weibull,
-)
-from .stats import Histogram, RunningStats, TimeWeightedStats, summarize
+from .distributions import Clipped, Distribution, LogNormal, Pareto
+from .stats import RunningStats, summarize
 
 __all__ = [
-    "Simulator", "Process", "Event", "Timeout", "AllOf", "AnyOf", "Interrupt",
+    "Simulator", "Process", "Event", "Timeout",
     "RngRegistry", "derive_seed",
-    "Distribution", "Constant", "Uniform", "Exponential", "Normal",
-    "LogNormal", "Pareto", "Weibull", "Empirical", "Shifted", "Clipped",
-    "RunningStats", "TimeWeightedStats", "Histogram", "summarize",
+    "Distribution", "LogNormal", "Pareto", "Clipped",
+    "RunningStats", "summarize",
 ]

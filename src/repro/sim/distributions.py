@@ -10,21 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Distribution",
-    "Constant",
-    "Uniform",
-    "Exponential",
-    "Normal",
     "LogNormal",
     "Pareto",
-    "Weibull",
-    "Empirical",
-    "Shifted",
     "Clipped",
 ]
 
@@ -43,80 +35,6 @@ class Distribution:
     def mean(self) -> float:
         """Analytic mean where known; ``nan`` otherwise."""
         return float("nan")
-
-
-@dataclass(frozen=True)
-class Constant(Distribution):
-    """Degenerate distribution: always ``value``."""
-
-    value: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.value)
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, float(self.value))
-
-    @property
-    def mean(self) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class Uniform(Distribution):
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if self.high < self.low:
-            raise ValueError(f"Uniform high {self.high} < low {self.low}")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class Exponential(Distribution):
-    """Exponential with the given *mean* (not rate)."""
-
-    mean_value: float
-
-    def __post_init__(self):
-        if self.mean_value <= 0:
-            raise ValueError("Exponential mean must be positive")
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean_value))
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(self.mean_value, size=n)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_value
-
-
-@dataclass(frozen=True)
-class Normal(Distribution):
-    mu: float
-    sigma: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.normal(self.mu, self.sigma))
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mu, self.sigma, size=n)
-
-    @property
-    def mean(self) -> float:
-        return self.mu
 
 
 @dataclass(frozen=True)
@@ -159,66 +77,6 @@ class Pareto(Distribution):
         if self.alpha <= 1:
             return float("inf")
         return self.alpha * self.xm / (self.alpha - 1)
-
-
-@dataclass(frozen=True)
-class Weibull(Distribution):
-    """Weibull with shape ``k`` and scale ``lam`` — used for failure times."""
-
-    k: float
-    lam: float = 1.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.lam * rng.weibull(self.k))
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.lam * rng.weibull(self.k, size=n)
-
-    @property
-    def mean(self) -> float:
-        return self.lam * math.gamma(1.0 + 1.0 / self.k)
-
-
-class Empirical(Distribution):
-    """Resample uniformly from an observed trace."""
-
-    def __init__(self, values: Sequence[float]):
-        arr = np.asarray(list(values), dtype=float)
-        if arr.size == 0:
-            raise ValueError("Empirical requires at least one value")
-        self.values = arr
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.values[rng.integers(0, self.values.size)])
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.integers(0, self.values.size, size=n)
-        return self.values[idx]
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Empirical(n={self.values.size}, mean={self.mean:.3g})"
-
-
-@dataclass(frozen=True)
-class Shifted(Distribution):
-    """``base + offset`` — e.g. a minimum network propagation delay."""
-
-    base: Distribution
-    offset: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.base.sample(rng) + self.offset
-
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.base.sample_n(rng, n) + self.offset
-
-    @property
-    def mean(self) -> float:
-        return self.base.mean + self.offset
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ Processes are Python generators that ``yield`` waitable objects:
 
 * :class:`Timeout` — resume after a virtual-time delay;
 * :class:`Event` — resume when the event is succeeded (or failed);
-* :class:`AllOf` / :class:`AnyOf` — composite conditions;
 * another :class:`Process` — resume when that process terminates.
 
 The event queue is a binary heap ordered by ``(time, priority, seq)`` so that
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..errors import ProcessError, SimTimeError
 
@@ -39,20 +38,9 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Ticker",
     "GridTicker",
 ]
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -136,62 +124,6 @@ class Timeout(Event):
         sim.schedule(delay, lambda: self.succeed(value))
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str):
-        super().__init__(sim, name=name)
-        self.events: Tuple[Event, ...] = tuple(events)
-        if not self.events:
-            # vacuous condition resolves immediately
-            self.succeed({})
-            return
-        for ev in self.events:
-            ev._add_waiter(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        return {e: e.value for e in self.events if e.ok}
-
-
-class AllOf(_Condition):
-    """Succeeds when every child event has succeeded; fails on first failure."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, name="all_of")
-
-    def _on_child(self, ev: Event) -> None:
-        if self.resolved:
-            return
-        if ev.state == Event.FAILED:
-            self.fail(ev.value)
-        elif all(e.ok for e in self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first child succeeds; fails if all children fail."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, events, name="any_of")
-
-    def _on_child(self, ev: Event) -> None:
-        if self.resolved:
-            return
-        if ev.state == Event.SUCCEEDED:
-            self.succeed(self._collect())
-        elif all(e.state == Event.FAILED for e in self.events):
-            self.fail(ev.value)
-
-
 class Process(Event):
     """A running generator process.
 
@@ -199,30 +131,19 @@ class Process(Event):
     returns (success, with the return value) or raises (failure).
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         if not hasattr(gen, "send"):
             raise ProcessError(f"process body must be a generator, got {gen!r}")
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         # First step happens as a scheduled kernel action so that creating a
         # process inside another process is safe.
         sim.schedule(0.0, lambda: self._step(None, None))
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.resolved:
-            return
-        self._waiting_on = None  # the pending wakeup will be ignored
-        self.sim.schedule(0.0, lambda: self._throw(Interrupt(cause)))
-
     # -- stepping ----------------------------------------------------------
     def _on_wakeup(self, ev: Event) -> None:
-        if self._waiting_on is not ev:
-            return  # stale wakeup after an interrupt
-        self._waiting_on = None
         if ev.state == Event.FAILED:
             self._throw(ev.value)
         else:
@@ -244,9 +165,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(getattr(stop, "value", None))
             return
-        except Interrupt as unhandled:
-            self.fail(unhandled)
-            return
         except Exception as err:
             self.fail(err)
             return
@@ -255,7 +173,6 @@ class Process(Event):
         if not isinstance(target, Event):
             self.fail(ProcessError(f"process yielded non-waitable {target!r}"))
             return
-        self._waiting_on = target
         target._add_waiter(self._on_wakeup)
 
 
@@ -391,21 +308,11 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a generator as a simulated process."""
         return Process(self, gen, name=name)
 
     # -- execution -----------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next scheduled action, or ``float('inf')`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
     def step(self) -> bool:
         """Run the single next action.  Returns False when the heap is empty."""
         if not self._heap:

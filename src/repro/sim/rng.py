@@ -11,7 +11,7 @@ studies (common random numbers).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -54,14 +54,3 @@ class RngRegistry:
             gen = np.random.default_rng(derive_seed(self.seed, *key))
             self._streams[key] = gen
         return gen
-
-    def fork(self, *names: str) -> "RngRegistry":
-        """A child registry whose root is derived from this one's seed."""
-        return RngRegistry(derive_seed(self.seed, *names))
-
-    def reset(self, *names: Optional[str]) -> None:
-        """Drop cached streams (all, or the one matching the name path)."""
-        if names and names[0] is not None:
-            self._streams.pop(tuple(str(n) for n in names), None)
-        else:
-            self._streams.clear()

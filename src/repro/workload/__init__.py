@@ -1,4 +1,4 @@
-"""Workloads: testbed builders, application models, arrival generators."""
+"""Workloads: testbed builders and application models."""
 
 from .applications import (
     BagOfTasks,
@@ -7,7 +7,6 @@ from .applications import (
     StencilApplication,
     wait_for_completion,
 )
-from .generator import ArrivalProcess, RequestStream, StreamStats
 from .testbed import (
     PLATFORMS,
     TestbedSpec,
@@ -20,7 +19,6 @@ from .testbed import (
 __all__ = [
     "BagOfTasks", "ParameterStudy", "StencilApplication", "RunReport",
     "wait_for_completion",
-    "ArrivalProcess", "RequestStream", "StreamStats",
     "TestbedSpec", "build_testbed", "small_campus", "multi_domain",
     "PLATFORMS", "implementations_for_all_platforms",
 ]

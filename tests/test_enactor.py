@@ -468,14 +468,3 @@ class TestCoAllocation:
         parallel_time = multi.now - t0
         assert fb2.ok
         assert parallel_time < sequential_time
-
-    def test_domains_involved(self, multi):
-        from repro.objects import Implementation
-        app = multi.create_class("D", [Implementation("sparc", "SunOS")],
-                                 work_units=1.0)
-        vaults = {v.location.domain: v for v in multi.vaults}
-        entries = [ScheduleMapping(app.loid, h.loid,
-                                   vaults[h.domain].loid)
-                   for h in multi.hosts[:6]]
-        domains = multi.enactor.coallocator.domains_involved(entries)
-        assert len(domains) >= 2

@@ -318,6 +318,30 @@ class TestLocatedShards:
         assert len(partial) == 6  # replicas cover the loss
         assert m.collection.partial_queries == 1
 
+    def test_total_loss_window_is_repaired_by_the_next_push(self):
+        """Every replica write of the reassessment pushes is lost for a
+        while: the world advances without raising, and the first
+        reassessment after the window brings every replica of each
+        host's record back to the host's attributes."""
+        meta = federated_testbed(seed=11, shards=3, replication=2)
+        meta.place_federation()
+        meta.advance(60.0)
+
+        def stale_replicas():
+            return [(host.machine.name, shard.shard_id)
+                    for host in meta.hosts
+                    for shard in meta.collection.replicas_for(host.loid)
+                    if not shard.collection.record_of(host.loid).covers(
+                        host.attributes.snapshot())]
+
+        assert stale_replicas() == []
+        meta.transport.push_loss_spike(1.0)
+        meta.advance(120.0)  # four reassessment ticks, every push lost
+        assert stale_replicas()
+        meta.transport.pop_loss_spike(1.0)
+        meta.advance(meta.reassess_interval)
+        assert stale_replicas() == []
+
 
 # ---------------------------------------------------------------------------
 # gossip anti-entropy

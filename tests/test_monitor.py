@@ -92,6 +92,86 @@ class TestMigrator:
         assert instance.migration_count == 1
 
 
+def hook_migrate_start(monkeypatch, meta, lose=None, on_request=None):
+    """Steer the hops of the Migrator's ``migrate-start`` call: lose its
+    ``"request"`` or its ``"reply"``, and run ``on_request()`` as the
+    request is sent."""
+    transport = meta.transport
+    real_hop = transport._hop
+    # the hop after a delivered migrate-start request is its reply
+    reply_next = {"start": False}
+
+    def hop(src, dst, label):
+        delay, lost = real_hop(src, dst, label)
+        if label == "migrate-start":
+            if on_request is not None:
+                on_request()
+            reply_next["start"] = lose != "request"
+            return delay, lose == "request"
+        if reply_next["start"]:
+            reply_next["start"] = False
+            return delay, lose == "reply"
+        return delay, lost
+    monkeypatch.setattr(transport, "_hop", hop)
+
+
+class TestMigrationStart:
+    """Step 4: the destination's start of the moved object fails or its
+    reply is lost."""
+
+    def assert_rolled_back(self, meta, heavy, loid, src, dst, report):
+        assert not report.ok
+        assert "reactivation failed" in report.detail
+        assert meta.migrator.failures == 1
+        assert meta.migrator.migrations == 0
+        instance = heavy.get_instance(loid)
+        assert instance.is_active
+        assert instance.host_loid == src.loid
+        assert loid in src.placed and loid not in dst.placed
+        assert instance.migration_count == 0
+        assert dst.reservations.live_count(meta.now) == 0
+
+    def test_lost_request_restarts_on_the_source(self, meta, placed,
+                                                 monkeypatch):
+        heavy, loid, src = placed
+        dst = meta.hosts[1]
+        v2 = meta.add_vault("uva", name="uva-vault-b")
+        hook_migrate_start(monkeypatch, meta, lose="request")
+        report = meta.migrator.migrate(loid, dst.loid, to_vault_loid=v2.loid)
+        self.assert_rolled_back(meta, heavy, loid, src, dst, report)
+        assert heavy.get_instance(loid).vault_loid == meta.vaults[0].loid
+        assert not v2.has_opr(loid)  # the moved OPR went with the move
+
+    def test_refused_start_restarts_on_the_source(self, meta, placed,
+                                                  monkeypatch):
+        heavy, loid, src = placed
+        dst = meta.hosts[1]
+
+        def owner_takes_the_slots():
+            dst.slots = len(dst.placed)
+        hook_migrate_start(monkeypatch, meta,
+                           on_request=owner_takes_the_slots)
+        report = meta.migrator.migrate(loid, dst.loid)
+        assert "slots occupied" in report.detail
+        self.assert_rolled_back(meta, heavy, loid, src, dst, report)
+
+    def test_lost_reply_is_a_completed_move(self, meta, placed,
+                                            monkeypatch):
+        heavy, loid, src = placed
+        dst = meta.hosts[1]
+        hook_migrate_start(monkeypatch, meta, lose="reply")
+        lost_before = meta.transport.messages_lost
+        report = meta.migrator.migrate(loid, dst.loid)
+        assert meta.transport.messages_lost == lost_before + 1
+        assert report.ok, report.detail
+        assert meta.migrator.migrations == 1
+        assert meta.migrator.failures == 0
+        instance = heavy.get_instance(loid)
+        assert instance.is_active and instance.host_loid == dst.loid
+        assert loid in dst.placed and loid not in src.placed
+        assert instance.migration_count == 1
+
+
 class TestMonitor:
     def test_outcall_triggers_rebalance(self, meta, placed):
         heavy, loid, src = placed

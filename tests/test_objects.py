@@ -262,14 +262,6 @@ class TestLifecycle:
         clone.state["k"].append(2)
         assert opr.state["k"] == [1]
 
-    def test_opr_successor(self):
-        obj = self.make()
-        opr = obj.make_opr()
-        succ = opr.successor({"x": 1}, now=7.0)
-        assert succ.version == opr.version + 1
-        assert succ.saved_at == 7.0
-        assert succ.loid == opr.loid
-
 
 class TestRGE:
     def test_edge_trigger_fires_once_per_transition(self):

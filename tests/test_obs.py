@@ -99,6 +99,21 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
+    def test_quantile_is_the_metrics_table_quantile(self):
+        """Lower buckets empty: both interpolate from the last non-empty
+        bucket's bound (here the observed minimum), not the bucket's own
+        lower bound."""
+        from repro.obs.export import _series_quantile
+        reg = MetricsRegistry()
+        for x in (0.3, 0.35, 0.4, 0.45):
+            reg.observe("h", x, buckets=(0.01, 0.1, 0.25, 0.5, 1.0))
+        series, = reg.snapshot()["metrics"][0]["series"]
+        h = reg.get("h")
+        for q in (0.1, 0.5, 0.9, 1.0):
+            assert h.quantile(q) == _series_quantile(series, q)
+        assert h.quantile(0.5) == pytest.approx(0.4)
+        assert h.quantile(0.1) == pytest.approx(0.32)
+
     def test_empty_quantile_is_nan(self):
         assert math.isnan(Histogram("h").quantile(0.5))
 

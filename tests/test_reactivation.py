@@ -37,6 +37,26 @@ class TestEnsureActive:
         n, t = wait_for_completion(meta, app_class, [loid])
         assert n == 1
 
+    def test_refused_restart_leaves_object_inert_and_unheld(
+            self, meta, app_class, parked, monkeypatch):
+        loid, _old_host = parked
+        placer = app_class._default_placer
+
+        def place_then_owner_takes_the_slots(class_obj, vault_loid):
+            placement = placer(class_obj, vault_loid)
+            meta.resolve(placement.host_loid).slots = 0
+            return placement
+        monkeypatch.setattr(app_class, "_default_placer",
+                            place_then_owner_takes_the_slots)
+        activations = app_class.get_instance(loid).activation_count
+        with pytest.raises(MigrationError):
+            app_class.ensure_active(loid, now=meta.now)
+        instance = app_class.get_instance(loid)
+        assert instance.state == ObjectState.INERT
+        assert instance.host_loid is None
+        assert instance.activation_count == activations
+        assert all(loid not in host.placed for host in meta.hosts)
+
     def test_active_object_returned_unchanged(self, meta, app_class):
         result = app_class.create_instance()
         instance = app_class.ensure_active(result.loid)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessError, SimTimeError
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim import Event, Simulator
 from repro.sim.kernel import Ticker
 
 
@@ -80,7 +80,6 @@ class TestScheduling:
         sim.schedule(5.0, lambda: fired.append(True))
         sim.run_until(4.999)
         assert fired == []
-        assert sim.peek() == 5.0
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -149,41 +148,6 @@ class TestEvents:
         sim = Simulator()
         with pytest.raises(SimTimeError):
             sim.timeout(-0.5)
-
-
-class TestConditions:
-    def test_all_of_waits_for_all(self):
-        sim = Simulator()
-        t1, t2 = sim.timeout(1.0), sim.timeout(5.0)
-        cond = sim.all_of([t1, t2])
-        sim.run()
-        assert cond.ok
-        assert sim.now == 5.0
-
-    def test_all_of_fails_on_child_failure(self):
-        sim = Simulator()
-        ev = sim.event()
-        cond = sim.all_of([ev, sim.timeout(1.0)])
-        ev.fail(RuntimeError("boom"))
-        sim.run()
-        assert cond.state == Event.FAILED
-
-    def test_any_of_resolves_on_first(self):
-        sim = Simulator()
-        cond = sim.any_of([sim.timeout(10.0), sim.timeout(2.0)])
-
-        def proc():
-            yield cond
-            return sim.now
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == 2.0
-
-    def test_empty_all_of_is_vacuous(self):
-        sim = Simulator()
-        cond = sim.all_of([])
-        assert cond.ok
 
 
 class TestProcesses:
@@ -265,33 +229,6 @@ class TestProcesses:
         with pytest.raises(ProcessError):
             sim.process(lambda: None)
 
-    def test_interrupt_is_catchable(self):
-        sim = Simulator()
-
-        def body():
-            try:
-                yield 100.0
-            except Interrupt as i:
-                return (sim.now, f"interrupted: {i.cause}")
-
-        p = sim.process(body())
-        sim.schedule(1.0, lambda: p.interrupt("overload"))
-        sim.run()
-        when, message = p.value
-        assert message == "interrupted: overload"
-        assert when == 1.0  # resumed at interrupt time, not the timeout
-
-    def test_uncaught_interrupt_fails_process(self):
-        sim = Simulator()
-
-        def body():
-            yield 100.0
-
-        p = sim.process(body())
-        sim.schedule(1.0, lambda: p.interrupt())
-        sim.run()
-        assert p.state == Event.FAILED
-
     def test_waiting_on_another_process(self):
         sim = Simulator()
 
@@ -307,22 +244,6 @@ class TestProcesses:
         p = sim.process(parent())
         sim.run()
         assert p.value == 42
-
-    def test_stale_wakeup_after_interrupt_ignored(self):
-        sim = Simulator()
-        hits = []
-
-        def body():
-            try:
-                yield 5.0
-            except Interrupt:
-                yield 10.0  # new wait; old timeout must not wake us early
-            hits.append(sim.now)
-
-        p = sim.process(body())
-        sim.schedule(1.0, lambda: p.interrupt())
-        sim.run()
-        assert hits == [11.0]
 
 
 class TestTicker:

@@ -1,15 +1,13 @@
-"""Tests for testbeds, application models, and arrival generators."""
+"""Tests for testbeds and application models."""
 
 import math
 
 import pytest
 
-from repro.sim import Constant, Exponential
+from repro.sim import Pareto
 from repro.workload import (
-    ArrivalProcess,
     BagOfTasks,
     ParameterStudy,
-    RequestStream,
     StencilApplication,
     TestbedSpec,
     build_testbed,
@@ -83,7 +81,7 @@ class TestBagOfTasks:
     def test_work_distribution_sampled(self):
         meta = small_campus(seed=4, dynamics=False)
         app = BagOfTasks(meta, "varied", n_tasks=5,
-                         work_dist=Exponential(100.0))
+                         work_dist=Pareto(2.0, 50.0))
         sched = meta.make_scheduler("random")
         outcome = sched.run(app.requests())
         works = {app.class_obj.get_instance(l).attributes.get("work_units")
@@ -151,49 +149,3 @@ class TestStencilApp:
         meta = small_campus(seed=8)
         with pytest.raises(ValueError):
             StencilApplication(meta, "bad", rows=0, cols=3)
-
-
-class TestArrivals:
-    def test_arrival_count_bounded(self):
-        from repro.sim import Simulator, RngRegistry
-        sim = Simulator()
-        hits = []
-        proc = ArrivalProcess(sim, RngRegistry(1).stream("arr"),
-                              Constant(10.0), lambda i: hits.append(sim.now),
-                              count=5)
-        proc.start()
-        sim.run()
-        assert len(hits) == 5
-        assert hits == [pytest.approx(10.0 * (i + 1)) for i in range(5)]
-
-    def test_stop_time_bounded(self):
-        from repro.sim import Simulator, RngRegistry
-        sim = Simulator()
-        hits = []
-        proc = ArrivalProcess(sim, RngRegistry(1).stream("arr"),
-                              Constant(10.0), lambda i: hits.append(i),
-                              stop_time=35.0)
-        proc.start()
-        sim.run()
-        assert len(hits) == 3
-
-    def test_unbounded_rejected(self):
-        from repro.sim import Simulator, RngRegistry
-        with pytest.raises(ValueError):
-            ArrivalProcess(Simulator(), RngRegistry(1).stream("x"),
-                           Constant(1.0), lambda i: None)
-
-    def test_request_stream_records_outcomes(self):
-        from repro.scheduler import ObjectClassRequest
-        meta = small_campus(seed=9, dynamics=False)
-        app = BagOfTasks(meta, "stream", n_tasks=1, work_units=5.0)
-        sched = meta.make_scheduler("random")
-        stream = RequestStream(meta.sim, sched,
-                               [ObjectClassRequest(app.class_obj, 1)],
-                               meta.rngs.stream("t", "stream"),
-                               mean_interarrival=30.0, count=10)
-        stream.start()
-        meta.advance(10000.0)
-        assert stream.stats.submitted == 10
-        assert stream.stats.succeeded + stream.stats.failed == 10
-        assert 0.0 <= stream.stats.success_rate <= 1.0
