@@ -3,10 +3,9 @@
 Legion's stated ambition was thousands-to-millions of hosts.
 
 (a) **Query engine cost** vs member count: the tree-walking evaluator
-    against the compiled closure plan and the inverted-index Collection
-    on a selective query — compiled keeps per-record cost flat and the
-    index keeps per-query cost flat.  Timed here with the monotonic
-    :func:`time.perf_counter`;
+    against the compiled closure plan the Collection runs, on a
+    selective query — compiled keeps per-record cost flat.  Timed here
+    with the monotonic :func:`time.perf_counter`;
 (b) **placement waves** vs system size: the scale campaign
     (:func:`repro.bench.run_scale`, the code behind ``BENCH_scale.json``)
     at its ledger sizes; every burst must place and the viable-hosts
@@ -19,7 +18,6 @@ from conftest import run_once
 
 from repro.bench import ExperimentTable, run_scale
 from repro.collection.collection import Collection
-from repro.collection.indexing import IndexedCollection
 from repro.collection.query.compile import compile_query
 from repro.collection.query.evaluate import QueryFunctions, matches
 from repro.collection.query.parser import parse
@@ -55,18 +53,13 @@ def us_per_call(once, reps: int = 20) -> float:
 
 
 def engine_row(members: int) -> dict:
-    """Tree-walk vs compiled vs indexed on SCALE_QUERY (us/query).
+    """Tree-walk vs compiled on SCALE_QUERY (us/query).
 
-    The tree-walk and compiled loops evaluate the identical attribute
-    mappings, so their ratio isolates the engine; the indexed row times
-    the full ``IndexedCollection.query`` (candidate narrowing + compiled
-    residual evaluation)."""
+    The two loops evaluate the identical attribute mappings, so their
+    ratio isolates the engine."""
     scan = Collection(LOID(("d", "svc", "scale-scan")))
-    idx = IndexedCollection(LOID(("d", "svc", "scale-idx")))
     fill_hosts(scan, members)
-    fill_hosts(idx, members)
     matching = len(scan.query(SCALE_QUERY))
-    assert matching == len(idx.query(SCALE_QUERY))
     ast = parse(SCALE_QUERY)
     fns = QueryFunctions()
     plan_matches = compile_query(ast, fns).matches
@@ -74,22 +67,19 @@ def engine_row(members: int) -> dict:
     treewalk = us_per_call(
         lambda: [r for r in records if matches(ast, r, fns)])
     compiled = us_per_call(lambda: [r for r in records if plan_matches(r)])
-    indexed = us_per_call(lambda: idx.query(SCALE_QUERY))
     return {"members": members, "matching": matching,
-            "treewalk": treewalk, "compiled": compiled, "indexed": indexed}
+            "treewalk": treewalk, "compiled": compiled}
 
 
 def query_scaling():
     rows = [engine_row(n) for n in (256, 1024, 4096)]
     table = ExperimentTable(
-        "E19a — query cost vs members: tree-walk vs compiled vs indexed "
+        "E19a — query cost vs members: tree-walk vs compiled "
         "(wall us/query)",
-        ["members", "matching", "tree-walk", "compiled", "indexed",
-         "compiled x", "indexed x"])
+        ["members", "matching", "tree-walk", "compiled", "compiled x"])
     for r in rows:
         table.add(r["members"], r["matching"], r["treewalk"], r["compiled"],
-                  r["indexed"], r["treewalk"] / r["compiled"],
-                  r["treewalk"] / r["indexed"])
+                  r["treewalk"] / r["compiled"])
     return table, rows
 
 
@@ -108,7 +98,6 @@ def test_e19_scale(benchmark):
     # jitter, so only the ordering and one generous floor are asserted)
     for r in rows:
         assert r["compiled"] < r["treewalk"]
-        assert r["indexed"] < r["treewalk"] / 5.0
     # the acceptance floor: compiled is decisively faster at 4096 members
     assert rows[-1]["treewalk"] / rows[-1]["compiled"] >= 2.0
     # every wave placed, and the burst lookups ran on the cache

@@ -3,7 +3,6 @@ and the Data Collection Daemon."""
 
 from .collection import Collection, Credential
 from .daemon import DataCollectionDaemon
-from .indexing import IndexedCollection
 from .records import CollectionRecord
 from .query import (
     UNDEFINED,
@@ -16,7 +15,7 @@ from .query import (
 )
 
 __all__ = [
-    "Collection", "IndexedCollection", "Credential", "CollectionRecord",
+    "Collection", "Credential", "CollectionRecord",
     "DataCollectionDaemon",
     "parse", "evaluate", "matches", "QueryFunctions", "UNDEFINED",
     "compile_query", "CompiledQuery",

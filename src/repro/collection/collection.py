@@ -268,26 +268,12 @@ class Collection(LegionObject):
                 if matches_fn(subject):
                     out.append(record)
             sp.set_attribute("results", len(out))
-        self._record_query_metrics("scan", len(records), len(out))
+        self.metrics.count("collection_queries_total", path="scan")
+        self.metrics.observe("collection_query_candidates", len(records),
+                             buckets=DEFAULT_SIZE_BUCKETS, path="scan")
+        self.metrics.observe("collection_query_results", len(out),
+                             buckets=DEFAULT_SIZE_BUCKETS, path="scan")
         return out
-
-    def _quarantined(self, record: CollectionRecord) -> bool:
-        """Should this record be hidden from query results?
-
-        Shared by the scan path above and the index path in
-        :class:`~repro.collection.indexing.IndexedCollection` so both
-        honor the guardrails quarantine."""
-        return (self.exclude_down_members
-                and record.attributes.get("host_health") == "down")
-
-    def _record_query_metrics(self, path: str, candidates: int,
-                              results: int) -> None:
-        """One query's worth of observability (path = scan | index)."""
-        self.metrics.count("collection_queries_total", path=path)
-        self.metrics.observe("collection_query_candidates", candidates,
-                             buckets=DEFAULT_SIZE_BUCKETS, path=path)
-        self.metrics.observe("collection_query_results", results,
-                             buckets=DEFAULT_SIZE_BUCKETS, path=path)
 
     def query_loids(self, query: str) -> List[LOID]:
         return [r.member for r in self.query(query)]

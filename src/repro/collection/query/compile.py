@@ -54,11 +54,10 @@ _PlanFn = Callable[[Mapping[str, Any]], Any]
 class CompiledQuery:
     """A reusable, closure-based plan for one parsed query."""
 
-    __slots__ = ("ast", "uses_loid", "has_calls", "attr_names", "_fn")
+    __slots__ = ("uses_loid", "has_calls", "attr_names", "_fn")
 
-    def __init__(self, ast: Node, fn: _PlanFn, uses_loid: bool,
-                 has_calls: bool, attr_names: tuple):
-        self.ast = ast
+    def __init__(self, fn: _PlanFn, uses_loid: bool, has_calls: bool,
+                 attr_names: tuple):
         self._fn = fn
         #: the plan reads the implicit ``$loid`` attribute
         self.uses_loid = uses_loid
@@ -247,6 +246,6 @@ def compile_query(node: Node,
     compiler = _Compiler(fns)
     fn = compiler.compile(node)
     attr_names = tuple(compiler.attr_names)
-    return CompiledQuery(node, fn, uses_loid="loid" in attr_names,
+    return CompiledQuery(fn, uses_loid="loid" in attr_names,
                          has_calls=compiler.has_calls,
                          attr_names=attr_names)

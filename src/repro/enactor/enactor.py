@@ -534,14 +534,10 @@ class Enactor:
                                   vault_loid=mapping.vault_loid,
                                   reservation_token=holding.token,
                                   implementation=mapping.implementation)
-            if mapping.gang > 1:
-                def create(p=placement, n=mapping.gang, c=class_obj):
-                    return c.create_instances(
-                        p, n, now=self.transport.sim.now)
-            else:
-                def create(p=placement, c=class_obj):
-                    return c.create_instance(
-                        p, now=self.transport.sim.now)
+
+            def create(p=placement, n=mapping.gang, c=class_obj):
+                return c.create_instances(p, n, now=self.transport.sim.now)
+
             if host is None:
                 try:
                     outcomes.append(CallOutcome(True, value=create()))

@@ -76,7 +76,6 @@ _SCHEDULER_KINDS = {
     "irs": IRSScheduler,
     "cost": CostAwareScheduler,
     "load": LoadAwareScheduler,
-    "load-aware": LoadAwareScheduler,
     "mct": MCTScheduler,
     "gang": GangScheduler,
     "round-robin": RoundRobinScheduler,

@@ -138,12 +138,23 @@ class ClassObject(LegionObject):
     # -- instance management ---------------------------------------------------
     def create_instance(self, placement: Optional[Placement] = None,
                         now: float = 0.0) -> CreateResult:
-        """Place and start one instance.
+        """Place and start one instance: a gang of one.
 
         With ``placement`` (the external-Scheduler path) the Class validates
         the suggestion and presents the reservation token to the Host.
         Without it, the Class falls back to its quick default placer.
         """
+        return self.create_instances(placement, 1, now=now)
+
+    def create_instances(self, placement: Optional[Placement], count: int,
+                         now: float = 0.0) -> CreateResult:
+        """Gang creation: start ``count`` instances on one (Host, Vault)
+        with a single multi-object StartObject call (paper section 3.1:
+        "important to support efficient object creation for multiprocessor
+        systems").  Requires a reusable reservation token when more than
+        one instance is requested."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
         self.create_attempts += 1
         if placement is None:
             if self._default_placer is None:
@@ -191,57 +202,6 @@ class ClassObject(LegionObject):
                     False,
                     reason=f"no implementation for ({arch}, {os_name})")
 
-        loid = self._minter.mint_instance(self.loid)
-        instance = self._instance_factory(loid, self.loid)
-        if impl.relative_speed != 1.0:
-            instance.attributes.set("impl_speedup", impl.relative_speed)
-        instance.host_loid = placement.host_loid
-        instance.vault_loid = placement.vault_loid
-
-        started = host.start_object(
-            instance,
-            vault_loid=placement.vault_loid,
-            reservation_token=placement.reservation_token,
-            now=now,
-        )
-        if not started.ok:
-            self.create_failures += 1
-            return CreateResult(False, reason=started.reason)
-
-        self.instances[loid] = instance
-        self._note_token(placement.reservation_token, [loid])
-        return CreateResult(True, loid=loid,
-                            host_loid=placement.host_loid,
-                            vault_loid=placement.vault_loid,
-                            loids=[loid])
-
-    def create_instances(self, placement: Placement, count: int,
-                         now: float = 0.0) -> CreateResult:
-        """Gang creation: start ``count`` instances on one (Host, Vault)
-        with a single multi-object StartObject call (paper section 3.1:
-        "important to support efficient object creation for multiprocessor
-        systems").  Requires a reusable reservation token when more than
-        one instance is requested."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if count == 1:
-            return self.create_instance(placement, now=now)
-        self.create_attempts += 1
-        host = self._resolver(placement.host_loid)
-        if host is None:
-            self.create_failures += 1
-            return CreateResult(False, reason=f"unknown host "
-                                              f"{placement.host_loid}")
-        arch = host.attributes.get("host_arch", "")
-        os_name = host.attributes.get("host_os_name", "")
-        if not self.supports_platform(arch, os_name):
-            self.create_failures += 1
-            return CreateResult(
-                False, reason=f"no implementation for ({arch}, {os_name})")
-        impl = placement.implementation
-        if impl is None:
-            impl = self.implementation_for(arch, os_name)
-
         instances: List[LegionObject] = []
         for _ in range(count):
             loid = self._minter.mint_instance(self.loid)
@@ -253,20 +213,25 @@ class ClassObject(LegionObject):
             instance.vault_loid = placement.vault_loid
             instances.append(instance)
 
-        started = host.start_objects(
-            instances, vault_loid=placement.vault_loid,
-            reservation_token=placement.reservation_token, now=now)
+        if count == 1:
+            started = host.start_object(
+                instances[0], vault_loid=placement.vault_loid,
+                reservation_token=placement.reservation_token, now=now)
+        else:
+            started = host.start_objects(
+                instances, vault_loid=placement.vault_loid,
+                reservation_token=placement.reservation_token, now=now)
         if not started.ok:
             self.create_failures += 1
             return CreateResult(False, reason=started.reason)
+        loids = [i.loid for i in instances]
         for instance in instances:
             self.instances[instance.loid] = instance
-        self._note_token(placement.reservation_token,
-                         [i.loid for i in instances])
-        return CreateResult(True, loid=instances[0].loid,
+        self._note_token(placement.reservation_token, loids)
+        return CreateResult(True, loid=loids[0],
                             host_loid=placement.host_loid,
                             vault_loid=placement.vault_loid,
-                            loids=[i.loid for i in instances])
+                            loids=loids)
 
     def get_instance(self, loid: LOID) -> LegionObject:
         try:

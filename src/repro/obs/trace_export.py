@@ -234,28 +234,14 @@ def render_tree(spans: Sequence[Span],
 def render_step_table(spans: Sequence[Span],
                       title: str = "span latency by step") -> str:
     """Per-span-name latency aggregation across every trace."""
-    children = children_of(spans)
-    agg: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        row = agg.setdefault(span.name, {
-            "count": 0, "errors": 0, "total": 0.0, "self": 0.0,
-            "max": 0.0})
-        row["count"] += 1
-        if span.status == "error":
-            row["errors"] += 1
-        row["total"] += span.duration
-        row["self"] += self_time(span, children)
-        row["max"] = max(row["max"], span.duration)
     lines = [f"== {title} ==",
              f"{'span':26s} {'count':>6s} {'errors':>6s} "
              f"{'total_s':>12s} {'self_s':>12s} {'mean_s':>12s} "
              f"{'max_s':>12s}"]
-    for name in sorted(agg):
-        row = agg[name]
-        mean = row["total"] / row["count"] if row["count"] else 0.0
-        lines.append(f"{name:26s} {int(row['count']):>6d} "
+    for row in aggregate_step_latencies(spans):
+        lines.append(f"{row['step']:26s} {int(row['count']):>6d} "
                      f"{int(row['errors']):>6d} {row['total']:>12.6f} "
-                     f"{row['self']:>12.6f} {mean:>12.6f} "
+                     f"{row['self']:>12.6f} {row['mean']:>12.6f} "
                      f"{row['max']:>12.6f}")
     return "\n".join(lines)
 

@@ -274,7 +274,6 @@ def run_service(seed: int = 0,
                 work: float = 10.0,
                 requests_per_user_hour: float = 0.0036,
                 surge_multiplier: float = 12.0,
-                model: Optional[TrafficModel] = None,
                 slo_threshold: float = E2E_THRESHOLD,
                 n_domains: int = 3,
                 hosts_per_domain: int = 6,
@@ -303,10 +302,9 @@ def run_service(seed: int = 0,
                            backpressure=backpressure,
                            scheduler=scheduler, work=work)
     suite = meta.start_service(config)
-    if model is None:
-        model = default_model(users, duration,
-                              requests_per_user_hour=requests_per_user_hour,
-                              surge_multiplier=surge_multiplier)
+    model = default_model(users, duration,
+                          requests_per_user_hour=requests_per_user_hour,
+                          surge_multiplier=surge_multiplier)
     generator = open_loop_traffic(meta, model, duration)
     meta.advance(duration)
 

@@ -538,11 +538,7 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
     """
     import json
 
-    from ..obs.report import (
-        build_health_report,
-        health_report_to_json,
-        render_health_report,
-    )
+    from ..obs.report import health_report_to_json, render_health_report
     from ..obs.slo import specs_from_dict
 
     if args.window <= 0:
@@ -585,11 +581,8 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
     if meta.chaos is not None:
         meta.chaos.teardown()
 
-    meta.sampler.flush()
-    report = build_health_report(
-        meta.sampler,
-        list(specs) if specs is not None else meta.default_slos(),
-        spans=meta.spans.spans,
+    report = meta.slo_health_report(
+        specs,
         title=f"slo health: {args.waves} x {args.count} instances via "
               f"{args.scheduler} (seed {args.seed}"
               + (f", chaos {args.chaos_profile}/{args.chaos_seed}"

@@ -5,8 +5,9 @@ request's state changes only in ``ServiceRequest.apply``, whose event
 table matches the journal vocabulary docs/recovery.md lists, a
 comparison's claims are data judged by one evaluator, telemetry is
 handed to a component at construction, live only from the Metasystem,
-and what a world holds once per host has no instance ``__dict__`` and
-no callback of its own."""
+what a world holds once per host has no instance ``__dict__`` and
+no callback of its own, and docs and sources cite ROADMAP items by
+title."""
 
 import ast
 import re
@@ -120,6 +121,40 @@ def self_rescheduling_functions(tree):
                 if name == func.name:
                     found.add(func.name)
     return found
+
+
+#: a ROADMAP citation by item number (numbers are reassigned when the
+#: roadmap is re-anchored; titles are not), even across a line break
+ROADMAP_BY_NUMBER = re.compile(r"ROADMAP\s+item\s+\d")
+
+
+def roadmap_numbers(root):
+    """``path:line`` of every ROADMAP-by-number citation under
+    ``docs/`` and ``src/``."""
+    hits = []
+    for top in ("docs", "src"):
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".md", ".py"):
+                continue
+            text = path.read_text(encoding="utf-8")
+            for m in ROADMAP_BY_NUMBER.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                hits.append(f"{path.relative_to(root)}:{line}")
+    return hits
+
+
+class TestRoadmapCitations:
+    def test_docs_and_sources_cite_roadmap_items_by_title(self):
+        assert roadmap_numbers(ROOT) == []
+
+    def test_the_check_sees_a_citation_split_across_lines(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "docs" / "a.md").write_text(
+            "open (ROADMAP\nitem 11).\n", encoding="utf-8")
+        (tmp_path / "src" / "b.py").write_text(
+            "# see ROADMAP item 2\n", encoding="utf-8")
+        assert roadmap_numbers(tmp_path) == ["docs/a.md:1", "src/b.py:1"]
 
 
 class TestPeriodicDaemons:

@@ -297,16 +297,16 @@ class TestLostCreateAck:
         stream = _LoseArmedDraw()
         meta.transport.loss_probability = 0.5
         meta.transport._loss_rng = stream
-        create = app_class.create_instance
+        create = app_class.create_instances
 
-        def create_then_lose_the_ack(placement, now=0.0):
-            result = create(placement, now=now)
+        def create_then_lose_the_ack(placement, count, now=0.0):
+            result = create(placement, count, now=now)
             if placement.host_loid == hosts[target].loid:
                 assert result.ok
                 stream.armed = True  # the next draw is this create's reply
             return result
 
-        monkeypatch.setattr(app_class, "create_instance",
+        monkeypatch.setattr(app_class, "create_instances",
                             create_then_lose_the_ack)
         result = enactor.enact_schedule(feedback, rollback_on_failure=True)
 

@@ -51,21 +51,26 @@ class TestPinnedImplementation:
     def test_foreign_implementation_rejected(self, impl_meta):
         meta, app, *_ = impl_meta
         alien_impl = Implementation("sparc", "SunOS", relative_speed=9.0)
-        result = app.create_instance(
-            Placement(meta.hosts[0].loid, meta.vaults[0].loid,
-                      implementation=alien_impl))
-        assert not result.ok
-        assert "not provided" in result.reason
+        placement = Placement(meta.hosts[0].loid, meta.vaults[0].loid,
+                              implementation=alien_impl)
+        # a gang is refused by the same check as a single create
+        for result in (app.create_instance(placement),
+                       app.create_instances(placement, 2)):
+            assert not result.ok
+            assert "not provided" in result.reason
+        assert not app.instances
 
     def test_platform_mismatch_rejected(self, impl_meta):
         meta, app, generic, _ = impl_meta
         wrong = Implementation("x86", "Linux")
         app.add_implementation(wrong)
-        result = app.create_instance(
-            Placement(meta.hosts[0].loid, meta.vaults[0].loid,
-                      implementation=wrong))
-        assert not result.ok
-        assert "does not match host platform" in result.reason
+        placement = Placement(meta.hosts[0].loid, meta.vaults[0].loid,
+                              implementation=wrong)
+        for result in (app.create_instance(placement),
+                       app.create_instances(placement, 2)):
+            assert not result.ok
+            assert "does not match host platform" in result.reason
+        assert not app.instances
 
     def test_migration_preserves_work_across_speedups(self, impl_meta):
         meta, app, generic, tuned = impl_meta

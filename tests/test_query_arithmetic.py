@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collection import Collection, IndexedCollection, parse, matches
+from repro.collection import Collection, parse, matches
 from repro.collection.query import Arith, evaluate, UNDEFINED
 from repro.errors import QuerySyntaxError
 from repro.naming import LOID
@@ -106,15 +106,6 @@ class TestWithCollections:
 
         some = coll.query("$host_speed / (1 + $host_load) > 1.0")
         assert len(some) == 0
-
-    def test_indexed_collection_same_results(self):
-        plain = Collection(LOID(("d", "svc", "p")))
-        idx = IndexedCollection(LOID(("d", "svc", "i")))
-        self.fill(plain)
-        self.fill(idx)
-        query = '$host_arch == "sparc" and $host_speed - $host_load == 1'
-        assert ([r.member for r in plain.query(query)]
-                == [r.member for r in idx.query(query)])
 
 
 arith_ops = st.sampled_from(["+", "-", "*", "/"])

@@ -239,6 +239,20 @@ class TestGranting:
                                  start_time=200.0, duration=50.0)
         assert tok.window() == (200.0, 250.0)
 
+    @pytest.mark.parametrize("first, second", [
+        ((100.0, 50.0), (150.0, 50.0)),   # the new window starts at the end
+        ((150.0, 50.0), (100.0, 50.0)),   # the new window ends at the start
+    ], ids=["after", "before"])
+    def test_touching_windows_do_not_overlap(self, first, second):
+        """Windows are half-open: [100, 150) and [150, 200) share no
+        instant, so an unshared grant on either side of a touching edge
+        is admitted."""
+        t = table(slots=1)
+        for start, duration in (first, second):
+            t.make_reservation(VAULT, CLASS, ONE_SHOT_SPACE, now=0.0,
+                               start_time=start, duration=duration)
+        assert t.grants == 2 and t.denials == 0
+
     def test_future_reservation_in_past_rejected(self):
         t = table()
         with pytest.raises(ReservationDeniedError):
@@ -346,8 +360,35 @@ class TestBookkeeping:
         assert t.active_at(17.0, now=0.0) == 2
 
     def test_slots_validation(self):
-        with pytest.raises(ValueError):
-            ReservationTable(HOST, SECRET, slots=0)
+        for slots in (0, -1):
+            with pytest.raises(ValueError):
+                ReservationTable(HOST, SECRET, slots=slots)
+        assert ReservationTable(HOST, SECRET, slots=1).slots == 1
+
+    def test_pending_counts_only_unredeemed_live_grants(self):
+        t = table(slots=8)
+        fresh = [t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0)
+                 for _ in range(2)]
+        used = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0)
+        dropped = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0)
+        t.redeem(used, now=1.0)
+        t.cancel_reservation(dropped, now=1.0)
+        assert t.pending_count(now=1.0) == len(fresh) == 2
+        t.redeem(fresh[0], now=2.0)
+        assert t.pending_count(now=2.0) == 1
+
+    def test_redeem_counts_each_presentation_once(self):
+        t = table()
+        tok = t.make_reservation(VAULT, CLASS, REUSABLE_TIME, now=0.0)
+        t.redeem(tok, now=1.0)
+        assert t._entries[tok.token_id].redeemed == 1
+        t.redeem(tok, now=2.0)
+        assert t._entries[tok.token_id].redeemed == 2
+
+    def test_purge_of_an_empty_table_removes_nothing(self):
+        t = table()
+        assert t.purge(now=0.0) == 0
+        assert len(t) == 0
 
 
 # ---------------------------------------------------------------------------
