@@ -5,7 +5,7 @@
 required to implement a simple policy is low, and rises slowly, scaling
 commensurately with the complexity of the policy being implemented."
 
-Below, a complete *price-aware* Scheduler in ~30 lines of policy code: it
+Below, a complete *price-aware* Scheduler in 19 lines of policy code: it
 reads the hosts' advertised ``host_price`` attribute (the paper's example of
 rich Collection information: "the amount charged per CPU cycle consumed")
 and maps instances to the cheapest viable hosts, with next-cheapest
@@ -21,41 +21,30 @@ from repro import (
     MasterSchedule,
     Metasystem,
     ObjectClassRequest,
-    ScheduleMapping,
     ScheduleRequestList,
     Scheduler,
-    VariantSchedule,
 )
-from repro.errors import SchedulingError
 
 
 class CheapestFirstScheduler(Scheduler):
     """Map instances to the lowest-price viable hosts."""
 
     def compute_schedule(self, requests):
-        entries, alternates = [], []
+        candidates = []
         for request in requests:
-            records = self.viable_hosts(request.class_obj)
-            if not records:
-                raise SchedulingError("no viable hosts")
+            class_obj = request.class_obj
+            records = self.require_hosts(self.viable_hosts(class_obj),
+                                         class_obj)
             by_price = sorted(records,
                               key=lambda r: (float(r.get("host_price", 0)),
                                              r.member))
             for i in range(request.count):
-                best = by_price[i % len(by_price)]
-                nxt = by_price[(i + 1) % len(by_price)]
-                entries.append(ScheduleMapping(
-                    request.class_obj.loid, best.member,
-                    self.compatible_vaults_of(best)[0]))
-                alternates.append(ScheduleMapping(
-                    request.class_obj.loid, nxt.member,
-                    self.compatible_vaults_of(nxt)[0]))
-        master = MasterSchedule(entries, label="cheapest")
-        replacements = {i: alt for i, alt in enumerate(alternates)
-                        if not alt.same_target(entries[i])}
-        if replacements:
-            master.add_variant(VariantSchedule(replacements,
-                                               label="next-cheapest"))
+                # this entry's host, then its fallback: the next cheapest
+                candidates.append(self.candidates_for(class_obj, [
+                    by_price[i % len(by_price)],
+                    by_price[(i + 1) % len(by_price)]]))
+        master = MasterSchedule.from_candidates(candidates, "cheapest",
+                                                "next-cheapest")
         return ScheduleRequestList([master], label="cheapest-first")
 
 

@@ -14,14 +14,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..collection.records import CollectionRecord
-from ..errors import SchedulingError
 from ..naming.loid import LOID
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from ..scheduler.base import ObjectClassRequest, Scheduler
 
 __all__ = ["CostAwareScheduler"]
@@ -44,11 +39,6 @@ class CostAwareScheduler(Scheduler):
         self.deadline = deadline
 
     # -- estimates ----------------------------------------------------------
-    def _rate_of(self, record: CollectionRecord) -> float:
-        speed = float(record.get("host_speed", 1.0))
-        load = float(record.get("host_load", 0.0))
-        return speed / (1.0 + max(0.0, load))
-
     def _price_of(self, record: CollectionRecord) -> float:
         return float(record.get("host_price", 0.0))
 
@@ -69,8 +59,7 @@ class CostAwareScheduler(Scheduler):
     # -- placement ------------------------------------------------------------
     def compute_schedule(self, requests: Sequence[ObjectClassRequest]
                          ) -> ScheduleRequestList:
-        entries: List[ScheduleMapping] = []
-        alternates: List[List[ScheduleMapping]] = []
+        candidates: List[List[ScheduleMapping]] = []
         assigned: Dict[LOID, int] = {}
         for request in requests:
             class_obj = request.class_obj
@@ -80,11 +69,9 @@ class CostAwareScheduler(Scheduler):
             # but results that arrive through an overridden/stale lookup
             # path (e.g. a federation query cache) must never let a dead
             # host win the cheapest-feasible ranking
-            records = [r for r in records
-                       if r.get("host_health") != "down"]
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class {class_obj.name!r}")
+            records = self.require_hosts(
+                [r for r in records if r.get("host_health") != "down"],
+                class_obj)
             work = self._work_of(request)
             for _i in range(request.count):
                 feasible = [
@@ -109,27 +96,9 @@ class CostAwareScheduler(Scheduler):
                             self.estimated_cost(r, work), r.member))
                 best = ranked[0]
                 assigned[best.member] = assigned.get(best.member, 0) + 1
-                vaults = self.compatible_vaults_of(best)
-                if not vaults:
-                    raise SchedulingError(
-                        f"host {best.member} advertises no compatible "
-                        f"vaults")
-                entries.append(ScheduleMapping(class_obj.loid, best.member,
-                                               vaults[0]))
-                alts = []
-                for record in ranked[1: 1 + self.N_VARIANTS]:
-                    v = self.compatible_vaults_of(record)
-                    if v:
-                        alts.append(ScheduleMapping(
-                            class_obj.loid, record.member, v[0]))
-                alternates.append(alts)
+                candidates.append(self.candidates_for(
+                    class_obj, ranked[: 1 + self.N_VARIANTS]))
 
-        master = MasterSchedule(entries, label="cost-aware")
-        for v in range(self.N_VARIANTS):
-            replacements = {
-                j: alts[v] for j, alts in enumerate(alternates)
-                if v < len(alts) and not alts[v].same_target(entries[j])}
-            if replacements:
-                master.add_variant(VariantSchedule(
-                    replacements, label=f"cost-alt-{v + 1}"))
+        master = MasterSchedule.from_candidates(candidates, "cost-aware",
+                                                "cost-alt-{}")
         return ScheduleRequestList([master], label="cost-aware")

@@ -37,7 +37,6 @@ from ..net.topology import NetLocation
 from ..objects.base import LegionObject
 from ..obs.registry import DEFAULT_SIZE_BUCKETS, NULL_METRICS
 from ..obs.spans import NULL_SPANS
-from .query.ast import Node
 from .query.compile import CompiledQuery, compile_query
 from .query.evaluate import QueryFunctions
 from .query.parser import parse
@@ -140,7 +139,6 @@ class Collection(LegionObject):
         self._macs: Dict[LOID, bytes] = {}
         self.functions = QueryFunctions()
         self._computed: Dict[str, Callable[[Mapping], Any]] = {}
-        self._ast_cache: Dict[str, Node] = {}
         #: query text -> compiled closure plan (compiled once, reused for
         #: every record of every later identical query)
         self._plan_cache: Dict[str, CompiledQuery] = {}
@@ -224,11 +222,7 @@ class Collection(LegionObject):
         """The compiled closure plan for ``query`` (parse + compile once)."""
         plan = self._plan_cache.get(query)
         if plan is None:
-            ast = self._ast_cache.get(query)
-            if ast is None:
-                ast = parse(query)
-                self._ast_cache[query] = ast
-            plan = compile_query(ast, self.functions)
+            plan = compile_query(parse(query), self.functions)
             self._plan_cache[query] = plan
             self.plans_compiled += 1
         return plan

@@ -38,14 +38,10 @@ from typing import Dict, List, Optional, Sequence
 
 from ..accounting.cost_sched import CostAwareScheduler
 from ..collection.records import CollectionRecord
-from ..errors import BudgetExceededError, SchedulingError
+from ..errors import BudgetExceededError
 from ..naming.loid import LOID
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from ..scheduler.base import ObjectClassRequest, SchedulingOutcome
 from .auction import Ask
 from .budget import BudgetManager
@@ -163,8 +159,7 @@ class EconomyScheduler(CostAwareScheduler):
         remaining_deadline = self.deadline_remaining()
         ceiling_factor = self.bid_ceiling_factor()
 
-        entries: List[ScheduleMapping] = []
-        alternates: List[List[ScheduleMapping]] = []
+        candidates: List[List[ScheduleMapping]] = []
         pending: List[_PendingBid] = []
         assigned: Dict[LOID, int] = {}
         metrics = self.transport.metrics
@@ -173,30 +168,28 @@ class EconomyScheduler(CostAwareScheduler):
                 class_obj = request.class_obj
                 records = self.viable_hosts(
                     class_obj, extra_query="$host_slots_free > 0")
-                records = [r for r in records
-                           if r.get("host_health") != "down"]
-                if not records:
-                    raise SchedulingError(
-                        f"no viable hosts for class {class_obj.name!r}")
+                records = self.require_hosts(
+                    [r for r in records if r.get("host_health") != "down"],
+                    class_obj)
                 work = self._work_of(request)
                 self.budgets.register_class(class_obj.loid, self.user)
                 for _i in range(request.count):
                     # the budget box: most we can pay per cycle right now
                     affordable = account.available / max(work, 1e-9)
                     ceiling = affordable * ceiling_factor
-                    candidates, pool = self._candidates(
+                    tier, pool = self._candidates(
                         records, work, assigned, remaining_deadline,
                         ceiling)
-                    if not candidates:
+                    if not tier:
                         # escalate once to the full affordable rate
                         # before giving up (deadline-pressure override)
                         if ceiling < affordable:
                             self.escalations += 1
-                            candidates, pool = self._candidates(
+                            tier, pool = self._candidates(
                                 records, work, assigned,
                                 remaining_deadline, affordable)
                             ceiling = affordable
-                    if not candidates:
+                    if not tier:
                         raise BudgetExceededError(
                             f"user {self.user!r}: no host asks <= "
                             f"affordable rate {affordable:.6f} "
@@ -205,10 +198,18 @@ class EconomyScheduler(CostAwareScheduler):
                     result = self.auction.clear(
                         [Ask(r.member, self._round_ask(r, assigned),
                              record=r)
-                         for r in candidates],
+                         for r in tier],
                         ceiling=ceiling)
                     best = result.winner.record
                     rate = result.clearing_price
+                    # alternates: next-best from the ranked affordable
+                    # pool, price-protected at the cleared rate (a
+                    # variant swap never costs the user more than the
+                    # agreed master rate); a refused master takes no hold
+                    runners = [r for r in pool
+                               if r.member != best.member][: self.N_VARIANTS]
+                    candidates.append(self.candidates_for(
+                        class_obj, [best, *runners]))
                     hold = round(rate * work, 6)
                     self.budgets.hold(self.user, hold)
                     assigned[best.member] = assigned.get(best.member, 0) + 1
@@ -216,30 +217,10 @@ class EconomyScheduler(CostAwareScheduler):
                         # demand signal: republish the winner's ask so
                         # concurrent bidders see the award immediately
                         self.market.note_award(best.member)
-                    vaults = self.compatible_vaults_of(best)
-                    if not vaults:
-                        raise SchedulingError(
-                            f"host {best.member} advertises no compatible "
-                            f"vaults")
-                    entries.append(ScheduleMapping(
-                        class_obj.loid, best.member, vaults[0]))
-                    # alternates: next-best from the ranked affordable
-                    # pool, price-protected at the cleared rate (a
-                    # variant swap never costs the user more than the
-                    # agreed master rate)
                     rate_by_host = {str(best.member): rate}
-                    alts = []
-                    runners = [r for r in pool
-                               if r.member != best.member]
-                    for record in runners[: self.N_VARIANTS]:
-                        v = self.compatible_vaults_of(record)
-                        if not v:
-                            continue
-                        alts.append(ScheduleMapping(
-                            class_obj.loid, record.member, v[0]))
+                    for record in runners:
                         rate_by_host[str(record.member)] = round(
                             min(self._ask_of(record), rate), 6)
-                    alternates.append(alts)
                     pending.append(_PendingBid(
                         user=self.user, work=work, hold=hold, rate=rate,
                         rate_by_host=rate_by_host))
@@ -253,14 +234,8 @@ class EconomyScheduler(CostAwareScheduler):
         self._pending = pending
 
         label = f"economy-{self.mode}"
-        master = MasterSchedule(entries, label=label)
-        for v in range(self.N_VARIANTS):
-            replacements = {
-                j: alts[v] for j, alts in enumerate(alternates)
-                if v < len(alts) and not alts[v].same_target(entries[j])}
-            if replacements:
-                master.add_variant(VariantSchedule(
-                    replacements, label=f"{label}-alt-{v + 1}"))
+        master = MasterSchedule.from_candidates(candidates, label,
+                                                label + "-alt-{}")
         return ScheduleRequestList([master], label=label)
 
     def _candidates(self, records, work, assigned, remaining_deadline,

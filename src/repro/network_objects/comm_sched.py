@@ -118,18 +118,11 @@ class BandwidthAwareScheduler(LoadAwareScheduler):
             return self.bandwidth_weight * self.comm_penalty(entries, now)
 
         best = min(candidates, key=score)
-        rebuilt = MasterSchedule(best, label="bandwidth-aware")
         # keep the unchosen candidates as variants for Enactor fallback
-        for cand in candidates:
-            if cand is best:
-                continue
-            replacements = {
-                idx: m for idx, m in enumerate(cand)
-                if not m.same_target(best[idx])}
-            if replacements:
-                from ..schedule.schedule import VariantSchedule
-                rebuilt.add_variant(VariantSchedule(replacements,
-                                                    label="bw-alt"))
+        others = [cand for cand in candidates if cand is not best]
+        rebuilt = MasterSchedule.from_candidates(
+            [[m, *(cand[j] for cand in others)] for j, m in enumerate(best)],
+            "bandwidth-aware", "bw-alt")
         return ScheduleRequestList([rebuilt], label="bandwidth-aware")
 
     # -- bandwidth co-allocation --------------------------------------------

@@ -120,6 +120,29 @@ class MasterSchedule:
         self.label = label
         self._validate_variants()
 
+    @classmethod
+    def from_candidates(cls, candidates: Sequence[Sequence[ScheduleMapping]],
+                        label: str = "", variant_label: str = ""
+                        ) -> "MasterSchedule":
+        """The Fig. 5 structure from per-entry ranked candidates.
+
+        ``candidates[j][0]`` is master entry *j*.  Variant *v* (from 1)
+        replaces entry *j* with ``candidates[j][v]`` wherever that exists
+        and names another (Host, Vault) than the master entry; a variant
+        that would replace nothing is skipped.  It is labelled
+        ``variant_label.format(v)``.
+        """
+        entries = [ranked[0] for ranked in candidates]
+        variants = []
+        for v in range(1, max(map(len, candidates), default=0)):
+            replacements = {
+                j: ranked[v] for j, ranked in enumerate(candidates)
+                if v < len(ranked) and not ranked[v].same_target(ranked[0])}
+            if replacements:
+                variants.append(VariantSchedule(
+                    replacements, label=variant_label.format(v)))
+        return cls(entries, variants, label=label)
+
     def _validate_variants(self) -> None:
         n = len(self.entries)
         for variant in self.variants:

@@ -12,7 +12,7 @@ querying the Collection (through the transport, so information costs are
 charged), and the negotiate/enact wrapper loop — so that concrete policies
 (Random, IRS, load-aware, stencil-aware, ...) implement only
 :meth:`compute_schedule`.  This realizes the paper's "cost that scales with
-capability" claim: the Random Scheduler is ~20 lines on top of this base.
+capability" claim: the Random Scheduler is 22 lines on top of this base.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from ..net.topology import NetLocation
 from ..net.transport import Transport
 from ..objects.class_object import ClassObject, Implementation
 from ..obs.spans import SpanTracer
+from ..schedule.mapping import ScheduleMapping
 from ..schedule.schedule import ScheduleFeedback, ScheduleRequestList
 
 __all__ = [
@@ -224,6 +225,51 @@ class Scheduler:
     @staticmethod
     def host_loid_of(record: CollectionRecord) -> LOID:
         return record.member
+
+    # -- what every policy shares -------------------------------------------
+    @staticmethod
+    def require_hosts(records: List[CollectionRecord],
+                      class_obj: ClassObject) -> List[CollectionRecord]:
+        """``records``, refused when no host can run ``class_obj``."""
+        if not records:
+            raise SchedulingError(
+                f"no viable hosts for class {class_obj.name!r}")
+        return records
+
+    @staticmethod
+    def require_vaults(record: CollectionRecord,
+                       vaults: List[LOID]) -> List[LOID]:
+        """``vaults``, refused when the host ``record`` names has none."""
+        if not vaults:
+            raise SchedulingError(
+                f"host {record.member} advertises no compatible vaults")
+        return vaults
+
+    @staticmethod
+    def _rate_of(record: CollectionRecord) -> float:
+        """Expected per-job service rate: ``speed / (1 + load)``."""
+        speed = float(record.get("host_speed", 1.0))
+        load = float(record.get("host_load", 0.0))
+        return speed / (1.0 + max(0.0, load))
+
+    def mapping_for(self, class_obj: ClassObject, record: CollectionRecord,
+                    vault: LOID) -> ScheduleMapping:
+        """The mapping of one instance of ``class_obj`` to ``record``'s
+        host and ``vault``; a policy that pins binaries overrides it."""
+        return ScheduleMapping(class_obj.loid, record.member, vault)
+
+    def candidates_for(self, class_obj: ClassObject,
+                       ranked: Sequence[CollectionRecord]
+                       ) -> List[ScheduleMapping]:
+        """One entry's ranked candidates for
+        :meth:`~repro.schedule.schedule.MasterSchedule.from_candidates`,
+        each host with its first compatible vault: ``ranked[0]`` is the
+        master, refused when it advertises no vault; a later host
+        without one is dropped."""
+        vaults = [self.compatible_vaults_of(record) for record in ranked]
+        self.require_vaults(ranked[0], vaults[0])
+        return [self.mapping_for(class_obj, record, v[0])
+                for record, v in zip(ranked, vaults) if v]
 
     @staticmethod
     def best_implementation_for(class_obj: ClassObject,

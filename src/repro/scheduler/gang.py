@@ -49,11 +49,10 @@ class GangScheduler(Scheduler):
         entries: List[ScheduleMapping] = []
         for request in requests:
             class_obj = request.class_obj
-            records = self.viable_hosts(class_obj,
-                                        extra_query="$host_slots_free > 0")
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class {class_obj.name!r}")
+            records = self.require_hosts(
+                self.viable_hosts(class_obj,
+                                  extra_query="$host_slots_free > 0"),
+                class_obj)
             # biggest machines first, then least loaded
             records.sort(key=lambda r: (-self._capacity_of(r),
                                         float(r.get("host_load", 0.0)),

@@ -19,16 +19,11 @@ parameterized by the two limits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..errors import SchedulingError
 from ..naming.loid import LOID
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
 
 __all__ = ["IRSScheduler"]
@@ -57,9 +52,7 @@ class IRSScheduler(Scheduler):
         if vaults is None:  # a cached record, parsed on its first draw
             vaults = parsed_vaults[i] = self._vaults_of(record,
                                                         self._vault_loid)
-        if not vaults:
-            raise SchedulingError(
-                f"host {record.member} advertises no compatible vaults")
+        self.require_vaults(record, vaults)
         # a draw from one choice returns it without consuming random bits
         # (tests/test_schedulers.py pins that), so it is not made
         vault = (vaults[0] if len(vaults) == 1
@@ -76,30 +69,17 @@ class IRSScheduler(Scheduler):
             class_obj = request.class_obj
             # one Collection lookup per class, reused for all n candidates
             records, parsed_vaults = self.viable_hosts_and_vaults(class_obj)
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class {class_obj.name!r}")
+            self.require_hosts(records, class_obj)
             for _i in range(request.count):         # for i := 1 to k
-                candidates: List[ScheduleMapping] = []
-                for _l in range(n):                 # for l := 1 to n
-                    host, vault = self._random_pair(records,
-                                                    parsed_vaults)
-                    candidates.append(
-                        ScheduleMapping(class_obj.loid, host, vault))
-                instance_lists.append(candidates)
+                instance_lists.append([             # for l := 1 to n
+                    ScheduleMapping(class_obj.loid,
+                                    *self._random_pair(records,
+                                                       parsed_vaults))
+                    for _l in range(n)])
 
-        # master schedule = first item from each object instance list
-        master_entries = [cands[0] for cands in instance_lists]
-        master = MasterSchedule(master_entries, label="irs-master")
-
-        # for l := 2 to n: the l-th component of each instance list,
-        # keeping only entries that do not appear in the master list
-        for l in range(1, n):
-            replacements: Dict[int, ScheduleMapping] = {}
-            for j, cands in enumerate(instance_lists):
-                if not cands[l].same_target(master_entries[j]):
-                    replacements[j] = cands[l]
-            if replacements:
-                master.add_variant(VariantSchedule(
-                    replacements, label=f"irs-variant-{l}"))
+        # master schedule = first item from each object instance list;
+        # variant "irs-variant-l" = the (l+1)-th item of each, keeping
+        # only entries that do not appear in the master list
+        master = MasterSchedule.from_candidates(
+            instance_lists, "irs-master", "irs-variant-{}")
         return ScheduleRequestList([master], label="irs")

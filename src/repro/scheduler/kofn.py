@@ -41,18 +41,15 @@ class KofNScheduler(Scheduler):
         masters: List[MasterSchedule] = []
         for request in requests:
             class_obj = request.class_obj
-            records = self.viable_hosts(class_obj)
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class {class_obj.name!r}")
+            records = self.require_hosts(self.viable_hosts(class_obj),
+                                         class_obj)
             k = request.count
-            n = min(self.MAX_N, max(k, int(round(k * self.overprovision))),
-                    len(records) if len(records) >= k else
-                    max(k, len(records)))
             if len(records) < k:
                 raise SchedulingError(
                     f"need {k} hosts, Collection knows only "
                     f"{len(records)} viable")
+            n = min(self.MAX_N, max(k, round(k * self.overprovision)),
+                    len(records))
             # random sample without replacement forms the equivalence class
             idx = self.rng.permutation(len(records))[:n]
             entries: List[ScheduleMapping] = []

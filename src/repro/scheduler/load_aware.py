@@ -18,14 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..collection.records import CollectionRecord
-from ..errors import SchedulingError
 from ..naming.loid import LOID
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
 
 __all__ = ["LoadAwareScheduler"]
@@ -44,6 +39,8 @@ class LoadAwareScheduler(Scheduler):
         self.select_implementation = select_implementation
 
     def _rate_of(self, record: CollectionRecord) -> float:
+        """The plain rate, with the load read from
+        ``predicted_load_attr`` when one is set."""
         speed = float(record.get("host_speed", 1.0))
         load_attr = self.predicted_load_attr or "host_load"
         # computed (injected) attributes live on the Collection, not the
@@ -65,36 +62,27 @@ class LoadAwareScheduler(Scheduler):
         return rate
 
     def _ranked_hosts(self, class_obj) -> List[CollectionRecord]:
-        records = self.viable_hosts(class_obj,
-                                    extra_query="$host_slots_free > 0")
-        if not records:
-            raise SchedulingError(
-                f"no viable hosts for class {class_obj.name!r}")
+        records = self.require_hosts(
+            self.viable_hosts(class_obj, extra_query="$host_slots_free > 0"),
+            class_obj)
         # descending by rate; LOID order breaks ties deterministically
         return sorted(records,
                       key=lambda r: (-self._effective_rate(r, class_obj),
                                      r.member))
 
-    def _pick_vault(self, record: CollectionRecord) -> LOID:
-        vaults = self.compatible_vaults_of(record)
-        if not vaults:
-            raise SchedulingError(
-                f"host {record.member} advertises no compatible vaults")
-        return vaults[0]
-
-    def _mapping_for(self, class_obj, record: CollectionRecord
-                     ) -> ScheduleMapping:
+    def mapping_for(self, class_obj, record: CollectionRecord,
+                    vault: LOID) -> ScheduleMapping:
+        """Pins the fastest matching binary under implementation
+        selection."""
         impl = (self.best_implementation_for(class_obj, record)
                 if self.select_implementation else None)
-        return ScheduleMapping(
-            class_loid=class_obj.loid, host_loid=record.member,
-            vault_loid=self._pick_vault(record), implementation=impl)
+        return ScheduleMapping(class_obj.loid, record.member, vault,
+                               implementation=impl)
 
     def compute_schedule(self, requests: Sequence[ObjectClassRequest]
                          ) -> ScheduleRequestList:
-        master_entries: List[ScheduleMapping] = []
-        # per-entry ranked alternatives for variant construction
-        alternatives: List[List[ScheduleMapping]] = []
+        # per entry: the best host, then the next-best as alternatives
+        candidates: List[List[ScheduleMapping]] = []
         slots_used: Dict[LOID, int] = {}
 
         for request in requests:
@@ -111,20 +99,9 @@ class LoadAwareScheduler(Scheduler):
                                key=lambda r: (-eff(r), r.member))
                 best = order[0]
                 slots_used[best.member] = slots_used.get(best.member, 0) + 1
-                master_entries.append(self._mapping_for(class_obj, best))
-                alternatives.append([
-                    self._mapping_for(class_obj, r)
-                    for r in order[1: 1 + self.n_variants]])
+                candidates.append(self.candidates_for(
+                    class_obj, order[: 1 + self.n_variants]))
 
-        master = MasterSchedule(master_entries, label="load-aware")
-        # variant v substitutes each entry's v-th alternative where one exists
-        for v in range(self.n_variants):
-            replacements: Dict[int, ScheduleMapping] = {}
-            for j, alts in enumerate(alternatives):
-                if v < len(alts) and not alts[v].same_target(
-                        master_entries[j]):
-                    replacements[j] = alts[v]
-            if replacements:
-                master.add_variant(VariantSchedule(
-                    replacements, label=f"load-aware-alt-{v + 1}"))
+        master = MasterSchedule.from_candidates(
+            candidates, "load-aware", "load-aware-alt-{}")
         return ScheduleRequestList([master], label="load-aware")

@@ -19,14 +19,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..collection.records import CollectionRecord
-from ..errors import SchedulingError
 from ..naming.loid import LOID
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
 
 __all__ = ["MCTScheduler"]
@@ -41,11 +36,6 @@ class MCTScheduler(Scheduler):
     WORK_ATTR = "work_units"
     #: per-instance work of a class that advertises none
     DEFAULT_WORK = 1.0
-
-    def _rate_of(self, record: CollectionRecord) -> float:
-        speed = float(record.get("host_speed", 1.0))
-        load = float(record.get("host_load", 0.0))
-        return speed / (1.0 + max(0.0, load))
 
     def _work_of(self, request: ObjectClassRequest) -> float:
         """Expected per-instance work: SmartNet's 'compute characteristics'
@@ -62,11 +52,8 @@ class MCTScheduler(Scheduler):
         host_pool: Dict[LOID, CollectionRecord] = {}
         per_class_records: Dict[LOID, List[CollectionRecord]] = {}
         for request in requests:
-            records = self.viable_hosts(request.class_obj)
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class "
-                    f"{request.class_obj.name!r}")
+            records = self.require_hosts(
+                self.viable_hosts(request.class_obj), request.class_obj)
             per_class_records[request.class_obj.loid] = records
             for record in records:
                 host_pool[record.member] = record
@@ -76,9 +63,7 @@ class MCTScheduler(Scheduler):
         tasks.sort(key=lambda t: -t[0])  # longest processing time first
 
         ready: Dict[LOID, float] = {loid: 0.0 for loid in host_pool}
-        entries: List[ScheduleMapping] = []
-        alternates: List[List[ScheduleMapping]] = []
-        order: List[int] = []  # original task order -> entry index
+        candidates: List[List[ScheduleMapping]] = []
         for work, class_obj in tasks:
             records = per_class_records[class_obj.loid]
 
@@ -90,27 +75,9 @@ class MCTScheduler(Scheduler):
                                                     r.member))
             best = ranked[0]
             ready[best.member] += work / max(self._rate_of(best), 1e-9)
-            vaults = self.compatible_vaults_of(best)
-            if not vaults:
-                raise SchedulingError(
-                    f"host {best.member} advertises no compatible vaults")
-            entries.append(ScheduleMapping(class_obj.loid, best.member,
-                                           vaults[0]))
-            alts = []
-            for record in ranked[1: 1 + self.N_VARIANTS]:
-                v = self.compatible_vaults_of(record)
-                if v:
-                    alts.append(ScheduleMapping(class_obj.loid,
-                                                record.member, v[0]))
-            alternates.append(alts)
+            candidates.append(self.candidates_for(
+                class_obj, ranked[: 1 + self.N_VARIANTS]))
 
-        master = MasterSchedule(entries, label="mct")
-        for v in range(self.N_VARIANTS):
-            replacements = {}
-            for j, alts in enumerate(alternates):
-                if v < len(alts) and not alts[v].same_target(entries[j]):
-                    replacements[j] = alts[v]
-            if replacements:
-                master.add_variant(VariantSchedule(
-                    replacements, label=f"mct-alt-{v + 1}"))
+        master = MasterSchedule.from_candidates(candidates, "mct",
+                                                "mct-alt-{}")
         return ScheduleRequestList([master], label="mct")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..errors import SchedulingError
 from ..schedule.mapping import ScheduleMapping
 from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
@@ -33,17 +32,12 @@ class RandomScheduler(Scheduler):
             class_obj = request.class_obj
             # query the class for available implementations;
             # query Collection for Hosts matching available implementations
-            records = self.viable_hosts(class_obj)
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class {class_obj.name!r}")
+            records = self.require_hosts(self.viable_hosts(class_obj),
+                                         class_obj)
             for _i in range(request.count):      # for i := 1 to k
                 record = records[self.rng.integers(0, len(records))]
-                vaults = self.compatible_vaults_of(record)
-                if not vaults:
-                    raise SchedulingError(
-                        f"host {record.member} advertises no compatible "
-                        f"vaults")
+                vaults = self.require_vaults(
+                    record, self.compatible_vaults_of(record))
                 vault = vaults[self.rng.integers(0, len(vaults))]
                 mappings.append(ScheduleMapping(
                     class_loid=class_obj.loid,

@@ -7,13 +7,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..errors import SchedulingError
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
 
 __all__ = ["RoundRobinScheduler"]
@@ -28,40 +23,22 @@ class RoundRobinScheduler(Scheduler):
 
     def compute_schedule(self, requests: Sequence[ObjectClassRequest]
                          ) -> ScheduleRequestList:
-        master_entries: List[ScheduleMapping] = []
-        alternatives: List[ScheduleMapping] = []
+        # per entry: the host at the cursor, then the next one round
+        candidates: List[List[ScheduleMapping]] = []
         for request in requests:
             class_obj = request.class_obj
-            records = sorted(self.viable_hosts(class_obj),
-                             key=lambda r: r.member)
-            if not records:
-                raise SchedulingError(
-                    f"no viable hosts for class {class_obj.name!r}")
+            records = self.require_hosts(
+                sorted(self.viable_hosts(class_obj), key=lambda r: r.member),
+                class_obj)
             key = str(class_obj.loid)
             cursor = self._cursor.get(key, 0)
             for _i in range(request.count):
-                record = records[cursor % len(records)]
-                alt = records[(cursor + 1) % len(records)]
+                candidates.append(self.candidates_for(class_obj, [
+                    records[cursor % len(records)],
+                    records[(cursor + 1) % len(records)]]))
                 cursor += 1
-                vaults = self.compatible_vaults_of(record)
-                alt_vaults = self.compatible_vaults_of(alt)
-                if not vaults or not alt_vaults:
-                    raise SchedulingError(
-                        f"host {record.member} advertises no compatible "
-                        f"vaults")
-                master_entries.append(ScheduleMapping(
-                    class_loid=class_obj.loid, host_loid=record.member,
-                    vault_loid=vaults[0]))
-                alternatives.append(ScheduleMapping(
-                    class_loid=class_obj.loid, host_loid=alt.member,
-                    vault_loid=alt_vaults[0]))
             self._cursor[key] = cursor
 
-        master = MasterSchedule(master_entries, label="round-robin")
-        replacements = {
-            j: alt for j, alt in enumerate(alternatives)
-            if not alt.same_target(master_entries[j])}
-        if replacements:
-            master.add_variant(VariantSchedule(replacements,
-                                               label="rr-next"))
+        master = MasterSchedule.from_candidates(candidates, "round-robin",
+                                                "rr-next")
         return ScheduleRequestList([master], label="round-robin")

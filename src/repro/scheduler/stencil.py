@@ -27,11 +27,7 @@ from ..collection.records import CollectionRecord
 from ..errors import SchedulingError
 from ..naming.loid import LOID
 from ..schedule.mapping import ScheduleMapping
-from ..schedule.schedule import (
-    MasterSchedule,
-    ScheduleRequestList,
-    VariantSchedule,
-)
+from ..schedule.schedule import MasterSchedule, ScheduleRequestList
 from .base import ObjectClassRequest, Scheduler
 
 __all__ = ["StencilScheduler", "grid_comm_cost", "snake_order"]
@@ -93,17 +89,10 @@ class StencilScheduler(Scheduler):
         #: populated by compute_schedule: grid cell -> entry index
         self.last_grid: Dict[Tuple[int, int], int] = {}
 
-    def _rate_of(self, record: CollectionRecord) -> float:
-        speed = float(record.get("host_speed", 1.0))
-        load = float(record.get("host_load", 0.0))
-        return speed / (1.0 + max(0.0, load))
-
     def _ordered_hosts(self, class_obj) -> List[CollectionRecord]:
-        records = self.viable_hosts(class_obj,
-                                    extra_query="$host_slots_free > 0")
-        if not records:
-            raise SchedulingError(
-                f"no viable hosts for class {class_obj.name!r}")
+        records = self.require_hosts(
+            self.viable_hosts(class_obj, extra_query="$host_slots_free > 0"),
+            class_obj)
         # group hosts by domain; order domains by aggregate rate so the
         # fastest domains absorb most of the grid; within a domain, best
         # hosts first
@@ -148,37 +137,21 @@ class StencilScheduler(Scheduler):
                 f"{len(ordered)} viable hosts x {self.instances_per_host} "
                 f"slots < {request.count} instances")
 
-        entries: List[ScheduleMapping] = []
-        self.last_grid = {}
-        cells = snake_order(rows, cols)
-        for slot, cell in enumerate(cells):
-            record = ordered[slot // self.instances_per_host]
-            vaults = self.compatible_vaults_of(record)
-            if not vaults:
-                raise SchedulingError(
-                    f"host {record.member} advertises no compatible vaults")
-            self.last_grid[cell] = len(entries)
-            entries.append(ScheduleMapping(
-                class_loid=class_obj.loid, host_loid=record.member,
-                vault_loid=vaults[0]))
-
-        master = MasterSchedule(entries, label="stencil")
-        # variants: spill each entry to the next unused host, preserving
-        # as much domain locality as the spare pool allows
+        # the one variant spills each entry to the next unused host,
+        # preserving as much domain locality as the spare pool allows
         spare = ordered[(request.count + self.instances_per_host - 1)
                         // self.instances_per_host:]
-        if spare:
-            replacements: Dict[int, ScheduleMapping] = {}
-            for j in range(len(entries)):
-                record = spare[j % len(spare)]
-                vaults = self.compatible_vaults_of(record)
-                if vaults:
-                    replacements[j] = ScheduleMapping(
-                        class_loid=class_obj.loid, host_loid=record.member,
-                        vault_loid=vaults[0])
-            if replacements:
-                master.add_variant(VariantSchedule(replacements,
-                                                   label="stencil-spill"))
+        candidates: List[List[ScheduleMapping]] = []
+        self.last_grid = {}
+        for slot, cell in enumerate(snake_order(rows, cols)):
+            ranked = [ordered[slot // self.instances_per_host]]
+            if spare:
+                ranked.append(spare[slot % len(spare)])
+            candidates.append(self.candidates_for(class_obj, ranked))
+            self.last_grid[cell] = slot
+
+        master = MasterSchedule.from_candidates(candidates, "stencil",
+                                                "stencil-spill")
         return ScheduleRequestList([master], label="stencil")
 
     # -- evaluation help ----------------------------------------------------

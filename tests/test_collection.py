@@ -164,11 +164,12 @@ class TestQuery:
         result = coll.query('match("sun1", $loid)')
         assert [r.member for r in result] == [loid("sun1")]
 
-    def test_ast_cache_reused(self, coll):
+    def test_plan_compiled_once_per_query_text(self, coll):
         self.fill(coll)
         coll.query("$host_load < 1")
         coll.query("$host_load < 1")
-        assert len(coll._ast_cache) == 1
+        assert coll.plans_compiled == 1
+        assert len(coll._plan_cache) == 1
 
 
 class TestPullModel:

@@ -6,8 +6,8 @@ table matches the journal vocabulary docs/recovery.md lists, a
 comparison's claims are data judged by one evaluator, telemetry is
 handed to a component at construction, live only from the Metasystem,
 what a world holds once per host has no instance ``__dict__`` and
-no callback of its own, and docs and sources cite ROADMAP items by
-title."""
+no callback of its own, only ``schedule/schedule.py`` builds variant
+schedules, and docs and sources cite ROADMAP items by title."""
 
 import ast
 import re
@@ -398,6 +398,47 @@ class TestTelemetryHasOneRule:
             "obs.SpanTracer(clock)", "host.spans"}
         assert telemetry_wiring("metasystem.py", tree) == {
             "metrics=None", "spans=None", "host.spans"}
+
+
+#: the one module that builds Fig. 5 variant schedules
+VARIANT_BUILDER = "schedule/schedule.py"
+
+
+def variant_builds(tree):
+    """``VariantSchedule(...)`` and ``.add_variant(...)`` calls, unparsed:
+    a policy hands its ranked candidates to
+    ``MasterSchedule.from_candidates`` instead."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ((isinstance(node.func, ast.Name)
+                  and node.func.id == "VariantSchedule")
+                 or (isinstance(node.func, ast.Attribute)
+                     and node.func.attr in ("VariantSchedule",
+                                            "add_variant")))]
+
+
+class TestVariantsHaveOneBuilder:
+    def test_only_the_schedule_module_builds_variants(self, source_trees):
+        examples = [(f"examples/{path.name}",
+                     ast.parse(path.read_text(encoding="utf-8")))
+                    for path in sorted((ROOT / "examples").glob("*.py"))]
+        breaches = {module for module, tree in [*source_trees, *examples]
+                    if module != VARIANT_BUILDER and variant_builds(tree)}
+        assert not breaches, breaches
+
+    def test_the_check_sees_each_spelling(self):
+        """The spellings the hand-written variant loops used."""
+        tree = ast.parse(
+            "master.add_variant(VariantSchedule(replacements, label='a'))\n"
+            "rebuilt.add_variant(schedule.VariantSchedule({0: m}))\n"
+            "variants.append(VariantSchedule(r))\n"
+            "MasterSchedule.from_candidates(candidates, 'm', 'v-{}')\n")
+        assert sorted(variant_builds(tree)) == [
+            "VariantSchedule(r)",
+            "VariantSchedule(replacements, label='a')",
+            "master.add_variant(VariantSchedule(replacements, label='a'))",
+            "rebuilt.add_variant(schedule.VariantSchedule({0: m}))",
+            "schedule.VariantSchedule({0: m})"]
 
 
 #: ``(module, class, method)`` run once per host: each may create no

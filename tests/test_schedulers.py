@@ -338,3 +338,73 @@ class TestKofNScheduler:
         with pytest.raises(ValueError):
             KofNScheduler(meta.collection, meta.enactor, meta.transport,
                           overprovision=0.5)
+
+
+def two_host_world(*vault_domains):
+    """Hosts ``fast`` in domain ``a`` and ``slow`` in domain ``b``; each
+    of ``vault_domains`` gets a vault, so only its host advertises one."""
+    from repro import MachineSpec, Metasystem
+    meta = Metasystem(seed=1)
+    for domain, name, speed, price in (("a", "fast", 2.0, 0.01),
+                                       ("b", "slow", 1.0, 0.05)):
+        meta.add_domain(domain)
+        meta.add_unix_host(name, domain,
+                           MachineSpec(arch="sparc", os_name="SunOS",
+                                       speed=speed),
+                           slots=2, price=price)
+    for domain in vault_domains:
+        meta.add_vault(domain)
+    app = meta.create_class("App", [Implementation("sparc", "SunOS")],
+                            work_units=10.0)
+    return meta, app
+
+
+def master_and_other(kind):
+    """``(master's domain, the other domain)`` for ``kind``'s one-instance
+    schedule when both hosts advertise a vault."""
+    meta, app = two_host_world("a", "b")
+    [master] = meta.make_scheduler(kind).compute_schedule(
+        [ObjectClassRequest(app, count=1)]).masters
+    first = meta.resolve(master.entries[0].host_loid).domain
+    return first, "b" if first == "a" else "a"
+
+
+#: every kind that ranks alternates behind its master
+RANKED_KINDS = ("load", "round-robin", "mct", "cost", "stencil",
+                "economy-cost", "economy-time")
+
+
+class TestAlternateWithoutVaults:
+    """One rule for a host without vaults: an alternate is dropped, a
+    master is refused."""
+
+    @pytest.mark.parametrize("kind", RANKED_KINDS)
+    def test_vaultless_alternate_is_dropped(self, kind):
+        master_domain, _ = master_and_other(kind)
+        meta, app = two_host_world(master_domain)
+        outcome = meta.make_scheduler(kind).run(
+            [ObjectClassRequest(app, count=1)])
+        assert outcome.ok, outcome.detail
+        [master] = outcome.feedback.request.masters
+        assert [meta.resolve(m.host_loid).domain
+                for m in master.entries] == [master_domain]
+        assert master.variants == []
+
+    @pytest.mark.parametrize("kind", RANKED_KINDS)
+    def test_vaultless_master_is_refused(self, kind):
+        master_domain, other = master_and_other(kind)
+        meta, app = two_host_world(other)
+        [host] = [h for h in meta.hosts if h.domain == master_domain]
+        with pytest.raises(SchedulingError) as err:
+            meta.make_scheduler(kind).compute_schedule(
+                [ObjectClassRequest(app, count=1)])
+        assert str(err.value) == (f"host {host.loid} advertises no "
+                                  f"compatible vaults")
+
+    @pytest.mark.parametrize("kind", ["economy-cost", "economy-time"])
+    def test_refused_master_takes_no_budget_hold(self, kind):
+        _, other = master_and_other(kind)
+        meta, app = two_host_world(other)
+        sched = meta.make_scheduler(kind)
+        assert not sched.run([ObjectClassRequest(app, count=1)]).ok
+        assert sched.budgets.account(sched.user).committed == 0.0
