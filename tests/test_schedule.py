@@ -125,6 +125,40 @@ class TestMaster:
         assert master.required_k == 1
 
 
+class TestFromCandidates:
+    def test_variant_v_takes_each_entrys_v_th_candidate(self):
+        master = MasterSchedule.from_candidates(
+            [[mapping("a"), mapping("b"), mapping("c")],
+             [mapping("d"), mapping("e")],
+             [mapping("f")]],
+            "m", "alt-{}")
+        assert master.label == "m"
+        assert master.entries == [mapping("a"), mapping("d"), mapping("f")]
+        assert [(v.label, v.replacements) for v in master.variants] == [
+            ("alt-1", {0: mapping("b"), 1: mapping("e")}),
+            ("alt-2", {0: mapping("c")})]
+
+    def test_same_target_is_not_a_replacement(self):
+        """A candidate naming the master entry's (Host, Vault) replaces
+        nothing, and a variant left empty is skipped, not numbered
+        over: the label keeps the candidate's rank."""
+        master = MasterSchedule.from_candidates(
+            [[mapping("a"), mapping("a", cls="Other"), mapping("b")]],
+            variant_label="rank-{}")
+        assert [(v.label, v.replacements) for v in master.variants] == [
+            ("rank-2", {0: mapping("b")})]
+
+    def test_a_label_without_a_field_is_kept(self):
+        master = MasterSchedule.from_candidates(
+            [[mapping("a"), mapping("b")], [mapping("c"), mapping("d")]],
+            variant_label="next")
+        assert [v.label for v in master.variants] == ["next"]
+
+    def test_no_candidates_is_malformed(self):
+        with pytest.raises(MalformedScheduleError):
+            MasterSchedule.from_candidates([])
+
+
 class TestRequestList:
     def test_requires_masters(self):
         with pytest.raises(MalformedScheduleError):
