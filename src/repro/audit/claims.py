@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Mapping, Tuple, Union
+from typing import Any, Iterable, List, Mapping, Optional, Tuple, Union
 
 __all__ = ["Claim", "read", "judge", "verdict_lines", "failures"]
 
@@ -20,6 +20,7 @@ _OPS = {("lower", True): ("<", operator.lt),
         ("lower", False): ("<=", operator.le),
         ("higher", True): (">", operator.gt),
         ("higher", False): (">=", operator.ge)}
+_VERDICT = {True: "holds", False: "FAILS", None: "undecided"}
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,9 @@ class Claim:
     ``baseline``'s — another arm, or a fixed bound such as ``0`` or
     ``True`` — strictly or no worse.  A ``gate`` row fails every run it
     does not hold in; the others are benefits asserted at the ledger's
-    seed."""
+    seed.  A strict lower-is-better row with both sides at 0 is
+    undecided: nothing can beat 0, so the run is no evidence either
+    way."""
 
     name: str
     metric: str
@@ -56,9 +59,10 @@ def _show(value: Any) -> str:
     return format(value, "g") if isinstance(value, float) else str(value)
 
 
-def judge(claim: Claim, arms: Arms) -> Tuple[bool, str]:
+def judge(claim: Claim, arms: Arms) -> Tuple[Optional[bool], str]:
     """Whether ``claim`` holds over ``arms`` (arm name -> its ledger
-    dict), and the evidence; a missing arm fails it."""
+    dict) — None when undecided — and the evidence; a missing arm fails
+    it."""
     fixed = not isinstance(claim.baseline, str)
     names = (claim.arm,) if fixed else (claim.arm, claim.baseline)
     missing = [name for name in names if name not in arms]
@@ -68,19 +72,21 @@ def judge(claim: Claim, arms: Arms) -> Tuple[bool, str]:
     against = claim.baseline if fixed else read(arms[claim.baseline],
                                                 claim.metric)
     symbol, compare = _OPS[claim.better, claim.strict]
-    return compare(value, against), (
-        f"{claim.arm} {_show(value)} {symbol} "
-        f"{'bound' if fixed else claim.baseline} {_show(against)}")
+    evidence = (f"{claim.arm} {_show(value)} {symbol} "
+                f"{'bound' if fixed else claim.baseline} {_show(against)}")
+    if claim.strict and claim.better == "lower" and value == against == 0:
+        return None, evidence
+    return compare(value, against), evidence
 
 
 def verdict_lines(claims: Iterable[Claim], arms: Arms) -> List[str]:
     """One line per claim, in the one format every summary prints."""
-    return [f"{'holds' if ok else 'FAILS'}: {claim.name} ({evidence})"
+    return [f"{_VERDICT[ok]}: {claim.name} ({evidence})"
             for claim in claims for ok, evidence in [judge(claim, arms)]]
 
 
 def failures(claims: Iterable[Claim], arms: Arms) -> List[str]:
-    """The verdict line of each claim that does not hold; empty = all
-    hold."""
+    """The verdict line of each claim that does not hold; empty = none
+    fails (an undecided claim is not a failure)."""
     return [line for line in verdict_lines(claims, arms)
             if line.startswith("FAILS")]

@@ -8,6 +8,7 @@ holds, and a value of its metric that must fail it.  Flipping
 here named after that row."""
 
 import copy
+import io
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.audit.claims import Claim, failures, judge, read, verdict_lines
 from repro.guardrails.compare import SLO_CLAIMS, GuardrailsComparison
+from repro.tools.cli import main
 from repro.tools.ledgers import LEDGERS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +126,33 @@ class TestEvaluator:
             "FAILS: a is higher (a 3 > b 5)"]
         assert failures(claims, self.ARMS) == \
             ["FAILS: a is higher (a 3 > b 5)"]
+
+
+class TestUndecided:
+    """Nothing beats 0 on a lower-is-better count: a strict row with
+    both sides there is no evidence either way, not a failure."""
+
+    def test_a_strict_row_at_zero_on_both_sides_is_undecided(self):
+        claim = Claim("a beats b", "n", "lower", "a", "b")
+        arms = {"a": {"n": 0}, "b": {"n": 0}}
+        assert judge(claim, arms) == (None, "a 0 < b 0")
+        assert verdict_lines([claim], arms) == [
+            "undecided: a beats b (a 0 < b 0)"]
+        assert failures([claim], arms) == []
+
+    def test_a_tie_above_zero_still_fails(self):
+        claim = Claim("a beats b", "n", "lower", "a", "b")
+        arms = {"a": {"n": 2}, "b": {"n": 2}}
+        assert judge(claim, arms) == (False, "a 2 < b 2")
+        assert failures([claim], arms) == ["FAILS: a beats b (a 2 < b 2)"]
+
+    def test_a_three_wave_economy_comparison_passes(self):
+        out = io.StringIO()
+        code = main(["economy", "--compare-baselines", "--waves", "3"],
+                    out=out)
+        assert code == 0, out.getvalue()
+        assert ("undecided: economy beats irs on deadline-miss rate "
+                "(economy 0 < irs 0)") in out.getvalue()
 
 
 class TestLedgerClaims:
