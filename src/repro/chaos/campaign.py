@@ -76,30 +76,22 @@ def run_campaign(profile: str = "mixed",
                             work_units=work)
     sched = meta.make_scheduler(scheduler)
 
-    report = ResilienceReport(
-        profile=profile, chaos_seed=chaos_seed, testbed_seed=seed,
-        scheduler=scheduler, retry_enabled=retry,
-        guardrails_enabled=guardrails, horizon=horizon,
-        waves=waves, per_wave=per_wave,
-        instances_requested=waves * per_wave)
-
+    successes = created = 0
+    placements = []
     for _wave in range(waves):
-        report.placement_attempts += 1
         try:
             outcome = sched.run([ObjectClassRequest(app, count=per_wave)])
         except LegionError:
             outcome = None
+        hosts = []  # an empty list = a failed wave
         if outcome is not None and outcome.ok:
-            report.placement_successes += 1
-            report.instances_created += len(outcome.created)
-            hosts = []
+            successes += 1
+            created += len(outcome.created)
             for mapping in outcome.feedback.reserved_entries:
                 host = meta.resolve(mapping.host_loid)
                 hosts.append(host.machine.name if host is not None
                              else str(mapping.host_loid))
-            report.placements.append(sorted(hosts))
-        else:
-            report.placements.append([])
+        placements.append(sorted(hosts))
         meta.advance(wave_interval)
 
     if meta.now < horizon:
@@ -109,36 +101,41 @@ def run_campaign(profile: str = "mixed",
     # drain: let surviving jobs run to completion on a fault-free world
     drain(meta, jobs_done, drain_time, WAVE_DRAIN_STEP)
 
-    stats = injector.stats()
-    report.instances_completed = sum(h.machine.completed_jobs
-                                     for h in meta.hosts)
-    report.jobs_lost = stats["jobs_lost"]
-    report.work_lost = stats["work_lost"]
-    report.transport_retries = meta.transport.retries
-    report.reservation_retries = meta.enactor.stats.reservation_retries
-    # counted in every mode — the benchmark's comparison metric
-    report.wasted_reservation_attempts = \
-        meta.enactor.stats.wasted_reservation_attempts
-    report.load_shed = meta.enactor.stats.load_shed
-    if meta.guardrails is not None:
-        report.breaker_opens = meta.guardrails.board.total_opens()
-        report.breaker_fast_fails = meta.guardrails.board.total_fast_fails()
-        report.health_transitions = meta.guardrails.monitor.transitions
-        report.admission_rejections = meta.guardrails.admission.rejections
-    report.faults_planned = stats["planned"]
-    report.faults_injected = stats["injected"]
-    report.faults_reverted = stats["reverted"]
-    report.faults_skipped = stats["skipped"]
-    report.fault_errors = stats["errors"]
-    report.forced_repairs = stats["forced_repairs"]
-    report.residual_faults = stats["residual_faults"]
-    report.mttr_mean = stats["mttr_mean"]
-    report.mttr_max = stats["mttr_max"]
-    if meta.sampler is not None:
-        report.slo, _ = slo_block(meta, meta.default_slos())
-    if include_events:
-        report.events = [r.to_dict() for r in injector.records]
-    return report
+    faults = injector.stats()
+    enactor = meta.enactor.stats
+    suite = meta.guardrails
+    return ResilienceReport(
+        profile=profile, chaos_seed=chaos_seed, testbed_seed=seed,
+        scheduler=scheduler, retry_enabled=retry, horizon=horizon,
+        waves=waves, per_wave=per_wave,
+        placement={"attempts": waves, "successes": successes,
+                   "success_rate": successes / waves if waves else 0.0,
+                   "instances_requested": waves * per_wave,
+                   "instances_created": created, "placements": placements},
+        work={"instances_completed": sum(h.machine.completed_jobs
+                                         for h in meta.hosts),
+              "jobs_lost": faults.pop("jobs_lost"),
+              "work_lost": faults.pop("work_lost")},
+        retries={"transport": meta.transport.retries,
+                 "reservation": enactor.reservation_retries},
+        guardrails={
+            "enabled": guardrails,
+            # counted in every mode — the benchmark's comparison metric
+            "wasted_reservation_attempts":
+                enactor.wasted_reservation_attempts,
+            "load_shed": enactor.load_shed,
+            "breaker_opens": suite.board.total_opens() if suite else 0,
+            "breaker_fast_fails":
+                suite.board.total_fast_fails() if suite else 0,
+            "health_transitions":
+                suite.monitor.transitions if suite else 0,
+            "admission_rejections":
+                suite.admission.rejections if suite else 0},
+        faults=faults,
+        slo=(slo_block(meta, meta.default_slos())[0]
+             if meta.sampler is not None else {}),
+        events=([r.to_dict() for r in injector.records]
+                if include_events else []))
 
 
 def run_retry_comparison(**campaign_kwargs: Any) -> RetryComparison:

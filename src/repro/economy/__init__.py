@@ -10,9 +10,11 @@ optimization-mode schedulers bid inside the budget/deadline box
 (:mod:`~repro.economy.campaign`, :mod:`~repro.economy.report`) evaluate
 the economy against the Random/IRS baselines, GridSim-style.
 
-Enable via :meth:`repro.metasystem.Metasystem.enable_economy` or
-``TestbedSpec(economy=True)``; drive from the CLI with
-``legion-sim economy``.
+Enable it on a built world with
+:meth:`repro.metasystem.Metasystem.enable_economy` — the one way;
+:func:`~repro.economy.campaign.run_economy` calls it itself, and
+``make_scheduler("economy")`` calls it implicitly.  Drive it from the
+CLI with ``legion-sim economy``.
 """
 
 from __future__ import annotations

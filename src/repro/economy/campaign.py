@@ -63,8 +63,9 @@ def run_economy(scheduler: str = "economy",
     ``scheduler`` is ``"economy"`` (auction-cleared, per-user
     budget/deadline boxes, ``mode`` selects time- or cost-optimize) or a
     baseline kind (``random``/``irs``/``cost``); the economy layer is
-    enabled either way so every run meters identical market prices.  A
-    supplied ``meta`` must already have the economy enabled.
+    enabled either way so every run meters identical market prices.
+    Pass a prebuilt ``meta`` to reuse a custom testbed (it must not have
+    chaos started yet).
     """
     from ..scheduler.base import ObjectClassRequest
     from ..workload.testbed import implementations_for_all_platforms
@@ -73,8 +74,8 @@ def run_economy(scheduler: str = "economy",
         raise ValueError("users must be >= 1")
     if meta is None:
         meta = standard_world(seed, n_domains, hosts_per_domain,
-                              platform_mix, background_load, economy=True)
-    suite = meta.economy
+                              platform_mix, background_load)
+    suite = meta.enable_economy()
     horizon = waves * wave_interval
     if guardrails:
         meta.enable_guardrails()

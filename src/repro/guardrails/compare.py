@@ -62,10 +62,10 @@ class GuardrailsComparison(Comparison):
 
     # -- derived -----------------------------------------------------------
     def survival(self, mode: str) -> float:
-        return self.reports[mode].placement_success_rate
+        return self.reports[mode].placement["success_rate"]
 
     def wasted(self, mode: str) -> int:
-        return self.reports[mode].wasted_reservation_attempts
+        return self.reports[mode].guardrails["wasted_reservation_attempts"]
 
     def slo_minutes(self, mode: str) -> float:
         """SLO minutes lost in ``mode`` (0.0 when sampling was off)."""
@@ -116,13 +116,14 @@ class GuardrailsComparison(Comparison):
             f"{'shed':>5} {'opens':>6} {'retries':>8} {'completed':>10}",
         ]
         for mode, rep in self.reports.items():
+            guard = rep.guardrails
             lines.append(
-                f"  {mode:<12} {100.0 * rep.placement_success_rate:>8.1f}% "
-                f"{rep.wasted_reservation_attempts:>7} "
-                f"{rep.load_shed:>5} "
-                f"{rep.breaker_opens:>6} "
-                f"{rep.transport_retries + rep.reservation_retries:>8} "
-                f"{rep.instances_completed:>10}")
+                f"  {mode:<12} {100.0 * self.survival(mode):>8.1f}% "
+                f"{guard['wasted_reservation_attempts']:>7} "
+                f"{guard['load_shed']:>5} "
+                f"{guard['breaker_opens']:>6} "
+                f"{sum(rep.retries.values()):>8} "
+                f"{rep.work['instances_completed']:>10}")
         if self.has_slo:
             lines.append(
                 f"  slo minutes lost: off {self.slo_minutes('off'):g}, "

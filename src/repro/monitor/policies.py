@@ -31,11 +31,19 @@ Resolver = Callable[[LOID], Any]
 
 
 class ReschedulePolicy:
-    """Strategy interface consumed by the ExecutionMonitor."""
+    """Strategy interface consumed by the ExecutionMonitor: a policy
+    writes ``pick_destination`` and inherits the greedy victim rule."""
 
-    def pick_victims(self, host: HostObject,
-                     limit: int) -> List[LOID]:
-        raise NotImplementedError
+    def pick_victims(self, host: HostObject, limit: int) -> List[LOID]:
+        """The greedy rule every bundled policy uses: the ``limit``
+        objects with the most remaining work."""
+        candidates = []
+        for loid, placed in host.placed.items():
+            remaining = (placed.job.remaining
+                         if placed.job is not None else 0.0)
+            candidates.append((remaining, loid))
+        candidates.sort(reverse=True)
+        return [loid for _rem, loid in candidates[:limit]]
 
     def pick_destination(self, victim_class_loid: LOID,
                          source: HostObject) -> Optional[LOID]:
@@ -50,15 +58,6 @@ class GreedyLeastLoaded(ReschedulePolicy):
         self.collection = collection
         self.resolver = resolver
         self.min_load_advantage = min_load_advantage
-
-    def pick_victims(self, host: HostObject, limit: int) -> List[LOID]:
-        candidates = []
-        for loid, placed in host.placed.items():
-            remaining = (placed.job.remaining
-                         if placed.job is not None else 0.0)
-            candidates.append((remaining, loid))
-        candidates.sort(reverse=True)
-        return [loid for _rem, loid in candidates[:limit]]
 
     def pick_destination(self, victim_class_loid: LOID,
                          source: HostObject) -> Optional[LOID]:
@@ -100,15 +99,6 @@ class SchedulerBacked(ReschedulePolicy):
     def __init__(self, scheduler: Scheduler, resolver: Resolver):
         self.scheduler = scheduler
         self.resolver = resolver
-
-    def pick_victims(self, host: HostObject, limit: int) -> List[LOID]:
-        candidates = []
-        for loid, placed in host.placed.items():
-            remaining = (placed.job.remaining
-                         if placed.job is not None else 0.0)
-            candidates.append((remaining, loid))
-        candidates.sort(reverse=True)
-        return [loid for _rem, loid in candidates[:limit]]
 
     def pick_destination(self, victim_class_loid: LOID,
                          source: HostObject) -> Optional[LOID]:

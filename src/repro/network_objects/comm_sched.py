@@ -86,11 +86,10 @@ class BandwidthAwareScheduler(LoadAwareScheduler):
             return self.traffic_matrix
         return {(i, i + 1): self.pair_traffic for i in range(n - 1)}
 
-    def comm_penalty(self, entries: Sequence[ScheduleMapping],
-                     now: float) -> float:
-        """Seconds/unit-time of communication slowdown implied by a
-        placement: demand / available bandwidth per loaded link."""
-        penalty = 0.0
+    def _inter_domain_demands(self, entries: Sequence[ScheduleMapping]):
+        """``(demand, link)`` for each positive pair demand whose two
+        instances sit in different known domains (``link`` is None when
+        those domains are unconnected)."""
         for (i, j), demand in self._pairs(len(entries)).items():
             if demand <= 0 or i >= len(entries) or j >= len(entries):
                 continue
@@ -98,7 +97,14 @@ class BandwidthAwareScheduler(LoadAwareScheduler):
             db = self.host_domains.get(entries[j].host_loid)
             if da is None or db is None or da == db:
                 continue
-            link = self.links.between(da, db)
+            yield demand, self.links.between(da, db)
+
+    def comm_penalty(self, entries: Sequence[ScheduleMapping],
+                     now: float) -> float:
+        """Seconds/unit-time of communication slowdown implied by a
+        placement: demand / available bandwidth per loaded link."""
+        penalty = 0.0
+        for demand, link in self._inter_domain_demands(entries):
             if link is None:
                 penalty += 1e6  # unconnected domains: effectively infeasible
                 continue
@@ -137,14 +143,7 @@ class BandwidthAwareScheduler(LoadAwareScheduler):
         """
         now = self.transport.sim.now
         plan = CommPlan()
-        for (i, j), demand in self._pairs(len(entries)).items():
-            if demand <= 0 or i >= len(entries) or j >= len(entries):
-                continue
-            da = self.host_domains.get(entries[i].host_loid)
-            db = self.host_domains.get(entries[j].host_loid)
-            if da is None or db is None or da == db:
-                continue
-            link = self.links.between(da, db)
+        for demand, link in self._inter_domain_demands(entries):
             if link is None:
                 continue
             plan.demands[link.loid] = (plan.demands.get(link.loid, 0.0)

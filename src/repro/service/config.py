@@ -2,8 +2,8 @@
 
 One frozen dataclass configures all three service components (gateway,
 queue, worker pool) so :meth:`~repro.metasystem.Metasystem.start_service`
-and ``TestbedSpec(service=...)`` take a single value, mirroring
-``GuardrailConfig`` / ``EconomyConfig``.
+— the one way to start the tier on a built world — takes a single
+value, mirroring ``GuardrailConfig`` / ``EconomyConfig``.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from ..audit.claims import Claim, verdict_lines
 from ..campaign import (SERVICE_DRAIN_STEP, Comparison, Report, drain,
                         run_variants, slo_block, stable_round,
                         standard_world)
+from ..errors import LegionError
 from .slos import E2E_THRESHOLD, default_service_slos
 from .traffic import TrafficGenerator, TrafficModel
 
@@ -287,7 +288,8 @@ def run_service(seed: int = 0,
 
     ``queue_cap=0`` disables the bounded backlog (shedding off) — the
     overload baseline.  Pass a prebuilt ``meta`` to reuse a custom
-    testbed (it must not have a service started yet)."""
+    testbed; one that has had a service started, even a stopped one, is
+    refused with a :class:`~repro.errors.LegionError`."""
     from .config import ServiceConfig
 
     if meta is None:
@@ -295,6 +297,9 @@ def run_service(seed: int = 0,
                               platform_mix, background_load,
                               host_slots=host_slots,
                               sampler_window=sampler_window)
+    elif meta.service is not None:
+        raise LegionError("a service tier was already started on this "
+                          "metasystem; run_service needs one without")
     elif sampler_window and meta.sampler is None:
         meta.start_sampler(window=sampler_window)
 

@@ -69,7 +69,9 @@ __all__ = ["main", "build_parser"]
 
 
 def _build_meta(args: argparse.Namespace) -> Metasystem:
-    return build_testbed(TestbedSpec(
+    """The seeded testbed, with the layers the subcommand's flags ask
+    for switched on: guardrails, then a chaos campaign."""
+    meta = build_testbed(TestbedSpec(
         n_domains=args.domains,
         hosts_per_domain=args.hosts,
         platform_mix=args.platforms,
@@ -79,11 +81,14 @@ def _build_meta(args: argparse.Namespace) -> Metasystem:
         federation_replication=args.replication,
         gossip_interval=args.gossip_interval,
         federation_cache_ttl=args.cache_ttl,
-        chaos_profile=getattr(args, "chaos_profile", ""),
-        chaos_seed=getattr(args, "chaos_seed", 0),
-        chaos_horizon=getattr(args, "chaos_horizon", 0.0),
-        guardrails=getattr(args, "guardrails", False),
         sampler_window=getattr(args, "sampler_window", 0.0)))
+    if getattr(args, "guardrails", False):
+        meta.enable_guardrails()
+    if getattr(args, "chaos_profile", ""):
+        meta.start_chaos(profile=args.chaos_profile,
+                         chaos_seed=args.chaos_seed,
+                         horizon=getattr(args, "chaos_horizon", 0.0) or None)
+    return meta
 
 
 def _build_workload(args: argparse.Namespace, out, kind: str = ""):
@@ -102,6 +107,20 @@ def _build_workload(args: argparse.Namespace, out, kind: str = ""):
         print(str(exc), file=out)
         return None
     return meta, app, scheduler
+
+
+def _place_workload(args: argparse.Namespace, out):
+    """:func:`_build_workload`, one placement of ``--count`` instances,
+    and under ``--wait`` the wait for them: ``(meta, outcome)``, or
+    ``None`` for an unknown scheduler kind."""
+    workload = _build_workload(args, out)
+    if workload is None:
+        return None
+    meta, app, scheduler = workload
+    outcome = scheduler.run([ObjectClassRequest(app, count=args.count)])
+    if outcome.ok and args.wait:
+        wait_for_completion(meta, app, outcome.created)
+    return meta, outcome
 
 
 #: parsed flag -> runner keyword, for every flag that campaign-style
@@ -231,13 +250,10 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
         render_tree,
         spans_to_jsonl,
     )
-    workload = _build_workload(args, out)
-    if workload is None:
+    placed = _place_workload(args, out)
+    if placed is None:
         return 2
-    meta, app, scheduler = workload
-    outcome = scheduler.run([ObjectClassRequest(app, count=args.count)])
-    if outcome.ok and args.wait:
-        wait_for_completion(meta, app, outcome.created)
+    meta, outcome = placed
     spans = meta.spans.spans
     if args.mode == "tree":
         text = render_tree(spans)
@@ -297,13 +313,10 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
         snapshot_to_json,
         snapshot_to_prometheus,
     )
-    workload = _build_workload(args, out)
-    if workload is None:
+    placed = _place_workload(args, out)
+    if placed is None:
         return 2
-    meta, app, scheduler = workload
-    outcome = scheduler.run([ObjectClassRequest(app, count=args.count)])
-    if outcome.ok and args.wait:
-        wait_for_completion(meta, app, outcome.created)
+    meta, outcome = placed
     try:
         quantiles = _parse_quantiles(args.quantiles)
     except ValueError as exc:
@@ -348,13 +361,10 @@ def cmd_federation(args: argparse.Namespace, out) -> int:
     """Run a seeded federated workload and print ring/gossip stats."""
     if args.shards < 2:
         args.shards = 3  # this subcommand only makes sense federated
-    workload = _build_workload(args, out)
-    if workload is None:
+    placed = _place_workload(args, out)
+    if placed is None:
         return 2
-    meta, app, scheduler = workload
-    outcome = scheduler.run([ObjectClassRequest(app, count=args.count)])
-    if outcome.ok and args.wait:
-        wait_for_completion(meta, app, outcome.created)
+    meta, outcome = placed
 
     router = meta.collection
     ring = router.ring

@@ -49,6 +49,27 @@ class RunReport:
     #: application-specific extras (e.g. stencil comm cost)
     metrics: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def from_outcome(cls, outcome) -> "RunReport":
+        """The scheduling half of a report, read off a Scheduler run."""
+        return cls(ok=outcome.ok, scheduled=len(outcome.created),
+                   scheduling_time=outcome.elapsed,
+                   collection_queries=outcome.collection_queries,
+                   schedule_tries=outcome.schedule_tries,
+                   detail=outcome.detail)
+
+    def wait(self, meta: Metasystem, class_obj: ClassObject,
+             loids: Sequence[LOID], start: float,
+             timeout: float) -> "RunReport":
+        """Wait for ``loids`` to complete; the makespan counts from
+        ``start`` and is set only when every one of them did."""
+        completed, last_done = wait_for_completion(meta, class_obj, loids,
+                                                   timeout=timeout)
+        self.completed = completed
+        if completed == len(loids):
+            self.makespan = last_done - start
+        return self
+
 
 def wait_for_completion(meta: Metasystem, class_obj: ClassObject,
                         loids: Sequence[LOID],
@@ -113,20 +134,11 @@ class BagOfTasks:
             wait: bool = True, timeout: float = 1e6) -> RunReport:
         start = self.meta.now
         outcome = scheduler.run(self.requests())
-        report = RunReport(ok=outcome.ok,
-                           scheduled=len(outcome.created),
-                           scheduling_time=outcome.elapsed,
-                           collection_queries=outcome.collection_queries,
-                           schedule_tries=outcome.schedule_tries,
-                           detail=outcome.detail)
+        report = RunReport.from_outcome(outcome)
         if not outcome.ok or not wait:
             return report
-        completed, last_done = wait_for_completion(
-            self.meta, self.class_obj, outcome.created, timeout=timeout)
-        report.completed = completed
-        if completed == len(outcome.created):
-            report.makespan = last_done - start
-        return report
+        return report.wait(self.meta, self.class_obj, outcome.created,
+                           start, timeout)
 
 
 class ParameterStudy(BagOfTasks):
@@ -201,12 +213,7 @@ class StencilApplication:
             timeout: float = 1e6) -> RunReport:
         start = self.meta.now
         outcome = scheduler.run(self.requests())
-        report = RunReport(ok=outcome.ok,
-                           scheduled=len(outcome.created),
-                           scheduling_time=outcome.elapsed,
-                           collection_queries=outcome.collection_queries,
-                           schedule_tries=outcome.schedule_tries,
-                           detail=outcome.detail)
+        report = RunReport.from_outcome(outcome)
         if not outcome.ok:
             return report
         entries = outcome.feedback.reserved_entries
@@ -226,9 +233,5 @@ class StencilApplication:
                 host.machine.add_work(placed.job, penalty)
         if not wait:
             return report
-        completed, last_done = wait_for_completion(
-            self.meta, self.class_obj, outcome.created, timeout=timeout)
-        report.completed = completed
-        if completed == len(outcome.created):
-            report.makespan = last_done - start
-        return report
+        return report.wait(self.meta, self.class_obj, outcome.created,
+                           start, timeout)

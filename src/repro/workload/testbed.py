@@ -75,27 +75,10 @@ class TestbedSpec:
     gossip_interval: float = 0.0
     #: router-side query cache TTL in virtual seconds (0 disables)
     federation_cache_ttl: float = 0.0
-    #: enable the self-healing guardrails layer
-    #: (:meth:`~repro.metasystem.Metasystem.enable_guardrails`)
-    guardrails: bool = False
-    #: arm a chaos campaign over the built testbed ("" disables); a name
-    #: from :data:`repro.chaos.plan.PROFILES`
-    chaos_profile: str = ""
-    #: campaign seed (independent of the testbed seed)
-    chaos_seed: int = 0
-    #: campaign horizon override in virtual seconds (0 = profile default)
-    chaos_horizon: float = 0.0
     #: arm the windowed time-series sampler with this window length in
     #: virtual seconds (0 disables; feeds the SLO engine and
     #: ``legion-sim slo``)
     sampler_window: float = 0.0
-    #: enable the computational-economy layer (market pricing, budgets,
-    #: auctions — :meth:`~repro.metasystem.Metasystem.enable_economy`)
-    economy: bool = False
-    #: start the live service tier (gateway + placement queue + worker
-    #: pool — :meth:`~repro.metasystem.Metasystem.start_service`); True
-    #: for defaults or a :class:`~repro.service.config.ServiceConfig`
-    service: object = None
 
     def __post_init__(self) -> None:
         if self.n_domains < 1 or self.hosts_per_domain < 1:
@@ -106,7 +89,13 @@ class TestbedSpec:
 
 
 def build_testbed(spec: Optional[TestbedSpec] = None, **kwargs) -> Metasystem:
-    """Build a metasystem testbed from a :class:`TestbedSpec`."""
+    """Build a metasystem testbed from a :class:`TestbedSpec`.
+
+    Only the world is built (and the sampler armed when
+    ``sampler_window`` is set); a layer is switched on afterwards by its
+    :class:`~repro.metasystem.Metasystem` method —
+    ``enable_economy``, ``enable_guardrails``, ``start_service``,
+    ``start_chaos``, in that order when several are wanted."""
     if spec is None:
         spec = TestbedSpec(**kwargs)
     elif kwargs:
@@ -152,19 +141,6 @@ def build_testbed(spec: Optional[TestbedSpec] = None, **kwargs) -> Metasystem:
                                 queue_kind=kind, nodes=spec.batch_nodes)
     if spec.sampler_window:
         meta.start_sampler(window=spec.sampler_window)
-    if spec.economy:
-        meta.enable_economy()
-    if spec.guardrails:
-        meta.enable_guardrails()
-    if spec.service:
-        if spec.service is True:
-            meta.start_service()
-        else:
-            meta.start_service(config=spec.service)
-    if spec.chaos_profile:
-        meta.start_chaos(profile=spec.chaos_profile,
-                         chaos_seed=spec.chaos_seed,
-                         horizon=spec.chaos_horizon or None)
     return meta
 
 

@@ -40,7 +40,7 @@ def guardrails(tracing):
 
 
 def economy(tracing):
-    meta = standard_world(*SMALL_WORLD, economy=True, tracing=tracing)
+    meta = standard_world(*SMALL_WORLD, tracing=tracing)
     return meta, run_economy(
         mode="cost", seed=3, chaos_profile="lossy", guardrails=True,
         retry=True, waves=4, per_wave=3, users=2, meta=meta)

@@ -409,8 +409,8 @@ class TestInjector:
 
     def test_testbed_spec_arms_chaos(self):
         meta = build_testbed(TestbedSpec(
-            n_domains=2, hosts_per_domain=2, background_load_mean=0.0,
-            chaos_profile="hosts", chaos_seed=1, chaos_horizon=300.0))
+            n_domains=2, hosts_per_domain=2, background_load_mean=0.0))
+        meta.start_chaos(profile="hosts", chaos_seed=1, horizon=300.0)
         assert meta.chaos is not None
         assert meta.chaos.plan.horizon == 300.0
 
@@ -467,8 +467,8 @@ class TestCampaigns:
         a = run_campaign(**kwargs)
         b = run_campaign(**kwargs)
         assert a.to_json() == b.to_json()
-        assert a.placements == b.placements
-        assert a.residual_faults == []
+        assert a.placement["placements"] == b.placement["placements"]
+        assert a.faults["residual_faults"] == []
 
     def test_retry_strictly_improves_survival_under_loss(self):
         """The chaos ledger's claim table holds at chaos seed 9: with the
@@ -487,7 +487,7 @@ class TestCampaigns:
         assert data["profile"] == "light"
         assert data["faults"]["residual_faults"] == []
         assert data["placement"]["attempts"] == 2
-        assert len(data["events"]) == report.faults_planned
+        assert len(data["events"]) == report.faults["planned"]
         assert "campaign" in report.summary()
 
 

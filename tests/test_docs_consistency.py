@@ -7,7 +7,8 @@ comparison's claims are data judged by one evaluator, telemetry is
 handed to a component at construction, live only from the Metasystem,
 what a world holds once per host has no instance ``__dict__`` and
 no callback of its own, only ``schedule/schedule.py`` builds variant
-schedules, and docs and sources cite ROADMAP items by title."""
+schedules, the world builders switch no layer on, and docs and
+sources cite ROADMAP items by title."""
 
 import ast
 import re
@@ -439,6 +440,51 @@ class TestVariantsHaveOneBuilder:
             "master.add_variant(VariantSchedule(replacements, label='a'))",
             "rebuilt.add_variant(schedule.VariantSchedule({0: m}))",
             "schedule.VariantSchedule({0: m})"]
+
+
+#: the Metasystem methods that switch a layer on, and the world
+#: builders that may call none of them
+LAYER_SWITCHES = ("enable_guardrails", "enable_economy", "start_service",
+                  "start_chaos")
+WORLD_BUILDERS = (("workload/testbed.py", "build_testbed"),
+                  ("campaign.py", "standard_world"))
+#: the TestbedSpec fields that once switched those layers on
+LAYER_FIELDS = ("guardrails", "economy", "service", "chaos_profile",
+                "chaos_seed", "chaos_horizon")
+
+
+def layer_switches(tree, function):
+    """The layer-switching calls made inside ``function``, unparsed."""
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [ast.unparse(node) for node in ast.walk(body)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LAYER_SWITCHES]
+
+
+class TestLayersSwitchOnOneWay:
+    def test_world_builders_switch_no_layer_on(self, source_trees):
+        trees = dict(source_trees)
+        found = {function: layer_switches(trees[module], function)
+                 for module, function in WORLD_BUILDERS}
+        assert not any(found.values()), found
+
+    def test_testbed_spec_has_no_layer_field(self):
+        names = {f.name for f in fields(TestbedSpec)}
+        assert not names & set(LAYER_FIELDS)
+
+    def test_the_check_sees_each_switch(self):
+        tree = ast.parse(
+            "def build_testbed(spec):\n"
+            "    meta = Metasystem()\n"
+            "    if spec.economy:\n"
+            "        meta.enable_economy()\n"
+            "    meta.start_chaos(profile=spec.chaos_profile)\n"
+            "    return meta\n")
+        assert sorted(layer_switches(tree, "build_testbed")) == [
+            "meta.enable_economy()",
+            "meta.start_chaos(profile=spec.chaos_profile)"]
 
 
 #: ``(module, class, method)`` run once per host: each may create no

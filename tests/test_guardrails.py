@@ -473,13 +473,14 @@ class TestCampaignComparison:
 
     def test_guardrails_machinery_engaged(self, comparison):
         rep = comparison.reports["guardrails"]
-        assert rep.guardrails_enabled
-        assert rep.health_transitions > 0
-        assert rep.load_shed + rep.breaker_opens > 0
+        guard = rep.guardrails
+        assert guard["enabled"]
+        assert guard["health_transitions"] > 0
+        assert guard["load_shed"] + guard["breaker_opens"] > 0
         # the baseline never sheds and never opens a breaker
-        base = comparison.reports["off"]
-        assert not base.guardrails_enabled
-        assert base.load_shed == 0 and base.breaker_opens == 0
+        base = comparison.reports["off"].guardrails
+        assert not base["enabled"]
+        assert base["load_shed"] == 0 and base["breaker_opens"] == 0
 
     def test_same_seed_reproduces_identical_reports(self):
         """Identical seeds => identical reports (a second, smaller run

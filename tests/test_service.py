@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import AdmissionRejected, RequestStateError
+from repro.campaign import standard_world
+from repro.errors import AdmissionRejected, LegionError, RequestStateError
 from repro.service import (
     PlacementQueue,
     ServiceConfig,
@@ -525,15 +526,15 @@ class TestMetasystemWiring:
 
     def test_testbed_spec_service_knob(self):
         meta = build_testbed(TestbedSpec(
-            n_domains=1, hosts_per_domain=2, platform_mix=1,
-            service=ServiceConfig(workers=1, queue_cap=4)))
+            n_domains=1, hosts_per_domain=2, platform_mix=1))
+        meta.start_service(ServiceConfig(workers=1, queue_cap=4))
         assert meta.service is not None
         assert meta.service.config.workers == 1
 
     def test_testbed_spec_service_true_uses_defaults(self):
         meta = build_testbed(TestbedSpec(
-            n_domains=1, hosts_per_domain=2, platform_mix=1,
-            service=True))
+            n_domains=1, hosts_per_domain=2, platform_mix=1))
+        meta.start_service()
         assert meta.service.config == ServiceConfig()
 
 
@@ -660,6 +661,15 @@ class TestServiceCampaign:
         assert first.queue["peak_depth"] == CAMPAIGN_KWARGS["queue_cap"]
         assert first.shed > 0  # the surge saturated the backlog
         assert first.to_json() == second.to_json()
+
+    def test_a_meta_with_a_service_is_refused(self):
+        """A second campaign on the same world would reuse the first
+        one's stopped tier: it would place nothing and count the first
+        run's requests as its own."""
+        meta = standard_world(7, 1, 4, 2, 0.3, host_slots=8)
+        run_service(seed=7, duration=30.0, meta=meta)
+        with pytest.raises(LegionError, match="already started"):
+            run_service(seed=7, duration=30.0, meta=meta)
 
     def test_comparison_requires_bounded_cap(self):
         with pytest.raises(ValueError):

@@ -163,6 +163,7 @@ class TestPlacementEquivalence:
     def test_chaos_campaign_placements_byte_identical(self):
         cached = self._campaign(viable_cache=True)
         uncached = self._campaign(viable_cache=False)
-        assert cached.placements == uncached.placements
+        assert (cached.placement["placements"]
+                == uncached.placement["placements"])
         assert cached.to_dict() == uncached.to_dict()
         assert cached.to_json() == uncached.to_json()
