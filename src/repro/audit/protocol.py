@@ -33,6 +33,8 @@ import sys
 from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional
 
+from ..obs.trace_export import group_by_trace
+
 __all__ = ["check_spans", "check_trace", "load_jsonl"]
 
 
@@ -44,11 +46,8 @@ def load_jsonl(text: str) -> List[Any]:
 
 def check_spans(spans: Iterable[Any]) -> List[str]:
     """Problems in every trace of ``spans`` (an empty list accepts)."""
-    traces: Dict[str, List[Any]] = {}
-    for span in spans:
-        traces.setdefault(span.trace_id, []).append(span)
     problems: List[str] = []
-    for spans_of_trace in traces.values():
+    for spans_of_trace in group_by_trace(spans).values():
         problems.extend(check_trace(spans_of_trace))
     return problems
 

@@ -198,12 +198,10 @@ class Metasystem:
             self.collection_shards.append(shard)
             self._register(coll)
             self.context.bind(f"/etc/Collection.{shard_id}", coll.loid)
-            self.metrics.gauge(
-                "federation_shard_members",
-                help="records held per federation shard",
-                labelnames=["shard"]).labels(
-                    shard=shard_id).set_function(
-                        lambda s=shard: float(len(s)))
+            self.metrics.gauge_fn("federation_shard_members",
+                                  lambda s=shard: float(len(s)),
+                                  help="records held per federation shard",
+                                  shard=shard_id)
         router = FederatedCollection(
             self.minter.mint("svc", "collection"),
             self.collection_shards, ring, cfg.replication,
@@ -753,7 +751,9 @@ class Metasystem:
 
         ``app`` is the Class placed per request (default: a maximally
         portable ``service-app`` class sized by the config's ``work``).
-        Idempotent — a second call returns the existing suite.  All
+        Idempotent — a second call returns the existing suite, and
+        raises a :class:`~repro.errors.LegionError` if that suite was
+        stopped (:meth:`stop_service` detaches it first).  All
         randomness draws from dedicated ``("service", ...)`` streams, so
         starting the service never perturbs the other seeded streams of
         an existing scenario.  ``config`` is a
@@ -778,6 +778,10 @@ class Metasystem:
             WorkerPool,
         )
         if self.service is not None:
+            if self.service.stopped:
+                raise LegionError(
+                    "the service tier on this metasystem was stopped; "
+                    "stop_service() detaches it before a new one starts")
             return self.service
         if config is None:
             config = ServiceConfig()
@@ -828,18 +832,16 @@ class Metasystem:
     def stop_service(self) -> Any:
         """Tear the service tier down (checkpoint/restore's middle step).
 
-        Stops the supervisor, shuts the worker pool down (bumping every
-        worker generation so in-flight generators die at their next
-        resume), and detaches the suite from the metasystem so
-        :meth:`start_service` can build a fresh tier.  The world —
-        hosts, Collection, the app class and its placed instances —
-        keeps running.  Returns the detached suite.
+        Stops the suite (:meth:`~repro.service.ServiceSuite.stop`: the
+        supervisor stops and the worker pool shuts down, so in-flight
+        generators die at their next resume) and detaches it from the
+        metasystem so :meth:`start_service` can build a fresh tier.  The
+        world — hosts, Collection, the app class and its placed
+        instances — keeps running.  Returns the detached suite.
         """
         suite, self.service = self.service, None
         if suite is not None:
-            if suite.supervisor is not None:
-                suite.supervisor.stop()
-            suite.pool.shutdown()
+            suite.stop()
         return suite
 
     # ------------------------------------------------------------------

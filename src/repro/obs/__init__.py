@@ -1,11 +1,13 @@
 """repro.obs — the runtime observability subsystem.
 
-A :class:`MetricsRegistry` of Counter/Gauge/Histogram instruments with
-labeled children, virtual-clock :class:`Timer` spans, deterministic
-snapshots, and JSON/prometheus exporters, plus causal span tracing: a
-:class:`SpanTracer` of per-request :class:`Span` trees over the placement
-protocol, with critical-path analysis and Chrome-trace export in
-:mod:`repro.obs.trace_export`.  On top of both: windowed time-series
+A :class:`MetricsRegistry` — one flat store of counter, gauge and
+histogram families recorded by one-line calls whose keywords are the
+labels (``count``, ``observe``, ``set_gauge``, ``gauge_fn``, virtual-clock
+``time``) and read by one sorted iterator (``series``) — with
+deterministic snapshots and JSON/prometheus exporters, plus causal span
+tracing: a :class:`SpanTracer` of per-request :class:`Span` trees over
+the placement protocol, with critical-path analysis and Chrome-trace
+export in :mod:`repro.obs.trace_export`.  On top of both: windowed time-series
 history (:mod:`repro.obs.timeseries`), declarative SLOs with error
 budgets and burn-rate alerts (:mod:`repro.obs.slo`), and the unified
 health report behind ``legion-sim slo`` (:mod:`repro.obs.report`).
@@ -22,10 +24,8 @@ from .export import (
     snapshot_to_prometheus,
 )
 from .registry import (
-    Counter,
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TIME_BUCKETS,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
@@ -80,8 +80,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "Timer",
     "DEFAULT_TIME_BUCKETS",

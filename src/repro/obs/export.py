@@ -40,44 +40,38 @@ def _finite(x: float) -> Optional[float]:
     return float(x)
 
 
-def _bound_str(bound: float) -> str:
-    return repr(float(bound))
-
-
 def build_snapshot(registry) -> Dict[str, Any]:
     """The canonical snapshot dict for a :class:`MetricsRegistry`."""
     metrics: List[Dict[str, Any]] = []
-    for name in registry.names():
-        instrument = registry.get(name)
-        series_out: List[Dict[str, Any]] = []
-        for labels, leaf in instrument._series():
-            entry: Dict[str, Any] = {"labels": labels}
-            if instrument.kind == "histogram":
-                cumulative = leaf.cumulative_counts()
-                bounds = [_bound_str(b) for b in leaf.bounds] + ["+Inf"]
-                entry.update({
-                    "count": leaf.count,
-                    "sum": _finite(leaf.sum) or 0.0,
-                    "min": _finite(leaf.stats.minimum),
-                    "max": _finite(leaf.stats.maximum),
-                    "mean": _finite(leaf.stats.mean),
-                    "buckets": [[b, c] for b, c in zip(bounds, cumulative)],
-                    "exemplars": [
-                        [bounds[idx], _finite(value) or 0.0, trace_id]
-                        for idx, (value, trace_id)
-                        in sorted(leaf.exemplars.items())
-                    ],
-                })
-            else:
-                entry["value"] = _finite(leaf.value) or 0.0
-            series_out.append(entry)
-        metrics.append({
-            "name": name,
-            "kind": instrument.kind,
-            "help": instrument.help,
-            "labelnames": list(instrument.labelnames),
-            "series": series_out,
-        })
+    for name, family, labels, series in registry.series():
+        if not metrics or metrics[-1]["name"] != name:
+            metrics.append({
+                "name": name,
+                "kind": family.kind,
+                "help": family.help,
+                "labelnames": list(family.labelnames),
+                "series": [],
+            })
+        entry: Dict[str, Any] = {"labels": labels}
+        if family.kind == "histogram":
+            bounds = series.bucket_labels()
+            entry.update({
+                "count": series.count,
+                "sum": _finite(series.sum) or 0.0,
+                "min": _finite(series.stats.minimum),
+                "max": _finite(series.stats.maximum),
+                "mean": _finite(series.stats.mean),
+                "buckets": [[b, c] for b, c in
+                            zip(bounds, series.cumulative_counts())],
+                "exemplars": [
+                    [bounds[idx], _finite(value) or 0.0, trace_id]
+                    for idx, (value, trace_id)
+                    in sorted(series.exemplars.items())
+                ],
+            })
+        else:
+            entry["value"] = _finite(series.read()) or 0.0
+        metrics[-1]["series"].append(entry)
     return {"metrics": metrics}
 
 

@@ -1,29 +1,38 @@
-"""The metrics registry: Counter / Gauge / Histogram / Timer instruments.
+"""The metrics registry: one flat store, one way in, one way out.
 
 The paper leaves Legion unbenchmarked (section 6: "We are in the process
 of benchmarking the current system"); this package supplies the missing
-measurement substrate.  A :class:`MetricsRegistry` names a flat catalogue
-of instruments; every hot path in the reproduction (Collection queries,
-the Enactor's placement protocol, Host reservations, the transport, the
-sim kernel) reports into the registry owned by its
-:class:`~repro.metasystem.Metasystem`, and a deterministic
+measurement substrate.  A :class:`MetricsRegistry` holds one
+:class:`MetricFamily` per metric name; every hot path in the
+reproduction (Collection queries, the Enactor's placement protocol, Host
+reservations, the transport, the sim kernel) reports into the registry
+owned by its :class:`~repro.metasystem.Metasystem`, and a deterministic
 :meth:`~MetricsRegistry.snapshot` can be exported as JSON or
 prometheus-style text (:mod:`repro.obs.export`).
 
 Design points:
 
-* **labeled children** — an instrument declared with ``labelnames``
-  fans out into one *series* per label-value combination
-  (``counter.labels(rtype="reusable timesharing").inc()``), mirroring
-  prometheus client libraries;
+* **one recording API** — :meth:`~MetricsRegistry.count`,
+  :meth:`~MetricsRegistry.observe`, :meth:`~MetricsRegistry.set_gauge`,
+  :meth:`~MetricsRegistry.gauge_fn` and :meth:`~MetricsRegistry.time`
+  are single statements whose keyword arguments are the labels
+  (``count("host_reservations_granted_total", rtype="reusable")``); a
+  name's first use fixes its kind and label names;
+* **one reader** — :meth:`~MetricsRegistry.series` yields every series
+  in sorted order; the exporters and the time-series sampler read
+  through it, so only this module knows the store's layout;
+* **flat store** — a family maps label values to series: a
+  :class:`Scalar` (a counter or gauge value, or a lazy gauge's read
+  function) or a :class:`Histogram`.  A series exists from its first
+  use, so no snapshot gains a zero series;
 * **virtual-clock timers** — :meth:`MetricsRegistry.time` measures spans
   of *simulated* time, so latency histograms report what the experiments
   measure, not wall-clock noise;
 * **determinism** — snapshots iterate names and label keys in sorted
   order and contain no wall-clock input, so two identical seeded runs
   produce byte-identical exports (pinned by ``tests/test_determinism.py``);
-* **quantiles** — :class:`Histogram` keeps cumulative bucket counts plus
-  a :class:`~repro.sim.stats.RunningStats` accumulator, giving exact
+* **quantiles** — :class:`Histogram` keeps bucket counts plus a
+  :class:`~repro.sim.stats.RunningStats` accumulator, giving exact
   count/sum/min/max/mean and interpolated percentiles without storing
   samples;
 * **exemplars** — a histogram remembers, per bucket, the trace ID of the
@@ -36,15 +45,15 @@ Design points:
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..sim.stats import RunningStats
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
+    "MetricFamily",
+    "Scalar",
     "Timer",
     "MetricsRegistry",
     "NullMetricsRegistry",
@@ -63,107 +72,25 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (
     0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 250.0, 1000.0)
 
 
-class _Instrument:
-    """Base: a named metric that may fan out into labeled child series."""
+class Scalar:
+    """A counter or gauge series: its value, or the read function of a
+    lazy gauge (evaluated whenever the series is read)."""
 
-    kind = "abstract"
+    __slots__ = ("value", "fn")
 
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()):
-        self.name = name
-        self.help = help
-        self.labelnames: Tuple[str, ...] = tuple(labelnames)
-        self._children: Dict[Tuple[str, ...], "_Instrument"] = {}
-        #: ``tuple(labels.items())`` exactly as a call site passed them ->
-        #: leaf series; filled by :meth:`MetricsRegistry._leaf` after it
-        #: has validated the labels once, so a repeat skips validation
-        self._memo: Dict[tuple, "_Instrument"] = {}
+    def __init__(self) -> None:
+        self.value = 0.0
+        self.fn: Optional[Callable[[], float]] = None
 
-    # -- labeled children ---------------------------------------------------
-    def _make_child(self) -> "_Instrument":
-        raise NotImplementedError
-
-    def labels(self, **labels: Any) -> "_Instrument":
-        """The child series for one label-value combination."""
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} takes labels "
-                f"{sorted(self.labelnames)}, got {sorted(labels)}")
-        key = tuple(str(labels[k]) for k in self.labelnames)
-        child = self._children.get(key)
-        if child is None:
-            child = self._make_child()
-            self._children[key] = child
-        return child
-
-    def _series(self) -> List[Tuple[Dict[str, str], "_Instrument"]]:
-        """(labels, leaf) pairs in deterministic (sorted key) order."""
-        if not self.labelnames:
-            return [({}, self)]
-        return [(dict(zip(self.labelnames, key)), self._children[key])
-                for key in sorted(self._children)]
+    def read(self) -> float:
+        if self.fn is not None:
+            return float(self.fn())
+        return self.value
 
 
-class Counter(_Instrument):
-    """A monotonically increasing total."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()):
-        super().__init__(name, help, labelnames)
-        self._value = 0.0
-
-    def _make_child(self) -> "Counter":
-        return Counter(self.name, self.help)
-
-    def inc(self, n: float = 1.0) -> None:
-        if n < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self._value += n
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge(_Instrument):
-    """An instantaneous value; optionally computed by a callback at
-    snapshot time (for cheap kernel introspection like queue depth)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()):
-        super().__init__(name, help, labelnames)
-        self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def _make_child(self) -> "Gauge":
-        return Gauge(self.name, self.help)
-
-    def set(self, value: float) -> None:
-        self._value = float(value)
-
-    def inc(self, n: float = 1.0) -> None:
-        self._value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self._value -= n
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Evaluate ``fn()`` lazily whenever the gauge is read."""
-        self._fn = fn
-
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        return self._value
-
-
-class Histogram(_Instrument):
-    """Cumulative-bucket histogram with exact moments and quantiles.
+class Histogram:
+    """A histogram series: cumulative buckets with exact moments and
+    quantiles.
 
     ``buckets`` are finite upper bounds; an implicit +Inf bucket catches
     the overflow.  Exact count/sum/min/max/mean come from a
@@ -171,29 +98,24 @@ class Histogram(_Instrument):
     the containing bucket (see :func:`bucket_quantile`).
     """
 
-    kind = "histogram"
+    __slots__ = ("bounds", "counts", "stats", "exemplars")
 
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = (),
-                 buckets: Sequence[float] = DEFAULT_TIME_BUCKETS):
-        super().__init__(name, help, labelnames)
+    def __init__(self, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS):
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)   # last slot = +Inf
+        #: per-bucket (not cumulative) counts; last slot = +Inf
+        self.counts = [0] * (len(bounds) + 1)
         self.stats = RunningStats()
         #: bucket index -> (value, trace_id) of that bucket's max-latency
         #: observation seen so far
         self.exemplars: Dict[int, Tuple[float, str]] = {}
 
-    def _make_child(self) -> "Histogram":
-        return Histogram(self.name, self.help, buckets=self.bounds)
-
     def observe(self, x: float, exemplar: Optional[str] = None) -> None:
         x = float(x)
         idx = bisect_left(self.bounds, x)
-        self._counts[idx] += 1
+        self.counts[idx] += 1
         self.stats.add(x)
         if exemplar is not None:
             current = self.exemplars.get(idx)
@@ -208,10 +130,15 @@ class Histogram(_Instrument):
     def sum(self) -> float:
         return self.stats.mean * self.stats.n if self.stats.n else 0.0
 
+    def bucket_labels(self) -> List[str]:
+        """The ``le`` text of every bucket (``"0.005"``, ..., ``"+Inf"``),
+        as the exports and the sampler's windows print them."""
+        return [repr(b) for b in self.bounds] + ["+Inf"]
+
     def cumulative_counts(self) -> List[int]:
         """Per-bucket cumulative counts, +Inf bucket last."""
         out, running = [], 0
-        for c in self._counts:
+        for c in self.counts:
             running += c
             out.append(running)
         return out
@@ -226,6 +153,22 @@ class Histogram(_Instrument):
         uppers = (*self.bounds, stats.maximum)
         return bucket_quantile(zip(uppers, self.cumulative_counts()),
                                stats.n, stats.minimum, stats.maximum, q)
+
+
+class MetricFamily:
+    """Everything recorded under one metric name: its kind, help text,
+    label names and histogram bucket bounds, and its series keyed by
+    label values (``str`` of each, in ``labelnames`` order)."""
+
+    __slots__ = ("kind", "help", "labelnames", "buckets", "series")
+
+    def __init__(self, kind: str, help: str, labelnames: Tuple[str, ...],
+                 buckets: Sequence[float]):
+        self.kind = kind
+        self.help = help
+        self.labelnames = labelnames
+        self.buckets = tuple(buckets)
+        self.series: Dict[Tuple[str, ...], Any] = {}
 
 
 def bucket_quantile(buckets: Iterable[Tuple[float, int]], count: int,
@@ -286,22 +229,26 @@ class _NullTimer:
         return None
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """A named catalogue of instruments bound to one (virtual) clock.
+    """A flat store of metric families bound to one (virtual) clock.
 
-    Factory methods are idempotent: asking for an existing name returns
-    the registered instrument (label names must agree; a kind clash
-    raises).  The convenience one-liners (:meth:`count`, :meth:`observe`,
-    :meth:`set_gauge`, :meth:`time`) infer label names from the keyword
-    arguments, which keeps call sites to a single statement.
+    Every metric is recorded by one statement — :meth:`count`,
+    :meth:`observe`, :meth:`set_gauge`, :meth:`gauge_fn` or
+    :meth:`time` — whose keyword arguments are its labels; the first use
+    of a name fixes its kind, help text, label names and (for a
+    histogram) bucket bounds, and a later use that disagrees on kind or
+    label names raises.  Every series is read through :meth:`series`.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
-        self._metrics: Dict[str, _Instrument] = {}
+        self._families: Dict[str, MetricFamily] = {}
+        #: per kind, ``(name, *labels.items())`` exactly as a call site
+        #: passed them -> series; filled by :meth:`_resolve` after it has
+        #: validated the labels once, so a repeat is one dict probe
+        self._counters: Dict[tuple, Scalar] = {}
+        self._gauges: Dict[tuple, Scalar] = {}
+        self._histograms: Dict[tuple, Histogram] = {}
         self._exemplar_provider: Optional[
             Callable[[], Optional[str]]] = None
 
@@ -312,113 +259,114 @@ class MetricsRegistry:
         exemplar (if it is the bucket's max so far)."""
         self._exemplar_provider = fn
 
-    def _current_exemplar(self) -> Optional[str]:
-        if self._exemplar_provider is None:
-            return None
-        return self._exemplar_provider()
-
     @property
     def clock(self) -> Callable[[], float]:
         return self._clock
 
-    # -- factories ----------------------------------------------------------
-    def _get_or_create(self, cls, name: str, help: str,
-                       labelnames: Sequence[str], **kwargs) -> _Instrument:
-        instrument = self._metrics.get(name)
-        if instrument is not None:
-            if not isinstance(instrument, cls):
-                raise ValueError(
-                    f"metric {name!r} is a {instrument.kind}, "
-                    f"not a {cls.kind}")
-            if tuple(labelnames) != instrument.labelnames:
-                raise ValueError(
-                    f"metric {name!r} declared with labels "
-                    f"{instrument.labelnames}, got {tuple(labelnames)}")
-            return instrument
-        instrument = cls(name, help, labelnames=labelnames, **kwargs)
-        self._metrics[name] = instrument
-        return instrument
+    # -- recording ------------------------------------------------------------
+    def _resolve(self, index: Dict[tuple, Any], kind: str, name: str,
+                 help: str, labels: Dict[str, Any],
+                 buckets: Sequence[float] = ()) -> Any:
+        """The series of ``name`` for one call site's labels.
 
-    def counter(self, name: str, help: str = "",
-                labelnames: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
-
-    def histogram(self, name: str, help: str = "",
-                  labelnames: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_TIME_BUCKETS
-                  ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labelnames,
-                                   buckets=buckets)
-
-    # -- one-line instrumentation helpers -----------------------------------
-    def _leaf(self, cls, name: str, help: str, labels: Dict[str, Any],
-              buckets: Optional[Sequence[float]] = None):
-        """The leaf series of ``name`` for one call site's labels.
-
-        A repeat of a (name, labels) pair already resolved is one dict
-        probe on the instrument's memo.  Anything else — first use, a
-        kind clash, a label set the instrument does not take — goes
-        through the factories and :meth:`_Instrument.labels`, which
-        validate and raise; series are only ever created there.
+        Validates the call against the family (kind, label names) and
+        creates the family and the series on first use — a family is
+        stored only with its first series, so a rejected call leaves no
+        trace.  Then files the series in ``index`` for the fast path.
         """
-        key = tuple(labels.items())
-        instrument = self._metrics.get(name)
-        if type(instrument) is cls:
-            leaf = instrument._memo.get(key)
-            if leaf is not None:
-                return leaf
-        kwargs = {} if buckets is None else {"buckets": buckets}
-        instrument = self._get_or_create(cls, name, help, sorted(labels),
-                                         **kwargs)
-        leaf = instrument.labels(**labels) if labels else instrument
-        # ``labels`` keys series by ``str(value)``; only a plain str is
-        # its own key, so only those may short-cut the conversion
+        labelnames = tuple(sorted(labels))
+        family = self._families.get(name)
+        if family is None:
+            family = MetricFamily(kind, help, labelnames, buckets)
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} is a {family.kind}, not a {kind}")
+        elif family.labelnames != labelnames:
+            raise ValueError(
+                f"metric {name!r} declared with labels "
+                f"{family.labelnames}, got {labelnames}")
+        key = tuple(str(labels[k]) for k in labelnames)
+        series = family.series.get(key)
+        if series is None:
+            series = (Histogram(family.buckets) if kind == "histogram"
+                      else Scalar())
+            family.series[key] = series
+            self._families[name] = family
+        # series are keyed by ``str(value)``; only a plain str is its own
+        # key, so only those may short-cut the conversion
         if all(type(value) is str for value in labels.values()):
-            instrument._memo[key] = leaf
-        return leaf
+            index[(name, *labels.items())] = series
+        return series
 
     def count(self, name: str, n: float = 1.0, help: str = "",
               **labels: Any) -> None:
-        self._leaf(Counter, name, help, labels).inc(n)
+        """Add ``n`` (never negative) to a counter."""
+        if n < 0:
+            raise ValueError(f"counter {name!r} cannot decrease")
+        series = self._counters.get((name, *labels.items()))
+        if series is None:
+            series = self._resolve(self._counters, "counter", name, help,
+                                   labels)
+        series.value += n
 
     def observe(self, name: str, value: float, help: str = "",
                 buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
                 **labels: Any) -> None:
-        self._leaf(Histogram, name, help, labels, buckets).observe(
-            value, exemplar=self._current_exemplar())
+        """Record one histogram observation (with the current trace as
+        its exemplar when an exemplar provider is wired)."""
+        series = self._histograms.get((name, *labels.items()))
+        if series is None:
+            series = self._resolve(self._histograms, "histogram", name,
+                                   help, labels, buckets)
+        provider = self._exemplar_provider
+        series.observe(value, provider() if provider is not None else None)
 
     def set_gauge(self, name: str, value: float, help: str = "",
                   **labels: Any) -> None:
-        self._leaf(Gauge, name, help, labels).set(value)
+        """Set a gauge to ``value``."""
+        series = self._gauges.get((name, *labels.items()))
+        if series is None:
+            series = self._resolve(self._gauges, "gauge", name, help,
+                                   labels)
+        series.value = float(value)
 
-    def gauge_fn(self, name: str, fn: Callable[[], float],
-                 help: str = "") -> Gauge:
-        gauge = self.gauge(name, help)
-        gauge.set_function(fn)
-        return gauge
+    def gauge_fn(self, name: str, fn: Callable[[], float], help: str = "",
+                 **labels: Any) -> None:
+        """Make a gauge lazy: ``fn()`` is evaluated whenever it is read
+        (for cheap introspection like the kernel's queue depth)."""
+        self._resolve(self._gauges, "gauge", name, help, labels).fn = fn
 
     def time(self, name: str, help: str = "",
              buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
              **labels: Any) -> Timer:
-        return Timer(self._leaf(Histogram, name, help, labels, buckets),
-                     self._clock, exemplar_fn=self._exemplar_provider)
+        """A context manager observing the clock span it encloses."""
+        series = self._histograms.get((name, *labels.items()))
+        if series is None:
+            series = self._resolve(self._histograms, "histogram", name,
+                                   help, labels, buckets)
+        return Timer(series, self._clock,
+                     exemplar_fn=self._exemplar_provider)
 
-    # -- introspection ------------------------------------------------------
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._metrics.get(name)
+    # -- reading --------------------------------------------------------------
+    def series(self) -> Iterator[Tuple[str, MetricFamily, Dict[str, str],
+                                       Any]]:
+        """Every series as ``(name, family, labels, series)``: names, then
+        label values, in sorted order.  ``series`` is a :class:`Scalar`
+        (read it with :meth:`Scalar.read`) or a :class:`Histogram`."""
+        for name in sorted(self._families):
+            family = self._families[name]
+            for key in sorted(family.series):
+                yield (name, family, dict(zip(family.labelnames, key)),
+                       family.series[key])
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        return sorted(self._families)
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self._families)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._metrics
+        return name in self._families
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -435,59 +383,14 @@ class MetricsRegistry:
         return snapshot_to_prometheus(self.snapshot())
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<MetricsRegistry metrics={len(self._metrics)}>"
-
-
-class _NullCounter(Counter):
-    def labels(self, **labels: Any) -> "_NullCounter":
-        return self
-
-    def inc(self, n: float = 1.0) -> None:
-        return
-
-
-class _NullGauge(Gauge):
-    def labels(self, **labels: Any) -> "_NullGauge":
-        return self
-
-    def set(self, value: float) -> None:
-        return
-
-    def inc(self, n: float = 1.0) -> None:
-        return
-
-    def dec(self, n: float = 1.0) -> None:
-        return
-
-
-class _NullHistogram(Histogram):
-    def labels(self, **labels: Any) -> "_NullHistogram":
-        return self
-
-    def observe(self, x: float, exemplar: Optional[str] = None) -> None:
-        return
+        return f"<MetricsRegistry metrics={len(self._families)}>"
 
 
 class NullMetricsRegistry(MetricsRegistry):
     """Records nothing — the hot-benchmark analogue of
     :class:`~repro.obs.spans.NullSpanTracer`."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
-        self._null_timer = _NullTimer()
-
-    def counter(self, name, help="", labelnames=()):
-        return self._null_counter
-
-    def gauge(self, name, help="", labelnames=()):
-        return self._null_gauge
-
-    def histogram(self, name, help="", labelnames=(),
-                  buckets=DEFAULT_TIME_BUCKETS):
-        return self._null_histogram
+    _null_timer = _NullTimer()
 
     def count(self, name, n=1.0, help="", **labels):
         return
@@ -499,8 +402,8 @@ class NullMetricsRegistry(MetricsRegistry):
     def set_gauge(self, name, value, help="", **labels):
         return
 
-    def gauge_fn(self, name, fn, help=""):
-        return self._null_gauge
+    def gauge_fn(self, name, fn, help="", **labels):
+        return
 
     def time(self, name, help="", buckets=DEFAULT_TIME_BUCKETS, **labels):
         return self._null_timer

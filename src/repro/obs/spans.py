@@ -589,13 +589,6 @@ class SpanTracer:
         return span
 
     # -- introspection --------------------------------------------------------
-    def traces(self) -> Dict[str, List[Span]]:
-        """Spans grouped by trace, both in first-seen order."""
-        out: Dict[str, List[Span]] = {}
-        for span in self.spans:
-            out.setdefault(span.trace_id, []).append(span)
-        return out
-
     def trace_roots(self) -> List[Span]:
         return [s for s in self.spans if s.parent_id is None]
 

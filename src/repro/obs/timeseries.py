@@ -146,29 +146,16 @@ class MetricsSampler:
     def _capture(self) -> Dict[Tuple[str, Tuple[str, ...]], Any]:
         """Raw per-series state: enough to diff, cheap to hold."""
         state: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
-        for name in self.registry.names():
-            instrument = self.registry.get(name)
-            if instrument is None:
-                continue
-            for labels, leaf in instrument._series():
-                key = (name, tuple(f"{k}={v}"
-                                   for k, v in sorted(labels.items())))
-                if instrument.kind == "counter":
-                    state[key] = ("counter", labels, float(leaf.value))
-                elif instrument.kind == "gauge":
-                    state[key] = ("gauge", labels, float(leaf.value))
-                elif instrument.kind == "histogram":
-                    state[key] = ("histogram", labels,
-                                  list(leaf._counts),
-                                  leaf.count,
-                                  float(leaf.sum),
-                                  tuple(leaf.bounds),
-                                  dict(leaf.exemplars))
+        for name, family, labels, series in self.registry.series():
+            key = (name, tuple(f"{k}={v}" for k, v in labels.items()))
+            if family.kind == "histogram":
+                state[key] = ("histogram", labels, list(series.counts),
+                              series.count, float(series.sum),
+                              series.bucket_labels(),
+                              dict(series.exemplars))
+            else:
+                state[key] = (family.kind, labels, float(series.read()))
         return state
-
-    @staticmethod
-    def _bound_strs(bounds: Sequence[float]) -> List[str]:
-        return [repr(float(b)) for b in bounds] + ["+Inf"]
 
     def _diff_row(self, key: Tuple[str, Tuple[str, ...]], cur: Any,
                   prev: Any) -> Dict[str, Any]:
@@ -187,7 +174,7 @@ class MetricsSampler:
         elif kind == "gauge":
             row.update({"value": cur[2]})
         else:  # histogram
-            counts, count, total_sum, bounds, exemplars = cur[2:]
+            counts, count, total_sum, bound_strs, exemplars = cur[2:]
             if prev is not None:
                 prev_counts, prev_count, prev_sum = prev[2], prev[3], prev[4]
                 prev_exemplars = prev[6]
@@ -197,7 +184,6 @@ class MetricsSampler:
                 prev_exemplars = {}
             deltas = [max(0, a - b)
                       for a, b in zip(counts, prev_counts)]
-            bound_strs = self._bound_strs(bounds)
             fresh = sorted(
                 trace_id
                 for idx, (value, trace_id) in exemplars.items()

@@ -29,13 +29,14 @@ events on one thread row render exactly as the span tree.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from .spans import Span
 
 __all__ = [
     "children_of",
     "self_time",
+    "group_by_trace",
     "critical_path",
     "dominant_step",
     "trace_summary",
@@ -73,8 +74,10 @@ def self_time(span: Span, children: Dict[Optional[str], List[Span]]
     return max(0.0, span.duration - spent)
 
 
-def _group_by_trace(spans: Sequence[Span]) -> Dict[str, List[Span]]:
-    out: Dict[str, List[Span]] = {}
+def group_by_trace(spans: Iterable[Any]) -> Dict[str, List[Any]]:
+    """Spans grouped by trace ID, traces and their spans in first-seen
+    order (anything with a ``trace_id``: spans or parsed JSONL rows)."""
+    out: Dict[str, List[Any]] = {}
     for span in spans:
         out.setdefault(span.trace_id, []).append(span)
     return out
@@ -120,7 +123,7 @@ def dominant_step(trace_spans: Sequence[Span]) -> Optional[Span]:
 def trace_summary(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """One deterministic record per trace (in first-seen order)."""
     out: List[Dict[str, Any]] = []
-    for trace_id, trace_spans in _group_by_trace(spans).items():
+    for trace_id, trace_spans in group_by_trace(spans).items():
         children = children_of(trace_spans)
         roots = children.get(None, [])
         root = roots[0] if roots else trace_spans[0]
@@ -209,7 +212,7 @@ def render_tree(spans: Sequence[Span],
                 trace_id: Optional[str] = None) -> str:
     """ASCII tree rendering of one trace (or all of them)."""
     lines: List[str] = []
-    for tid, trace_spans in _group_by_trace(spans).items():
+    for tid, trace_spans in group_by_trace(spans).items():
         if trace_id is not None and tid != trace_id:
             continue
         children = children_of(trace_spans)
@@ -316,7 +319,7 @@ def chrome_trace(spans: Sequence[Span]) -> Dict[str, Any]:
     """
     events: List[Dict[str, Any]] = []
     for trace_index, (trace_id, trace_spans) in enumerate(
-            _group_by_trace(spans).items(), start=1):
+            group_by_trace(spans).items(), start=1):
         try:
             pid = int(trace_id.lstrip("t"))
         except ValueError:

@@ -100,12 +100,22 @@ class ServiceSuite:
         self.journal = journal
         self.leases = leases
         self.supervisor = supervisor
+        #: set by :meth:`stop`; a stopped tier never runs again
+        self.stopped = False
 
     def stop(self) -> None:
-        """Stop the worker pool (queued requests stay queued)."""
+        """Stop the tier for good (idempotent): the Supervisor stops and
+        the worker pool shuts down, so every worker exits at its next
+        resume.  Queued requests stay queued.  The suite stays readable,
+        and attached to its Metasystem until
+        :meth:`~repro.metasystem.Metasystem.stop_service` detaches it;
+        ``start_service`` never hands a stopped suite back."""
+        if self.stopped:
+            return
         if self.supervisor is not None:
             self.supervisor.stop()
-        self.pool.stop()
+        self.pool.shutdown()
+        self.stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<ServiceSuite workers={self.pool.size} "

@@ -226,7 +226,8 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         print(file=out)
         print(protocol_trace(meta.spans.spans, limit=args.trace), file=out)
     if args.trace_out:
-        from ..obs.trace_export import chrome_trace_json, spans_to_jsonl
+        from ..obs.trace_export import (chrome_trace_json, group_by_trace,
+                                        spans_to_jsonl)
         if args.trace_out.endswith(".jsonl"):
             text = spans_to_jsonl(meta.spans.spans)
         else:
@@ -234,7 +235,8 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {len(meta.spans.spans)} span(s) covering "
-              f"{len(meta.spans.traces())} trace(s) to {args.trace_out}",
+              f"{len(group_by_trace(meta.spans.spans))} trace(s) to "
+              f"{args.trace_out}",
               file=out)
     return 0
 
@@ -244,6 +246,7 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
     from ..obs.trace_export import (
         aggregate_step_latencies,
         chrome_trace_json,
+        group_by_trace,
         render_critical_path_report,
         render_step_aggregate,
         render_step_table,
@@ -277,7 +280,7 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
             text = spans_to_jsonl(spans)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {args.mode} output for {len(meta.spans.traces())} "
+        print(f"wrote {args.mode} output for {len(group_by_trace(spans))} "
               f"trace(s) to {args.out}", file=out)
     else:
         print(text, file=out)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_reads import reading
 from repro import Metasystem
 from repro.audit.claims import failures
 from repro.chaos import (
@@ -380,8 +381,8 @@ class TestInjector:
             at=10.0, kind="host_crash", target="ws0", duration=20.0)])
         ChaosInjector(meta, plan).arm()
         meta.advance(50.0)
-        counter = meta.metrics.get("chaos_faults_injected_total")
-        assert counter.labels(kind="host_crash").value == 1.0
+        assert reading(meta.metrics, "chaos_faults_injected_total",
+                       kind="host_crash") == 1.0
         names = [s.name for s in meta.spans.spans]
         assert "chaos:host_crash" in names
 

@@ -7,8 +7,10 @@ comparison's claims are data judged by one evaluator, telemetry is
 handed to a component at construction, live only from the Metasystem,
 what a world holds once per host has no instance ``__dict__`` and
 no callback of its own, only ``schedule/schedule.py`` builds variant
-schedules, the world builders switch no layer on, and docs and
-sources cite ROADMAP items by title."""
+schedules, the world builders switch no layer on, docs and sources
+cite ROADMAP items by title, docs/observability.md catalogues exactly
+the metrics and spans the source records, and only the registry module
+knows how the metrics store is laid out."""
 
 import ast
 import re
@@ -547,3 +549,179 @@ class TestPerHostObjectsAreLean:
         assert sorted(per_host_functions(tree, "UnixHost", "__init__")) == [
             "def push(h, now):",
             "lambda host: host.machine.load_average > level"]
+
+
+#: the registry calls that record a metric and the tracer calls that
+#: open a span; the first argument is the name
+METRIC_CALLS = ("count", "observe", "set_gauge", "gauge_fn", "time")
+SPAN_CALLS = ("span", "span_if_active", "start_span", "record_span")
+
+
+def telemetry_names(tree):
+    """``(metric names, span names)`` a module passes as literals: a
+    metric name to a ``METRIC_CALLS`` method of something called
+    ``metrics``, a span name to a ``SPAN_CALLS`` method.  An f-string
+    span name (``f"rpc:{name}"``, also inside ``sys.intern``) counts as
+    its literal prefix followed by ``*``."""
+    metrics, spans = set(), set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        receiver = node.func.value
+        receiver = (receiver.id if isinstance(receiver, ast.Name) else
+                    receiver.attr if isinstance(receiver, ast.Attribute)
+                    else None)
+        first = node.args[0]
+        if isinstance(first, ast.Call) and first.args:   # sys.intern(...)
+            first = first.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            name = first.value
+        elif (isinstance(first, ast.JoinedStr)
+              and isinstance(first.values[0], ast.Constant)):
+            name = first.values[0].value + "*"
+        else:
+            continue
+        if node.func.attr in METRIC_CALLS and receiver == "metrics":
+            metrics.add(name)
+        elif node.func.attr in SPAN_CALLS:
+            spans.add(name)
+    return metrics, spans
+
+
+def catalogue_names(doc, section):
+    """The names in the first column of every table row of ``section``
+    (a heading of ``doc``, up to the next heading of its level or
+    above); ``rpc:<label>`` reads as ``rpc:*``."""
+    level = section.split(" ")[0]
+    body = doc.split(f"\n{section}\n", 1)[1]
+    body = re.split(rf"\n#{{1,{len(level)}}} ", body, maxsplit=1)[0]
+    names = set()
+    for line in body.splitlines():
+        if line.startswith("| `"):
+            first_cell = line.split(" | ")[0]
+            names |= {re.sub(r"<[a-z]+>$", "*", name)
+                      for name in re.findall(r"`([^`]+)`", first_cell)}
+    return names
+
+
+class TestCataloguesMatchTheSource:
+    """docs/observability.md lists every metric and span the source
+    records, and nothing it does not."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self, source_trees):
+        metrics, spans = set(), set()
+        for _, tree in source_trees:
+            found_metrics, found_spans = telemetry_names(tree)
+            metrics |= found_metrics
+            spans |= found_spans
+        return metrics, spans
+
+    def test_metric_catalogue(self, recorded):
+        listed = catalogue_names(read("docs/observability.md"),
+                                 "## Metric catalogue")
+        assert len(recorded[0]) > 90
+        assert sorted(recorded[0] - listed) == []
+        assert sorted(listed - recorded[0]) == []
+
+    def test_span_catalogue(self, recorded):
+        listed = catalogue_names(read("docs/observability.md"),
+                                 "### Span catalogue")
+        assert {"rpc:*", "transfer:*", "chaos:*"} <= recorded[1]
+        assert sorted(recorded[1] - listed) == []
+        assert sorted(listed - recorded[1]) == []
+
+    def test_the_check_reads_each_spelling(self):
+        tree = ast.parse(
+            "self.metrics.count('service_e2e_seconds', ok='true')\n"
+            "metrics.gauge_fn('g2', lambda: 0.0, shard=s)\n"
+            "self.meta.metrics.time(\n    'enactor_step_seconds')\n"
+            "text.count('\\n')\n"
+            "self.spans.span_if_active(sys.intern(f'rpc:{name}'))\n"
+            "tracer.record_span(f'chaos:{kind}', start=0.0, end=1.0)\n"
+            "self.spans.span('placement', count=2)\n"
+            "self._tracer.start_span(self._name)\n")
+        assert telemetry_names(tree) == (
+            {"service_e2e_seconds", "g2", "enactor_step_seconds"},
+            {"rpc:*", "chaos:*", "placement"})
+        doc = ("# Doc\n\n## Metric catalogue\n\n| name | kind |\n|---|---|\n"
+               "| `a_total` | counter |\n\n### Span catalogue\n\n"
+               "| `rpc:<label>` | — |\n| `v.store` / `v.get` | — |\n"
+               "\n## Next\n| `not_here` | x |\n")
+        assert catalogue_names(doc, "## Metric catalogue") == {
+            "a_total", "rpc:*", "v.store", "v.get"}
+        assert catalogue_names(doc, "### Span catalogue") == {
+            "rpc:*", "v.store", "v.get"}
+
+
+REGISTRY = "obs/registry.py"
+#: the prometheus-client-style calls the registry no longer offers
+INSTRUMENT_CALLS = ("labels", "counter", "gauge", "histogram")
+
+
+def registry_private_names(tree):
+    """The ``_``-prefixed names ``obs/registry.py`` defines: its private
+    classes and functions and every ``self._x`` it touches."""
+    return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            else node.attr
+            for node in ast.walk(tree)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__"))
+            or (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__"))}
+
+
+def registry_breaches(tree, private):
+    """Calls of ``INSTRUMENT_CALLS`` methods, and reads of a registry
+    private name off anything but ``self``, as ``(line, text)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in INSTRUMENT_CALLS):
+            found.add((node.lineno, ast.unparse(node.func)))
+        elif (isinstance(node, ast.Attribute) and node.attr in private
+              and not (isinstance(node.value, ast.Name)
+                       and node.value.id == "self")):
+            found.add((node.lineno, ast.unparse(node)))
+    return found
+
+
+class TestMetricsHaveOneWayInAndOut:
+    """Metrics are recorded by the registry's one-line calls and read
+    through ``MetricsRegistry.series``: only ``obs/registry.py`` knows
+    how the store is laid out."""
+
+    def test_no_module_reaches_into_the_registry(self, source_trees):
+        trees = dict(source_trees)
+        private = registry_private_names(trees[REGISTRY])
+        breaches = {(module, *breach)
+                    for module, tree in source_trees if module != REGISTRY
+                    for breach in registry_breaches(tree, private)}
+        assert not breaches, sorted(breaches)
+
+    def test_the_check_sees_each_breach(self):
+        registry = ast.parse(
+            "class _Leaf:\n"
+            "    def __init__(self):\n"
+            "        self._counts = []\n"
+            "    def _series(self):\n"
+            "        return self._counts\n")
+        private = registry_private_names(registry)
+        assert private == {"_Leaf", "_counts", "_series"}
+        tree = ast.parse(
+            "meta.metrics.gauge('g', labelnames=['shard']).labels(shard=s)\n"
+            "for labels, leaf in instrument._series():\n"
+            "    state = list(leaf._counts)\n"
+            "self._counts = registry.counter('c')\n"
+            "metrics.gauge_fn('g', fn, shard=s)\n")
+        assert registry_breaches(tree, private) == {
+            (1, "meta.metrics.gauge"),
+            (1, "meta.metrics.gauge('g', labelnames=['shard']).labels"),
+            (2, "instrument._series"), (3, "leaf._counts"),
+            (4, "registry.counter")}

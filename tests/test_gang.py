@@ -3,6 +3,7 @@ GangScheduler."""
 
 import pytest
 
+from metric_reads import reading
 from repro import (
     Implementation,
     MachineSpec,
@@ -70,9 +71,7 @@ class TestGangCreation:
         result = app.create_instances(
             Placement(host.loid, vault.loid, reservation_token=tok), 2)
         assert not result.ok
-        counter = meta.metrics.get("host_starts_total")
-        counted = (counter.labels(ok="false").value
-                   if counter is not None else 0)
+        counted = reading(meta.metrics, "host_starts_total", ok="false")
         assert counted == host.start_failures == 1
 
     def test_count_one_delegates_to_single(self, smp):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metric_reads import reading
 from repro import Implementation, Metasystem
 from repro.errors import (
     AdmissionRejected,
@@ -399,13 +400,13 @@ class TestDaemonEviction:
         assert daemon.evictions >= 1
         assert host.loid not in meta.collection.members()
         # gauge reflects the DOWN population seen by the last sweep
-        assert meta.metrics.gauge("collection_down_members").value == 1.0
+        assert reading(meta.metrics, "collection_down_members") == 1.0
         # recovery re-joins on the next sweep and clears the gauge
         host.machine.recover()
         meta.topology.set_node_down(host.location, down=False)
         meta.advance(HEALTH_INTERVAL * 4 + 60.0)
         assert host.loid in meta.collection.members()
-        assert meta.metrics.gauge("collection_down_members").value == 0.0
+        assert reading(meta.metrics, "collection_down_members") == 0.0
 
     def test_down_source_not_pushed_before_eviction(self):
         """A DOWN host's stale snapshot must not clobber quarantine."""

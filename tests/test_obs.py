@@ -1,8 +1,9 @@
 """Unit tests for the observability layer (src/repro/obs).
 
-Covers instrument semantics (counters, gauges, histograms, timers,
-labeled children, merge, reset), registry factories, the null registry,
-and the exporter round-trip (snapshot -> JSON -> parse -> equal).
+Covers the one recording API (counters, gauges, lazy gauges,
+histograms, timers, labels), its validation, the index, the one reader,
+the null registry, and the exporter round-trip (snapshot -> JSON ->
+parse -> equal).
 """
 
 import json
@@ -10,11 +11,10 @@ import math
 
 import pytest
 
+from metric_reads import reading, series_of
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     NULL_METRICS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
@@ -27,53 +27,74 @@ from repro.obs import (
 )
 
 
+def stored(reg):
+    """``(name, labels, reading)`` of every counter and gauge series,
+    in the reader's order."""
+    return [(name, labels, series.read())
+            for name, family, labels, series in reg.series()
+            if family.kind != "histogram"]
+
+
 class TestCounter:
     def test_inc(self):
-        c = Counter("c")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == pytest.approx(3.5)
+        reg = MetricsRegistry()
+        reg.count("c")
+        reg.count("c", 2.5)
+        assert reading(reg, "c") == pytest.approx(3.5)
 
     def test_rejects_negative(self):
-        c = Counter("c")
-        with pytest.raises(ValueError):
-            c.inc(-1.0)
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="cannot decrease"):
+            reg.count("c", -1.0)
+        assert "c" not in reg
 
     def test_labeled_children_are_distinct(self):
-        c = Counter("c", labelnames=("path",))
-        c.labels(path="scan").inc(2)
-        c.labels(path="index").inc(5)
-        assert c.labels(path="scan").value == 2
-        assert c.labels(path="index").value == 5
+        reg = MetricsRegistry()
+        reg.count("c", 2, path="scan")
+        reg.count("c", 5, path="index")
+        assert stored(reg) == [("c", {"path": "index"}, 5.0),
+                               ("c", {"path": "scan"}, 2.0)]
 
     def test_wrong_labels_raise(self):
-        c = Counter("c", labelnames=("path",))
+        reg = MetricsRegistry()
+        reg.count("c", path="scan")
         with pytest.raises(ValueError):
-            c.labels(kind="x")
+            reg.count("c", kind="x")
         with pytest.raises(ValueError):
-            c.labels()
+            reg.count("c")
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
-        g = Gauge("g")
-        g.set(10)
-        g.inc(2)
-        g.dec(5)
-        assert g.value == pytest.approx(7.0)
+    def test_set_overwrites(self):
+        reg = MetricsRegistry()
+        reg.set_gauge("g", 10)
+        reg.set_gauge("g", 7)
+        assert stored(reg) == [("g", {}, 7.0)]
 
-    def test_set_function_is_lazy(self):
-        g = Gauge("g")
+    def test_gauge_fn_is_lazy(self):
+        reg = MetricsRegistry()
         box = {"v": 1.0}
-        g.set_function(lambda: box["v"])
-        assert g.value == 1.0
+        reg.gauge_fn("g", lambda: box["v"])
+        assert reading(reg, "g") == 1.0
         box["v"] = 9.0
-        assert g.value == 9.0
+        assert reading(reg, "g") == 9.0
+
+    def test_gauge_fn_takes_labels(self):
+        """One lazy series per label value, like every other call."""
+        reg = MetricsRegistry()
+        sizes = {"shard0": 3, "shard1": 5}
+        for shard in sizes:
+            reg.gauge_fn("members", lambda s=shard: sizes[s], shard=shard)
+        sizes["shard1"] = 6
+        assert stored(reg) == [("members", {"shard": "shard0"}, 3.0),
+                               ("members", {"shard": "shard1"}, 6.0)]
+        with pytest.raises(ValueError, match="declared with labels"):
+            reg.gauge_fn("members", lambda: 0.0)
 
 
 class TestHistogram:
     def test_bucketing_and_moments(self):
-        h = Histogram("h", buckets=(1.0, 2.0, 5.0))
+        h = Histogram(buckets=(1.0, 2.0, 5.0))
         for x in (0.5, 1.5, 1.5, 3.0, 10.0):
             h.observe(x)
         assert h.count == 5
@@ -81,15 +102,16 @@ class TestHistogram:
         assert h.stats.minimum == 0.5
         assert h.stats.maximum == 10.0
         assert h.cumulative_counts() == [1, 3, 4, 5]
+        assert h.bucket_labels() == ["1.0", "2.0", "5.0", "+Inf"]
 
     def test_boundary_value_lands_in_its_bucket(self):
         # cumulative semantics: le=1.0 includes an observation of exactly 1.0
-        h = Histogram("h", buckets=(1.0, 2.0))
+        h = Histogram(buckets=(1.0, 2.0))
         h.observe(1.0)
         assert h.cumulative_counts() == [1, 1, 1]
 
     def test_quantiles_interpolated_and_clamped(self):
-        h = Histogram("h", buckets=(1.0, 2.0, 5.0))
+        h = Histogram(buckets=(1.0, 2.0, 5.0))
         for x in (0.5, 1.5, 2.5, 3.5, 4.5):
             h.observe(x)
         assert h.quantile(0.0) == pytest.approx(0.5)
@@ -108,24 +130,28 @@ class TestHistogram:
         for x in (0.3, 0.35, 0.4, 0.45):
             reg.observe("h", x, buckets=(0.01, 0.1, 0.25, 0.5, 1.0))
         series, = reg.snapshot()["metrics"][0]["series"]
-        h = reg.get("h")
+        h = series_of(reg, "h")
         for q in (0.1, 0.5, 0.9, 1.0):
             assert h.quantile(q) == _series_quantile(series, q)
         assert h.quantile(0.5) == pytest.approx(0.4)
         assert h.quantile(0.1) == pytest.approx(0.32)
 
     def test_empty_quantile_is_nan(self):
-        assert math.isnan(Histogram("h").quantile(0.5))
+        assert math.isnan(Histogram().quantile(0.5))
 
     def test_needs_at_least_one_bound(self):
         with pytest.raises(ValueError):
-            Histogram("h", buckets=())
+            Histogram(buckets=())
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError, match="at least one bucket"):
+            reg.observe("h", 1.0, buckets=())
+        assert "h" not in reg
 
 
 class TestTimer:
     def test_records_clock_span(self):
         clock = {"t": 100.0}
-        h = Histogram("h", buckets=(1.0, 10.0))
+        h = Histogram(buckets=(1.0, 10.0))
         with Timer(h, lambda: clock["t"]):
             clock["t"] = 102.5
         assert h.count == 1
@@ -136,13 +162,14 @@ class TestTimer:
         reg = MetricsRegistry(clock=lambda: clock["t"])
         with reg.time("step_seconds", step="reserve"):
             clock["t"] = 0.25
-        h = reg.get("step_seconds")
-        assert h.labelnames == ("step",)
-        assert h.labels(step="reserve").count == 1
+        (name, family, labels, h), = reg.series()
+        assert (name, family.kind, family.labelnames, labels) == (
+            "step_seconds", "histogram", ("step",), {"step": "reserve"})
+        assert h.count == 1
 
     def test_records_even_on_exception(self):
         clock = {"t": 0.0}
-        h = Histogram("h", buckets=(1.0,))
+        h = Histogram(buckets=(1.0,))
         with pytest.raises(RuntimeError):
             with Timer(h, lambda: clock["t"]):
                 clock["t"] = 0.5
@@ -151,22 +178,27 @@ class TestTimer:
 
 
 class TestRegistry:
-    def test_factories_are_idempotent(self):
+    def test_repeat_use_shares_one_series(self):
         reg = MetricsRegistry()
-        assert reg.counter("c") is reg.counter("c")
-        assert reg.histogram("h") is reg.histogram("h")
+        reg.count("c", help="first help wins")
+        reg.count("c", help="ignored")
+        reg.observe("h", 1.0, buckets=(1.0, 2.0))
+        reg.observe("h", 3.0, buckets=(5.0,))   # bounds fixed at first use
+        (_, counter, _, c), (_, hist, _, h) = reg.series()
+        assert (counter.help, c.read()) == ("first help wins", 2.0)
+        assert (h.bounds, h.cumulative_counts()) == ((1.0, 2.0), [1, 1, 2])
 
     def test_kind_clash_raises(self):
         reg = MetricsRegistry()
-        reg.counter("m")
-        with pytest.raises(ValueError):
-            reg.gauge("m")
+        reg.count("m")
+        with pytest.raises(ValueError, match="is a counter, not a gauge"):
+            reg.set_gauge("m", 1.0)
 
     def test_labelname_mismatch_raises(self):
         reg = MetricsRegistry()
-        reg.counter("m", labelnames=("a",))
-        with pytest.raises(ValueError):
-            reg.counter("m", labelnames=("b",))
+        reg.count("m", a="x")
+        with pytest.raises(ValueError, match="declared with labels"):
+            reg.count("m", b="x")
 
     def test_one_liners_infer_labelnames(self):
         reg = MetricsRegistry()
@@ -174,23 +206,27 @@ class TestRegistry:
         reg.count("queries_total", path="index")
         reg.observe("sizes", 3, buckets=DEFAULT_SIZE_BUCKETS, path="scan")
         reg.set_gauge("members", 8)
-        assert reg.get("queries_total").labels(path="scan").value == 1
-        assert reg.get("sizes").labels(path="scan").count == 1
-        assert reg.get("members").value == 8
+        assert reading(reg, "queries_total", path="scan") == 1
+        assert series_of(reg, "sizes", path="scan").count == 1
+        assert reading(reg, "members") == 8
+        assert [(name, family.labelnames)
+                for name, family, _, _ in reg.series()] == [
+            ("members", ()), ("queries_total", ("path",)),
+            ("queries_total", ("path",)), ("sizes", ("path",))]
 
     def test_null_registry_records_nothing(self):
         for reg in (NullMetricsRegistry(), NULL_METRICS):
             reg.count("c", path="x")
             reg.observe("h", 1.0, step="a")
             reg.set_gauge("g", 5.0)
+            reg.gauge_fn("lazy", lambda: 1.0, shard="0")
             with reg.time("t"):
                 pass
-            reg.counter("c2").labels(anything="goes").inc()
             assert build_snapshot(reg) == {"metrics": []}
 
 
 class TestSeriesMemo:
-    """The one-liners memoise (name, labels) -> leaf series; everything
+    """The one-liners index (kind, name, labels) -> series; everything
     that is not a repeat must still be validated exactly as before."""
 
     def _warm(self):
@@ -216,12 +252,14 @@ class TestSeriesMemo:
             reg.set_gauge("h", 1.0, step="a")
         with pytest.raises(ValueError, match="is a gauge, not a"):
             reg.time("g", shard="0")
+        with pytest.raises(ValueError, match="is a histogram, not a"):
+            reg.gauge_fn("h", lambda: 1.0, step="a")
         with pytest.raises(ValueError, match="cannot decrease"):
             reg.count("c", n=-1, path="scan")      # negative on a hit
         # none of the rejected calls left a trace
-        assert reg.get("c").labels(path="scan").value == 3
-        assert sorted(reg.get("c")._children) == [("scan",)]
-        assert reg.get("plain").value == 3
+        assert stored(reg) == [("c", {"path": "scan"}, 3.0),
+                               ("g", {"shard": "0"}, 2.0),
+                               ("plain", {}, 3.0)]
 
     def test_no_series_appears_before_its_first_use(self):
         reg = self._warm()
@@ -238,8 +276,7 @@ class TestSeriesMemo:
             reg.count("c", a="1", b="x")
             reg.count("c", b="x", a="1")
             reg.count("c", a=1, b="x")   # keyed by str(value), never memoised
-        assert reg.get("c").labels(a="1", b="x").value == 6
-        assert len(reg.get("c")._children) == 1
+        assert stored(reg) == [("c", {"a": "1", "b": "x"}, 6.0)]
 
     def test_timer_and_exemplars_go_through_the_memo(self):
         clock = {"t": 0.0}
@@ -248,7 +285,7 @@ class TestSeriesMemo:
         for _ in range(2):
             with reg.time("t_seconds", step="a"):
                 clock["t"] += 0.5
-        leaf = reg.get("t_seconds").labels(step="a")
+        leaf = series_of(reg, "t_seconds", step="a")
         assert leaf.count == 2
         assert set(leaf.exemplars.values()) == {(0.5, "t000042")}
 
@@ -273,7 +310,9 @@ class TestExportRoundTrip:
 
     def test_json_is_strict(self):
         reg = MetricsRegistry()
-        reg.histogram("empty")  # min/max are NaN -> must export as null
+        # a timer's series exists from the call; before it exits min and
+        # max are NaN -> must export as null
+        reg.time("empty")
         text = reg.to_json()
         assert "NaN" not in text and "Infinity" not in text
         series = json.loads(text)["metrics"][0]["series"][0]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.campaign import standard_world
 from repro.errors import AdmissionRejected, LegionError, RequestStateError
 from repro.service import (
+    PLACED,
     PlacementQueue,
     ServiceConfig,
     TrafficModel,
@@ -523,6 +524,24 @@ class TestMetasystemWiring:
         meta, suite = build_service()
         assert meta.start_service() is suite
         assert meta.service is suite
+
+    def test_a_stopped_tier_is_never_handed_back(self):
+        """A stopped suite stays readable but ``start_service`` refuses
+        it; once ``stop_service`` detaches it, ``start_service`` builds a
+        tier whose workers place what is submitted (given the world's
+        app class, as a restore gives it)."""
+        meta, suite = build_service()
+        suite.stop()
+        with pytest.raises(LegionError, match="was stopped"):
+            meta.start_service()
+        assert meta.service is suite and suite.stopped
+        assert meta.stop_service() is suite and meta.service is None
+        fresh = meta.start_service(app=suite.app)
+        assert fresh is not suite and not fresh.stopped
+        request_id = fresh.gateway.submit(user="u").request_id
+        meta.advance(600.0)
+        assert fresh.gateway.requests[request_id].state == PLACED
+        assert meta.stop_service() is fresh and fresh.stopped
 
     def test_testbed_spec_service_knob(self):
         meta = build_testbed(TestbedSpec(
