@@ -789,10 +789,19 @@ class Metasystem:
             from .recovery import RecoveryConfig
             recovery = RecoveryConfig()
         if app is None:
-            from .workload.testbed import implementations_for_all_platforms
-            app = self.create_class("service-app",
-                                    implementations_for_all_platforms(),
-                                    work_units=config.work)
+            # a tier started again after stop_service() reuses the class
+            app = self.classes.get("service-app")
+            if app is None:
+                from .workload.testbed import (
+                    implementations_for_all_platforms)
+                app = self.create_class("service-app",
+                                        implementations_for_all_platforms(),
+                                        work_units=config.work)
+            elif app.attributes.get("work_units") != float(config.work):
+                raise LegionError(
+                    f"the existing 'service-app' class has work_units "
+                    f"{app.attributes.get('work_units')}, not the "
+                    f"config's {config.work}")
         journal = leases = supervisor = None
         heartbeat_interval = 0.0
         sched_kwargs = {}

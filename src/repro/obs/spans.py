@@ -32,11 +32,10 @@ Design points:
   when a trace is already open.  Background activity (periodic host
   reassessment, daemon sweeps) therefore produces no traces; only the
   explicit roots (placement, migration) do;
-* **closed traces are rows** — only the trace in flight is made of
-  mutable :class:`Span` objects.  Once no trace is open, its spans are
-  folded into compact columns (about 60 bytes a span instead of about
-  420); :attr:`SpanTracer.spans` builds :class:`Span` views of them on
-  read, and the exports do not change by a byte.
+* **a span is a row** — every span is a row of one column store from
+  the moment it starts (about 60 bytes a closed span instead of the
+  420 of an object with its own dict), and a :class:`Span` is a view
+  of its row: the exports read the columns, and writes land in them.
 
 Analysis and export (trees, critical paths, Chrome trace-event JSON)
 live in :mod:`repro.obs.trace_export`.
@@ -61,17 +60,16 @@ __all__ = [
 _STATUSES = ("unset", "ok", "error")
 _STATUS_CODE = {status: code for code, status in enumerate(_STATUSES)}
 _NAN = float("nan")
-#: the fields a row keeps verbatim when its columns cannot hold them
-_EXACT = ("start", "end", "parent_id", "status")
 #: attribute value types whose equal values print alike
 _SHAREABLE = frozenset((str, int, bool, type(None)))
 
 
-def _checked(status: str) -> str:
-    if status not in _STATUS_CODE:
+def _code(status: str) -> int:
+    code = _STATUS_CODE.get(status)
+    if code is None:
         raise ValueError(f"span status must be one of {_STATUSES}, "
                          f"not {status!r}")
-    return status
+    return code
 
 
 @dataclass(frozen=True)
@@ -88,205 +86,26 @@ class TraceContext:
 
 
 class Span:
-    """One timed, attributed node in a trace tree.
+    """One timed, attributed node in a trace tree: a view of its row in
+    the tracer's store.
 
-    A span of the trace in flight is this mutable object.  Once its
-    trace closes, the tracer keeps it as a row of compact columns and
-    the object becomes a view of that row: reads decode the row, writes
-    (``set_attribute``, ``set_status``, assigning ``start`` / ``end``)
-    land in it, and any other write raises — its ``attributes`` are a
-    read-only copy.
+    Reads decode the row.  ``set_attribute``, ``set_status`` and
+    assigning ``start`` / ``end`` write it, whether or not its trace is
+    still open; its identity (IDs, ``seq``, ``name``) cannot be
+    assigned.  Until the span ends, ``attributes`` is its live dict;
+    from then on it is a read-only copy.
     """
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "start", "end",
-                 "attributes", "status", "seq", "_rows", "_row")
+    __slots__ = ("_rows", "_row")
 
-    def __init__(self, trace_id: str, span_id: str,
-                 parent_id: Optional[str], name: str, start: float,
-                 end: Optional[float] = None,
-                 attributes: Optional[Dict[str, Any]] = None,
-                 status: str = "unset", seq: int = 0):
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start = start
-        self.end = end
-        self.attributes = {} if attributes is None else attributes
-        #: "ok" | "error" | "unset" (still open)
-        self.status = status
-        #: global creation sequence number — the deterministic export order
-        self.seq = seq
-
-    @property
-    def duration(self) -> float:
-        """Virtual seconds from start to end (0.0 while still open)."""
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
-
-    @property
-    def context(self) -> TraceContext:
-        return TraceContext(self.trace_id, self.span_id)
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        self.attributes[key] = value
-
-    def set_status(self, status: str) -> None:
-        self.status = _checked(status)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Span {self.name!r} {self.trace_id}/{self.span_id} "
-                f"parent={self.parent_id} status={self.status}>")
-
-
-class _FrozenAttributes(dict):
-    """A folded span's attributes, copied out of its row."""
-
-    __slots__ = ()
-
-    def _read_only(self, *args: Any, **kwargs: Any) -> None:
-        raise TypeError("a folded span's attributes are read-only; "
-                        "set_attribute writes its row")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    setdefault = update = pop = popitem = clear = _read_only
-
-
-def _seq_of(span_id: Any) -> int:
-    """``"s000042"`` -> 42, or -1 for an ID this tracer did not format
-    (a carried foreign context's), which its row keeps verbatim."""
-    try:
-        seq = int(span_id[1:])
-    except (TypeError, ValueError):
-        return -1
-    return seq if seq > 0 and "s%06d" % seq == span_id else -1
-
-
-class _Rows:
-    """The spans of closed traces as columns: row ``i`` is the span whose
-    seq is ``first + i``, and its ``span_id`` is formatted from that.
-
-    A row costs about 60 bytes where a :class:`Span` with its dict, ID
-    string and floats costs about 420: a campaign repeats a few hundred
-    distinct attribute sets, and each is stored once.
-    """
-
-    __slots__ = ("first", "names", "traces", "times", "parents", "statuses",
-                 "attributes", "odd", "_pool")
-
-    def __init__(self) -> None:
-        self.first = 0
-        self.names: List[str] = []
-        self.traces: List[str] = []
-        #: start and end of each row
-        self.times = array("d")
-        #: the parent's seq; 0 for a root
-        self.parents = array("q")
-        #: index into ``_STATUSES``
-        self.statuses = bytearray()
-        #: see :meth:`fold`
-        self.attributes: List[tuple] = []
-        #: row -> its exact start, end, parent_id and status, for a row
-        #: the columns cannot hold exactly (an end of None: a span left
-        #: open; a time that is not a float; a foreign parent ID; a
-        #: status outside ``_STATUSES``) or one written after the fold
-        self.odd: Dict[int, Dict[str, Any]] = {}
-        self._pool: Dict[tuple, tuple] = {}
-
-    def fold(self, spans: List[Span]) -> None:
-        """Append ``spans`` — consecutive seqs, following the last row —
-        as rows, and turn each object into a view of its row.
-
-        A row's attributes are one tuple: the keys, the values, then the
-        values' types.  Equal tuples are stored once, if their values
-        are of a type whose equal values print alike (0.0 == -0.0 are
-        not)."""
-        row = len(self.names)
-        if not row:
-            self.first = spans[0].seq
-        times, parents, statuses = self.times, self.parents, self.statuses
-        names, traces, attributes = self.names, self.traces, self.attributes
-        pool = self._pool
-        ids = {span.span_id: span.seq for span in spans}
-        for span in spans:
-            start, end = span.start, span.end
-            parent_id, status = span.parent_id, span.status
-            parent = 0 if parent_id is None else (ids.get(parent_id)
-                                                 or _seq_of(parent_id))
-            code = _STATUS_CODE.get(status, -1)
-            if (type(start) is not float or type(end) is not float
-                    or parent < 0 or code < 0):
-                self.odd[row] = {"start": start, "end": end,
-                                 "parent_id": parent_id, "status": status}
-                start = end = _NAN
-                parent = code = 0
-            times.append(start)
-            times.append(end)
-            parents.append(parent)
-            statuses.append(code)
-            names.append(span.name)
-            traces.append(span.trace_id)
-            shared = ()
-            if span.attributes:
-                values = span.attributes.values()
-                flat = (*span.attributes, *values, *map(type, values))
-                try:
-                    shared = pool.get(flat)
-                except TypeError:  # an unhashable value
-                    shared = flat
-                if shared is None:
-                    shared = flat
-                    if _SHAREABLE.issuperset(flat[len(flat) // 3 * 2:]):
-                        pool[flat] = flat
-            attributes.append(shared)
-            span._rows = self
-            span._row = row
-            span.__class__ = _FoldedSpan
-            row += 1
-
-    def exact(self, row: int, field: str) -> Any:
-        """``start``, ``end``, ``parent_id`` or ``status`` of a row."""
-        odd = self.odd.get(row)
-        if odd is not None:
-            return odd[field]
-        if field == "start":
-            return self.times[2 * row]
-        if field == "end":
-            return self.times[2 * row + 1]
-        if field == "status":
-            return _STATUSES[self.statuses[row]]
-        parent = self.parents[row]
-        return "s%06d" % parent if parent else None
-
-    def set_exact(self, row: int, field: str, value: Any) -> None:
-        """A write after the fold: the row keeps its exact fields aside
-        from then on."""
-        exact = self.odd.get(row)
-        if exact is None:
-            exact = self.odd[row] = {name: self.exact(row, name)
-                                     for name in _EXACT}
-        exact[field] = value
-
-    def view(self, row: int) -> Span:
-        span = object.__new__(_FoldedSpan)
-        span._rows = self
-        span._row = row
-        return span
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-class _FoldedSpan(Span):
-    """A span of a closed trace: a view of its row.  ``start``, ``end``
-    and ``status`` can be assigned; its identity (IDs, ``seq``, name) and
-    ``attributes`` cannot (:meth:`set_attribute` writes the row)."""
-
-    __slots__ = ()
+    def __init__(self, rows: _Rows, row: int):
+        self._rows = rows
+        self._row = row
 
     @property
     def seq(self) -> int:
+        """Global creation sequence number — the deterministic export
+        order."""
         return self._rows.first + self._row
 
     @property
@@ -294,95 +113,182 @@ class _FoldedSpan(Span):
         return "s%06d" % (self._rows.first + self._row)
 
     @property
-    def name(self) -> str:
-        return self._rows.names[self._row]
-
-    @property
     def trace_id(self) -> str:
         return self._rows.traces[self._row]
 
     @property
+    def name(self) -> str:
+        return self._rows.names[self._row]
+
+    @property
     def parent_id(self) -> Optional[str]:
-        return self._rows.exact(self._row, "parent_id")
+        parent = self._rows.parents[self._row]
+        if parent > 0:
+            return "s%06d" % parent
+        return self._rows.foreign[self._row] if parent else None
 
     @property
     def start(self) -> float:
-        return self._rows.exact(self._row, "start")
+        return self._rows.times[2 * self._row]
 
     @start.setter
     def start(self, value: float) -> None:
-        self._rows.set_exact(self._row, "start", value)
+        self._rows.times[2 * self._row] = value
 
     @property
     def end(self) -> Optional[float]:
-        return self._rows.exact(self._row, "end")
+        end = self._rows.times[2 * self._row + 1]
+        return None if end != end else end
 
     @end.setter
     def end(self, value: Optional[float]) -> None:
-        self._rows.set_exact(self._row, "end", value)
+        self._rows.times[2 * self._row + 1] = (_NAN if value is None
+                                               else value)
 
     @property
     def status(self) -> str:
-        return self._rows.exact(self._row, "status")
-
-    @status.setter
-    def status(self, value: str) -> None:
-        self._rows.set_exact(self._row, "status", value)
+        """``ok``, ``error``, or ``unset`` while still open."""
+        return _STATUSES[self._rows.statuses[self._row]]
 
     @property
     def attributes(self) -> Dict[str, Any]:
         row = self._rows.attributes[self._row]
+        if type(row) is dict:
+            return row
         n = len(row) // 3
         return _FrozenAttributes(zip(row[:n], row[n:2 * n]))
 
+    @property
+    def duration(self) -> float:
+        """Virtual seconds from start to end (0.0 while still open)."""
+        times, row = self._rows.times, 2 * self._row
+        end = times[row + 1]
+        return 0.0 if end != end else end - times[row]
+
+    @property
+    def context(self) -> TraceContext:
+        rows, row = self._rows, self._row
+        return TraceContext(rows.traces[row], "s%06d" % (rows.first + row))
+
     def set_attribute(self, key: str, value: Any) -> None:
+        rows, row = self._rows.attributes, self._row
+        if type(rows[row]) is dict:
+            rows[row][key] = value
+            return
         attributes = {**self.attributes, key: value}
         values = attributes.values()
-        self._rows.attributes[self._row] = (*attributes, *values,
-                                            *map(type, values))
+        rows[row] = (*attributes, *values, *map(type, values))
+
+    def set_status(self, status: str) -> None:
+        self._rows.statuses[self._row] = _code(status)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return (f"<Span {self.name!r} {self.trace_id}/{self.span_id} "
+                f"parent={self.parent_id} status={self.status}>")
 
 
-class _SpanLog(Sequence):
-    """:attr:`SpanTracer.spans`: every span in creation order — the rows
-    of closed traces, then the objects of the trace in flight.  Read
-    only; a span read from a row is built on read."""
+class _FrozenAttributes(dict):
+    """An ended span's attributes, copied out of its row."""
 
-    __slots__ = ("rows", "pending")
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self.rows = _Rows()
-        self.pending: List[Span] = []
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("an ended span's attributes are read-only; "
+                        "set_attribute writes its row")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    setdefault = update = pop = popitem = clear = _read_only
+
+
+def _seq_of(span_id: str) -> int:
+    """``"s000042"`` -> 42, or -1 for an ID this tracer did not format
+    (a carried foreign context's)."""
+    try:
+        seq = int(span_id[1:])
+    except (TypeError, ValueError):
+        return -1
+    return seq if seq > 0 and "s%06d" % seq == span_id else -1
+
+
+class _Rows(Sequence):
+    """:attr:`SpanTracer.spans`: every span in creation order, as columns.
+
+    Row ``i`` is the span whose seq is ``first + i``, and its
+    ``span_id`` is formatted from that.  Read only: ``rows[i]`` is a
+    :class:`Span` view built on read.  A closed row costs about 60
+    bytes: a campaign repeats a few hundred distinct attribute sets,
+    and each is stored once.
+    """
+
+    __slots__ = ("first", "names", "traces", "times", "parents", "statuses",
+                 "attributes", "foreign", "_pool")
+
+    def __init__(self, first: int) -> None:
+        self.first = first
+        self.names: List[str] = []
+        self.traces: List[str] = []
+        #: start and end of each row; an open end is NaN
+        self.times = array("d")
+        #: the parent's seq; 0 for a root, -1 for a parent in ``foreign``
+        self.parents = array("q")
+        #: index into ``_STATUSES``
+        self.statuses = bytearray()
+        #: an open span's attribute dict; from its end, see :meth:`close`
+        self.attributes: List[Any] = []
+        #: row -> a carried parent ID this tracer did not format
+        self.foreign: Dict[int, str] = {}
+        self._pool: Dict[tuple, tuple] = {}
+
+    def add(self, name: str, trace_id: str, parent: int, start: float,
+            end: float, code: int, attributes: Dict[str, Any]) -> Span:
+        """Append a row and return its view."""
+        row = len(self.names)
+        self.names.append(name)
+        self.traces.append(trace_id)
+        self.times.append(start)
+        self.times.append(end)
+        self.parents.append(parent)
+        self.statuses.append(code)
+        self.attributes.append(attributes)
+        return Span(self, row)
+
+    def close(self, row: int) -> None:
+        """Keep an ended row's attribute dict as one tuple: the keys, the
+        values, then the values' types.  Equal tuples are stored once,
+        if their values are of a type whose equal values print alike
+        (0.0 == -0.0 are not)."""
+        attributes = self.attributes[row]
+        if type(attributes) is not dict:
+            return
+        shared = ()
+        if attributes:
+            values = attributes.values()
+            flat = (*attributes, *values, *map(type, values))
+            try:
+                shared = self._pool.get(flat)
+            except TypeError:  # an unhashable value
+                shared = flat
+            if shared is None:
+                shared = flat
+                if _SHAREABLE.issuperset(flat[len(flat) // 3 * 2:]):
+                    self._pool[flat] = flat
+        self.attributes[row] = shared
 
     def __len__(self) -> int:
-        return len(self.rows) + len(self.pending)
+        return len(self.names)
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        folded = len(self.rows)
         if index < 0:
-            index += len(self)
-        if index < 0:
+            index += len(self.names)
+        if not 0 <= index < len(self.names):
             raise IndexError("span index out of range")
-        if index < folded:
-            return self.rows.view(index)
-        return self.pending[index - folded]
+        return Span(self, index)
 
     def __iter__(self) -> Iterator[Span]:
-        rows = self.rows
-        for row in range(len(rows)):
-            yield rows.view(row)
-        yield from list(self.pending)
-
-    def fold(self) -> None:
-        """Keep the pending spans as rows (their trace has closed)."""
-        self.rows.fold(self.pending)
-        self.pending.clear()
-
-    def clear(self) -> None:
-        # a fresh store: views of the old rows stay readable
-        self.rows = _Rows()
-        self.pending.clear()
+        for row in range(len(self.names)):
+            yield Span(self, row)
 
 
 def _topmost(stack: list, other: Union[Span, TraceContext]) -> int:
@@ -463,21 +369,18 @@ class SpanTracer:
     stack; :meth:`activate` pushes a foreign :class:`TraceContext` so
     work triggered by a carried message parents under its sender.
 
-    Whenever :meth:`end_span` or :meth:`record_span` leaves the stack
-    empty, no trace is in flight, and the spans created since the last
-    such moment are folded into rows (:class:`Span` says what that
-    means for a span already handed out).
+    :meth:`start_span` and :meth:`record_span` append the span's row to
+    :attr:`spans` and hand out a :class:`Span` view of it; every later
+    write to the span lands in that row.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock or (lambda: 0.0)
-        self.spans = _SpanLog()
-        self._pending = self.spans.pending
+        self.spans = _Rows(1)
         #: innermost last: an open :class:`Span`, or a carried
         #: :class:`TraceContext` pushed by :meth:`activate`
         self._stack: List[Union[Span, TraceContext]] = []
         self._trace_seq = 0
-        self._span_seq = 0
 
     @property
     def enabled(self) -> bool:
@@ -519,27 +422,31 @@ class SpanTracer:
         if parent is None:
             self._trace_seq += 1
             trace_id = "t%06d" % self._trace_seq
-            parent_id = None
-        else:
+            parent_seq = 0
+        elif type(parent) is TraceContext:
             trace_id = parent.trace_id
-            parent_id = parent.span_id
-        self._span_seq = seq = self._span_seq + 1
-        span = Span(trace_id, "s%06d" % seq, parent_id, name, self._clock(),
-                    None, attributes, "unset", seq)
-        self._pending.append(span)
+            parent_seq = _seq_of(parent.span_id)
+        else:  # an open span: read its row, not its view
+            trace_id = parent._rows.traces[parent._row]
+            parent_seq = parent._rows.first + parent._row
+        rows = self.spans
+        if parent_seq < 0:
+            rows.foreign[len(rows)] = parent.span_id
+        span = rows.add(name, trace_id, parent_seq, self._clock(), _NAN, 0,
+                        attributes)
         stack.append(span)
         return span
 
     def end_span(self, span: Span, status: Optional[str] = None) -> None:
         """Close a span and pop it (and anything left above it) off the
         context stack."""
+        rows, row = span._rows, span._row
         if status is not None:
-            _checked(status)
-        span.end = self._clock()
-        if status is not None:
-            span.status = status
-        elif span.status == "unset":
-            span.status = "ok"
+            rows.statuses[row] = _code(status)
+        elif not rows.statuses[row]:
+            rows.statuses[row] = _STATUS_CODE["ok"]
+        rows.times[2 * row + 1] = self._clock()
+        rows.close(row)
         stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
@@ -547,8 +454,6 @@ class SpanTracer:
             i = _topmost(stack, span)
             if i >= 0:
                 del stack[i:]
-        if not stack and self._pending:
-            self.spans.fold()
 
     def span(self, name: str, **attributes: Any) -> "_SpanScope":
         """Context manager: a child of the current context, or — with no
@@ -577,15 +482,12 @@ class SpanTracer:
         scheduled callback) can emit spans without re-parenting whatever
         request trace happens to be open.
         """
-        _checked(status)
+        code = _code(status)
         self._trace_seq += 1
-        self._span_seq += 1
-        span = Span("t%06d" % self._trace_seq, "s%06d" % self._span_seq,
-                    None, name, float(start), float(end), attributes,
-                    status, self._span_seq)
-        self._pending.append(span)
-        if not self._stack:
-            self.spans.fold()
+        rows = self.spans
+        span = rows.add(name, "t%06d" % self._trace_seq, 0, start, end, code,
+                        attributes)
+        rows.close(span._row)
         return span
 
     # -- introspection --------------------------------------------------------
@@ -597,7 +499,9 @@ class SpanTracer:
         return [s for s in self.spans if s.name == name]
 
     def clear(self) -> None:
-        self.spans.clear()
+        # a fresh store that counts on: views of the old rows stay readable
+        rows = self.spans
+        self.spans = _Rows(rows.first + len(rows))
         self._stack.clear()
 
     def __len__(self) -> int:
@@ -612,10 +516,13 @@ class SpanTracer:
 #: silent no-op by construction (one shared instance, never exported)
 class _NullSpan(Span):
     __slots__ = ()
+    span_id = ""
+    context = TraceContext("", "")
 
     def __init__(self) -> None:
-        super().__init__(trace_id="", span_id="", parent_id=None,
-                         name="null", start=0.0)
+        rows = _Rows(0)
+        rows.add("null", "", 0, 0.0, _NAN, 0, {})
+        super().__init__(rows, 0)
 
     def set_attribute(self, key: str, value: Any) -> None:
         return

@@ -1,7 +1,7 @@
 """Tests for the span-to-sequence-diagram renderer."""
 
+from reference.span_store import Span
 from repro.bench import protocol_trace, render_sequence
-from repro.obs import Span
 
 
 def rec(src, dst, label, rtt=0.001, t=0.0):

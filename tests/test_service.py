@@ -543,6 +543,26 @@ class TestMetasystemWiring:
         assert fresh.gateway.requests[request_id].state == PLACED
         assert meta.stop_service() is fresh and fresh.stopped
 
+    def test_a_stopped_tier_is_replaced_without_an_app(self):
+        """``start_service()`` after ``stop_service()`` reuses the world's
+        ``service-app`` class instead of binding it a second time."""
+        meta = standard_world(7, 3, 6, 3, 0.3)
+        first = meta.start_service()
+        meta.advance(30.0)
+        meta.stop_service()
+        fresh = meta.start_service()
+        assert fresh is not first and fresh.app is first.app
+        request_id = fresh.gateway.submit(user="u").request_id
+        meta.advance(600.0)
+        assert fresh.gateway.requests[request_id].state == PLACED
+
+    def test_a_reused_app_class_must_match_the_config_work(self):
+        meta = standard_world(7, 3, 6, 3, 0.3)
+        meta.start_service()
+        meta.stop_service()
+        with pytest.raises(LegionError, match="work_units"):
+            meta.start_service(ServiceConfig(work=20.0))
+
     def test_testbed_spec_service_knob(self):
         meta = build_testbed(TestbedSpec(
             n_domains=1, hosts_per_domain=2, platform_mix=1))

@@ -293,7 +293,7 @@ class TestDegenerateTraces:
     trace analysis without crashing or corrupting output."""
 
     def make_span(self, **overrides):
-        from repro.obs import Span
+        from reference.span_store import Span
         fields = dict(trace_id="t1", span_id="s1", parent_id=None,
                       name="solo", start=5.0, end=5.0, status="ok")
         fields.update(overrides)

@@ -1,10 +1,10 @@
-"""The span store: closed traces kept as rows, against the list of
-objects it replaced (``tests/reference/span_store.py``).
+"""The span store: every span a row of columns from its start, against
+the list of objects it replaced (``tests/reference/span_store.py``).
 
 The state machine drives both tracers with the same calls and asserts,
 after every step, that they export the same JSONL and Chrome bytes.
-The unit tests below it pin what a handed-out span does once its trace
-has closed, and which statuses a span accepts."""
+The unit tests below it pin what a handed-out span does before and
+after its trace has closed, and which statuses a span accepts."""
 
 import json
 
@@ -35,8 +35,9 @@ VALUES = st.one_of(
     st.sampled_from([True, 1, 1.0, False, 0, 0.0, -0.0, "a", None]),
     st.lists(st.integers(0, 1), max_size=1))
 ATTRIBUTES = st.dictionaries(KEYS, VALUES, max_size=2)
-#: virtual times, ints included (a clock advanced by ``run_until(240)``)
-TIMES = st.sampled_from([0.0, 1, 1.0, 2.5])
+#: virtual times: a row stores floats, so an int time exports as a float
+#: (pinned by ``test_an_int_clock_exports_float_times``)
+TIMES = st.sampled_from([0.0, 1.0, 2.5])
 STATUSES = st.sampled_from(["unset", "ok", "error"])
 #: carried contexts this tracer did not make, and one that collides
 #: with an ID it does make
@@ -182,9 +183,20 @@ def exported(tracer):
 
 
 class TestFoldedSpans:
-    def test_a_closed_trace_is_kept_as_rows(self, closed):
-        tracer, root, child = closed
-        assert len(tracer.spans.rows) == 2 and not tracer.spans.pending
+    def test_a_span_is_a_row_from_its_start(self):
+        clock = Clock()
+        tracer = SpanTracer(clock)
+        root = tracer.start_span("root", kind="test")
+        child = tracer.start_span("child")
+        # both rows exist while the trace is open, and every view of a
+        # row reads and writes one record
+        assert [s.span_id for s in tracer.spans] == ["s000001", "s000002"]
+        assert exported(tracer)[1]["end"] is None
+        tracer.spans[1].set_attribute("open", True)
+        assert child.attributes == {"open": True}
+        clock.now = 2.0
+        tracer.end_span(child)
+        tracer.end_span(root)
         assert (root.span_id, child.parent_id) == ("s000001", "s000001")
         assert root.attributes == {"kind": "test"}
         assert (child.start, child.end, child.status) == (0.0, 2.0, "ok")
@@ -217,7 +229,7 @@ class TestFoldedSpans:
         tracer = SpanTracer(clock)
         root = tracer.start_span("root")
         leaked = tracer.start_span("leaked")
-        tracer.end_span(root)  # pops the leak too: the trace is folded
+        tracer.end_span(root)  # pops the leak too, which stays open
         assert exported(tracer)[1]["end"] is None
         clock.now = 4.0
         tracer.end_span(leaked)
@@ -234,6 +246,21 @@ class TestFoldedSpans:
             pass
         assert (nxt.trace_id, nxt.span_id) == ("t000002", "s000003")
         assert [s.span_id for s in tracer.spans] == ["s000003"]
+
+
+def test_an_int_clock_exports_float_times():
+    """A clock advanced by ``run_until(240)`` reads an int; the row keeps
+    it as a float, so it exports as ``240.0``."""
+    clock = Clock()
+    tracer = SpanTracer(clock)
+    clock.now = 240
+    with tracer.span("root"):
+        clock.now = 241
+    tracer.record_span("chaos:host_down", 1, 2)
+    assert [(row["start"], row["end"]) for row in exported(tracer)] == [
+        (240.0, 241.0), (1.0, 2.0)]
+    assert all(type(row[key]) is float for row in exported(tracer)
+               for key in ("start", "end"))
 
 
 def test_equal_values_of_other_types_export_as_written():

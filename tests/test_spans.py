@@ -490,7 +490,7 @@ class TestChromeExport:
     def test_partially_overlapping_siblings_get_distinct_lanes(self):
         # two siblings overlapping without containment cannot share a
         # Chrome thread row (complete events on one row must nest)
-        from repro.obs import Span
+        from reference.span_store import Span
         spans = [
             Span("t000001", "s000001", None, "root", 0.0, 10.0, seq=1),
             Span("t000001", "s000002", "s000001", "a", 0.0, 5.0, seq=2),
