@@ -7,6 +7,9 @@ back a report that serialises to a byte-stable JSON ledger.  The driving
 is what differs between campaigns; everything else lives here as plain
 functions and two small base classes, so a new campaign is a runner
 built from these steps (``docs/extending.md``, "Adding a campaign").
+The two service-tier campaigns share more: ``run_service`` and
+``run_gameday`` run one driver (``repro.service.report._run_tier``),
+which drains until :attr:`~repro.service.ServiceSuite.settled`.
 
 Only the standard library is imported at module level: the report
 classes of every layer import this module, so it must not pull the

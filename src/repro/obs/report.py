@@ -23,7 +23,7 @@ the ``slo-smoke`` CI job pins.  ``legion-sim slo`` renders either form.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .slo import SLOResult, SLOSpec, evaluate_slos
 from .timeseries import MetricsSampler, sparkline
@@ -36,19 +36,6 @@ __all__ = [
 
 #: how many step rows the critical-step section keeps
 TOP_STEPS = 8
-
-
-def _dominant_tally(spans: Sequence[Any]) -> List[Dict[str, Any]]:
-    """How often each step dominated a trace's critical path."""
-    from .trace_export import trace_summary
-    tally: Dict[str, int] = {}
-    for row in trace_summary(spans):
-        name = row["dominant_step"]
-        if name:
-            tally[name] = tally.get(name, 0) + 1
-    return [{"step": name, "traces_dominated": count}
-            for name, count in sorted(tally.items(),
-                                      key=lambda kv: (-kv[1], kv[0]))]
 
 
 def build_health_report(sampler: MetricsSampler,
@@ -86,7 +73,8 @@ def build_health_report(sampler: MetricsSampler,
             {t for r in results for t in r.breached_exemplars()}),
     }
     if spans is not None:
-        from .trace_export import aggregate_step_latencies
+        from .trace_export import (aggregate_step_latencies,
+                                   dominant_tally, trace_summary)
         steps = aggregate_step_latencies(spans)
         steps.sort(key=lambda r: (-r["self"], r["step"]))
         report["critical_steps"] = [
@@ -97,7 +85,10 @@ def build_health_report(sampler: MetricsSampler,
              "max_s": round(r["max"], 6),
              "self_s": round(r["self"], 6)}
             for r in steps[:TOP_STEPS]]
-        report["dominant_steps"] = _dominant_tally(spans)
+        report["dominant_steps"] = [
+            {"step": name, "traces_dominated": count}
+            for name, count in dominant_tally(trace_summary(spans))
+            if name]
     return report
 
 

@@ -29,7 +29,8 @@ events on one thread row render exactly as the span tree.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .spans import Span
 
@@ -40,6 +41,7 @@ __all__ = [
     "critical_path",
     "dominant_step",
     "trace_summary",
+    "dominant_tally",
     "aggregate_step_latencies",
     "render_step_aggregate",
     "render_tree",
@@ -256,23 +258,27 @@ def render_critical_path_report(spans: Sequence[Span],
              f"{'trace':10s} {'root':12s} {'status':7s} "
              f"{'duration_s':>12s} {'dominant step':26s} "
              f"{'self_s':>12s} {'share':>7s}"]
-    dominants: Dict[str, int] = {}
-    for row in trace_summary(spans):
+    rows = trace_summary(spans)
+    for row in rows:
         share = (row["dominant_self_time"] / row["duration"]
                  if row["duration"] > 0 else 0.0)
-        dominants[row["dominant_step"]] = (
-            dominants.get(row["dominant_step"], 0) + 1)
         lines.append(
             f"{row['trace_id']:10s} {row['root']:12s} "
             f"{row['status']:7s} {row['duration']:>12.6f} "
             f"{row['dominant_step']:26s} "
             f"{row['dominant_self_time']:>12.6f} {share:>6.1%}")
-    if dominants:
-        ranked = sorted(dominants.items(), key=lambda kv: (-kv[1], kv[0]))
+    if rows:
         lines.append("")
         lines.append("dominant step overall: " + ", ".join(
-            f"{name or '(none)'} x{n}" for name, n in ranked))
+            f"{name or '(none)'} x{n}" for name, n in dominant_tally(rows)))
     return "\n".join(lines)
+
+
+def dominant_tally(rows: Sequence[Dict[str, Any]]) -> List[Tuple[str, int]]:
+    """How many :func:`trace_summary` rows each ``dominant_step`` names
+    (``""`` for a trace without one), most first, ties by name."""
+    tally = Counter(row["dominant_step"] for row in rows)
+    return sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 # ---------------------------------------------------------------------------

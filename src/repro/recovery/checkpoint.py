@@ -4,8 +4,9 @@ OAR's restart property: the resource-management brain can be torn down
 and rebuilt from its durable state while the physical cluster keeps
 running.  The equivalent here: :func:`capture_checkpoint` serializes
 everything the *service tier* owns — the request journal, the cumulative
-gateway/queue/pool/supervisor/lease counters, plus audit snapshots of
-the budget/breaker/health state the tier depends on — as pure JSON;
+gateway/queue/pool/supervisor/lease counters (each component's own
+``snapshot()``, read back by its ``restore(doc)``), plus audit snapshots
+of the budget/breaker/health state the tier depends on — as pure JSON;
 :meth:`Metasystem.stop_service` tears the tier down; and
 :func:`restore_service` rebuilds a fresh gateway/queue/pool/supervisor
 from the checkpoint and replays the journal into the exact request
@@ -41,13 +42,13 @@ was cut against.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List
 
 from ..errors import RecoveryError
 from ..service.workers import DISPATCH_OVERHEAD, RESERVATION_DURATION
 from .config import RecoveryConfig
-from .journal import RequestJournal
+from .journal import JournalEntry, RequestJournal
 
 __all__ = ["ServiceCheckpoint", "capture_checkpoint", "restore_service"]
 
@@ -57,40 +58,36 @@ WORKER_CONSTANTS = {"dispatch_overhead": DISPATCH_OVERHEAD,
                     "reservation_duration": RESERVATION_DURATION}
 
 
+#: the tier components that snapshot and restore themselves, each under
+#: its own checkpoint block (the request registry is the journal's)
+PARTS = ("gateway", "queue", "pool", "supervisor", "leases")
+
+
+@dataclass(repr=False)
 class ServiceCheckpoint:
     """A pure-JSON snapshot of the service tier at a safe point."""
 
-    __slots__ = ("captured_at", "config", "recovery", "app_name",
-                 "journal", "gateway", "queue", "pool", "supervisor",
-                 "leases", "audit")
-
-    def __init__(self, captured_at: float, config: Dict[str, Any],
-                 recovery: Dict[str, Any], app_name: str,
-                 journal: List[Dict[str, Any]], gateway: Dict[str, Any],
-                 queue: Dict[str, Any], pool: Dict[str, Any],
-                 supervisor: Dict[str, Any], leases: Dict[str, Any],
-                 audit: Dict[str, Any]):
-        self.captured_at = captured_at
-        self.config = config
-        self.recovery = recovery
-        self.app_name = app_name
-        self.journal = journal
-        self.gateway = gateway
-        self.queue = queue
-        self.pool = pool
-        self.supervisor = supervisor
-        self.leases = leases
-        self.audit = audit
+    captured_at: float
+    config: Dict[str, Any]
+    recovery: Dict[str, Any]
+    app_name: str
+    journal: List[Dict[str, Any]]
+    gateway: Dict[str, Any]
+    queue: Dict[str, Any]
+    pool: Dict[str, Any]
+    supervisor: Dict[str, Any]
+    leases: Dict[str, Any]
+    audit: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ServiceCheckpoint":
-        return cls(**{slot: doc[slot] for slot in cls.__slots__})
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
     @classmethod
     def from_json(cls, blob: str) -> "ServiceCheckpoint":
@@ -126,10 +123,8 @@ def quiescence_blockers(meta: Any) -> List[str]:
     blockers: List[str] = []
     if suite.queue.depth:
         blockers.append(f"queue depth {suite.queue.depth}")
-    pending = sum(1 for r in suite.gateway.requests.values()
-                  if not r.terminal)
-    if pending:
-        blockers.append(f"{pending} non-terminal request(s)")
+    if suite.pending:
+        blockers.append(f"{suite.pending} non-terminal request(s)")
     if suite.leases.active:
         blockers.append(f"{len(suite.leases.active)} active lease(s)")
     if suite.leases.late_effects:
@@ -155,13 +150,8 @@ def capture_checkpoint(meta: Any) -> ServiceCheckpoint:
         recovery=suite.recovery.to_dict(),
         app_name=suite.app.name,
         journal=suite.journal.to_dicts(),
-        gateway={"submitted": suite.gateway.submitted,
-                 "admission_rejections": suite.gateway.admission.rejections},
-        queue=suite.queue.counters(),
-        pool=suite.pool.counters(),
-        supervisor=suite.supervisor.counters(),
-        leases=suite.leases.counters(),
-        audit=_audit_snapshot(meta))
+        audit=_audit_snapshot(meta),
+        **{part: getattr(suite, part).snapshot() for part in PARTS})
 
 
 def restore_service(meta: Any, checkpoint: ServiceCheckpoint,
@@ -191,23 +181,25 @@ def restore_service(meta: Any, checkpoint: ServiceCheckpoint,
             "world state diverged from the checkpoint's "
             "budget/breaker/health audit — restore would not be "
             "deterministic")
-    config = ServiceConfig(**{k: v for k, v in checkpoint.config.items()
-                              if k not in WORKER_CONSTANTS})
-    recovery = RecoveryConfig(**checkpoint.recovery)
-    suite = meta.start_service(config=config, app=app, recovery=recovery)
-    # replay the journal into the exact request registry the old tier held
-    suite.journal.load(checkpoint.journal)
-    requests, live, counters = RequestJournal.replay(suite.journal.entries)
+    # replay the journal into the exact request registry the old tier
+    # held, and check it against the gateway's own counters
+    entries = [JournalEntry.from_dict(doc) for doc in checkpoint.journal]
+    requests, live, counters = RequestJournal.replay(entries)
     if live:  # pragma: no cover — quiescence guarantees an empty queue
         raise RecoveryError(
             f"checkpoint journal replays {len(live)} live queue "
             f"entr(ies); capture was not at a safe point")
+    if counters != checkpoint.gateway:
+        raise RecoveryError(
+            f"checkpoint's gateway counters {checkpoint.gateway} disagree "
+            f"with its journal's {counters}")
+    config = ServiceConfig(**{k: v for k, v in checkpoint.config.items()
+                              if k not in WORKER_CONSTANTS})
+    recovery = RecoveryConfig(**checkpoint.recovery)
+    suite = meta.start_service(config=config, app=app, recovery=recovery)
+    suite.journal.entries = entries
     suite.gateway.requests = requests
-    suite.gateway.submitted = counters["submitted"]
-    suite.gateway.admission.rejections = counters["admission_rejections"]
     # continue every cumulative counter where the old tier left off
-    suite.queue.restore_counters(checkpoint.queue)
-    suite.pool.restore_counters(checkpoint.pool)
-    suite.supervisor.restore_counters(checkpoint.supervisor)
-    suite.leases.restore_counters(checkpoint.leases)
+    for part in PARTS:
+        getattr(suite, part).restore(getattr(checkpoint, part))
     return suite

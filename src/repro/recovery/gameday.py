@@ -34,8 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..campaign import (SERVICE_DRAIN_STEP, Comparison, Report, drain,
-                        run_variants, slo_block, stable_round,
+from ..campaign import (Comparison, Report, run_variants, stable_round,
                         standard_world)
 from .checkpoint import (ServiceCheckpoint, capture_checkpoint,
                          quiescence_blockers, restore_service)
@@ -259,80 +258,40 @@ def checkpoint_when_quiet(meta: Any, at: float) -> Dict[str, Any]:
 
 
 def run_gameday(seed: int = 0,
-                users: int = 1_000_000,
                 duration: float = 240.0,
-                workers: int = 4,
-                queue_cap: int = 64,
-                backpressure: str = "shed",
-                scheduler: str = "irs",
-                work: float = 10.0,
-                requests_per_user_hour: float = 0.0036,
-                surge_multiplier: float = 12.0,
                 kills: int = 2,
                 lease_ttl: float = 20.0,
                 heartbeat_interval: float = 5.0,
                 checkpoint_at: Optional[float] = None,
-                n_domains: int = 3,
-                hosts_per_domain: int = 6,
-                platform_mix: int = 3,
-                host_slots: int = 8,
-                background_load: float = 0.3,
-                sampler_window: float = 30.0,
-                drain_time: float = 1800.0) -> GamedayReport:
+                **service: Any) -> GamedayReport:
     """Run one seeded game day and return its scored report.
 
-    ``checkpoint_at`` arms :func:`checkpoint_when_quiet`: the tier is
-    checkpointed, torn down and restored at the first safe point from
-    that virtual time on, after which the run must proceed
+    ``service`` takes :func:`~repro.service.report.run_service`'s
+    keywords (not ``meta``: a game day builds its own world), with its
+    defaults.  ``checkpoint_at`` arms :func:`checkpoint_when_quiet`: the
+    tier is checkpointed, torn down and restored at the first safe point
+    from that virtual time on, after which the run must proceed
     byte-identically to one that never stopped.
     """
-    from ..service.config import ServiceConfig
-    from ..service.report import (default_model, open_loop_traffic,
-                                  tier_stats)
-    from ..service.slos import E2E_THRESHOLD, default_service_slos
-    from ..chaos.injector import ChaosInjector
+    from ..service.report import _run_tier
 
-    meta = standard_world(seed, n_domains, hosts_per_domain, platform_mix,
-                          background_load, host_slots=host_slots,
-                          sampler_window=sampler_window)
-
-    config = ServiceConfig(workers=workers, queue_cap=queue_cap,
-                           backpressure=backpressure,
-                           scheduler=scheduler, work=work)
     recovery = RecoveryConfig(lease_ttl=lease_ttl,
                               heartbeat_interval=heartbeat_interval)
-    suite = meta.start_service(config, recovery=recovery)
-    app = suite.app
-
-    plan = default_gameday_plan(duration, workers, kills=kills)
-    injector = ChaosInjector(meta, plan).arm()
-
-    model = default_model(users, duration,
-                          requests_per_user_hour=requests_per_user_hour,
-                          surge_multiplier=surge_multiplier)
-    generator = open_loop_traffic(meta, model, duration)
-
-    checkpoint_info = ({} if checkpoint_at is None else
-                       checkpoint_when_quiet(meta, checkpoint_at))
-
-    meta.advance(duration)
-
-    # drain until every admitted request is terminal AND every lease is
-    # settled (an expired lease still owed a requeue counts as pending)
-    def settled(meta: Any) -> bool:
-        live = meta.service
-        return (all(r.terminal for r in live.gateway.requests.values())
-                and not live.leases.active
-                and not live.leases.late_effects)
-    drain_seconds = drain(meta, settled, drain_time, SERVICE_DRAIN_STEP)
-
-    injector.teardown()
-    suite = meta.service  # the restored suite, when a checkpoint ran
-    suite.stop()
+    report = GamedayReport()
+    run = _run_tier(
+        report, recovery=recovery,
+        plan=lambda suite: default_gameday_plan(
+            duration, suite.config.workers, kills=kills),
+        probe=(None if checkpoint_at is None else
+               lambda meta: checkpoint_when_quiet(meta, checkpoint_at)),
+        world=standard_world, seed=seed, duration=duration, meta=None,
+        **service)
+    suite, injector = run.suite, run.injector
 
     # -- ground truth ---------------------------------------------------------
+    app = suite.app
     gateway = suite.gateway
-    lost = sum(1 for r in gateway.requests.values() if not r.terminal)
+    lost = suite.pending
     expected_instances = sum(
         len(r.created) for r in gateway.requests.values()
         if r.state == "placed")
@@ -346,19 +305,17 @@ def run_gameday(seed: int = 0,
     chaos_stats = injector.stats()
     supervisor_stats = suite.supervisor.stats()
 
-    report = GamedayReport()
+    config = suite.config
     report.params = {
-        "seed": seed, "users": model.users,
+        "seed": seed, "users": run.params.users,
         "duration": stable_round(duration),
-        "workers": workers, "queue_cap": queue_cap,
-        "backpressure": backpressure, "scheduler": scheduler,
-        "work": stable_round(work), "kills": kills,
+        "workers": config.workers, "queue_cap": config.queue_cap,
+        "backpressure": config.backpressure,
+        "scheduler": config.scheduler,
+        "work": stable_round(config.work), "kills": kills,
         "recovery": recovery.to_dict(),
-        "plan": plan.counts_by_kind(),
+        "plan": injector.plan.counts_by_kind(),
     }
-    report.traffic = generator.stats()
-    report.requests, report.queue, report.pool, report.latency = \
-        tier_stats(suite)
     report.recovery = {
         "lost": lost,
         "duplicates": duplicates,
@@ -396,12 +353,7 @@ def run_gameday(seed: int = 0,
                                         if worker_repairs else 0.0),
         "mttr_mean": stable_round(chaos_stats["mttr_mean"]),
     }
-    report.drain_seconds = drain_seconds
-    report.checkpoint = checkpoint_info or None
-
-    if meta.sampler is not None:
-        report.slo, _ = slo_block(
-            meta, default_service_slos(threshold=E2E_THRESHOLD))
+    report.checkpoint = run.probed or None
     return report
 
 

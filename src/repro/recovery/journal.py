@@ -174,9 +174,7 @@ class RequestJournal:
         """Canonical view of the live gateway + queue state — the thing
         :meth:`replay` must reconstruct byte-identically."""
         return RequestJournal._canonical(
-            gateway.requests, queue.snapshot_entries(),
-            {"submitted": gateway.submitted,
-             "admission_rejections": gateway.admission.rejections})
+            gateway.requests, queue.snapshot_entries(), gateway.snapshot())
 
     @staticmethod
     def replay_state(entries: List[JournalEntry]) -> Dict[str, Any]:

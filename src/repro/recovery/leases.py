@@ -28,6 +28,8 @@ __all__ = ["Lease", "LeaseTable"]
 
 RELEASED = "released"
 EXPIRED = "expired"
+#: cumulative lease counts a checkpoint carries
+_COUNTERS = ("grants", "renewals", "releases", "expirations")
 
 
 class Lease:
@@ -151,17 +153,16 @@ class LeaseTable:
         return out
 
     # -- checkpoint ---------------------------------------------------------
-    def counters(self) -> Dict[str, Any]:
-        return {"grants": self.grants, "renewals": self.renewals,
-                "releases": self.releases,
-                "expirations": self.expirations,
-                "history": [list(h) for h in self.history]}
+    def snapshot(self) -> Dict[str, Any]:
+        """Cumulative counts and the closed ownership history for
+        checkpoint/restore (a safe point has no active lease)."""
+        return {name: getattr(self, name) for name in _COUNTERS} | {
+            "history": [list(h) for h in self.history]}
 
-    def restore_counters(self, doc: Dict[str, Any]) -> None:
-        self.grants = doc["grants"]
-        self.renewals = doc["renewals"]
-        self.releases = doc["releases"]
-        self.expirations = doc["expirations"]
+    def restore(self, doc: Dict[str, Any]) -> None:
+        """Continue counting where a checkpointed table left off."""
+        for name in _COUNTERS:
+            setattr(self, name, doc[name])
         self.history = [tuple(h) for h in doc["history"]]
 
     def __repr__(self) -> str:  # pragma: no cover

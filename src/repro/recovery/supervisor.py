@@ -34,6 +34,9 @@ from ..obs.spans import NULL_SPANS
 
 __all__ = ["Supervisor"]
 
+#: cumulative recovery counts ``stats()`` reports and a checkpoint carries
+_COUNTERS = ("recovered", "cancelled_on_recovery", "duplicates_averted")
+
 
 class Supervisor:
     """Lease-expiry timer + orphan recovery daemon."""
@@ -134,26 +137,19 @@ class Supervisor:
     # -- reporting / checkpoint ---------------------------------------------
     def stats(self) -> Dict[str, Any]:
         lat = self.orphan_latencies
-        return {
-            "recovered": self.recovered,
-            "cancelled_on_recovery": self.cancelled_on_recovery,
-            "duplicates_averted": self.duplicates_averted,
+        return {name: getattr(self, name) for name in _COUNTERS} | {
             "orphan_latency_mean": (sum(lat) / len(lat)) if lat else 0.0,
-            "orphan_latency_max": max(lat) if lat else 0.0,
-        }
+            "orphan_latency_max": max(lat) if lat else 0.0}
 
-    def counters(self) -> Dict[str, Any]:
-        return {
-            "recovered": self.recovered,
-            "cancelled_on_recovery": self.cancelled_on_recovery,
-            "duplicates_averted": self.duplicates_averted,
-            "orphan_latencies": list(self.orphan_latencies),
-        }
+    def snapshot(self) -> Dict[str, Any]:
+        """Cumulative recovery counts for checkpoint/restore."""
+        return {name: getattr(self, name) for name in _COUNTERS} | {
+            "orphan_latencies": list(self.orphan_latencies)}
 
-    def restore_counters(self, doc: Dict[str, Any]) -> None:
-        self.recovered = doc["recovered"]
-        self.cancelled_on_recovery = doc["cancelled_on_recovery"]
-        self.duplicates_averted = doc["duplicates_averted"]
+    def restore(self, doc: Dict[str, Any]) -> None:
+        """Continue counting where a checkpointed Supervisor left off."""
+        for name in _COUNTERS:
+            setattr(self, name, doc[name])
         self.orphan_latencies = list(doc["orphan_latencies"])
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -103,6 +103,20 @@ class ServiceSuite:
         #: set by :meth:`stop`; a stopped tier never runs again
         self.stopped = False
 
+    @property
+    def pending(self) -> int:
+        """How many requests are not yet in a terminal state."""
+        return sum(1 for r in self.gateway.requests.values()
+                   if not r.terminal)
+
+    @property
+    def settled(self) -> bool:
+        """Drained: every request terminal, and no lease still active
+        or owed a late-effect reap."""
+        leases = self.leases
+        return not (self.pending or leases is not None
+                    and (leases.active or leases.late_effects))
+
     def stop(self) -> None:
         """Stop the tier for good (idempotent): the Supervisor stops and
         the worker pool shuts down, so every worker exits at its next

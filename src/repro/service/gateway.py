@@ -180,16 +180,28 @@ class RequestGateway:
     def health(self) -> Dict[str, Any]:
         """Liveness snapshot: backlog, outcomes, admission, clock."""
         self._route("health")
+        return dict(self.snapshot(), now=self.sim.now,
+                    queue=self.queue.stats(),
+                    requests_by_state=self.by_state())
+
+    def by_state(self) -> Dict[str, int]:
+        """How many requests the registry holds in each state."""
         by_state: Dict[str, int] = {}
         for request in self.requests.values():
             by_state[request.state] = by_state.get(request.state, 0) + 1
-        return {
-            "now": self.sim.now,
-            "submitted": self.submitted,
-            "queue": self.queue.stats(),
-            "requests_by_state": dict(sorted(by_state.items())),
-            "admission_rejections": self.admission.rejections,
-        }
+        return dict(sorted(by_state.items()))
+
+    # -- checkpoint -----------------------------------------------------------
+    def snapshot(self) -> Dict[str, int]:
+        """The cumulative counters a checkpoint carries; the registry
+        itself is rebuilt from the journal."""
+        return {"submitted": self.submitted,
+                "admission_rejections": self.admission.rejections}
+
+    def restore(self, doc: Dict[str, int]) -> None:
+        """Continue counting where a checkpointed gateway left off."""
+        self.submitted = doc["submitted"]
+        self.admission.rejections = doc["admission_rejections"]
 
     # -- backpressure ---------------------------------------------------------
     def _offer(self, request: ServiceRequest,

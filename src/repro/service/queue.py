@@ -38,6 +38,10 @@ SHED = "shed"
 REJECTED = "rejected"
 DEFERRED = "deferred"
 
+#: the cumulative statistics a checkpoint carries and ``stats()`` reports
+_COUNTERS = ("peak_depth", "offered", "enqueued", "popped", "shed",
+             "rejected", "deferred", "cancelled")
+
 
 class PlacementQueue:
     """Bounded priority backlog between the gateway and the worker pool."""
@@ -164,30 +168,16 @@ class PlacementQueue:
                 if request.request_id not in self._cancelled]
 
     # -- checkpoint -----------------------------------------------------------
-    def counters(self) -> dict:
+    def snapshot(self) -> dict:
         """Cumulative statistics + heap serial for checkpoint/restore."""
-        return {
-            "peak_depth": self.peak_depth,
-            "offered": self.offered,
-            "enqueued": self.enqueued,
-            "popped": self.popped,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "deferred": self.deferred,
-            "cancelled": self.cancelled,
-            "seq": self.enqueued,  # serials are only drawn on push
-        }
+        doc = {name: getattr(self, name) for name in _COUNTERS}
+        doc["seq"] = self.enqueued  # serials are only drawn on push
+        return doc
 
-    def restore_counters(self, doc: dict) -> None:
+    def restore(self, doc: dict) -> None:
         """Continue counting where a checkpointed queue left off."""
-        self.peak_depth = doc["peak_depth"]
-        self.offered = doc["offered"]
-        self.enqueued = doc["enqueued"]
-        self.popped = doc["popped"]
-        self.shed = doc["shed"]
-        self.rejected = doc["rejected"]
-        self.deferred = doc["deferred"]
-        self.cancelled = doc["cancelled"]
+        for name in _COUNTERS:
+            setattr(self, name, doc[name])
         self._seq = itertools.count(doc["seq"])
 
     # -- metrics --------------------------------------------------------------
@@ -195,19 +185,10 @@ class PlacementQueue:
         self.metrics.count("service_backpressure_total", mode=disposition)
 
     def stats(self) -> dict:
-        return {
-            "cap": self.cap,
-            "backpressure": self.backpressure,
-            "depth": self._depth,
-            "peak_depth": self.peak_depth,
-            "offered": self.offered,
-            "enqueued": self.enqueued,
-            "popped": self.popped,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "deferred": self.deferred,
-            "cancelled": self.cancelled,
-        }
+        doc = {"cap": self.cap, "backpressure": self.backpressure,
+               "depth": self._depth, **self.snapshot()}
+        del doc["seq"]
+        return doc
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<PlacementQueue depth={self._depth}/"

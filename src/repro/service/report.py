@@ -26,7 +26,7 @@ keep ``repro.service`` importable without a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -39,8 +39,8 @@ from .slos import E2E_THRESHOLD, default_service_slos
 from .traffic import TrafficGenerator, TrafficModel
 
 __all__ = ["ServiceReport", "ServiceComparison", "default_model",
-           "open_loop_traffic", "latency_stats", "tier_stats",
-           "run_service", "run_service_comparison"]
+           "open_loop_traffic", "latency_stats", "run_service",
+           "run_service_comparison"]
 
 
 @dataclass
@@ -246,23 +246,80 @@ def open_loop_traffic(meta: Any, model: TrafficModel,
     return generator
 
 
-def tier_stats(suite: Any) -> Tuple[Dict[str, Any], Dict[str, Any],
-                                    Dict[str, Any], Dict[str, Any]]:
-    """The ``requests`` / ``queue`` / ``pool`` / ``latency`` blocks of a
-    service-tier report, read off a stopped suite."""
+def _run_tier(report: Any, recovery: Any = None,
+              plan: Optional[Callable[[Any], Any]] = None,
+              probe: Optional[Callable[[Any], Any]] = None,
+              world: Callable[..., Any] = standard_world,
+              **given: Any) -> Any:
+    """The one service campaign behind :func:`run_service` and the game
+    day.  Builds the world with ``world`` (unless ``given`` has a
+    ``meta``), starts the tier with the ``recovery`` layer if given,
+    arms the chaos plan ``plan(suite)``, starts the traffic, calls
+    ``probe(meta)``, advances ``duration``, drains until
+    :attr:`ServiceSuite.settled`, tears the faults down and stops the
+    tier that is live by then.  ``given`` is :func:`run_service`'s
+    keywords, its defaults filling the rest.
+
+    Fills ``report``'s traffic, tier, drain and SLO blocks; returns the
+    bound ``params``, the stopped ``suite``, the ``injector``, what the
+    probe returned (``probed``) and the SLO results by name (``slo``).
+    """
+    import inspect
+    from types import SimpleNamespace
+    from .config import ServiceConfig
+
+    bound = inspect.signature(run_service).bind(**given)
+    bound.apply_defaults()
+    p = SimpleNamespace(**bound.arguments)
+    meta = p.meta
+    if meta is None:
+        meta = world(p.seed, p.n_domains, p.hosts_per_domain,
+                     p.platform_mix, p.background_load,
+                     host_slots=p.host_slots,
+                     sampler_window=p.sampler_window)
+    elif meta.service is not None:
+        raise LegionError("a service tier was already started on this "
+                          "metasystem; run_service needs one without")
+    elif p.sampler_window and meta.sampler is None:
+        meta.start_sampler(window=p.sampler_window)
+
+    suite = meta.start_service(ServiceConfig(
+        workers=p.workers, queue_cap=p.queue_cap,
+        backpressure=p.backpressure, scheduler=p.scheduler, work=p.work),
+        recovery=recovery)
+    injector = None
+    if plan is not None:
+        from ..chaos.injector import ChaosInjector
+        injector = ChaosInjector(meta, plan(suite)).arm()
+    model = default_model(p.users, p.duration,
+                          requests_per_user_hour=p.requests_per_user_hour,
+                          surge_multiplier=p.surge_multiplier)
+    generator = open_loop_traffic(meta, model, p.duration)
+    probed = probe(meta) if probe is not None else None
+    meta.advance(p.duration)
+
+    # the no-shedding overload baseline may not settle before the drain
+    # budget runs out: its unfinished requests count as ``pending``
+    report.drain_seconds = drain(meta, lambda meta: meta.service.settled,
+                                 p.drain_time, SERVICE_DRAIN_STEP)
+    if injector is not None:
+        injector.teardown()
+    suite = meta.service  # a restored tier, if the probe restored one
+    suite.stop()
+
     gateway = suite.gateway
-    by_state: Dict[str, int] = {}
-    for request in gateway.requests.values():
-        by_state[request.state] = by_state.get(request.state, 0) + 1
-    requests = {
-        "submitted": gateway.submitted,
-        "admission_rejections": gateway.admission.rejections,
-        "by_state": dict(sorted(by_state.items())),
-    }
-    pool = {k: (stable_round(v) if isinstance(v, float) else v)
-            for k, v in suite.pool.stats().items()}
-    return (requests, suite.queue.stats(), pool,
-            latency_stats(gateway.requests.values()))
+    report.traffic = generator.stats()
+    report.requests = dict(gateway.snapshot(), by_state=gateway.by_state())
+    report.queue = suite.queue.stats()
+    report.pool = {k: (stable_round(v) if isinstance(v, float) else v)
+                   for k, v in suite.pool.stats().items()}
+    report.latency = latency_stats(gateway.requests.values())
+    results: Dict[str, Any] = {}
+    if meta.sampler is not None:
+        report.slo, results = slo_block(
+            meta, default_service_slos(threshold=p.slo_threshold))
+    return SimpleNamespace(params=p, suite=suite, injector=injector,
+                           probed=probed, slo=results)
 
 
 def run_service(seed: int = 0,
@@ -289,55 +346,17 @@ def run_service(seed: int = 0,
     ``queue_cap=0`` disables the bounded backlog (shedding off) — the
     overload baseline.  Pass a prebuilt ``meta`` to reuse a custom
     testbed; one that has had a service started, even a stopped one, is
-    refused with a :class:`~repro.errors.LegionError`."""
-    from .config import ServiceConfig
-
-    if meta is None:
-        meta = standard_world(seed, n_domains, hosts_per_domain,
-                              platform_mix, background_load,
-                              host_slots=host_slots,
-                              sampler_window=sampler_window)
-    elif meta.service is not None:
-        raise LegionError("a service tier was already started on this "
-                          "metasystem; run_service needs one without")
-    elif sampler_window and meta.sampler is None:
-        meta.start_sampler(window=sampler_window)
-
-    config = ServiceConfig(workers=workers, queue_cap=queue_cap,
-                           backpressure=backpressure,
-                           scheduler=scheduler, work=work)
-    suite = meta.start_service(config)
-    model = default_model(users, duration,
-                          requests_per_user_hour=requests_per_user_hour,
-                          surge_multiplier=surge_multiplier)
-    generator = open_loop_traffic(meta, model, duration)
-    meta.advance(duration)
-
-    # drain: advance until every admitted request reaches a terminal
-    # state (the no-shedding overload baseline may not make it before
-    # the drain budget runs out — those requests count as ``pending``)
-    gateway = suite.gateway
-    drain_seconds = drain(
-        meta, lambda _: all(r.terminal for r in gateway.requests.values()),
-        drain_time, SERVICE_DRAIN_STEP)
-    suite.stop()
-
+    refused with a :class:`~repro.errors.LegionError`.  These keywords
+    and their defaults are the game day's too."""
+    given = dict(locals())
     report = ServiceReport(
-        scheduler=scheduler, seed=seed, users=model.users,
-        duration=duration, workers=workers, queue_cap=queue_cap,
-        backpressure=backpressure, work=work,
-        slo_threshold=slo_threshold)
-    report.traffic = generator.stats()
-    report.requests, report.queue, report.pool, report.latency = \
-        tier_stats(suite)
-    report.pending = sum(1 for r in gateway.requests.values()
-                         if not r.terminal)
-    report.drain_seconds = drain_seconds
-
-    if meta.sampler is not None:
-        report.slo, results = slo_block(
-            meta, default_service_slos(threshold=slo_threshold))
-        latency_result = results.get("service-e2e-latency")
+        scheduler=scheduler, seed=seed, users=users, duration=duration,
+        workers=workers, queue_cap=queue_cap, backpressure=backpressure,
+        work=work, slo_threshold=slo_threshold)
+    run = _run_tier(report, **given)
+    report.pending = run.suite.pending
+    if report.slo is not None:
+        latency_result = run.slo.get("service-e2e-latency")
         report.slo["latency_exhausted"] = (latency_result is not None
                                            and latency_result.exhausted)
     return report

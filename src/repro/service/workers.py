@@ -68,6 +68,8 @@ __all__ = ["DISPATCH_OVERHEAD", "RESERVATION_DURATION", "WorkerPool"]
 RESERVATION_DURATION = 30.0
 #: virtual seconds of per-request dispatch bookkeeping
 DISPATCH_OVERHEAD = 1.0
+#: pool-wide cumulative counts ``stats()`` reports and a checkpoint carries
+_COUNTERS = ("placed", "failed", "retries", "kills", "revivals", "abandons")
 
 
 class WorkerPool:
@@ -214,41 +216,28 @@ class WorkerPool:
         return sum(self._busy_time) / (self.size * elapsed)
 
     def stats(self) -> Dict[str, Any]:
-        return {
-            "workers": self.size,
-            "handled": sum(self.handled),
-            "placed": self.placed,
-            "failed": self.failed,
-            "retries": self.retries,
-            "kills": self.kills,
-            "revivals": self.revivals,
-            "abandons": self.abandons,
-            "busy_fraction": self.busy_fraction,
-        }
+        return {"workers": self.size, "handled": sum(self.handled),
+                **{name: getattr(self, name) for name in _COUNTERS},
+                "busy_fraction": self.busy_fraction}
 
     # -- checkpoint -----------------------------------------------------------
-    def counters(self) -> Dict[str, Any]:
-        return {
-            "handled": list(self.handled),
-            "placed": self.placed,
-            "failed": self.failed,
-            "retries": self.retries,
-            "kills": self.kills,
-            "revivals": self.revivals,
-            "abandons": self.abandons,
-            "busy_time": list(self._busy_time),
-            "started_at": self._started_at,
-            "generation": list(self._generation),
-        }
+    def snapshot(self) -> Dict[str, Any]:
+        """Cumulative statistics for checkpoint/restore.  ``generation``
+        is written and never restored: a pool restarts its daemons at
+        generation 0, and the old pool's stale resumes check the old
+        pool's own list.  The key stays so the checkpoint format (and
+        BENCH_gameday.json's pinned byte count) does not change."""
+        return {"handled": list(self.handled),
+                **{name: getattr(self, name) for name in _COUNTERS},
+                "busy_time": list(self._busy_time),
+                "started_at": self._started_at,
+                "generation": list(self._generation)}
 
-    def restore_counters(self, doc: Dict[str, Any]) -> None:
+    def restore(self, doc: Dict[str, Any]) -> None:
+        """Continue counting where a checkpointed pool left off."""
         self.handled = list(doc["handled"])
-        self.placed = doc["placed"]
-        self.failed = doc["failed"]
-        self.retries = doc["retries"]
-        self.kills = doc["kills"]
-        self.revivals = doc["revivals"]
-        self.abandons = doc["abandons"]
+        for name in _COUNTERS:
+            setattr(self, name, doc[name])
         self._busy_time = list(doc["busy_time"])
         self._started_at = doc["started_at"]
 

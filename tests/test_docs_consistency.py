@@ -7,12 +7,14 @@ comparison's claims are data judged by one evaluator, telemetry is
 handed to a component at construction, live only from the Metasystem,
 what a world holds once per host has no instance ``__dict__`` and
 no callback of its own, only ``schedule/schedule.py`` builds variant
-schedules, the world builders switch no layer on, docs and sources
+schedules, the world builders switch no layer on, the two service
+campaigns start their tier through one driver, docs and sources
 cite ROADMAP items by title, docs/observability.md catalogues exactly
 the metrics and spans the source records, and only the registry module
 knows how the metrics store is laid out."""
 
 import ast
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +23,9 @@ import pytest
 
 from repro.audit.claims import Claim
 from repro.guardrails.compare import SLO_CLAIMS
+from repro.recovery import run_gameday
 from repro.recovery.journal import EVENTS
+from repro.service import run_service
 from repro.service.request import FIRES_FROM, ServiceRequest
 from repro.tools.ledgers import LEDGERS
 from repro.workload.testbed import TestbedSpec, build_testbed
@@ -487,6 +491,35 @@ class TestLayersSwitchOnOneWay:
         assert sorted(layer_switches(tree, "build_testbed")) == [
             "meta.enable_economy()",
             "meta.start_chaos(profile=spec.chaos_profile)"]
+
+
+def called_names(tree, function):
+    """The names of the plain functions ``function`` calls."""
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {node.func.id for node in ast.walk(body)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+class TestServiceCampaignsRunOneDriver:
+    def test_gameday_declares_no_service_keyword(self):
+        """The game day takes ``run_service``'s keywords (and defaults)
+        through ``**service``; it declares only its own and the two
+        every campaign has."""
+        service = set(inspect.signature(run_service).parameters)
+        gameday = inspect.signature(run_gameday).parameters
+        assert service & set(gameday) == {"seed", "duration"}
+        assert gameday["service"].kind is inspect.Parameter.VAR_KEYWORD
+
+    def test_both_runners_reach_the_one_driver(self, source_trees):
+        trees = dict(source_trees)
+        runners = (("service/report.py", "run_service"),
+                   ("recovery/gameday.py", "run_gameday"))
+        for module, function in runners:
+            assert "_run_tier" in called_names(trees[module], function)
+            assert not layer_switches(trees[module], function)
+        [switch] = layer_switches(trees["service/report.py"], "_run_tier")
+        assert switch.startswith("meta.start_service(")
 
 
 #: ``(module, class, method)`` run once per host: each may create no

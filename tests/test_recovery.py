@@ -744,6 +744,38 @@ class TestCheckpoint:
         assert restored.leases.grants == grants
         assert restored is meta.service and restored is not suite
 
+    @pytest.mark.parametrize("counter", ["submitted",
+                                         "admission_rejections"])
+    def test_restore_refuses_gateway_counters_the_journal_disagrees_with(
+            self, counter):
+        """The gateway block and the journal's replay both give the
+        gateway's counters; a checkpoint whose two copies disagree is
+        refused before any tier starts."""
+        meta, suite = build_recovery_service(workers=2)
+        for i in range(3):
+            suite.gateway.submit(user=f"u{i}")
+        meta.advance(90.0)
+        doc = json.loads(capture_checkpoint(meta).to_json())
+        doc["gateway"][counter] += 1
+        meta.stop_service()
+        with pytest.raises(RecoveryError, match="disagree"):
+            restore_service(meta, ServiceCheckpoint.from_dict(doc),
+                            suite.app)
+        assert meta.service is None
+
+    def test_pool_generation_is_written_and_never_restored(self):
+        """A pool restarts its daemons at generation 0; ``generation``
+        stays in the snapshot only because the checkpoint format (and
+        BENCH_gameday.json's pinned byte count) carries it."""
+        _, suite = build_recovery_service(workers=2)
+        suite.pool.kill(1)
+        suite.pool.revive(1)
+        doc = suite.pool.snapshot()
+        assert doc["generation"] == [0, 1]
+        _, fresh = build_recovery_service(workers=2)
+        fresh.pool.restore(doc)
+        assert fresh.pool.snapshot() == dict(doc, generation=[0, 0])
+
     @pytest.mark.parametrize("perturb", [
         None,
         lambda meta, app: meta.transport.breakers.breaker_for(

@@ -12,6 +12,7 @@ The backpressure-correctness pins from the service design:
 """
 
 import io
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.campaign import standard_world
 from repro.errors import AdmissionRejected, LegionError, RequestStateError
+from repro.recovery import RecoveryConfig
 from repro.service import (
     PLACED,
     PlacementQueue,
@@ -575,6 +577,42 @@ class TestMetasystemWiring:
             n_domains=1, hosts_per_domain=2, platform_mix=1))
         meta.start_service()
         assert meta.service.config == ServiceConfig()
+
+
+class TestSettled:
+    def test_without_recovery_every_request_terminal(self):
+        meta = build_testbed(TestbedSpec(seed=0, n_domains=1,
+                                         hosts_per_domain=3, platform_mix=2))
+        suite = meta.start_service(ServiceConfig(workers=1, queue_cap=8))
+        assert suite.leases is None and suite.settled
+        suite.gateway.submit(user="u")
+        assert not suite.settled
+        meta.advance(90.0)
+        assert suite.settled
+
+    def test_a_live_or_late_effect_lease_keeps_the_tier_busy(self):
+        """Every request terminal is not enough with recovery on: an
+        active lease, or an expired one whose late effects the
+        Supervisor has not reaped yet, keeps the tier unsettled."""
+        meta = build_testbed(TestbedSpec(seed=0, n_domains=1,
+                                         hosts_per_domain=3, platform_mix=2))
+        suite = meta.start_service(
+            ServiceConfig(workers=1, queue_cap=8),
+            recovery=RecoveryConfig(lease_ttl=5.0, heartbeat_interval=2.0))
+        rid = suite.gateway.submit(user="u").request_id
+        meta.advance(90.0)
+        assert suite.settled
+        leases = suite.leases
+        lease = leases.grant(rid, 0, meta.now)
+        assert not suite.settled
+        leases.release(lease, meta.now)
+        assert suite.settled
+        lease = leases.grant(rid, 0, meta.now)
+        leases.expire(lease, meta.now)
+        leases.deposit_effects(lease, SimpleNamespace(created=[]), meta.now)
+        assert leases.late_effects and not suite.settled
+        meta.advance(1.0)  # the Supervisor reaps at the deposit instant
+        assert not leases.late_effects and suite.settled
 
 
 class TestTrafficModel:
